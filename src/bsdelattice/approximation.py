@@ -23,7 +23,7 @@ import numpy as np
 from .drivers import DriverSpec, TerminalFunctional
 from .errors import GridError
 from .lattice import build_lattice
-from .solver import bmo_estimate, solve_backward, terminal_values
+from .solver import _fmt, bmo_estimate, solve_backward, terminal_values
 
 POOL_LIMIT = 2 ** 12
 
@@ -270,10 +270,6 @@ def refinement_experiment(
         slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
         study.fitted_order = float(-slope)
     return study
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def export_ladder_csv(ladder: ApproximationLadder, fileobj):

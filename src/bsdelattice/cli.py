@@ -7,15 +7,13 @@ hyphens); explicit flags win over the config, the config wins over defaults.
 Exit codes: 0 on success, 1 when a mathematical property fails (divergence,
 inadmissible optimizer, violated monotonicity), 2 on input errors.  All CSV
 output is written with 17 significant digits and is bitwise reproducible for
-a fixed config and seed.  BSDELATTICE_WORKERS is validated when set but
-never influences results; it is reserved for a future parallel evaluator.
+a fixed config and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -47,8 +45,6 @@ from .errors import (
 from .lattice import build_lattice, verify_walk_conditions
 from .picard import export_picard_trace_csv, picard_solve
 from .solver import export_solution_csv, solution_summary, solve_backward
-
-WORKERS_VAR = "BSDELATTICE_WORKERS"
 
 DEFAULTS = {
     "steps": 8,
@@ -173,18 +169,6 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
     merged["steps_list"] = _parse_int_list(merged["steps_list"])
     merged["levels"] = _parse_level_list(merged["levels"])
     return ExperimentConfig(command=args.command, **merged)
-
-
-def _check_workers_var():
-    raw = os.environ.get(WORKERS_VAR)
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise GridError("%s must be an integer, got %r" % (WORKERS_VAR, raw))
-    if value < 1:
-        raise GridError("%s must be at least 1, got %d" % (WORKERS_VAR, value))
 
 
 class _OutSink:
@@ -343,7 +327,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_workers_var()
         cfg = _merge(args)
         return _COMMANDS[args.command](cfg)
     except (ConvergenceError, AdmissibilityError, ValidationError, QuadratureError) as exc:

@@ -26,13 +26,13 @@ abs, exp; terminals endpoint, const:c, maxpath, digital, clipped-endpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import GridError, QuadratureError, ValidationError
-from .lattice import ConditionCheck, TimeGrid
+from .lattice import ConditionCheck, ConditionReport, TimeGrid
 
 _UNBOUNDED_DOUBLINGS = 3
 
@@ -532,27 +532,7 @@ class SamplingPlan:
     slack: float = 1e-9
 
 
-@dataclass
-class DriverPropertyReport:
-    driver: str
-    checks: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.passed is not None)
-
-    def failures(self):
-        return [c for c in self.checks if c.passed is False]
-
-    def __str__(self):
-        lines = ["driver %s" % self.driver]
-        for c in self.checks:
-            status = {True: "pass", False: "FAIL", None: "n/a "}[c.passed]
-            lines.append("%s %-18s %s" % (status, c.name, c.detail))
-        return "\n".join(lines)
-
-
-def verify_driver_properties(f: DriverSpec, plan: SamplingPlan = SamplingPlan()) -> DriverPropertyReport:
+def verify_driver_properties(f: DriverSpec, plan: SamplingPlan = SamplingPlan()) -> ConditionReport:
     """Probe the declared driver properties on random samples; report per property.
 
     Checks midpoint convexity in z, the origin bound, the (w, y) Lipschitz
@@ -560,7 +540,7 @@ def verify_driver_properties(f: DriverSpec, plan: SamplingPlan = SamplingPlan())
     bound; undeclared constants are reported as not checkable.
     """
     rng = np.random.default_rng(plan.seed)
-    rep = DriverPropertyReport(driver=f.name)
+    rep = ConditionReport(title="driver %s" % f.name, label_width=18)
     d = plan.dim
     n = plan.samples
 

@@ -24,11 +24,11 @@ from .lattice import PathLattice
 from .probability import (
     AdaptedProcess,
     ControlProcess,
-    gather_children,
     left_process,
     predictable_process,
+    tilted_expectation,
 )
-from .solver import SolutionTriple, check_step_size, driver_context, terminal_values
+from .solver import SolutionTriple, _fmt, check_step_size, driver_context, terminal_values
 
 
 def _conjugate_slice(f, t, w_ctx, y, mu, mode):
@@ -68,9 +68,7 @@ def dual_value(
     slices[grid.steps] = xi
     r_next = xi
     for i in range(grid.steps - 1, -1, -1):
-        weights = control.step_weights(i)
-        v = gather_children(lattice, i, r_next)
-        e_mu = (weights * v).mean(axis=1)
+        e_mu = tilted_expectation(lattice, i, r_next, control.step_weights(i))
         mu = control.process.slices[i]
         w_ctx = driver_context(lattice, f, i)
         t1 = grid.time(i + 1)
@@ -202,10 +200,6 @@ def comparison_minimum(low: SolutionTriple, high: SolutionTriple) -> float:
     for lo, hi in zip(low.Y.slices, high.Y.slices):
         worst = min(worst, float(np.min(hi - lo)))
     return worst
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def export_duality_csv(

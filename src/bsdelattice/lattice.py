@@ -11,13 +11,15 @@ component over a uniform time grid t_i = i*T/N.  Two layouts are supported:
 
 * recombining mode: nodes at time index i are the lattice points reached,
   keyed by per-component down-step counts m_c in 0..i (flat index in mixed
-  radix, component 0 most significant; index 0 is the all-up point).  Only
+  radix, component 0 most significant; index 0 is the all-up point).  Slice
+  i is an (i+1)**d grid, so the children under choice c form the (i+1)**d
+  block of the slice-(i+1) grid offset by the choice's down steps.  Only
   meaningful for Markov data; per-path quantities are unresolvable here.
 
-Values attached to a slice are numpy arrays in node order; code elsewhere
-relies on the contiguous child blocks of full-path mode for vectorized
-conditional expectations.  Nodes are referred to by plain (time_index,
-node_index) pairs.
+Values attached to a slice are numpy arrays in node order.  gather_children
+is the one place that turns the layout into per-parent child arrays; every
+backward recursion goes through it.  Nodes are referred to by plain
+(time_index, node_index) pairs.
 """
 
 from __future__ import annotations
@@ -102,7 +104,6 @@ class PathLattice:
         self.signs.setflags(write=False)
         self._walk_cache: dict = {}
         self._prob_cache: dict = {}
-        self._child_cache: dict = {}
         self._leaf_paths = None
 
     # -- sizes ---------------------------------------------------------------
@@ -126,30 +127,6 @@ class PathLattice:
     def step_increments(self) -> np.ndarray:
         """(2**d, d) increments of one step: signs * sqrt(dt)."""
         return self.signs * self.grid.sqrt_dt
-
-    def child_indices(self, i: int) -> np.ndarray:
-        """(n_i, 2**d) indices into slice i+1: child of node k under choice c.
-
-        Column order follows the sign matrix rows.
-        """
-        if not 0 <= i < self.steps:
-            raise TimeDomainError("step from slice %d has no children" % (i,))
-        if self.mode == "full":
-            n = self.node_count(i)
-            return np.arange(n * self.n_choices).reshape(n, self.n_choices)
-        cached = self._child_cache.get(i)
-        if cached is None:
-            n = self.node_count(i)
-            downs = (self.signs < 0).astype(np.int64)
-            m = np.array(np.unravel_index(np.arange(n), (i + 1,) * self.dim)).T
-            cols = []
-            for c in range(self.n_choices):
-                child_multi = m + downs[c][None, :]
-                cols.append(np.ravel_multi_index(tuple(child_multi.T), (i + 2,) * self.dim))
-            cached = np.stack(cols, axis=1)
-            cached.setflags(write=False)
-            self._child_cache[i] = cached
-        return cached
 
     def parent_index(self, i: int, k: int) -> int:
         if self.mode != "full":
@@ -281,6 +258,29 @@ def build_lattice(
     return lattice
 
 
+def gather_children(lattice: PathLattice, i: int, child_values: np.ndarray) -> np.ndarray:
+    """(n_i, 2**d, ...) slice-(i+1) values arranged per parent, choices in sign-row order.
+
+    Full-path mode returns a reshape view of the contiguous child blocks;
+    recombining mode stacks the 2**d shifted (i+1)**d views of the slice-(i+1)
+    grid, the one under choice c offset by its down steps.
+    """
+    if child_values.shape[0] != lattice.node_count(i + 1):
+        raise StructuralError(
+            "expected %d values on slice %d, got %d"
+            % (lattice.node_count(i + 1), i + 1, child_values.shape[0])
+        )
+    n, rest = lattice.node_count(i), child_values.shape[1:]
+    if lattice.mode == "full":
+        return child_values.reshape((n, lattice.n_choices) + rest)
+    grid = child_values.reshape((i + 2,) * lattice.dim + rest)
+    views = [
+        grid[tuple(slice(down, down + i + 1) for down in downs)].reshape((n,) + rest)
+        for downs in (lattice.signs < 0).astype(int)
+    ]
+    return np.stack(views, axis=1)
+
+
 # -- interpolations ----------------------------------------------------------
 
 
@@ -359,8 +359,12 @@ class ConditionCheck:
 
 
 @dataclass
-class WalkConditionReport:
+class ConditionReport:
+    """Per-condition checks; str() prints one status line per check under title."""
+
     checks: list = field(default_factory=list)
+    title: str = ""
+    label_width: int = 10
 
     @property
     def passed(self) -> bool:
@@ -370,14 +374,14 @@ class WalkConditionReport:
         return [c for c in self.checks if c.passed is False]
 
     def __str__(self):
-        lines = []
+        lines = [self.title] if self.title else []
         for c in self.checks:
             status = {True: "pass", False: "FAIL", None: "n/a "}[c.passed]
-            lines.append("%s %-10s %s" % (status, c.name, c.detail))
+            lines.append("%s %-*s %s" % (status, self.label_width, c.name, c.detail))
         return "\n".join(lines)
 
 
-def verify_walk_conditions(lattice: PathLattice, tol: float = 1e-12) -> WalkConditionReport:
+def verify_walk_conditions(lattice: PathLattice, tol: float = 1e-12) -> ConditionReport:
     """Check the walk-structure conditions on the lattice and report per condition.
 
     Increment moments are recomputed from the stored slice probabilities, so a
@@ -385,7 +389,7 @@ def verify_walk_conditions(lattice: PathLattice, tol: float = 1e-12) -> WalkCond
     checked at fixed N and is reported as deferred to the convergence suite.
     """
     grid = lattice.grid
-    rep = WalkConditionReport()
+    rep = ConditionReport()
     times = grid.times
 
     dt_ok = grid.dt > 0 and np.all(np.diff(times) > 0)
@@ -455,14 +459,22 @@ def verify_walk_conditions(lattice: PathLattice, tol: float = 1e-12) -> WalkCond
         )
     )
 
-    shape_ok = True
-    for i in range(lattice.steps):
-        ch = lattice.child_indices(i)
-        if ch.shape != (lattice.node_count(i), lattice.n_choices):
-            shape_ok = False
-        elif ch.min() < 0 or ch.max() >= lattice.node_count(i + 1):
-            shape_ok = False
+    # every gathered child sits one increment away from its parent (np.max keeps NaN)
+    worst = float(np.max([
+        np.max(np.abs(
+            gather_children(lattice, i, lattice.walk_slice(i + 1))
+            - lattice.walk_slice(i)[:, None, :] - inc
+        ))
+        for i in range(lattice.steps)
+    ]))
+    # recombining walk values round relative to their size, up to N sqrt(dt)
+    reach = 1.0 + lattice.steps * grid.sqrt_dt
     rep.checks.append(
-        ConditionCheck("children", bool(shape_ok), "every node has 2**d children on the lattice")
+        ConditionCheck(
+            "children",
+            bool(worst <= tol * reach),
+            "child under choice c = parent + increment c (worst deviation %.3g)" % worst,
+            worst,
+        )
     )
     return rep

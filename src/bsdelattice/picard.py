@@ -1,19 +1,22 @@
 """Explicit Picard iteration toward the implicit backward solution.
 
-One sweep freezes the driver at the previous iterate, accumulates it forward
-into the terminal, and reads the next iterate off the martingale
-representation of that accumulated terminal: h_N carries xi plus the driver
-sum, conditional means walk h backward, and the projection of each h slice
-yields the new control and orthogonal increments.  Subtracting the
-accumulated sum recovers the new value process.
+One sweep freezes the driver at the previous iterate and walks backward:
+
+    Y^{p+1}_i = E[Y^{p+1}_{i+1} | node] + f(Y^p_i, Z^p_i) dt,
+
+with Z^{p+1}_i and the orthogonal increments read off the martingale
+projection of Y^{p+1}_{i+1}.  By the tower property this is the martingale
+representation of the terminal plus the frozen driver summed along each
+path: the driver sum up to slice i is constant across a node's children, so
+it drops out of the projection.
 
 The iteration stops when either the triple distance to the previous iterate
 (value sup + control path-l2 + martingale sup) or the implicit-equation
 residual of the new iterate drops strictly below tol.  The residual branch is
 what lets driver-free problems finish after a single sweep.
 
-The forward accumulation is path-resolved, so this module requires full-path
-lattices.
+The control and martingale distances are sups over paths, so this module
+requires full-path lattices.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .probability import left_process, martingale_projection, predictable_proces
 from .solver import (
     SolutionTriple,
     SolveInfo,
+    _fmt,
     check_step_size,
     driver_context,
     terminal_values,
@@ -86,33 +90,20 @@ def _driver_slice(lattice, f, i, y, z):
 def picard_step(
     lattice: PathLattice, f: DriverSpec, xi: np.ndarray, state: PicardState
 ) -> PicardState:
-    """One sweep: accumulate the old driver forward, project backward."""
-    grid = lattice.grid
-    dt = grid.dt
-    nch = lattice.n_choices
-    F = [np.zeros(1)]
-    fvals = []
-    for i in range(grid.steps):
-        fv = _driver_slice(lattice, f, i, state.Y[i], state.Z[i])
-        fvals.append(fv)
-        F.append(np.repeat(F[i] + fv * dt, nch))
-    h = xi + F[grid.steps]
-    Y = [None] * (grid.steps + 1)
-    Z = [None] * grid.steps
-    dm = [None] * grid.steps
-    Y[grid.steps] = xi
-    for i in range(grid.steps - 1, -1, -1):
-        mean, z, dmi = martingale_projection(lattice, i, h)
-        Z[i] = z
-        dm[i] = dmi
-        h = mean
-        Y[i] = h - F[i]
-    # residual of the new iterate in the implicit one-step equation
+    """One backward sweep with the driver frozen at the previous iterate."""
+    dt = lattice.grid.dt
+    n = lattice.steps
+    Y = [None] * (n + 1)
+    Z = [None] * n
+    dm = [None] * n
+    Y[n] = xi
     resid = 0.0
-    for i in range(grid.steps):
+    for i in range(n - 1, -1, -1):
+        mean, Z[i], dm[i] = martingale_projection(lattice, i, Y[i + 1])
+        Y[i] = mean + _driver_slice(lattice, f, i, state.Y[i], state.Z[i]) * dt
+        # residual of the new iterate in the implicit one-step equation
         fv_new = _driver_slice(lattice, f, i, Y[i], Z[i])
-        mean_new = Y[i + 1].reshape(-1, nch).mean(axis=1)
-        resid = max(resid, float(np.max(np.abs(Y[i] - mean_new - fv_new * dt))))
+        resid = max(resid, float(np.max(np.abs(Y[i] - mean - fv_new * dt))))
     return PicardState(p=state.p + 1, Y=Y, Z=Z, dm=dm, residual=resid)
 
 
@@ -187,11 +178,5 @@ def export_picard_trace_csv(result: PicardResult, fileobj):
     fileobj.write("p,dY_sup,dZ_l2,dM_sup\n")
     for row in result.trace:
         fileobj.write(
-            "%d,%s,%s,%s\n"
-            % (
-                row.p,
-                format(row.dY_sup, ".17g"),
-                format(row.dZ_l2, ".17g"),
-                format(row.dM_sup, ".17g"),
-            )
+            "%d,%s,%s,%s\n" % (row.p, _fmt(row.dY_sup), _fmt(row.dZ_l2), _fmt(row.dM_sup))
         )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, GridError, StructuralError
-from .lattice import PathLattice
+from .lattice import PathLattice, gather_children
 
 
 @dataclass
@@ -65,23 +65,16 @@ def predictable_process(lattice, slices) -> AdaptedProcess:
 # -- one-step conditional expectations ---------------------------------------
 
 
-def gather_children(lattice: PathLattice, i: int, child_values: np.ndarray) -> np.ndarray:
-    """(n_i, 2**d, ...) view/copy of slice-(i+1) values arranged per parent."""
-    if child_values.shape[0] != lattice.node_count(i + 1):
-        raise StructuralError(
-            "expected %d values on slice %d, got %d"
-            % (lattice.node_count(i + 1), i + 1, child_values.shape[0])
-        )
-    if lattice.mode == "full":
-        return child_values.reshape(
-            (lattice.node_count(i), lattice.n_choices) + child_values.shape[1:]
-        )
-    return child_values[lattice.child_indices(i)]
-
-
 def conditional_expectation(lattice: PathLattice, i: int, child_values: np.ndarray) -> np.ndarray:
     """E[X | node] over one step: slice-(i+1) values down to slice i."""
     return gather_children(lattice, i, child_values).mean(axis=1)
+
+
+def tilted_expectation(
+    lattice: PathLattice, i: int, child_values: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """One-step mean of slice-(i+1) values reweighted by the (n_i, 2**d) edge weights."""
+    return (gather_children(lattice, i, child_values) * weights).mean(axis=1)
 
 
 def martingale_projection(lattice: PathLattice, i: int, child_values: np.ndarray):
@@ -205,8 +198,8 @@ def conditional_expectation_under(
     mass = np.ones_like(num)
     for j in range(lat.steps - 1, i - 1, -1):
         w = control.step_weights(j)
-        num = (gather_children(lat, j, num) * w).mean(axis=1)
-        mass = (gather_children(lat, j, mass) * w).mean(axis=1)
+        num = tilted_expectation(lat, j, num, w)
+        mass = tilted_expectation(lat, j, mass, w)
     return num / mass
 
 

@@ -25,10 +25,10 @@ import numpy as np
 
 from .drivers import DriverSpec, TerminalFunctional, average_driver
 from .errors import ConvergenceError, StepSizeError, StructuralError
-from .lattice import PathLattice, TimeGrid
+from .lattice import PathLattice, TimeGrid, gather_children
 from .probability import (
     AdaptedProcess,
-    gather_children,
+    conditional_expectation,
     left_process,
     martingale_projection,
     predictable_process,
@@ -393,7 +393,7 @@ def bmo_estimate(sol: SolutionTriple) -> float:
     worst = 0.0
     for i in range(lat.steps - 1, -1, -1):
         z2 = (sol.Z.slices[i] ** 2).sum(axis=1)
-        tail = z2 * dt + gather_children(lat, i, tail).mean(axis=1)
+        tail = z2 * dt + conditional_expectation(lat, i, tail)
         worst = max(worst, float(tail.max()))
     return worst
 
@@ -402,6 +402,7 @@ def bmo_estimate(sol: SolutionTriple) -> float:
 
 
 def _fmt(x: float) -> str:
+    """17 significant digits, which round-trip every double; used by all CSV exports."""
     return format(float(x), ".17g")
 
 
@@ -410,8 +411,10 @@ def export_solution_csv(sol: SolutionTriple, fileobj):
 
     Z on a row is the control decided at that node for the next step (empty on
     the last slice); dM is the orthogonal increment on the edge into the node
-    (empty at the root; on recombining lattices, where incoming edges are not
-    unique, it is the largest-magnitude incoming increment).
+    (empty at the root).  On recombining lattices, where incoming edges are not
+    unique, dM is the largest-magnitude incoming increment; ties go to the edge
+    that comes last in (parent, choice) order, and NaN increments never win
+    (a node whose incoming increments are all NaN reads 0).
     """
     lat = sol.lattice
     d = lat.dim
@@ -426,17 +429,16 @@ def export_solution_csv(sol: SolutionTriple, fileobj):
             dm_col = sol.dm[i - 1].ravel()
         else:
             dm = sol.dm[i - 1]
-            ch = lat.child_indices(i - 1)
-            dm_col = np.zeros(lat.node_count(i))
-            best = np.full(lat.node_count(i), -1.0)
-            flat = ch.ravel()
-            vals = dm.ravel()
-            order = np.argsort(np.abs(vals), kind="stable")
-            for idx in order:
-                node = flat[idx]
-                if abs(vals[idx]) >= best[node]:
-                    best[node] = abs(vals[idx])
-                    dm_col[node] = vals[idx]
+            mag = np.abs(dm)
+            ch = gather_children(lat, i - 1, np.arange(y.shape[0]))
+            dm_col = np.zeros(y.shape[0])
+            best = np.full(y.shape[0], -1.0)
+            # a node's incoming edges come from distinct parents, the lowest
+            # choice from the last parent: sweep choices down, later edges win ties
+            for c in range(lat.n_choices - 1, -1, -1):
+                win = mag[:, c] >= best[ch[:, c]]
+                best[ch[win, c]] = mag[win, c]
+                dm_col[ch[win, c]] = dm[win, c]
         for k in range(y.shape[0]):
             row = [str(i), str(k), _fmt(y[k])]
             if z is not None:

@@ -32,7 +32,7 @@ def test_solve_without_out_streams_csv(capsys):
     assert captured.startswith("time_index,node_id,Y,Z_1,dM\n")
 
 
-def test_identical_runs_are_bitwise_identical(tmp_path, monkeypatch):
+def test_identical_runs_are_bitwise_identical(tmp_path):
     args = [
         "solve",
         "--steps",
@@ -46,19 +46,9 @@ def test_identical_runs_are_bitwise_identical(tmp_path, monkeypatch):
     ]
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
-    monkeypatch.setenv("BSDELATTICE_WORKERS", "1")
     assert run(args + ["--out", str(first)]) == 0
-    monkeypatch.setenv("BSDELATTICE_WORKERS", "7")
     assert run(args + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
-
-
-def test_invalid_workers_variable_is_an_input_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("BSDELATTICE_WORKERS", "many")
-    assert run(["solve", "--steps", "2"]) == 2
-    monkeypatch.setenv("BSDELATTICE_WORKERS", "0")
-    assert run(["solve", "--steps", "2"]) == 2
-    capsys.readouterr()
 
 
 def test_config_file_supplies_options_and_flags_override(tmp_path, capsys):

@@ -10,6 +10,7 @@ from bsdelattice.lattice import (
     DEFAULT_LEAF_BUDGET,
     TimeGrid,
     build_lattice,
+    gather_children,
     interpolate_linear,
     interpolate_shifted,
     shifted_grid_samples,
@@ -71,15 +72,26 @@ def test_full_probabilities_exact():
         assert all(x == float(Fraction(1, 4 ** i)) for x in p)
 
 
+def assert_children_one_increment_away(lat):
+    inc = lat.step_increments()
+    for i in range(lat.steps):
+        kids = gather_children(lat, i, lat.walk_slice(i + 1))
+        w = lat.walk_slice(i)
+        assert kids.shape == (lat.node_count(i), lat.n_choices, lat.dim)
+        for k in range(lat.node_count(i)):
+            for c in range(lat.n_choices):
+                assert np.allclose(kids[k, c], w[k] + inc[c], atol=1e-14, rtol=0.0)
+
+
 def test_parent_child_structure():
-    lat = build_lattice(3, dim=2)
-    for i in range(3):
-        ch = lat.child_indices(i)
-        n = lat.node_count(i)
-        assert ch.shape == (n, 4)
-        for k in range(n):
-            for c in range(4):
-                assert lat.parent_index(i + 1, ch[k, c]) == k
+    for dim in (1, 2):
+        lat = build_lattice(3, dim=dim)
+        assert_children_one_increment_away(lat)
+        for i in range(3):
+            ids = gather_children(lat, i, np.arange(lat.node_count(i + 1)))
+            for k in range(lat.node_count(i)):
+                for c in range(lat.n_choices):
+                    assert lat.parent_index(i + 1, ids[k, c]) == k
     assert lat.prefix_index(3, 0b110101, 2) == 0b1101
     with pytest.raises(StructuralError):
         lat.parent_index(0, 0)
@@ -122,15 +134,11 @@ def test_recombining_counts_and_probabilities():
 
 
 def test_recombining_children_reach_correct_points():
-    lat = build_lattice(3, dim=2, mode="recombining")
-    for i in range(3):
-        ch = lat.child_indices(i)
-        w = lat.walk_slice(i)
-        wnext = lat.walk_slice(i + 1)
-        inc = lat.step_increments()
-        for k in range(lat.node_count(i)):
-            for c in range(4):
-                assert np.allclose(wnext[ch[k, c]], w[k] + inc[c], atol=1e-14)
+    for steps, dim in ((5, 1), (3, 2)):
+        lat = build_lattice(steps, dim=dim, mode="recombining")
+        assert_children_one_increment_away(lat)
+    with pytest.raises(StructuralError):
+        gather_children(lat, 0, np.zeros(3))
 
 
 def test_interpolate_linear_values():
@@ -207,3 +215,14 @@ def test_walk_conditions_catch_corruption():
     rep = verify_walk_conditions(lat)
     assert not rep.passed
     assert any(c.name == "moments" for c in rep.failures())
+
+
+def test_walk_conditions_catch_misplaced_children():
+    for mode in ("full", "recombining"):
+        lat = build_lattice(3, dim=1, mode=mode)
+        w = lat.walk_slice(2).copy()
+        w[-1] += 1e-6  # negative control: move one slice-2 node off its lattice point
+        w.setflags(write=False)
+        lat._walk_cache[2] = w
+        rep = verify_walk_conditions(lat)
+        assert [c.name for c in rep.failures()] == ["children"]

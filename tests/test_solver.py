@@ -12,7 +12,9 @@ from bsdelattice.drivers import DriverSpec, make_driver, make_terminal
 from bsdelattice.errors import ConvergenceError, StepSizeError, StructuralError
 from bsdelattice.exact import exact_solve, node_index_for
 from bsdelattice.lattice import build_lattice
+from bsdelattice.probability import left_process, predictable_process
 from bsdelattice.solver import (
+    SolutionTriple,
     bmo_estimate,
     export_solution_csv,
     gronwall_envelope,
@@ -317,6 +319,50 @@ def test_csv_export_layout_and_determinism():
     buf2 = io.StringIO()
     export_solution_csv(sol, buf2)
     assert buf2.getvalue() == text
+
+
+@pytest.mark.parametrize("steps,dim", [(7, 1), (4, 2)])
+def test_recombining_dm_column_keeps_largest_incoming_edge(steps, dim):
+    # Brute force over edges in (parent, choice) order: the largest |dM| wins,
+    # a later edge wins a tie, and NaN never wins (a node left without a
+    # winner reads 0).  Small integers make opposite-sign ties common.
+    lat = build_lattice(steps, dim=dim, mode="recombining")
+    rng = np.random.default_rng(11)
+    nch = lat.n_choices
+    dm = [rng.integers(-2, 3, size=(lat.node_count(i), nch)).astype(float) for i in range(steps)]
+    dm[0][0, :] = np.nan
+    dm[2][1, 0] = np.nan
+    sol = SolutionTriple(
+        lattice=lat,
+        Y=left_process(lat, [np.zeros(lat.node_count(i)) for i in range(steps + 1)]),
+        Z=predictable_process(lat, [np.zeros((lat.node_count(i), dim)) for i in range(steps)]),
+        dm=dm,
+    )
+    buf = io.StringIO()
+    export_solution_csv(sol, buf)
+    got = {}
+    for line in buf.getvalue().splitlines()[1:]:
+        cols = line.split(",")
+        got[int(cols[0]), int(cols[1])] = cols[-1]
+    downs = (lat.signs < 0).astype(int)
+    sign_ties = 0
+    for i in range(1, steps + 1):
+        best, value, signs_at_best = {}, {}, {}
+        for k in range(lat.node_count(i - 1)):
+            parent = np.unravel_index(k, (i,) * dim)
+            for c in range(nch):
+                child = int(np.ravel_multi_index(tuple(np.add(parent, downs[c])), (i + 1,) * dim))
+                v = dm[i - 1][k, c]
+                if abs(v) >= best.get(child, -1.0):
+                    if abs(v) > best.get(child, -1.0):
+                        signs_at_best[child] = set()
+                    signs_at_best[child].add(math.copysign(1.0, v))
+                    best[child], value[child] = abs(v), v
+        for child in range(lat.node_count(i)):
+            assert got[i, child] == format(value.get(child, 0.0), ".17g"), (i, child)
+            sign_ties += len(signs_at_best.get(child, ())) > 1
+    assert got[1, 0] == "0"
+    assert sign_ties > 0
 
 
 def test_summary_fields():
