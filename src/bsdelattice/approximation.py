@@ -23,7 +23,7 @@ import numpy as np
 from .drivers import DriverSpec, TerminalFunctional
 from .errors import GridError
 from .lattice import build_lattice
-from .solver import _fmt, bmo_estimate, solve_backward, terminal_values
+from .solver import bmo_estimate, solve_backward
 
 POOL_LIMIT = 2 ** 12
 
@@ -150,7 +150,7 @@ def _run_ladder(lattice, f: DriverSpec, terminals, labels) -> ApproximationLadde
     sups = []
     for label, phi in zip(labels, terminals):
         sol = solve_backward(lattice, f, phi)
-        xi = terminal_values(lattice, phi)
+        xi = sol.Y.slices[-1]
         if prev_sol is None:
             rows.append(LadderRow(level=label, y0=sol.y0, bmo=bmo_estimate(sol)))
         else:
@@ -276,12 +276,12 @@ def export_ladder_csv(ladder: ApproximationLadder, fileobj):
     fileobj.write("level,Y0,sup_increment,bmo,cauchy_bound_ok\n")
     for row in ladder.rows:
         fileobj.write(
-            "%s,%s,%s,%s,%s\n"
+            "%s,%.17g,%s,%.17g,%s\n"
             % (
                 row.level,
-                _fmt(row.y0),
-                "" if row.sup_increment is None else _fmt(row.sup_increment),
-                _fmt(row.bmo),
+                row.y0,
+                "" if row.sup_increment is None else "%.17g" % row.sup_increment,
+                row.bmo,
                 "" if row.cauchy_ok is None else str(int(row.cauchy_ok)),
             )
         )
@@ -291,5 +291,5 @@ def export_refinement_csv(study: RefinementStudy, fileobj):
     fileobj.write("N,Y0,error,fitted_order\n")
     for steps, y0, err in study.rows:
         fileobj.write(
-            "%d,%s,%s,%s\n" % (steps, _fmt(y0), _fmt(err), _fmt(study.fitted_order))
+            "%d,%.17g,%.17g,%.17g\n" % (steps, y0, err, study.fitted_order)
         )

@@ -28,7 +28,7 @@ from .probability import (
     predictable_process,
     tilted_expectation,
 )
-from .solver import SolutionTriple, _fmt, check_step_size, driver_context, terminal_values
+from .solver import SolutionTriple, _write_rows, check_step_size, driver_context, terminal_values
 
 
 def _conjugate_slice(f, t, w_ctx, y, mu, mode):
@@ -208,26 +208,17 @@ def export_duality_csv(
     """Rows node_id,primal,dual,gap,margin with node_id as slice:index.
 
     margin is the smallest one-step weight at the node's deciding step,
-    empty on the last slice where no further step is taken.
+    empty on the last slice where no further step is taken.  Values take 17
+    significant digits; each slice is written in blocks of rows, one '%' pass
+    per block, with the bytes of formatting each value on its own.
     """
     fileobj.write("node_id,primal,dual,gap,margin\n")
     lat = sol.lattice
     for i in range(lat.steps + 1):
         y = sol.Y.slices[i]
         r = candidate.slices[i]
-        if i < lat.steps:
-            margins = control.step_weights(i).min(axis=1)
-        else:
-            margins = None
-        for k in range(y.shape[0]):
-            row = [
-                "%d:%d" % (i, k),
-                _fmt(y[k]),
-                _fmt(r[k]),
-                _fmt(y[k] - r[k]),
-                _fmt(margins[k]) if margins is not None else "",
-            ]
-            fileobj.write(",".join(row) + "\n")
+        margins = control.step_weights(i).min(axis=1) if i < lat.steps else None
+        _write_rows(fileobj, "%d:" % i, [y, r, y - r, margins])
 
 
 def duality_summary(report: DualityReport) -> dict:

@@ -32,7 +32,6 @@ from .probability import left_process, martingale_projection, predictable_proces
 from .solver import (
     SolutionTriple,
     SolveInfo,
-    _fmt,
     check_step_size,
     driver_context,
     terminal_values,
@@ -178,5 +177,5 @@ def export_picard_trace_csv(result: PicardResult, fileobj):
     fileobj.write("p,dY_sup,dZ_l2,dM_sup\n")
     for row in result.trace:
         fileobj.write(
-            "%d,%s,%s,%s\n" % (row.p, _fmt(row.dY_sup), _fmt(row.dZ_l2), _fmt(row.dM_sup))
+            "%d,%.17g,%.17g,%.17g\n" % (row.p, row.dY_sup, row.dZ_l2, row.dM_sup)
         )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -401,9 +402,46 @@ def bmo_estimate(sol: SolutionTriple) -> float:
 # -- exports -----------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits, which round-trip every double; used by all CSV exports."""
-    return format(float(x), ".17g")
+# rows formatted per block: large enough that the per-block overhead vanishes,
+# small enough that the block's formatted text stays a fraction of a MiB
+_BLOCK_ROWS = 1024
+
+
+def _write_rows(fileobj, prefix, columns):
+    """Write rows 'prefix<k>,<col_1>,...,<col_m>' for k = 0..n-1, block by block.
+
+    Each column is a 1-D array of length n, or None for an empty field; the
+    first is never None.  Values take 17 significant digits ('%.17g', which
+    round-trips every double and writes nan, inf and -0 as
+    format(float(x), ".17g") does); one '%' pass formats a whole block of rows.
+    """
+    cols = [c for c in columns if c is not None]
+    row = prefix + "%d" + "".join(",%.17g" if c is not None else "," for c in columns) + "\n"
+    n = len(cols[0])
+    for k0 in range(0, n, _BLOCK_ROWS):
+        k1 = min(k0 + _BLOCK_ROWS, n)
+        values = chain.from_iterable(zip(range(k0, k1), *(c[k0:k1].tolist() for c in cols)))
+        fileobj.write((row * (k1 - k0)) % tuple(values))
+
+
+def _dm_column(sol: SolutionTriple, i: int) -> np.ndarray:
+    """dM on the edge into each node of slice i >= 1, by the rule export_solution_csv states."""
+    lat = sol.lattice
+    dm = sol.dm[i - 1]
+    if lat.mode == "full":
+        return dm.ravel()
+    n = lat.node_count(i)
+    mag = np.abs(dm)
+    ch = gather_children(lat, i - 1, np.arange(n))
+    col = np.zeros(n)
+    best = np.full(n, -1.0)
+    # a node's incoming edges come from distinct parents, the lowest
+    # choice from the last parent: sweep choices down, later edges win ties
+    for c in range(lat.n_choices - 1, -1, -1):
+        win = mag[:, c] >= best[ch[:, c]]
+        best[ch[win, c]] = mag[win, c]
+        col[ch[win, c]] = dm[win, c]
+    return col
 
 
 def export_solution_csv(sol: SolutionTriple, fileobj):
@@ -415,38 +453,19 @@ def export_solution_csv(sol: SolutionTriple, fileobj):
     unique, dM is the largest-magnitude incoming increment; ties go to the edge
     that comes last in (parent, choice) order, and NaN increments never win
     (a node whose incoming increments are all NaN reads 0).
+
+    Each slice is written in blocks of rows, one '%' pass per block; the bytes
+    are those of formatting each value with format(float(x), ".17g").
     """
     lat = sol.lattice
     d = lat.dim
     header = ["time_index", "node_id", "Y"] + ["Z_%d" % (k + 1) for k in range(d)] + ["dM"]
     fileobj.write(",".join(header) + "\n")
     for i in range(lat.steps + 1):
-        y = sol.Y.slices[i]
         z = sol.Z.slices[i] if i < lat.steps else None
-        if i == 0:
-            dm_col = None
-        elif lat.mode == "full":
-            dm_col = sol.dm[i - 1].ravel()
-        else:
-            dm = sol.dm[i - 1]
-            mag = np.abs(dm)
-            ch = gather_children(lat, i - 1, np.arange(y.shape[0]))
-            dm_col = np.zeros(y.shape[0])
-            best = np.full(y.shape[0], -1.0)
-            # a node's incoming edges come from distinct parents, the lowest
-            # choice from the last parent: sweep choices down, later edges win ties
-            for c in range(lat.n_choices - 1, -1, -1):
-                win = mag[:, c] >= best[ch[:, c]]
-                best[ch[win, c]] = mag[win, c]
-                dm_col[ch[win, c]] = dm[win, c]
-        for k in range(y.shape[0]):
-            row = [str(i), str(k), _fmt(y[k])]
-            if z is not None:
-                row += [_fmt(z[k, c]) for c in range(d)]
-            else:
-                row += [""] * d
-            row.append(_fmt(dm_col[k]) if dm_col is not None else "")
-            fileobj.write(",".join(row) + "\n")
+        z_cols = [z[:, c] if z is not None else None for c in range(d)]
+        dm_col = _dm_column(sol, i) if i > 0 else None
+        _write_rows(fileobj, "%d," % i, [sol.Y.slices[i]] + z_cols + [dm_col])
 
 
 def solution_summary(sol: SolutionTriple) -> dict:

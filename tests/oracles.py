@@ -2,11 +2,17 @@
 
 Everything here is deliberately written without the package's array code:
 plain dicts keyed by choice tuples, python floats, itertools enumeration.
-Slow, small, and easy to audit by hand.
+Slow, small, and easy to audit by hand.  The exceptions come at the end:
+two CSV writers that keep the per-row, per-value loops the exporters used
+before they wrote whole blocks of rows; the block writers must match their
+bytes.  The recombining dM column they take from solver._dm_column, whose
+rule has its own brute-force test.
 """
 
 import math
 from itertools import product
+
+from bsdelattice.solver import _dm_column
 
 
 def signs(choice, dim):
@@ -85,3 +91,65 @@ def conditional_mean(values_by_node, node, steps, dim):
     for tail in product(range(nchoice), repeat=depth):
         total += values_by_node[tuple(node) + tail]
     return total / nchoice ** depth
+
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def per_row_solution_csv(sol, fileobj):
+    """export_solution_csv one row and one value at a time."""
+    lat = sol.lattice
+    d = lat.dim
+    header = ["time_index", "node_id", "Y"] + ["Z_%d" % (k + 1) for k in range(d)] + ["dM"]
+    fileobj.write(",".join(header) + "\n")
+    for i in range(lat.steps + 1):
+        y = sol.Y.slices[i]
+        z = sol.Z.slices[i] if i < lat.steps else None
+        dm_col = _dm_column(sol, i) if i > 0 else None
+        for k in range(y.shape[0]):
+            row = [str(i), str(k), _fmt(y[k])]
+            if z is not None:
+                row += [_fmt(z[k, c]) for c in range(d)]
+            else:
+                row += [""] * d
+            row.append(_fmt(dm_col[k]) if dm_col is not None else "")
+            fileobj.write(",".join(row) + "\n")
+
+
+def per_row_duality_csv(sol, candidate, control, fileobj):
+    """export_duality_csv one row and one value at a time."""
+    fileobj.write("node_id,primal,dual,gap,margin\n")
+    lat = sol.lattice
+    for i in range(lat.steps + 1):
+        y = sol.Y.slices[i]
+        r = candidate.slices[i]
+        if i < lat.steps:
+            margins = control.step_weights(i).min(axis=1)
+        else:
+            margins = None
+        for k in range(y.shape[0]):
+            row = [
+                "%d:%d" % (i, k),
+                _fmt(y[k]),
+                _fmt(r[k]),
+                _fmt(y[k] - r[k]),
+                _fmt(margins[k]) if margins is not None else "",
+            ]
+            fileobj.write(",".join(row) + "\n")
+
+
+def first_difference(got, want):
+    """None when the two texts are equal, else (line number, got line, want line).
+
+    Keeps failure reports short: pytest's own diff of two large CSV texts takes
+    minutes.
+    """
+    a = got.splitlines(keepends=True)
+    b = want.splitlines(keepends=True)
+    for k in range(max(len(a), len(b))):
+        la = a[k] if k < len(a) else None
+        lb = b[k] if k < len(b) else None
+        if la != lb:
+            return k, la, lb
+    return None

@@ -1,5 +1,6 @@
 """Inf-convolution ladders, Cauchy ladders, and grid refinement."""
 
+import dataclasses
 import io
 import math
 
@@ -102,6 +103,27 @@ def test_uniform_ladder_cauchy_bound():
     assert ladder.cauchy_uniform
     gaps = [r.terminal_gap for r in ladder.rows[1:]]
     assert gaps == pytest.approx([0.2] * 4, abs=1e-12)
+
+
+def test_ladder_evaluates_each_terminal_once():
+    lat = build_lattice(5, dim=1)
+    calls = []
+
+    def counted(level):
+        phi = make_terminal("maxpath")
+        evaluate = phi.evaluate
+
+        def ev(paths):
+            calls.append(level)
+            return level * evaluate(paths)
+
+        return dataclasses.replace(phi, name="maxpath*%d" % level, evaluate=ev)
+
+    ladder = uniform_limit_experiment(lat, make_driver("abs"), [counted(k) for k in (1, 2, 3)])
+    assert calls == [1, 2, 3]
+    gaps = [r.terminal_gap for r in ladder.rows[1:]]
+    # the largest maxpath value, N sqrt(dt) = sqrt(5), is on the all-up path
+    assert gaps == pytest.approx([math.sqrt(5.0)] * 2, abs=1e-12)
 
 
 def test_refinement_toward_linear_closed_form():

@@ -21,6 +21,8 @@ from bsdelattice.lattice import build_lattice
 from bsdelattice.probability import ControlProcess, predictable_process
 from bsdelattice.solver import solve_backward
 
+import oracles
+
 
 def _solve(driver, terminal, steps, dim=1, mode="full"):
     lat = build_lattice(steps, dim=dim, mode=mode)
@@ -172,3 +174,18 @@ def test_duality_csv_layout_and_determinism():
     buf2 = io.StringIO()
     export_duality_csv(sol, cand, control, buf2)
     assert buf2.getvalue() == text
+
+
+@pytest.mark.parametrize(
+    "mode,steps,dim", [("full", 11, 1), ("full", 5, 2), ("recombining", 60, 1), ("recombining", 30, 2)]
+)
+def test_duality_csv_matches_per_row_writer(mode, steps, dim):
+    # full N=11 has a 2048-node leaf slice, two blocks of rows
+    terminal = "endpoint" if mode == "full" else "clipped-endpoint"
+    lat, f, phi, sol = _solve("linear:1,1", terminal, steps, dim, mode)
+    control = optimal_control(sol, f)
+    cand = dual_value(lat, f, phi, control)
+    got, want = io.StringIO(), io.StringIO()
+    export_duality_csv(sol, cand, control, got)
+    oracles.per_row_duality_csv(sol, cand, control, want)
+    assert oracles.first_difference(got.getvalue(), want.getvalue()) is None

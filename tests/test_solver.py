@@ -365,6 +365,57 @@ def test_recombining_dm_column_keeps_largest_incoming_edge(steps, dim):
     assert sign_ties > 0
 
 
+# (mode, steps, dim): full N=10 has a leaf slice of exactly one block of rows
+# and N=11 one of two; recombining d=2 N=40 ends on a 1681-node slice.
+EXPORT_CASES = [
+    ("full", 10, 1),
+    ("full", 11, 1),
+    ("full", 6, 2),
+    ("recombining", 60, 1),
+    ("recombining", 40, 2),
+]
+
+
+@pytest.mark.parametrize("mode,steps,dim", EXPORT_CASES)
+def test_csv_export_matches_per_row_writer(mode, steps, dim):
+    lat = build_lattice(steps, dim=dim, mode=mode)
+    terminal = "endpoint" if mode == "full" else "clipped-endpoint"
+    sol = solve_backward(lat, make_driver("linear:1,1"), make_terminal(terminal))
+    got, want = io.StringIO(), io.StringIO()
+    export_solution_csv(sol, got)
+    oracles.per_row_solution_csv(sol, want)
+    assert oracles.first_difference(got.getvalue(), want.getvalue()) is None
+
+
+SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1, -2.5, 1.0 / 3.0]
+
+
+def special_values(shape, offset):
+    """Array of the given shape cycling through SPECIALS from offset."""
+    n = int(np.prod(shape))
+    return np.array([SPECIALS[(offset + j) % len(SPECIALS)] for j in range(n)]).reshape(shape)
+
+
+@pytest.mark.parametrize("mode,steps,dim", [("full", 4, 2), ("recombining", 6, 1)])
+def test_csv_export_writes_non_finite_and_signed_zero_like_format(mode, steps, dim):
+    # hand-built triple whose Y, Z and dM columns hold nan, +-inf, -0.0 and 0.0
+    lat = build_lattice(steps, dim=dim, mode=mode)
+    n = lat.node_count
+    sol = SolutionTriple(
+        lattice=lat,
+        Y=left_process(lat, [special_values((n(i),), i) for i in range(steps + 1)]),
+        Z=predictable_process(lat, [special_values((n(i), dim), i + 1) for i in range(steps)]),
+        dm=[special_values((n(i), lat.n_choices), i + 2) for i in range(steps)],
+    )
+    got, want = io.StringIO(), io.StringIO()
+    export_solution_csv(sol, got)
+    oracles.per_row_solution_csv(sol, want)
+    text = got.getvalue()
+    assert oracles.first_difference(text, want.getvalue()) is None
+    fields = set(",".join(text.splitlines()[1:]).split(","))
+    assert {"nan", "inf", "-inf", "-0", "0", "4.9406564584124654e-324"} <= fields
+
+
 def test_summary_fields():
     lat = build_lattice(2, dim=1)
     sol = solve_backward(lat, make_driver("quadratic"), make_terminal("endpoint"))
