@@ -16,6 +16,11 @@ Conventions
 * terminal evaluate(paths): paths has shape (..., steps+1, d) holding the raw
   walk values at grid times; Markov terminals also expose terminal_map acting
   on the final value only, which is what recombining mode uses.
+* a terminal evaluate may be a RunningFunctional, a forward recursion over
+  the walk values w_0, ..., w_N.  Its state keeps the leading path (or node)
+  axis, one entry per path, so repeating the state per child block carries
+  it from one full-layout slice to the next: the solver then evaluates it
+  slice by slice without materializing leaf paths.
 * conjugate(f, t, w, y, mu) returns +inf as the "unbounded" marker; it is a
   value, not an error, and propagates through the dual machinery.
 
@@ -26,7 +31,7 @@ abs, exp; terminals endpoint, const:c, maxpath, digital, clipped-endpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -85,6 +90,35 @@ class TerminalFunctional:
 
     def __call__(self, paths):
         return self.evaluate(paths)
+
+
+@dataclass(frozen=True)
+class RunningFunctional:
+    """A path functional computed forward along the path.
+
+    Called on paths of shape (..., N+1, d) it runs state = init(w_0), then
+    state = update(state, w_j) for j = 1..N, and returns finish(state).  The
+    solver runs the same recursion over the full-layout walk slices, so the
+    path form and the lattice form cannot disagree.
+    """
+
+    init: Callable
+    update: Callable
+    finish: Callable
+
+    def __call__(self, paths):
+        arr = np.asarray(paths, dtype=float)
+        state = self.init(arr[..., 0, :])
+        for j in range(1, arr.shape[-2]):
+            state = self.update(state, arr[..., j, :])
+        return self.finish(state)
+
+
+def _then(evaluate: Callable, post: Callable) -> Callable:
+    """paths -> post(evaluate(paths)), still running when evaluate is."""
+    if isinstance(evaluate, RunningFunctional):
+        return replace(evaluate, finish=lambda state: post(evaluate.finish(state)))
+    return lambda paths: post(evaluate(paths))
 
 
 # -- catalogs ----------------------------------------------------------------
@@ -265,7 +299,9 @@ def const_terminal(c: float) -> TerminalFunctional:
 def maxpath_terminal() -> TerminalFunctional:
     return TerminalFunctional(
         name="maxpath",
-        evaluate=lambda paths: np.max(_norm(paths), axis=-1),
+        evaluate=RunningFunctional(
+            _norm, lambda m, w: np.maximum(m, _norm(w)), lambda m: m
+        ),
         lipschitz=1.0,
         markovian=False,
     )
@@ -320,7 +356,7 @@ def shift_terminal(phi: TerminalFunctional, delta: float) -> TerminalFunctional:
     delta = float(delta)
     return TerminalFunctional(
         name="%s+%g" % (phi.name, delta),
-        evaluate=lambda paths: phi.evaluate(paths) + delta,
+        evaluate=_then(phi.evaluate, lambda v: v + delta),
         lipschitz=phi.lipschitz,
         bound=None if phi.bound is None else phi.bound + abs(delta),
         markovian=phi.markovian,
@@ -333,7 +369,7 @@ def scale_terminal(phi: TerminalFunctional, s: float) -> TerminalFunctional:
     s = float(s)
     return TerminalFunctional(
         name="%g*%s" % (s, phi.name),
-        evaluate=lambda paths: s * phi.evaluate(paths),
+        evaluate=_then(phi.evaluate, lambda v: s * v),
         lipschitz=None if phi.lipschitz is None else abs(s) * phi.lipschitz,
         bound=None if phi.bound is None else abs(s) * phi.bound,
         markovian=phi.markovian,

@@ -8,7 +8,8 @@ control closes the gap when its tilt keeps all one-step weights positive.
 
 A conjugate value of +inf sends the candidate to -inf at that node, which
 then propagates toward the root.  That is a legitimate (useless) candidate,
-reported as is rather than raised.
+reported as is rather than raised.  A NaN is not: dual_value raises
+ConvergenceError at the first slice that holds one.
 """
 
 from __future__ import annotations
@@ -44,6 +45,15 @@ def _conjugate_slice(f, t, w_ctx, y, mu, mode):
     return out
 
 
+def _check_no_nan(values, i, what):
+    bad = np.flatnonzero(np.isnan(values))
+    if bad.size:
+        raise ConvergenceError(
+            "dual step at slice %d: %s is NaN at %d node(s), first node %d"
+            % (i, what, bad.size, bad[0])
+        )
+
+
 def dual_value(
     lattice: PathLattice,
     f: DriverSpec,
@@ -57,7 +67,8 @@ def dual_value(
 
     conjugate_mode "auto" prefers the driver's closed-form conjugate;
     "numeric" forces the search-based one (for validating the closed form
-    through an independent route).
+    through an independent route).  A NaN tilted expectation, conjugate or
+    candidate value raises ConvergenceError naming the slice and node.
     """
     check_step_size(f, lattice.grid)
     control.check_admissible()
@@ -69,6 +80,7 @@ def dual_value(
     r_next = xi
     for i in range(grid.steps - 1, -1, -1):
         e_mu = tilted_expectation(lattice, i, r_next, control.step_weights(i))
+        _check_no_nan(e_mu, i, "the tilted expectation")
         mu = control.process.slices[i]
         w_ctx = driver_context(lattice, f, i)
         t1 = grid.time(i + 1)
@@ -78,6 +90,7 @@ def dual_value(
         else:
             r = np.full_like(e_mu, -np.inf)
             g0 = _conjugate_slice(f, t1, w_ctx, e_mu, mu, conjugate_mode)
+            _check_no_nan(g0, i, "the conjugate")
             live = np.isfinite(e_mu) & np.isfinite(g0)
             if live.any():
                 rl = e_mu[live] - g0[live] * dt
@@ -95,13 +108,14 @@ def dual_value(
                         break
                 g = _conjugate_slice(f, t1, wl, rl, mul, conjugate_mode)
                 resid = float(np.max(np.abs(rl - (el - g * dt))))
-                if resid > tol:
+                if not resid <= tol:
                     raise ConvergenceError(
                         "dual implicit step at slice %d stuck at residual %.3g" % (i, resid),
                         residual=resid,
                         iterations=iters,
                     )
                 r[live] = rl
+        _check_no_nan(r, i, "the candidate value")
         slices[i] = r
         r_next = r
     return left_process(lattice, slices)
@@ -177,13 +191,14 @@ class DualityReport:
 def duality_gap(
     sol: SolutionTriple, candidate: AdaptedProcess, control: ControlProcess
 ) -> DualityReport:
-    """Nodewise primal-minus-dual gaps; min_gap below -1e-9 would refute weak duality."""
-    min_gap = math.inf
-    max_gap = -math.inf
-    for ys, rs in zip(sol.Y.slices, candidate.slices):
-        gap = ys - rs
-        min_gap = min(min_gap, float(np.min(gap)))
-        max_gap = max(max_gap, float(np.max(gap)))
+    """Nodewise primal-minus-dual gaps; min_gap below -1e-9 would refute weak duality.
+
+    A NaN gap anywhere makes min_gap and max_gap NaN, which is never weakly
+    consistent.
+    """
+    gaps = [ys - rs for ys, rs in zip(sol.Y.slices, candidate.slices)]
+    min_gap = float(np.min([np.min(g) for g in gaps]))
+    max_gap = float(np.max([np.max(g) for g in gaps]))
     return DualityReport(
         root_primal=sol.y0,
         root_dual=float(candidate.slices[0][0]),

@@ -204,7 +204,10 @@ class PathLattice:
         """(n_N, N+1, d) full walk paths at grid times, one row per leaf.
 
         Full-path mode only; refuses to materialize beyond a fixed entry
-        budget since the array grows like leaves * (N+1) * d.
+        budget since the array grows like leaves * (N+1) * d.  Terminals
+        with a running form never need it.  Its callers are terminals
+        without one (the inf-convolution's shift candidates among them), the
+        inf-convolution's candidate pool, and path-dependent driver contexts.
         """
         if self.mode != "full":
             raise StructuralError("leaf paths are not resolvable on a recombining lattice")

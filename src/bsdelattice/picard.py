@@ -102,17 +102,27 @@ def picard_step(
         Y[i] = mean + _driver_slice(lattice, f, i, state.Y[i], state.Z[i]) * dt
         # residual of the new iterate in the implicit one-step equation
         fv_new = _driver_slice(lattice, f, i, Y[i], Z[i])
-        resid = max(resid, float(np.max(np.abs(Y[i] - mean - fv_new * dt))))
+        r = np.abs(Y[i] - mean - fv_new * dt)
+        bad = np.flatnonzero(np.isnan(r))
+        if bad.size:
+            raise ConvergenceError(
+                "picard sweep %d: implicit residual is NaN at slice %d, first node %d"
+                % (state.p + 1, i, bad[0]),
+                residual=np.nan,
+                iterations=state.p + 1,
+            )
+        resid = max(resid, float(np.max(r)))
     return PicardState(p=state.p + 1, Y=Y, Z=Z, dm=dm, residual=resid)
 
 
 def iteration_distance(lattice: PathLattice, old: PicardState, new: PicardState):
-    """(value sup, control path-l2, martingale sup) distance between iterates."""
+    """(value sup, control path-l2, martingale sup) distance between iterates.
+
+    Each sup is NaN when any of its terms is, so a NaN never reads as close.
+    """
     dt = lattice.grid.dt
     nch = lattice.n_choices
-    dy = max(
-        float(np.max(np.abs(a - b))) for a, b in zip(old.Y, new.Y)
-    )
+    dy = float(np.max([np.max(np.abs(a - b)) for a, b in zip(old.Y, new.Y)]))
     acc = np.zeros(1)
     for i in range(lattice.steps):
         dz2 = ((old.Z[i] - new.Z[i]) ** 2).sum(axis=1) * dt
@@ -122,7 +132,7 @@ def iteration_distance(lattice: PathLattice, old: PicardState, new: PicardState)
     dmsup = 0.0
     for i in range(lattice.steps):
         cum = np.repeat(cum, nch) + (old.dm[i] - new.dm[i]).ravel()
-        dmsup = max(dmsup, float(np.max(np.abs(cum))))
+        dmsup = float(np.maximum(dmsup, np.max(np.abs(cum))))
     return dy, dz, dmsup
 
 
@@ -137,7 +147,8 @@ def picard_solve(
 
     Raises ConvergenceError when neither the triple distance nor the implicit
     residual gets strictly below tol within max_p sweeps (a tol of 0 can
-    never be reached and always exhausts the budget).
+    never be reached and always exhausts the budget), and at once, naming
+    the sweep and the slice, when a sweep's implicit residual is NaN.
     """
     if lattice.mode != "full":
         raise StructuralError("picard iteration needs a full-path lattice")

@@ -24,7 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .drivers import DriverSpec, TerminalFunctional, average_driver
+from .drivers import DriverSpec, RunningFunctional, TerminalFunctional, average_driver
 from .errors import ConvergenceError, StepSizeError, StructuralError
 from .lattice import PathLattice, TimeGrid, gather_children
 from .probability import (
@@ -94,6 +94,15 @@ def terminal_values(lattice: PathLattice, phi: TerminalFunctional) -> np.ndarray
         xi = phi.terminal_map(lattice.walk_slice(lattice.steps))
     elif phi.markovian and phi.terminal_map is not None:
         xi = phi.terminal_map(lattice.walk_slice(lattice.steps))
+    elif isinstance(phi.evaluate, RunningFunctional):
+        # forward over the walk slices; node k of slice j+1 extends node k // 2**d
+        run = phi.evaluate
+        state = run.init(lattice.walk_slice(0))
+        for j in range(1, lattice.steps + 1):
+            state = run.update(
+                np.repeat(state, lattice.n_choices, axis=0), lattice.walk_slice(j)
+            )
+        xi = run.finish(state)
     else:
         xi = phi.evaluate(lattice.leaf_paths())
     xi = np.asarray(xi, dtype=float)

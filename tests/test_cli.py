@@ -124,6 +124,15 @@ def test_picard_trace(tmp_path, capsys):
     assert summary["iterations"] == len(lines) - 1
 
 
+@pytest.mark.parametrize("command", ["duality", "picard"])
+def test_nan_terminal_is_a_property_failure(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    argv = [command, "--steps", "4", "--driver", "linear:1,1", "--terminal", "const:nan"]
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "slice 3" in err and "NaN" in err
+
+
 def test_converge_requires_reference(tmp_path, capsys):
     assert run(["converge", "--steps-list", "4,8"]) == 2
     out = tmp_path / "conv.csv"

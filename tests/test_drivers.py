@@ -5,6 +5,7 @@ import pytest
 
 from bsdelattice.drivers import (
     DriverSpec,
+    RunningFunctional,
     SamplingPlan,
     average_driver,
     conjugate,
@@ -69,6 +70,42 @@ def test_terminal_values_on_paths():
     scaled = scale_terminal(make_terminal("endpoint"), -2.0)
     assert np.allclose(scaled.evaluate(p), [0.5, -4.0])
     assert scaled.lipschitz == 2.0
+
+
+def _whole_path_maxpath(paths):
+    """maxpath as one reduction over the path axis."""
+    return np.max(np.sqrt(np.sum(paths ** 2, axis=-1)), axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 1), (1, 3, 2), (5, 9, 2), (2, 4, 6, 3)])
+def test_running_maxpath_equals_whole_path_reduction(shape):
+    rng = np.random.default_rng(len(shape) * 10 + shape[-2])
+    paths = rng.normal(size=shape)
+    phi = make_terminal("maxpath")
+    assert isinstance(phi.evaluate, RunningFunctional)
+    want = _whole_path_maxpath(paths)
+    assert np.array_equal(phi.evaluate(paths), want)
+    shifted = shift_terminal(phi, 0.3)
+    scaled = scale_terminal(phi, -1.7)
+    assert isinstance(shifted.evaluate, RunningFunctional)
+    assert isinstance(scaled.evaluate, RunningFunctional)
+    assert np.array_equal(shifted.evaluate(paths), want + 0.3)
+    assert np.array_equal(scaled.evaluate(paths), -1.7 * want)
+    assert np.array_equal(scale_terminal(shifted, 2.0).evaluate(paths), 2.0 * (want + 0.3))
+
+
+def test_running_functional_runs_init_update_finish_in_order():
+    seen = []
+    run = RunningFunctional(
+        init=lambda w: seen.append(("init", w.tolist())) or w[..., 0],
+        update=lambda m, w: seen.append(("update", w.tolist())) or m + w[..., 0],
+        finish=lambda m: -m,
+    )
+    assert run(np.array([[1.0], [2.0], [4.0]])) == -7.0
+    assert seen == [("init", [1.0]), ("update", [2.0]), ("update", [4.0])]
+    # a terminal without a running form keeps a plain callable under shift
+    plain = shift_terminal(make_terminal("endpoint"), 1.0)
+    assert not isinstance(plain.evaluate, RunningFunctional)
 
 
 def test_average_driver_time_constant_shortcut():

@@ -16,9 +16,13 @@ from bsdelattice.duality import (
     optimal_control,
     random_admissible_control,
 )
-from bsdelattice.errors import AdmissibilityError, OptimizerAdmissibilityError
+from bsdelattice.errors import (
+    AdmissibilityError,
+    ConvergenceError,
+    OptimizerAdmissibilityError,
+)
 from bsdelattice.lattice import build_lattice
-from bsdelattice.probability import ControlProcess, predictable_process
+from bsdelattice.probability import ControlProcess, left_process, predictable_process
 from bsdelattice.solver import solve_backward
 
 import oracles
@@ -189,3 +193,32 @@ def test_duality_csv_matches_per_row_writer(mode, steps, dim):
     export_duality_csv(sol, cand, control, got)
     oracles.per_row_duality_csv(sol, cand, control, want)
     assert oracles.first_difference(got.getvalue(), want.getvalue()) is None
+
+
+@pytest.mark.parametrize("driver", ["linear:1,1", "quadratic"])
+def test_nan_terminal_dual_value_raises(driver):
+    lat = build_lattice(4, dim=1)
+    control = random_admissible_control(lat, np.random.default_rng(3))
+    with pytest.raises(ConvergenceError, match=r"slice 3: the tilted expectation is NaN .*first node 0"):
+        dual_value(lat, make_driver(driver), make_terminal("const:nan"), control)
+
+
+def test_unbounded_conjugate_stays_a_value():
+    lat, f, phi, sol = _solve("abs", "endpoint", 3)
+    # |mu| > 1 is outside the domain of the abs conjugate: -inf, not an error
+    control = ControlProcess(
+        predictable_process(lat, [np.full((lat.node_count(i), 1), 1.2) for i in range(3)])
+    )
+    cand = dual_value(lat, f, phi, control)
+    assert np.all(cand.slices[0] == -np.inf)
+    assert duality_gap(sol, cand, control).weakly_consistent
+
+
+def test_nan_gap_is_never_weakly_consistent():
+    lat, f, phi, sol = _solve("linear:1,1", "maxpath", 4)
+    control = optimal_control(sol, f)
+    slices = [s.copy() for s in dual_value(lat, f, phi, control).slices]
+    slices[2][1] = np.nan
+    report = duality_gap(sol, left_process(lat, slices), control)
+    assert math.isnan(report.min_gap) and math.isnan(report.max_gap)
+    assert not report.weakly_consistent

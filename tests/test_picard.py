@@ -122,3 +122,19 @@ def test_trace_csv_layout_and_determinism():
     buf2 = io.StringIO()
     export_picard_trace_csv(res, buf2)
     assert buf2.getvalue() == text
+
+
+def test_nan_terminal_raises_naming_sweep_and_slice():
+    lat = build_lattice(4, dim=1)
+    with pytest.raises(ConvergenceError, match=r"sweep 1: .*NaN at slice 3, first node 0"):
+        picard_solve(lat, make_driver("linear:1,1"), make_terminal("const:nan"))
+
+
+def test_nan_distance_is_never_close():
+    lat = build_lattice(3, dim=1)
+    old, new = zero_state(lat), zero_state(lat)
+    new.Y[2][1] = np.nan  # behind a finite first slice, where a running max() drops it
+    new.dm[1][0, 0] = np.nan
+    dy, dz, dmsup = iteration_distance(lat, old, new)
+    assert math.isnan(dy) and math.isnan(dmsup)
+    assert dz == 0.0

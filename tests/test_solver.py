@@ -8,8 +8,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from bsdelattice.drivers import DriverSpec, make_driver, make_terminal
-from bsdelattice.errors import ConvergenceError, StepSizeError, StructuralError
+from bsdelattice.drivers import (
+    DriverSpec,
+    make_driver,
+    make_terminal,
+    scale_terminal,
+    shift_terminal,
+)
+from bsdelattice.errors import BudgetError, ConvergenceError, StepSizeError, StructuralError
 from bsdelattice.exact import exact_solve, node_index_for
 from bsdelattice.lattice import build_lattice
 from bsdelattice.probability import left_process, predictable_process
@@ -21,6 +27,7 @@ from bsdelattice.solver import (
     solution_residuals,
     solution_summary,
     solve_backward,
+    terminal_values,
     z_bound,
     z_bound_certificate,
 )
@@ -424,3 +431,31 @@ def test_summary_fields():
     assert info["steps"] == 2 and info["dim"] == 1 and info["mode"] == "full"
     assert info["driver"] == "quadratic" and info["terminal"] == "endpoint"
     assert info["residual_max"] <= 1e-12
+
+
+@pytest.mark.parametrize("dim,steps", [(1, 1), (1, 4), (1, 9), (2, 1), (2, 3), (2, 5), (3, 2), (3, 3)])
+def test_running_terminal_matches_enumerated_maxpath(dim, steps):
+    lat = build_lattice(steps, dim=dim)
+    dt = lat.grid.dt
+    want = np.empty(lat.node_count(steps))
+    for choices in product(range(2 ** dim), repeat=steps):
+        path = oracles.walk_path(choices, dim, dt)
+        want[oracles.node_index(choices, dim)] = max(
+            math.sqrt(sum(x * x for x in w)) for w in path
+        )
+    phi = make_terminal("maxpath")
+    assert np.array_equal(terminal_values(lat, phi), want)
+    assert np.array_equal(terminal_values(lat, shift_terminal(phi, -0.25)), want - 0.25)
+    assert np.array_equal(terminal_values(lat, scale_terminal(phi, 3.0)), 3.0 * want)
+
+
+def test_maxpath_solves_past_the_leaf_path_budget():
+    lat = build_lattice(20)
+    with pytest.raises(BudgetError):
+        lat.leaf_paths()
+    sol = solve_backward(lat, make_driver("linear:1,1"), make_terminal("maxpath"))
+    xi = sol.Y.slices[-1]
+    # the all-up and the all-down path both end at |W| = N sqrt(dt) = sqrt(20)
+    assert xi[0] == xi[-1] == pytest.approx(math.sqrt(20.0), rel=1e-14)
+    assert np.all(np.isfinite(xi)) and math.isfinite(sol.y0)
+    assert sol.info.residual_max <= 1e-12
