@@ -210,11 +210,8 @@ def duality_gap(
 
 
 def comparison_minimum(low: SolutionTriple, high: SolutionTriple) -> float:
-    """min over nodes of high Y minus low Y (>= 0 when comparison applies)."""
-    worst = math.inf
-    for lo, hi in zip(low.Y.slices, high.Y.slices):
-        worst = min(worst, float(np.min(hi - lo)))
-    return worst
+    """min over nodes of high Y minus low Y (>= 0 when comparison applies); NaN if any is NaN."""
+    return float(np.min([np.min(hi - lo) for lo, hi in zip(low.Y.slices, high.Y.slices)]))
 
 
 def export_duality_csv(
@@ -224,8 +221,9 @@ def export_duality_csv(
 
     margin is the smallest one-step weight at the node's deciding step,
     empty on the last slice where no further step is taken.  Values take 17
-    significant digits; each slice is written in blocks of rows, one '%' pass
-    per block, with the bytes of formatting each value on its own.
+    significant digits; each slice is written in blocks of rows, each distinct
+    value of a block formatted once, with the bytes of formatting every value
+    on its own.
     """
     fileobj.write("node_id,primal,dual,gap,margin\n")
     lat = sol.lattice

@@ -79,9 +79,7 @@ class SolutionTriple:
         return left_process(self.lattice, slices)
 
     def z_sup(self) -> float:
-        return max(
-            float(np.max(np.sqrt((s ** 2).sum(axis=1)))) for s in self.Z.slices
-        )
+        return float(np.max([np.max(np.sqrt((s ** 2).sum(axis=1))) for s in self.Z.slices]))
 
 
 def terminal_values(lattice: PathLattice, phi: TerminalFunctional) -> np.ndarray:
@@ -203,7 +201,7 @@ def solve_backward(
                     iterations=iters,
                 )
         info.iterations_max = max(info.iterations_max, iters)
-        info.residual_max = max(info.residual_max, rmax)
+        info.residual_max = float(np.maximum(info.residual_max, rmax))
         y_slices[i] = y
         z_slices[i] = z
         dm_slices[i] = dm
@@ -404,7 +402,7 @@ def bmo_estimate(sol: SolutionTriple) -> float:
     for i in range(lat.steps - 1, -1, -1):
         z2 = (sol.Z.slices[i] ** 2).sum(axis=1)
         tail = z2 * dt + conditional_expectation(lat, i, tail)
-        worst = max(worst, float(tail.max()))
+        worst = float(np.maximum(worst, tail.max()))
     return worst
 
 
@@ -422,14 +420,20 @@ def _write_rows(fileobj, prefix, columns):
     Each column is a 1-D array of length n, or None for an empty field; the
     first is never None.  Values take 17 significant digits ('%.17g', which
     round-trips every double and writes nan, inf and -0 as
-    format(float(x), ".17g") does); one '%' pass formats a whole block of rows.
+    format(float(x), ".17g") does).  A block formats each distinct float64 bit
+    pattern once, in one '%' pass, and its rows pick the strings up by index;
+    keying on bits keeps 0.0 and -0.0 apart.
     """
     cols = [c for c in columns if c is not None]
-    row = prefix + "%d" + "".join(",%.17g" if c is not None else "," for c in columns) + "\n"
+    row = prefix + "%d" + "".join(",%s" if c is not None else "," for c in columns) + "\n"
     n = len(cols[0])
     for k0 in range(0, n, _BLOCK_ROWS):
         k1 = min(k0 + _BLOCK_ROWS, n)
-        values = chain.from_iterable(zip(range(k0, k1), *(c[k0:k1].tolist() for c in cols)))
+        block = np.stack([c[k0:k1] for c in cols], dtype=np.float64)
+        bits, inv = np.unique(block.view(np.uint64), return_inverse=True)
+        text = ("%.17g\n" * bits.size) % tuple(bits.view(np.float64).tolist())
+        fields = np.array(text.split("\n"), dtype=object)[inv.reshape(block.shape)]
+        values = chain.from_iterable(zip(range(k0, k1), *fields.tolist()))
         fileobj.write((row * (k1 - k0)) % tuple(values))
 
 
@@ -463,8 +467,9 @@ def export_solution_csv(sol: SolutionTriple, fileobj):
     that comes last in (parent, choice) order, and NaN increments never win
     (a node whose incoming increments are all NaN reads 0).
 
-    Each slice is written in blocks of rows, one '%' pass per block; the bytes
-    are those of formatting each value with format(float(x), ".17g").
+    Each slice is written in blocks of rows, each distinct value of a block
+    formatted once; the bytes are those of formatting every value with
+    format(float(x), ".17g").
     """
     lat = sol.lattice
     d = lat.dim

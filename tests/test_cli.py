@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, config merging, reproducible output."""
 
 import json
+import math
 
 import pytest
 
@@ -131,6 +132,14 @@ def test_nan_terminal_is_a_property_failure(tmp_path, capsys, command):
     assert run(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "slice 3" in err and "NaN" in err
+
+
+def test_nan_driver_summary_reports_nan(tmp_path, capsys):
+    out = tmp_path / "nan.csv"
+    run(["solve", "--steps", "4", "--driver", "constant:nan", "--out", str(out)])
+    summary = json.loads(capsys.readouterr().out)
+    for key in ("y0", "z_sup", "bmo", "residual_max"):
+        assert math.isnan(summary[key]), key
 
 
 def test_converge_requires_reference(tmp_path, capsys):

@@ -159,6 +159,14 @@ def test_comparison_minimum_constant_shift():
     assert gap == pytest.approx(0.3, abs=1e-12)
 
 
+@pytest.mark.parametrize("slice_index", [0, 2])
+def test_comparison_minimum_keeps_a_nan(slice_index):
+    *_, low = _solve("abs", "endpoint", 3)
+    *_, high = _solve("abs", "endpoint", 3)
+    high.Y.slices[slice_index][-1] = math.nan
+    assert math.isnan(comparison_minimum(low, high))
+
+
 def test_duality_csv_layout_and_determinism():
     lat, f, phi, sol = _solve("quadratic", "endpoint", 2)
     control = optimal_control(sol, f)
@@ -187,6 +195,17 @@ def test_duality_csv_matches_per_row_writer(mode, steps, dim):
     # full N=11 has a 2048-node leaf slice, two blocks of rows
     terminal = "endpoint" if mode == "full" else "clipped-endpoint"
     lat, f, phi, sol = _solve("linear:1,1", terminal, steps, dim, mode)
+    control = optimal_control(sol, f)
+    cand = dual_value(lat, f, phi, control)
+    got, want = io.StringIO(), io.StringIO()
+    export_duality_csv(sol, cand, control, got)
+    oracles.per_row_duality_csv(sol, cand, control, want)
+    assert oracles.first_difference(got.getvalue(), want.getvalue()) is None
+
+
+def test_maxpath_duality_csv_matches_per_row_writer():
+    # full N=11: the running-max terminal gives a leaf slice of two blocks
+    lat, f, phi, sol = _solve("linear:1,1", "maxpath", 11)
     control = optimal_control(sol, f)
     cand = dual_value(lat, f, phi, control)
     got, want = io.StringIO(), io.StringIO()

@@ -423,6 +423,66 @@ def test_csv_export_writes_non_finite_and_signed_zero_like_format(mode, steps, d
     assert {"nan", "inf", "-inf", "-0", "0", "4.9406564584124654e-324"} <= fields
 
 
+def _bits(pattern):
+    return np.array([pattern], dtype=np.uint64).view(np.float64)[0]
+
+
+# a few values that format alike or nearly alike: 0.0 and -0.0, two NaN payloads
+REPEATED = [0.0, -0.0, _bits(0x7FF8000000000000), _bits(0x7FF8000000000001), 5e-324, math.inf, 0.1, -2.5]
+
+
+def test_csv_export_of_repeated_values_matches_per_row_writer():
+    # full N=12 ends on a 4096-node slice, four blocks of rows, whose columns
+    # draw from a handful of values: every block formats each distinct bit
+    # pattern once, so values that format alike must still map back row by row
+    lat = build_lattice(12, dim=1)
+    rng = np.random.default_rng(5)
+    n = lat.node_count
+
+    def pick(shape):
+        return np.array(REPEATED)[rng.integers(len(REPEATED), size=shape)]
+
+    sol = SolutionTriple(
+        lattice=lat,
+        Y=left_process(lat, [pick(n(i)) for i in range(13)]),
+        Z=predictable_process(lat, [pick((n(i), 1)) for i in range(12)]),
+        dm=[pick((n(i), 2)) for i in range(12)],
+    )
+    block = sol.Y.slices[12][:1024].view(np.uint64)
+    assert {0x0, 0x8000000000000000, 0x7FF8000000000000, 0x7FF8000000000001} <= set(block.tolist())
+    got, want = io.StringIO(), io.StringIO()
+    export_solution_csv(sol, got)
+    oracles.per_row_solution_csv(sol, want)
+    text = got.getvalue()
+    assert oracles.first_difference(text, want.getvalue()) is None
+    assert len(text.splitlines()) == 1 + 2 ** 13 - 1
+    fields = set(",".join(text.splitlines()[1:]).split(","))
+    assert {"nan", "inf", "-0", "0", "4.9406564584124654e-324", "0.10000000000000001"} <= fields
+
+
+def test_summary_keeps_a_nan_residual():
+    sol = solve_backward(build_lattice(4, dim=1), make_driver("constant:nan"), make_terminal("endpoint"))
+    info = solution_summary(sol)
+    for key in ("y0", "z_sup", "bmo", "residual_max"):
+        assert math.isnan(info[key]), key
+
+
+@pytest.mark.parametrize("slice_index", [0, 3])
+def test_z_sup_and_bmo_keep_a_nan_control(slice_index):
+    lat = build_lattice(4, dim=1)
+    n = lat.node_count
+    z = [np.full((n(i), 1), 0.5) for i in range(4)]
+    z[slice_index][-1, 0] = math.nan
+    sol = SolutionTriple(
+        lattice=lat,
+        Y=left_process(lat, [np.zeros(n(i)) for i in range(5)]),
+        Z=predictable_process(lat, z),
+        dm=[np.zeros((n(i), 2)) for i in range(4)],
+    )
+    assert math.isnan(sol.z_sup())
+    assert math.isnan(bmo_estimate(sol))
+
+
 def test_summary_fields():
     lat = build_lattice(2, dim=1)
     sol = solve_backward(lat, make_driver("quadratic"), make_terminal("endpoint"))
