@@ -154,12 +154,10 @@ def _run_ladder(lattice, f: DriverSpec, terminals, labels) -> ApproximationLadde
         if prev_sol is None:
             rows.append(LadderRow(level=label, y0=sol.y0, bmo=bmo_estimate(sol)))
         else:
-            sup_inc = 0.0
-            min_inc = math.inf
-            for cur, old in zip(sol.Y.slices, prev_sol.Y.slices):
-                diff = cur - old
-                sup_inc = max(sup_inc, float(np.max(np.abs(diff))))
-                min_inc = min(min_inc, float(np.min(diff)))
+            # numpy folds, so a NaN increment reaches both and fails the ladder
+            diffs = [cur - old for cur, old in zip(sol.Y.slices, prev_sol.Y.slices)]
+            sup_inc = float(np.max([np.max(np.abs(d)) for d in diffs], initial=0.0))
+            min_inc = float(np.min([np.min(d) for d in diffs], initial=math.inf))
             gap = float(np.max(np.abs(xi - prev_xi)))
             ok = sup_inc <= growth * gap + 1e-9
             rows.append(

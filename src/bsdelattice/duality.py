@@ -5,6 +5,8 @@ terminal values unchanged, one step back the tilted conditional expectation
 minus the driver's z-conjugate times dt.  Convexity of the driver makes every
 candidate a lower bound on the solved value (weak duality); the subgradient
 control closes the gap when its tilt keeps all one-step weights positive.
+Its implicit step is the backward solve's (solver._implicit_step: fixed
+point, bisection fallback) with the negated conjugate for the driver.
 
 A conjugate value of +inf sends the candidate to -inf at that node, which
 then propagates toward the root.  That is a legitimate (useless) candidate,
@@ -29,7 +31,8 @@ from .probability import (
     predictable_process,
     tilted_expectation,
 )
-from .solver import SolutionTriple, _write_rows, check_step_size, driver_context, terminal_values
+from .solver import SolutionTriple, _implicit_step, _write_rows, check_step_size
+from .solver import driver_context, terminal_values
 
 
 def _conjugate_slice(f, t, w_ctx, y, mu, mode):
@@ -65,6 +68,9 @@ def dual_value(
 ) -> AdaptedProcess:
     """Candidate value process for one admissible control, at every node.
 
+    One step back solves r = E^mu[R_{i+1} | node] - g(r, mu) dt, g the
+    z-conjugate, with the backward solve's fixed point and bisection fallback;
+    ConvergenceError names the slice where both miss tol.
     conjugate_mode "auto" prefers the driver's closed-form conjugate;
     "numeric" forces the search-based one (for validating the closed form
     through an independent route).  A NaN tilted expectation, conjugate or
@@ -93,28 +99,15 @@ def dual_value(
             _check_no_nan(g0, i, "the conjugate")
             live = np.isfinite(e_mu) & np.isfinite(g0)
             if live.any():
-                rl = e_mu[live] - g0[live] * dt
-                mul = mu[live]
                 wl = None if w_ctx is None else w_ctx[live]
+
+                def fv(y, m):
+                    return -_conjugate_slice(f, t1, wl, y, m, conjugate_mode)
+
                 el = e_mu[live]
-                iters = 1
-                while True:
-                    g = _conjugate_slice(f, t1, wl, rl, mul, conjugate_mode)
-                    r_new = el - g * dt
-                    iters += 1
-                    step = float(np.max(np.abs(r_new - rl)))
-                    rl = r_new
-                    if step <= 0.25 * tol or iters >= max_iter:
-                        break
-                g = _conjugate_slice(f, t1, wl, rl, mul, conjugate_mode)
-                resid = float(np.max(np.abs(rl - (el - g * dt))))
-                if not resid <= tol:
-                    raise ConvergenceError(
-                        "dual implicit step at slice %d stuck at residual %.3g" % (i, resid),
-                        residual=resid,
-                        iterations=iters,
-                    )
-                r[live] = rl
+                r[live] = _implicit_step(
+                    fv, mu[live], el, el - g0[live] * dt, dt, tol, max_iter, i
+                )[0]
         _check_no_nan(r, i, "the candidate value")
         slices[i] = r
         r_next = r

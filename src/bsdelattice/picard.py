@@ -25,15 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import DriverSpec, TerminalFunctional, average_driver
+from .drivers import DriverSpec, TerminalFunctional
 from .errors import ConvergenceError, StructuralError
 from .lattice import PathLattice
 from .probability import left_process, martingale_projection, predictable_process
 from .solver import (
     SolutionTriple,
     SolveInfo,
+    _slice_driver,
     check_step_size,
-    driver_context,
     terminal_values,
 )
 
@@ -81,11 +81,6 @@ def zero_state(lattice: PathLattice) -> PicardState:
     return PicardState(p=0, Y=Y, Z=Z, dm=dm, residual=np.inf)
 
 
-def _driver_slice(lattice, f, i, y, z):
-    w_ctx = driver_context(lattice, f, i)
-    return np.asarray(average_driver(f, lattice.grid, i, w_ctx, y, z), dtype=float)
-
-
 def picard_step(
     lattice: PathLattice, f: DriverSpec, xi: np.ndarray, state: PicardState
 ) -> PicardState:
@@ -99,10 +94,10 @@ def picard_step(
     resid = 0.0
     for i in range(n - 1, -1, -1):
         mean, Z[i], dm[i] = martingale_projection(lattice, i, Y[i + 1])
-        Y[i] = mean + _driver_slice(lattice, f, i, state.Y[i], state.Z[i]) * dt
+        fv = _slice_driver(lattice, f, i)
+        Y[i] = mean + fv(state.Y[i], state.Z[i]) * dt
         # residual of the new iterate in the implicit one-step equation
-        fv_new = _driver_slice(lattice, f, i, Y[i], Z[i])
-        r = np.abs(Y[i] - mean - fv_new * dt)
+        r = np.abs(Y[i] - mean - fv(Y[i], Z[i]) * dt)
         bad = np.flatnonzero(np.isnan(r))
         if bad.size:
             raise ConvergenceError(

@@ -160,8 +160,8 @@ class ControlProcess:
                 )
 
     def admissibility_margin(self) -> float:
-        """min over all edges of 1 + mu . dW (admissible iff > 0)."""
-        return min(float(self.step_weights(i).min()) for i in range(self.lattice.steps))
+        """min over all edges of 1 + mu . dW (admissible iff > 0); NaN if any weight is."""
+        return float(np.min([self.step_weights(i).min() for i in range(self.lattice.steps)]))
 
 
 def density(control: ControlProcess) -> np.ndarray:

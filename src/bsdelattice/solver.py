@@ -6,10 +6,12 @@ projection), solve the scalar implicit equation
 
     y - fhat(t_{i+1}, w, y, z) * dt = mean
 
-at every node (Banach fixed point seeded at the mean, bisection fallback),
-and keep the per-edge remainder as the orthogonal-martingale increment.  The
-driver argument w is the shifted path sampled at grid times, known one step
-ahead, which is what makes the implicit equation well-posed node by node.
+at every node, and keep the per-edge remainder as the orthogonal-martingale
+increment.  The driver argument w is the shifted path sampled at grid times,
+known one step ahead, which is what makes the implicit equation well-posed
+node by node.  _implicit_step is the one solver of that equation, for the
+dual candidates too (with the negated conjugate for fhat): a Banach fixed
+point with a monotone-bisection fallback.
 
 Also here: the closed-form z bound 2 sqrt(d) (L + K T) exp(K T), the discrete
 Gronwall envelope and its exponential-domination flag, the bound certificate
@@ -26,7 +28,7 @@ import numpy as np
 
 from .drivers import DriverSpec, RunningFunctional, TerminalFunctional, average_driver
 from .errors import ConvergenceError, StepSizeError, StructuralError
-from .lattice import PathLattice, TimeGrid, gather_children
+from .lattice import PathLattice, TimeGrid, gather_children, shifted_grid_samples
 from .probability import (
     AdaptedProcess,
     conditional_expectation,
@@ -118,12 +120,19 @@ def driver_context(lattice: PathLattice, f: DriverSpec, i: int):
         return None
     if lattice.mode != "full":
         raise StructuralError("path-dependent drivers need a full-path lattice")
-    leaf = lattice.leaf_paths()
     stride = lattice.n_choices ** (lattice.steps - i)
-    prefix = leaf[::stride, : i + 1, :]
-    ctx = np.zeros((prefix.shape[0], i + 2, lattice.dim))
-    ctx[:, 1:, :] = prefix
-    return ctx
+    return shifted_grid_samples(lattice.leaf_paths()[::stride, : i + 2, :])
+
+
+def _slice_driver(lattice: PathLattice, f: DriverSpec, i: int):
+    """The step-i average driver as a float-array function (y, z) -> fhat, w fixed."""
+    grid = lattice.grid
+    w_ctx = driver_context(lattice, f, i)
+
+    def fv(y, z):
+        return np.asarray(average_driver(f, grid, i, w_ctx, y, z), dtype=float)
+
+    return fv
 
 
 def check_step_size(f: DriverSpec, grid: TimeGrid):
@@ -167,40 +176,13 @@ def solve_backward(
     y_next = xi
     for i in range(grid.steps - 1, -1, -1):
         mean, z, dm = martingale_projection(lattice, i, y_next)
-        w_ctx = driver_context(lattice, f, i)
-
-        def fhat(y):
-            return np.asarray(average_driver(f, grid, i, w_ctx, y, z), dtype=float)
-
-        if f.y_dependence == "none":
-            y = mean + fhat(mean) * dt
-            iters = 1
-        else:
-            y = mean + fhat(mean) * dt
-            iters = 1
-            while True:
-                y_new = mean + fhat(y) * dt
-                iters += 1
-                step = float(np.max(np.abs(y_new - y)))
-                y = y_new
-                if step <= 0.25 * tol or iters >= max_iter:
-                    break
-        resid = np.abs(y - fhat(y) * dt - mean)
-        rmax = float(resid.max())
-        if rmax > tol:
-            bad = np.flatnonzero(resid > tol)
-            y[bad] = _bisect_nodes(fhat, mean, dt, y, bad)
-            info.bisection_nodes += bad.size
-            resid = np.abs(y - fhat(y) * dt - mean)
-            rmax = float(resid.max())
-            if rmax > tol:
-                raise ConvergenceError(
-                    "implicit step at slice %d failed to reach tol=%.3g "
-                    "(worst residual %.3g)" % (i, tol, rmax),
-                    residual=rmax,
-                    iterations=iters,
-                )
+        fv = _slice_driver(lattice, f, i)
+        n_iter = 1 if f.y_dependence == "none" else max_iter  # y-free: iterate 1 is exact
+        y, iters, bisected, rmax = _implicit_step(
+            fv, z, mean, mean + fv(mean, z) * dt, dt, tol, n_iter, i
+        )
         info.iterations_max = max(info.iterations_max, iters)
+        info.bisection_nodes += bisected
         info.residual_max = float(np.maximum(info.residual_max, rmax))
         y_slices[i] = y
         z_slices[i] = z
@@ -216,10 +198,44 @@ def solve_backward(
     )
 
 
-def _bisect_nodes(fhat, mean, dt, y_start, rows):
-    """Monotone bisection for y - fhat(y) dt = mean on the given rows.
+def _implicit_step(fv, z, mean, y, dt, tol, max_iter, i):
+    """Solve y = mean + fv(y, z) dt nodewise at slice i from the first iterate y.
 
-    The map y -> y - fhat(y) dt is strictly increasing under K dt < 1, so a
+    Fixed point until a step is at most tol/4 or max_iter iterates are made,
+    then bisection on the nodes whose residual |y - fv(y, z) dt - mean| is
+    above tol; ConvergenceError names slice i if that misses tol too.  Returns
+    (y, iterations, bisected nodes, worst residual), a NaN residual included.
+    The array of the first iterate may be overwritten.
+    """
+    iters = 1
+    while iters < max_iter:
+        y_new = mean + fv(y, z) * dt
+        iters += 1
+        step = float(np.max(np.abs(y_new - y)))
+        y = y_new
+        if step <= 0.25 * tol:
+            break
+    resid = np.abs(y - fv(y, z) * dt - mean)
+    rmax = float(resid.max())
+    if not rmax > tol:
+        return y, iters, 0, rmax
+    bad = np.flatnonzero(resid > tol)
+    y[bad] = _bisect_nodes(fv, z, mean, dt, y, bad)
+    rmax = float(np.abs(y - fv(y, z) * dt - mean).max())
+    if rmax > tol:
+        raise ConvergenceError(
+            "implicit step at slice %d failed to reach tol=%.3g "
+            "(worst residual %.3g)" % (i, tol, rmax),
+            residual=rmax,
+            iterations=iters,
+        )
+    return y, iters, bad.size, rmax
+
+
+def _bisect_nodes(fv, z, mean, dt, y_start, rows):
+    """Monotone bisection for y - fv(y, z) dt = mean on the given rows.
+
+    The map y -> y - fv(y, z) dt is strictly increasing under K dt < 1, so a
     sign change brackets the unique root; brackets expand geometrically from
     the fixed-point iterate.
     """
@@ -228,7 +244,7 @@ def _bisect_nodes(fhat, mean, dt, y_start, rows):
     def h(yv):
         full = y_start.copy()
         full[rows] = yv
-        return yv - fhat(full)[rows] * dt - m
+        return yv - fv(full, z)[rows] * dt - m
 
     lo = y_start[rows] - 1.0
     hi = y_start[rows] + 1.0
@@ -280,30 +296,26 @@ def solution_residuals(sol: SolutionTriple, f: DriverSpec, phi: TerminalFunction
     grid = lat.grid
     inc = lat.step_increments()
     dt = grid.dt
-    worst = 0.0
-    dm_mean = 0.0
-    dm_orth = 0.0
+    worst, dm_mean, dm_orth = [], [], []
     for i in range(grid.steps):
         y = sol.Y.slices[i]
         z = sol.Z.slices[i]
         dm = sol.dm[i]
         v = gather_children(lat, i, sol.Y.slices[i + 1])
-        w_ctx = driver_context(lat, f, i)
-        fv = np.asarray(average_driver(f, grid, i, w_ctx, y, z), dtype=float)
+        fv = _slice_driver(lat, f, i)(y, z)
         resid = v - y[:, None] + (fv * dt)[:, None] - z @ inc.T - dm
-        worst = max(worst, float(np.max(np.abs(resid))))
-        dm_mean = max(dm_mean, float(np.max(np.abs(dm.mean(axis=1)))))
+        worst.append(np.max(np.abs(resid)))
+        dm_mean.append(np.max(np.abs(dm.mean(axis=1))))
         for k in range(lat.dim):
-            dm_orth = max(
-                dm_orth, float(np.max(np.abs((dm * inc[None, :, k]).mean(axis=1))))
-            )
+            dm_orth.append(np.max(np.abs((dm * inc[None, :, k]).mean(axis=1))))
     xi = terminal_values(lat, phi)
     term = float(np.max(np.abs(sol.Y.slices[-1] - xi)))
+    # numpy folds: a NaN anywhere reaches the report and fails it
     return ResidualReport(
-        dynamics_max=worst,
+        dynamics_max=float(np.max(worst, initial=0.0)),
         terminal_max=term,
-        dm_mean_max=dm_mean,
-        dm_orthogonality_max=dm_orth,
+        dm_mean_max=float(np.max(dm_mean, initial=0.0)),
+        dm_orthogonality_max=float(np.max(dm_orth, initial=0.0)),
     )
 
 

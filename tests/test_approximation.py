@@ -126,6 +126,15 @@ def test_ladder_evaluates_each_terminal_once():
     assert gaps == pytest.approx([math.sqrt(5.0)] * 2, abs=1e-12)
 
 
+def test_nan_terminal_ladder_is_not_monotone():
+    lat = build_lattice(4, dim=1)
+    ladder = monotone_limit_experiment(lat, make_driver("quadratic"), make_terminal("const:nan"))
+    for row in ladder.rows[1:]:
+        assert math.isnan(row.sup_increment) and math.isnan(row.min_increment)
+    assert not ladder.monotone
+    assert not ladder.increments_decreasing
+
+
 def test_refinement_toward_linear_closed_form():
     study = refinement_experiment(
         make_driver("linear:1,1"),

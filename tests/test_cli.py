@@ -142,6 +142,14 @@ def test_nan_driver_summary_reports_nan(tmp_path, capsys):
         assert math.isnan(summary[key]), key
 
 
+def test_nan_terminal_ladder_exits_1(tmp_path, capsys):
+    out = tmp_path / "nan.csv"
+    assert run(["approx", "--steps", "4", "--terminal", "const:nan", "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().out)["monotone"] is False
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert rows and all(row[2] == "nan" for row in rows)
+
+
 def test_converge_requires_reference(tmp_path, capsys):
     assert run(["converge", "--steps-list", "4,8"]) == 2
     out = tmp_path / "conv.csv"

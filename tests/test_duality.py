@@ -143,6 +143,16 @@ def test_unbounded_conjugate_floods_candidate_with_minus_inf():
     assert math.isinf(rep.root_gap)
 
 
+def test_dual_bisection_rescues_a_truncated_fixed_point():
+    # the dual step shares the solve's implicit solver, bisection included
+    lat, f, phi, sol = _solve("linear:1,1", "maxpath", 8)
+    control = optimal_control(sol, f)
+    ref = dual_value(lat, f, phi, control)
+    got = dual_value(lat, f, phi, control, max_iter=2)
+    for a, b in zip(got.slices, ref.slices):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
 def test_dual_value_rejects_inadmissible_control():
     lat, f, phi, _ = _solve("quadratic", "endpoint", 2)
     mu = [np.full((lat.node_count(i), 1), 2.0) for i in range(lat.steps)]

@@ -165,6 +165,13 @@ def test_full_path_only_operations():
         drifted_walk_check(ctl)
 
 
+def test_admissibility_margin_keeps_a_nan():
+    lat = build_lattice(3, dim=1)
+    slices = [np.full((lat.node_count(i), 1), 0.2) for i in range(3)]
+    slices[1][0, 0] = math.nan
+    assert math.isnan(ControlProcess(predictable_process(lat, slices)).admissibility_margin())
+
+
 def test_adapted_process_value_and_norm():
     lat = build_lattice(2, dim=1)
     p = left_process(lat, [np.array([1.0]), np.array([2.0, -3.0]), np.zeros(4)])

@@ -263,6 +263,37 @@ def test_unreachable_tolerance_raises_convergence_error():
         solve_backward(lat, make_driver("quadratic"), big, tol=1e-12)
 
 
+def test_bisection_rescues_a_truncated_fixed_point():
+    # two iterates leave the maxpath slices above tol; bisection must finish
+    # them to the same values as the full fixed point
+    lat = build_lattice(8, dim=1)
+    f, phi = make_driver("linear:1,1"), make_terminal("maxpath")
+    ref = solve_backward(lat, f, phi)
+    sol = solve_backward(lat, f, phi, max_iter=2)
+    assert ref.info.bisection_nodes == 0
+    assert sol.info.bisection_nodes > 0
+    assert sol.info.residual_max <= 1e-12
+    for got, want in zip(sol.Y.slices, ref.Y.slices):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("where", ["Y", "dm"])
+def test_residuals_report_a_nan(where):
+    lat = build_lattice(4, dim=1)
+    f, phi = make_driver("linear:1,1"), make_terminal("endpoint")
+    sol = solve_backward(lat, f, phi)
+    if where == "Y":
+        sol.Y.slices[2][0] = math.nan
+        keys = ("dynamics_max",)
+    else:
+        sol.dm[1][0, 0] = math.nan
+        keys = ("dynamics_max", "dm_mean_max", "dm_orthogonality_max")
+    rep = solution_residuals(sol, f, phi)
+    for key in keys:
+        assert math.isnan(getattr(rep, key)), key
+    assert not rep.passed
+
+
 def test_z_bound_closed_form():
     assert z_bound(1.0, 1.0, 1.0, 4) == pytest.approx(8.0 * math.e, rel=1e-14)
     assert z_bound(2.0, 0.0, 5.0, 1) == pytest.approx(4.0)
