@@ -260,8 +260,9 @@ def refinement_experiment(
     for steps in steps_list:
         kwargs = {} if leaf_budget is None else {"leaf_budget": leaf_budget}
         lat = build_lattice(int(steps), dim=dim, horizon=horizon, mode=mode, **kwargs)
-        sol = solve_backward(lat, f, phi)
-        study.rows.append((int(steps), sol.y0, abs(sol.y0 - study.reference)))
+        # keep y0 only, so this grid's solution is freed before the next solve
+        y0 = solve_backward(lat, f, phi).y0
+        study.rows.append((int(steps), y0, abs(y0 - study.reference)))
     errs = np.array([r[2] for r in study.rows])
     ns = np.array([r[0] for r in study.rows], dtype=float)
     if len(errs) >= 2 and np.all(errs > 0.0):

@@ -213,12 +213,12 @@ def _cmd_duality(cfg: ExperimentConfig) -> int:
     candidate = dual_value(lat, f, phi, control, tol=tol, max_iter=int(cfg.max_iter))
     report = duality_gap(sol, candidate, control)
     rng = cfg.rng()
-    sampled_min = None
+    gaps = []
     for _ in range(int(cfg.samples)):
         probe = random_admissible_control(lat, rng)
-        probe_rep = duality_gap(sol, dual_value(lat, f, phi, probe), probe)
-        gap = probe_rep.min_gap
-        sampled_min = gap if sampled_min is None else min(sampled_min, gap)
+        gaps.append(duality_gap(sol, dual_value(lat, f, phi, probe), probe).min_gap)
+    # a numpy fold keeps a NaN gap from any probe
+    sampled_min = float(np.min(gaps)) if gaps else None
     with _OutSink(cfg.out) as fh:
         export_duality_csv(sol, candidate, control, fh)
     payload = duality_summary(report)

@@ -593,12 +593,14 @@ def verify_driver_properties(f: DriverSpec, plan: SamplingPlan = SamplingPlan())
     def ev(t, w, y, z):
         return float(f.evaluate(t, w, y, z))
 
-    worst = -np.inf
+    # numpy folds: a NaN sample reaches the margin and fails the check
+    margins = []
     for j in range(n):
         z1, z2 = zs[j, 0], zs[j, 1]
         mid = ev(ts[j], ws[j], ys[j, 0], 0.5 * (z1 + z2))
         avg = 0.5 * (ev(ts[j], ws[j], ys[j, 0], z1) + ev(ts[j], ws[j], ys[j, 0], z2))
-        worst = max(worst, mid - avg)
+        margins.append(mid - avg)
+    worst = np.max(margins, initial=-np.inf)
     rep.checks.append(
         ConditionCheck(
             "convex-z",
@@ -611,8 +613,9 @@ def verify_driver_properties(f: DriverSpec, plan: SamplingPlan = SamplingPlan())
     if f.zero_bound is None:
         rep.checks.append(ConditionCheck("origin-bound", None, "no origin bound declared"))
     else:
-        worst = max(
-            abs(ev(ts[j], ws[j], 0.0, np.zeros(d))) - f.zero_bound for j in range(n)
+        worst = np.max(
+            [abs(ev(ts[j], ws[j], 0.0, np.zeros(d))) - f.zero_bound for j in range(n)],
+            initial=-np.inf,
         )
         rep.checks.append(
             ConditionCheck(
@@ -623,7 +626,7 @@ def verify_driver_properties(f: DriverSpec, plan: SamplingPlan = SamplingPlan())
             )
         )
 
-    worst = -np.inf
+    margins = []
     for j in range(n):
         z1 = zs[j, 0]
         f1 = ev(ts[j], ws[j], ys[j, 0], z1)
@@ -631,7 +634,8 @@ def verify_driver_properties(f: DriverSpec, plan: SamplingPlan = SamplingPlan())
         dist = abs(ys[j, 0] - ys[j, 1])
         if ws[j] is not None:
             dist += float(np.max(np.abs(ws[j] - wpairs[j])))
-        worst = max(worst, abs(f1 - f2) - f.lipschitz_wy * dist)
+        margins.append(abs(f1 - f2) - f.lipschitz_wy * dist)
+    worst = np.max(margins, initial=-np.inf)
     rep.checks.append(
         ConditionCheck(
             "lipschitz-wy",
@@ -645,11 +649,12 @@ def verify_driver_properties(f: DriverSpec, plan: SamplingPlan = SamplingPlan())
         rep.checks.append(ConditionCheck("local-lipschitz-z", None, "no z envelope declared"))
     else:
         b = f.z_lipschitz(plan.z_radius)
-        worst = -np.inf
+        margins = []
         for j in range(n):
             z1, z2 = zs[j, 0], zs[j, 1]
             gap = abs(ev(ts[j], ws[j], ys[j, 0], z1) - ev(ts[j], ws[j], ys[j, 0], z2))
-            worst = max(worst, gap - b * float(np.sqrt(np.sum((z1 - z2) ** 2))))
+            margins.append(gap - b * float(np.sqrt(np.sum((z1 - z2) ** 2))))
+        worst = np.max(margins, initial=-np.inf)
         rep.checks.append(
             ConditionCheck(
                 "local-lipschitz-z",
@@ -663,8 +668,8 @@ def verify_driver_properties(f: DriverSpec, plan: SamplingPlan = SamplingPlan())
         rep.checks.append(ConditionCheck("lower-bound", None, "no lower bound declared"))
     else:
         lb = f.lower_bound(plan.y_radius)
-        worst = min(
-            ev(ts[j], ws[j], ys[j, 0], zs[j, 0]) - lb for j in range(n)
+        worst = np.min(
+            [ev(ts[j], ws[j], ys[j, 0], zs[j, 0]) - lb for j in range(n)], initial=np.inf
         )
         rep.checks.append(
             ConditionCheck(

@@ -4,19 +4,21 @@ One sweep freezes the driver at the previous iterate and walks backward:
 
     Y^{p+1}_i = E[Y^{p+1}_{i+1} | node] + f(Y^p_i, Z^p_i) dt,
 
-with Z^{p+1}_i and the orthogonal increments read off the martingale
-projection of Y^{p+1}_{i+1}.  By the tower property this is the martingale
-representation of the terminal plus the frozen driver summed along each
-path: the driver sum up to slice i is constant across a node's children, so
-it drops out of the projection.
+with Z^{p+1}_i read off the martingale projection of Y^{p+1}_{i+1} and the
+orthogonal increments formed from that projection's mean and Z^{p+1}_i.  By
+the tower property this is the martingale representation of the terminal
+plus the frozen driver summed along each path: the driver sum up to slice i
+is constant across a node's children, so it drops out of the projection.
 
 The iteration stops when either the triple distance to the previous iterate
 (value sup + control path-l2 + martingale sup) or the implicit-equation
 residual of the new iterate drops strictly below tol.  The residual branch is
 what lets driver-free problems finish after a single sweep.
 
-The control and martingale distances are sups over paths, so this module
-requires full-path lattices.
+An iterate keeps its orthogonal increments, which the martingale distance
+reads; the converged solution keeps Y and Z only.  The control and
+martingale distances are sups over paths, so this module requires full-path
+lattices.
 """
 
 from __future__ import annotations
@@ -28,7 +30,12 @@ import numpy as np
 from .drivers import DriverSpec, TerminalFunctional
 from .errors import ConvergenceError, StructuralError
 from .lattice import PathLattice
-from .probability import left_process, martingale_projection, predictable_process
+from .probability import (
+    left_process,
+    martingale_projection,
+    orthogonal_increments,
+    predictable_process,
+)
 from .solver import (
     SolutionTriple,
     SolveInfo,
@@ -93,7 +100,8 @@ def picard_step(
     Y[n] = xi
     resid = 0.0
     for i in range(n - 1, -1, -1):
-        mean, Z[i], dm[i] = martingale_projection(lattice, i, Y[i + 1])
+        mean, Z[i] = martingale_projection(lattice, i, Y[i + 1])
+        dm[i] = orthogonal_increments(lattice, i, Y[i + 1], mean, Z[i])
         fv = _slice_driver(lattice, f, i)
         Y[i] = mean + fv(state.Y[i], state.Z[i]) * dt
         # residual of the new iterate in the implicit one-step equation
@@ -167,7 +175,6 @@ def picard_solve(
                 lattice=lattice,
                 Y=left_process(lattice, state.Y),
                 Z=predictable_process(lattice, state.Z),
-                dm=state.dm,
                 info=info,
             )
             return PicardResult(solution=sol, trace=trace, iterations=new.p)

@@ -51,7 +51,8 @@ class AdaptedProcess:
         return self.slices[i][k]
 
     def sup_norm(self) -> float:
-        return max(float(np.max(np.abs(s))) if s.size else 0.0 for s in self.slices)
+        """max |value| over all slices; NaN if any value is."""
+        return float(np.max([np.max(np.abs(s), initial=0.0) for s in self.slices]))
 
 
 def left_process(lattice, slices) -> AdaptedProcess:
@@ -78,23 +79,30 @@ def tilted_expectation(
 
 
 def martingale_projection(lattice: PathLattice, i: int, child_values: np.ndarray):
-    """Decompose slice-(i+1) scalar values into mean, walk part, and remainder.
+    """Project slice-(i+1) scalar values onto their mean and walk part.
 
-    Returns (mean, z, dm) with mean shape (n_i,), z shape (n_i, d) the
-    conditional covariation with the increments divided by dt, and dm shape
-    (n_i, 2**d) the per-edge remainder X - mean - z . dW, which has
-    conditional mean zero and is conditionally orthogonal to every increment
-    component by construction.
+    Returns (mean, z) with mean shape (n_i,) and z shape (n_i, d) the
+    conditional covariation with the increments divided by dt.  What is left
+    over per edge is orthogonal_increments(lattice, i, child_values, mean, z).
     """
     v = gather_children(lattice, i, child_values)
     if v.ndim != 2:
         raise StructuralError("martingale projection expects scalar slice values")
     mean = v.mean(axis=1)
-    s = lattice.signs
-    sqdt = lattice.grid.sqrt_dt
-    z = v @ (s / (lattice.n_choices * sqdt))
-    dm = v - mean[:, None] - z @ (s.T * sqdt)
-    return mean, z, dm
+    z = v @ (lattice.signs / (lattice.n_choices * lattice.grid.sqrt_dt))
+    return mean, z
+
+
+def orthogonal_increments(
+    lattice: PathLattice, i: int, child_values: np.ndarray, mean: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """Per-edge remainder X - mean - z . dW of slice-(i+1) values, shape (n_i, 2**d).
+
+    With the mean and z of martingale_projection it has conditional mean zero
+    and is conditionally orthogonal to every increment component.
+    """
+    v = gather_children(lattice, i, child_values)
+    return v - mean[:, None] - z @ (lattice.signs.T * lattice.grid.sqrt_dt)
 
 
 # -- controls and densities --------------------------------------------------

@@ -1,17 +1,18 @@
 """Backward solver for the lattice dynamics, with bounds and exports.
 
-One backward step from slice i+1 to slice i does three things: project the
-known slice values onto mean + z . dW + orthogonal remainder (the martingale
-projection), solve the scalar implicit equation
+One backward step from slice i+1 to slice i does two things: project the
+known slice values onto their conditional mean and z (the martingale
+projection), and solve the scalar implicit equation
 
     y - fhat(t_{i+1}, w, y, z) * dt = mean
 
-at every node, and keep the per-edge remainder as the orthogonal-martingale
-increment.  The driver argument w is the shifted path sampled at grid times,
-known one step ahead, which is what makes the implicit equation well-posed
-node by node.  _implicit_step is the one solver of that equation, for the
-dual candidates too (with the negated conjugate for fhat): a Banach fixed
-point with a monotone-bisection fallback.
+at every node.  The solve keeps Y and Z only: the orthogonal-martingale
+increment on each edge, Y_{i+1} - mean - z . dW, is fixed by them and is
+recomputed on demand (SolutionTriple.dm).  The driver argument w is the
+shifted path sampled at grid times, known one step ahead, which is what
+makes the implicit equation well-posed node by node.  _implicit_step is the
+one solver of that equation, for the dual candidates too (with the negated
+conjugate for fhat): a Banach fixed point with a monotone-bisection fallback.
 
 Also here: the closed-form z bound 2 sqrt(d) (L + K T) exp(K T), the discrete
 Gronwall envelope and its exponential-domination flag, the bound certificate
@@ -34,6 +35,7 @@ from .probability import (
     conditional_expectation,
     left_process,
     martingale_projection,
+    orthogonal_increments,
     predictable_process,
 )
 
@@ -49,19 +51,25 @@ class SolveInfo:
 
 @dataclass
 class SolutionTriple:
-    """Solved (Y, Z, dM) on a lattice.
+    """Solved (Y, Z, dM) on a lattice, holding Y and Z.
 
     Y is a left process (value per node, slice N equals the terminal values);
-    Z is predictable (per deciding node); dm holds the orthogonal-martingale
-    increments per edge, shape (n_i, 2**d) for the step out of slice i.  The
-    cumulative M (with M_0 = 0) is materialized on demand in full-path mode.
+    Z is predictable (per deciding node).  dm(i) forms the orthogonal-martingale
+    increments per edge of the step out of slice i, shape (n_i, 2**d), from
+    Y_{i+1} and the stored Z_i.  The cumulative M (with M_0 = 0) is
+    materialized on demand in full-path mode.
     """
 
     lattice: PathLattice
     Y: AdaptedProcess
     Z: AdaptedProcess
-    dm: list
     info: SolveInfo = field(default_factory=SolveInfo)
+
+    def dm(self, i: int) -> np.ndarray:
+        lat = self.lattice
+        y_next = self.Y.slices[i + 1]
+        mean = conditional_expectation(lat, i, y_next)
+        return orthogonal_increments(lat, i, y_next, mean, self.Z.slices[i])
 
     @property
     def y0(self) -> float:
@@ -76,7 +84,7 @@ class SolutionTriple:
         slices = [np.zeros(1)]
         for i in range(self.lattice.steps):
             slices.append(
-                np.repeat(slices[-1], self.lattice.n_choices) + self.dm[i].ravel()
+                np.repeat(slices[-1], self.lattice.n_choices) + self.dm(i).ravel()
             )
         return left_process(self.lattice, slices)
 
@@ -152,7 +160,7 @@ def solve_backward(
     tol: float = 1e-12,
     max_iter: int = 200,
 ) -> SolutionTriple:
-    """Solve the backward dynamics on the lattice; returns the (Y, Z, dM) triple.
+    """Solve the backward dynamics on the lattice; returns the triple with Y and Z.
 
     Requires K*dt < 1 so the per-node implicit equation is a contraction
     (StepSizeError otherwise, naming a sufficient N).  In recombining mode the
@@ -171,11 +179,10 @@ def solve_backward(
 
     y_slices = [None] * (grid.steps + 1)
     z_slices = [None] * grid.steps
-    dm_slices = [None] * grid.steps
     y_slices[grid.steps] = xi
     y_next = xi
     for i in range(grid.steps - 1, -1, -1):
-        mean, z, dm = martingale_projection(lattice, i, y_next)
+        mean, z = martingale_projection(lattice, i, y_next)
         fv = _slice_driver(lattice, f, i)
         n_iter = 1 if f.y_dependence == "none" else max_iter  # y-free: iterate 1 is exact
         y, iters, bisected, rmax = _implicit_step(
@@ -186,14 +193,12 @@ def solve_backward(
         info.residual_max = float(np.maximum(info.residual_max, rmax))
         y_slices[i] = y
         z_slices[i] = z
-        dm_slices[i] = dm
         y_next = y
 
     return SolutionTriple(
         lattice=lattice,
         Y=left_process(lattice, y_slices),
         Z=predictable_process(lattice, z_slices),
-        dm=dm_slices,
         info=info,
     )
 
@@ -237,7 +242,8 @@ def _bisect_nodes(fv, z, mean, dt, y_start, rows):
 
     The map y -> y - fv(y, z) dt is strictly increasing under K dt < 1, so a
     sign change brackets the unique root; brackets expand geometrically from
-    the fixed-point iterate.
+    the fixed-point iterate.  Halving stops once a pass leaves both bracket
+    ends unchanged, since every later pass would repeat it.
     """
     m = mean[rows]
 
@@ -259,8 +265,11 @@ def _bisect_nodes(fv, z, mean, dt, y_start, rows):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         hm = h(mid)
-        lo = np.where(hm <= 0.0, mid, lo)
-        hi = np.where(hm > 0.0, mid, hi)
+        lo_new = np.where(hm <= 0.0, mid, lo)
+        hi_new = np.where(hm > 0.0, mid, hi)
+        if np.array_equal(lo_new, lo, equal_nan=True) and np.array_equal(hi_new, hi, equal_nan=True):
+            break
+        lo, hi = lo_new, hi_new
     return 0.5 * (lo + hi)
 
 
@@ -288,9 +297,9 @@ class ResidualReport:
 def solution_residuals(sol: SolutionTriple, f: DriverSpec, phi: TerminalFunctional) -> ResidualReport:
     """Recompute the one-step dynamics residual and the structural identities.
 
-    The dynamics residual is Y_{i+1} - Y_i + fhat dt - z . dW - dm per edge;
-    dm must have conditional mean zero and be orthogonal to every increment
-    component.
+    The dynamics residual is Y_{i+1} - Y_i + fhat dt - z . dW - dm per edge,
+    with dm formed from Y_{i+1} and the stored Z; dm must have conditional
+    mean zero and be orthogonal to every increment component.
     """
     lat = sol.lattice
     grid = lat.grid
@@ -300,7 +309,7 @@ def solution_residuals(sol: SolutionTriple, f: DriverSpec, phi: TerminalFunction
     for i in range(grid.steps):
         y = sol.Y.slices[i]
         z = sol.Z.slices[i]
-        dm = sol.dm[i]
+        dm = sol.dm(i)
         v = gather_children(lat, i, sol.Y.slices[i + 1])
         fv = _slice_driver(lat, f, i)(y, z)
         resid = v - y[:, None] + (fv * dt)[:, None] - z @ inc.T - dm
@@ -449,10 +458,11 @@ def _write_rows(fileobj, prefix, columns):
         fileobj.write((row * (k1 - k0)) % tuple(values))
 
 
-def _dm_column(sol: SolutionTriple, i: int) -> np.ndarray:
-    """dM on the edge into each node of slice i >= 1, by the rule export_solution_csv states."""
-    lat = sol.lattice
-    dm = sol.dm[i - 1]
+def _dm_column(lat: PathLattice, i: int, dm: np.ndarray) -> np.ndarray:
+    """dM on the edge into each node of slice i >= 1, by the rule export_solution_csv states.
+
+    dm is the (n_{i-1}, 2**d) array of increments on the step into slice i.
+    """
     if lat.mode == "full":
         return dm.ravel()
     n = lat.node_count(i)
@@ -490,7 +500,7 @@ def export_solution_csv(sol: SolutionTriple, fileobj):
     for i in range(lat.steps + 1):
         z = sol.Z.slices[i] if i < lat.steps else None
         z_cols = [z[:, c] if z is not None else None for c in range(d)]
-        dm_col = _dm_column(sol, i) if i > 0 else None
+        dm_col = _dm_column(lat, i, sol.dm(i - 1)) if i > 0 else None
         _write_rows(fileobj, "%d," % i, [sol.Y.slices[i]] + z_cols + [dm_col])
 
 

@@ -6,11 +6,15 @@ Slow, small, and easy to audit by hand.  The exceptions come at the end:
 two CSV writers that keep the per-row, per-value loops the exporters used
 before they wrote whole blocks of rows; the block writers must match their
 bytes.  The recombining dM column they take from solver._dm_column, whose
-rule has its own brute-force test.
+rule has its own brute-force test.  Last, the monotone bisection with its
+fixed 200 halvings, against which the early-stopping one must give the same
+bits.
 """
 
 import math
 from itertools import product
+
+import numpy as np
 
 from bsdelattice.solver import _dm_column
 
@@ -106,7 +110,7 @@ def per_row_solution_csv(sol, fileobj):
     for i in range(lat.steps + 1):
         y = sol.Y.slices[i]
         z = sol.Z.slices[i] if i < lat.steps else None
-        dm_col = _dm_column(sol, i) if i > 0 else None
+        dm_col = _dm_column(lat, i, sol.dm(i - 1)) if i > 0 else None
         for k in range(y.shape[0]):
             row = [str(i), str(k), _fmt(y[k])]
             if z is not None:
@@ -153,3 +157,30 @@ def first_difference(got, want):
         if la != lb:
             return k, la, lb
     return None
+
+
+def bisect_nodes_fixed_halvings(fv, z, mean, dt, y_start, rows):
+    """solver._bisect_nodes as it was before it stopped early: always 200 halvings."""
+    m = mean[rows]
+
+    def h(yv):
+        full = y_start.copy()
+        full[rows] = yv
+        return yv - fv(full, z)[rows] * dt - m
+
+    lo = y_start[rows] - 1.0
+    hi = y_start[rows] + 1.0
+    for _ in range(80):
+        need_lo = h(lo) > 0
+        need_hi = h(hi) < 0
+        if not (need_lo.any() or need_hi.any()):
+            break
+        span = hi - lo
+        lo = np.where(need_lo, lo - span, lo)
+        hi = np.where(need_hi, hi + span, hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        hm = h(mid)
+        lo = np.where(hm <= 0.0, mid, lo)
+        hi = np.where(hm > 0.0, mid, hi)
+    return 0.5 * (lo + hi)

@@ -69,7 +69,7 @@ def test_01_zero_driver_reproduces_walk():
                 worst = max(worst, float(np.max(np.abs(z[:, 0] - 1.0))))
                 if dim > 1:
                     worst = max(worst, float(np.max(np.abs(z[:, 1:]))))
-                step = float(np.max(np.abs(sol.dm[i])))
+                step = float(np.max(np.abs(sol.dm(i))))
                 worst = max(worst, step)
                 m_total += step
             m_worst = max(m_worst, m_total)
@@ -317,9 +317,9 @@ def test_11_cross_term_payoff_lands_in_the_orthogonal_remainder():
     )
     sol = solve_backward(lat, make_driver("zero"), phi)
     xi = phi.evaluate(lat.leaf_paths())
-    exact = bool(np.all(sol.Z.slices[0] == 0.0)) and np.array_equal(sol.dm[0].ravel(), xi)
+    exact = bool(np.all(sol.Z.slices[0] == 0.0)) and np.array_equal(sol.dm(0).ravel(), xi)
     inc = lat.step_increments()
-    ortho = float(np.max(np.abs(sol.dm[0] @ inc / inc.shape[0])))
+    ortho = float(np.max(np.abs(sol.dm(0) @ inc / inc.shape[0])))
     ok = exact and sol.y0 == 0.0 and ortho <= 1e-12
     _verdict(11, "orthogonal remainder", ok, "exact %s, orthogonality %.2e" % (exact, ortho))
 

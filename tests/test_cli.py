@@ -1,10 +1,12 @@
 """Command-line behavior: exit codes, config merging, reproducible output."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
+from bsdelattice import cli
 from bsdelattice.cli import main
 
 
@@ -104,6 +106,27 @@ def test_duality_roundtrip_and_samples(tmp_path, capsys):
     assert summary["samples"] == 8
     assert summary["sampled_min_gap"] >= -1e-9
     assert abs(summary["root_gap"]) <= 1e-9
+
+
+def test_nan_gap_on_a_later_probe_is_a_property_failure(tmp_path, capsys, monkeypatch):
+    # calls: the optimal control's report, then one per probe; the second probe reads NaN
+    real = cli.duality_gap
+    calls = []
+
+    def gap_nan_on_second_probe(sol, candidate, control):
+        rep = real(sol, candidate, control)
+        calls.append(rep)
+        return dataclasses.replace(rep, min_gap=math.nan) if len(calls) == 3 else rep
+
+    monkeypatch.setattr(cli, "duality_gap", gap_nan_on_second_probe)
+    out = tmp_path / "dual.csv"
+    code = run(
+        ["duality", "--steps", "2", "--driver", "quadratic", "--terminal", "endpoint",
+         "--samples", "4", "--seed", "1", "--out", str(out)]
+    )
+    assert len(calls) == 5
+    assert code == 1
+    assert math.isnan(json.loads(capsys.readouterr().out)["sampled_min_gap"])
 
 
 def test_inadmissible_subgradient_control_is_a_property_failure(capsys):

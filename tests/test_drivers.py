@@ -277,6 +277,14 @@ def test_property_report_negative_control():
     assert any(c.name == "lipschitz-wy" for c in rep.failures())
 
 
+def test_nan_driver_fails_every_checkable_property():
+    rep = verify_driver_properties(make_driver("constant:nan"), SamplingPlan(samples=16, seed=3))
+    checked = [c for c in rep.checks if c.passed is not None]
+    assert {c.name for c in checked} >= {"convex-z", "lipschitz-wy", "local-lipschitz-z"}
+    for c in checked:
+        assert c.passed is False and math.isnan(c.deviation), c.name
+
+
 def test_path_dependent_driver_accepts_w():
     f = DriverSpec(
         name="running-max",

@@ -16,6 +16,7 @@ from bsdelattice.probability import (
     expectation_under_mu,
     left_process,
     martingale_projection,
+    orthogonal_increments,
     predictable_process,
 )
 
@@ -52,7 +53,8 @@ def test_martingale_projection_reconstructs_exactly():
     for dim in (1, 2):
         lat = build_lattice(3, dim=dim)
         v = rng.normal(size=lat.node_count(3))
-        mean, z, dm = martingale_projection(lat, 2, v)
+        mean, z = martingale_projection(lat, 2, v)
+        dm = orthogonal_increments(lat, 2, v, mean, z)
         inc = lat.step_increments()
         recon = mean[:, None] + z @ inc.T + dm
         assert np.allclose(recon.ravel(), v, atol=1e-14)
@@ -66,10 +68,10 @@ def test_martingale_projection_z_formula():
     # d=1: z = (up child - down child) / (2 sqrt(dt))
     lat = build_lattice(1, dim=1, horizon=0.25)
     v = np.array([3.0, 1.0])
-    mean, z, dm = martingale_projection(lat, 0, v)
+    mean, z = martingale_projection(lat, 0, v)
     assert mean[0] == 2.0
     assert z[0, 0] == pytest.approx((3.0 - 1.0) / (2 * 0.5))
-    assert np.allclose(dm, 0.0)
+    assert np.allclose(orthogonal_increments(lat, 0, v, mean, z), 0.0)
 
 
 def test_density_two_step_example():
@@ -177,3 +179,11 @@ def test_adapted_process_value_and_norm():
     p = left_process(lat, [np.array([1.0]), np.array([2.0, -3.0]), np.zeros(4)])
     assert p.value((1, 1)) == -3.0
     assert p.sup_norm() == 3.0
+
+
+def test_sup_norm_keeps_a_nan():
+    # behind finite slices, where a running max() would drop it
+    lat = build_lattice(3, dim=1)
+    slices = [np.ones(lat.node_count(i)) for i in range(4)]
+    slices[2][1] = math.nan
+    assert math.isnan(left_process(lat, slices).sup_norm())

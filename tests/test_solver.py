@@ -2,12 +2,14 @@
 
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
+from bsdelattice import solver
 from bsdelattice.drivers import (
     DriverSpec,
     make_driver,
@@ -21,6 +23,7 @@ from bsdelattice.lattice import build_lattice
 from bsdelattice.probability import left_process, predictable_process
 from bsdelattice.solver import (
     SolutionTriple,
+    _dm_column,
     bmo_estimate,
     export_solution_csv,
     gronwall_envelope,
@@ -44,8 +47,8 @@ def test_zero_driver_endpoint_reproduces_walk():
     for z in sol.Z.slices:
         assert np.allclose(z[:, 0], 1.0, atol=1e-13)
         assert np.allclose(z[:, 1], 0.0, atol=1e-13)
-    for dm in sol.dm:
-        assert np.max(np.abs(dm)) < 1e-13
+    for i in range(lat.steps):
+        assert np.max(np.abs(sol.dm(i))) < 1e-13
     m = sol.M
     assert all(np.max(np.abs(s)) < 1e-12 for s in m.slices)
 
@@ -77,8 +80,8 @@ def test_quadratic_two_step_frozen_values():
     assert sol.Y.slices[1] == pytest.approx([s + 0.25, -s + 0.25], abs=1e-14)
     for z in sol.Z.slices:
         assert z[:, 0] == pytest.approx(1.0, abs=1e-13)
-    for dm in sol.dm:
-        assert np.max(np.abs(dm)) < 1e-13
+    for i in range(lat.steps):
+        assert np.max(np.abs(sol.dm(i))) < 1e-13
 
 
 def test_quadratic_two_step_exact_rational():
@@ -277,21 +280,68 @@ def test_bisection_rescues_a_truncated_fixed_point():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("where", ["Y", "dm"])
+def test_bisection_stops_once_the_bracket_stops_moving(monkeypatch):
+    # the early stop gives the bits of the fixed 200 halvings in far fewer
+    # driver calls; max_iter=2 sends every node of full N=8 to bisection
+    lat = build_lattice(8, dim=1)
+    f, phi = make_driver("linear:1,1"), make_terminal("maxpath")
+    bisect = solver._bisect_nodes
+    calls = []
+
+    def counted(fv, z, mean, dt, y_start, rows):
+        n = [0]
+
+        def fv_counted(y, zz):
+            n[0] += 1
+            return fv(y, zz)
+
+        out = bisect(fv_counted, z, mean, dt, y_start, rows)
+        calls.append(n[0])
+        return out
+
+    monkeypatch.setattr(solver, "_bisect_nodes", counted)
+    sol = solve_backward(lat, f, phi, max_iter=2)
+    monkeypatch.setattr(solver, "_bisect_nodes", oracles.bisect_nodes_fixed_halvings)
+    want = solve_backward(lat, f, phi, max_iter=2)
+    assert sol.info.bisection_nodes == want.info.bisection_nodes > 0
+    assert calls and max(calls) <= 80, calls
+    for got, ref in zip(sol.Y.slices, want.Y.slices):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("where", ["Y", "Z"])
 def test_residuals_report_a_nan(where):
+    # dM is formed from Y_{i+1} and the stored Z_i, so a NaN in either
+    # reaches the dM identities as well as the dynamics residual
     lat = build_lattice(4, dim=1)
     f, phi = make_driver("linear:1,1"), make_terminal("endpoint")
     sol = solve_backward(lat, f, phi)
     if where == "Y":
         sol.Y.slices[2][0] = math.nan
-        keys = ("dynamics_max",)
+        keys = ("dynamics_max", "dm_mean_max")
     else:
-        sol.dm[1][0, 0] = math.nan
+        sol.Z.slices[1][0, 0] = math.nan
         keys = ("dynamics_max", "dm_mean_max", "dm_orthogonality_max")
     rep = solution_residuals(sol, f, phi)
     for key in keys:
         assert math.isnan(getattr(rep, key)), key
     assert not rep.passed
+
+
+@pytest.mark.parametrize("dim,steps", [(1, 400), (2, 40)])
+def test_recombining_solve_retains_little_more_than_y_and_z(dim, steps):
+    # dM is formed on demand, so what a solve keeps is Y and Z and little else
+    lat = build_lattice(steps, dim=dim, mode="recombining")
+    f, phi = make_driver("linear:1,1"), make_terminal("clipped-endpoint")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sol = solve_backward(lat, f, phi)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    yz = sum(s.nbytes for s in sol.Y.slices) + sum(s.nbytes for s in sol.Z.slices)
+    assert retained <= 1.25 * yz, retained / yz
 
 
 def test_z_bound_closed_form():
@@ -370,18 +420,10 @@ def test_recombining_dm_column_keeps_largest_incoming_edge(steps, dim):
     dm = [rng.integers(-2, 3, size=(lat.node_count(i), nch)).astype(float) for i in range(steps)]
     dm[0][0, :] = np.nan
     dm[2][1, 0] = np.nan
-    sol = SolutionTriple(
-        lattice=lat,
-        Y=left_process(lat, [np.zeros(lat.node_count(i)) for i in range(steps + 1)]),
-        Z=predictable_process(lat, [np.zeros((lat.node_count(i), dim)) for i in range(steps)]),
-        dm=dm,
-    )
-    buf = io.StringIO()
-    export_solution_csv(sol, buf)
     got = {}
-    for line in buf.getvalue().splitlines()[1:]:
-        cols = line.split(",")
-        got[int(cols[0]), int(cols[1])] = cols[-1]
+    for i in range(1, steps + 1):
+        for k, v in enumerate(_dm_column(lat, i, dm[i - 1])):
+            got[i, k] = format(float(v), ".17g")
     downs = (lat.signs < 0).astype(int)
     sign_ties = 0
     for i in range(1, steps + 1):
@@ -443,7 +485,6 @@ def test_csv_export_writes_non_finite_and_signed_zero_like_format(mode, steps, d
         lattice=lat,
         Y=left_process(lat, [special_values((n(i),), i) for i in range(steps + 1)]),
         Z=predictable_process(lat, [special_values((n(i), dim), i + 1) for i in range(steps)]),
-        dm=[special_values((n(i), lat.n_choices), i + 2) for i in range(steps)],
     )
     got, want = io.StringIO(), io.StringIO()
     export_solution_csv(sol, got)
@@ -477,7 +518,6 @@ def test_csv_export_of_repeated_values_matches_per_row_writer():
         lattice=lat,
         Y=left_process(lat, [pick(n(i)) for i in range(13)]),
         Z=predictable_process(lat, [pick((n(i), 1)) for i in range(12)]),
-        dm=[pick((n(i), 2)) for i in range(12)],
     )
     block = sol.Y.slices[12][:1024].view(np.uint64)
     assert {0x0, 0x8000000000000000, 0x7FF8000000000000, 0x7FF8000000000001} <= set(block.tolist())
@@ -508,7 +548,6 @@ def test_z_sup_and_bmo_keep_a_nan_control(slice_index):
         lattice=lat,
         Y=left_process(lat, [np.zeros(n(i)) for i in range(5)]),
         Z=predictable_process(lat, z),
-        dm=[np.zeros((n(i), 2)) for i in range(4)],
     )
     assert math.isnan(sol.z_sup())
     assert math.isnan(bmo_estimate(sol))
