@@ -2,10 +2,13 @@
 
 Bounded irregular terminals are approached through their Lipschitz
 regularizations: level n replaces the payoff by the cheapest combination of a
-candidate payoff and n times the sup-distance to it.  The candidate family is
-shared across levels (uniform shifts of the path with a fixed magnitude grid,
-an endpoint-zeroing shift, optionally a pool of whole lattice paths), which
-makes the ladder nondecreasing in n exactly, not just in the limit.
+candidate payoff and n times the sup-distance to it.  The candidates are the
+path and its uniform shifts along one coordinate, by a fixed magnitude grid
+or by the shift that zeroes the final value.  The family is the same at every
+level, which makes the ladder nondecreasing in n exactly, not just in the
+limit.  A Markov terminal is regularized through its terminal map, so the
+full and recombining layouts give the same ladder, and a level at or above
+the declared Lipschitz constant keeps the terminal itself.
 
 On top of that sit three experiment drivers: the monotone ladder (solve per
 level, check nodewise monotonicity and shrinking increments), the uniform
@@ -25,94 +28,67 @@ from .errors import GridError
 from .lattice import build_lattice
 from .solver import bmo_estimate, solve_backward
 
-POOL_LIMIT = 2 ** 12
+
+def _shift_min(value, x, final, n, mags):
+    """min of value(x + s) + n |s| over s = 0 and the one-coordinate shifts s.
+
+    x is a final value (..., d) or a path (..., N+1, d) shifted uniformly in
+    time; final is its final value, which fixes the endpoint-zeroing shift.
+    """
+    d = x.shape[-1]
+    tail = (1,) * (x.ndim - final.ndim + 1)
+    best = np.array(value(x), dtype=float, copy=True)
+    for k in range(d):
+        ek = np.zeros(d)
+        ek[k] = 1.0
+        snap = -final[..., k]
+        cand = np.asarray(value(x + snap.reshape(snap.shape + tail) * ek), dtype=float)
+        best = np.minimum(best, cand + n * np.abs(snap))
+        for c in mags:
+            best = np.minimum(best, np.asarray(value(x + c * ek), dtype=float) + n * abs(c))
+    return best
 
 
-def inf_convolution(
-    phi: TerminalFunctional,
-    n: float,
-    radius: float = None,
-    points: int = 129,
-    pool: np.ndarray = None,
-) -> TerminalFunctional:
+def inf_convolution(phi: TerminalFunctional, n: float) -> TerminalFunctional:
     """Level-n Lipschitz regularization of a bounded terminal.
 
-    Candidates: the path itself, uniform shifts along each coordinate with
-    magnitudes on a fixed grid of the given radius, the shift that zeroes the
-    final value of that coordinate, and (when pool is given) whole candidate
-    paths priced at n times the sup-distance.  The default radius is twice
-    the declared bound, which is far enough that larger shifts cannot win.
+    Candidates: the path itself, and uniform shifts along one coordinate by
+    a magnitude on the fixed 129-point grid of radius twice the declared
+    bound, or by the shift that zeroes that coordinate's final value; each
+    shift s costs n |s|.  Larger shifts cannot win.  The family is the same
+    at every level, so the ladder is pointwise nondecreasing in n with no
+    tolerance at all.
 
-    Keeping radius, points, and pool fixed across n makes the family
-    pointwise nondecreasing in n with no tolerance at all.
+    A Markov terminal is regularized through its terminal map, and its path
+    form reads the final value, so both layouts see the same numbers.  When
+    n is at least phi's declared Lipschitz constant every candidate is at
+    least phi, and phi itself (running form included) is returned.
     """
     n = float(n)
     if n <= 0:
         raise GridError("regularization level must be positive, got %g" % n)
-    if radius is None:
-        radius = 2.0 * (phi.bound if phi.bound is not None else 1.0)
-    mags = [c for c in np.linspace(-radius, radius, points) if c != 0.0]
-    pool_vals = None
-    if pool is not None:
-        pool = np.asarray(pool, dtype=float)
-        if pool.shape[0] > POOL_LIMIT:
-            raise GridError(
-                "candidate pool of %d paths exceeds the %d limit" % (pool.shape[0], POOL_LIMIT)
-            )
-        pool_vals = np.asarray(phi.evaluate(pool), dtype=float)
-
-    def evaluate(paths):
-        arr = np.asarray(paths, dtype=float)
-        d = arr.shape[-1]
-        best = np.array(phi.evaluate(arr), dtype=float, copy=True)
-        for k in range(d):
-            ek = np.zeros(d)
-            ek[k] = 1.0
-            snap = -arr[..., -1, k]
-            cand = np.asarray(phi.evaluate(arr + snap[..., None, None] * ek), dtype=float)
-            best = np.minimum(best, cand + n * np.abs(snap))
-            for c in mags:
-                cand = np.asarray(phi.evaluate(arr + c * ek), dtype=float)
-                best = np.minimum(best, cand + n * abs(c))
-        if pool_vals is not None:
-            flat = arr.reshape(-1, arr.shape[-2], d)
-            out = best.reshape(-1)
-            for lo in range(0, pool.shape[0], 256):
-                blk = pool[lo : lo + 256]
-                dist = np.max(
-                    np.abs(flat[:, None, :, :] - blk[None, :, :, :]), axis=(-1, -2)
-                )
-                out = np.minimum(out, np.min(pool_vals[lo : lo + 256] + n * dist, axis=1))
-            best = out.reshape(best.shape)
-        return best
-
-    markov = phi.markovian and phi.terminal_map is not None and pool is None
+    if phi.lipschitz is not None and phi.lipschitz <= n:
+        return phi
+    radius = 2.0 * (phi.bound if phi.bound is not None else 1.0)
+    mags = [c for c in np.linspace(-radius, radius, 129) if c != 0.0]
+    markov = phi.markovian and phi.terminal_map is not None
     tmap = None
     if markov:
         def tmap(x):
             xv = np.asarray(x, dtype=float)
-            d = xv.shape[-1]
-            best = np.array(phi.terminal_map(xv), dtype=float, copy=True)
-            for k in range(d):
-                ek = np.zeros(d)
-                ek[k] = 1.0
-                snap = -xv[..., k]
-                best = np.minimum(
-                    best,
-                    np.asarray(phi.terminal_map(xv + snap[..., None] * ek), dtype=float)
-                    + n * np.abs(snap),
-                )
-                for c in mags:
-                    best = np.minimum(
-                        best,
-                        np.asarray(phi.terminal_map(xv + c * ek), dtype=float) + n * abs(c),
-                    )
-            return best
+            return _shift_min(phi.terminal_map, xv, xv, n, mags)
+
+        def evaluate(paths):
+            return tmap(np.asarray(paths, dtype=float)[..., -1, :])
+    else:
+        def evaluate(paths):
+            arr = np.asarray(paths, dtype=float)
+            return _shift_min(phi.evaluate, arr, arr[..., -1, :], n, mags)
 
     return TerminalFunctional(
         name="infconv%g:%s" % (n, phi.name),
         evaluate=evaluate,
-        lipschitz=n if phi.lipschitz is None else min(n, phi.lipschitz),
+        lipschitz=n,
         bound=phi.bound,
         markovian=markov,
         terminal_map=tmap,
@@ -192,24 +168,9 @@ def monotone_limit_experiment(
     f: DriverSpec,
     phi: TerminalFunctional,
     levels=(1, 2, 4, 8, 16),
-    points: int = 129,
-    use_pool: bool = True,
 ) -> ApproximationLadder:
-    """Solve along the regularization ladder of phi and report monotonicity.
-
-    The pool of whole lattice paths joins the candidate set when the lattice
-    is full-path and small enough; the ladder stays monotone either way.
-    """
-    pool = None
-    if (
-        use_pool
-        and lattice.mode == "full"
-        and lattice.node_count(lattice.steps) <= POOL_LIMIT
-    ):
-        pool = lattice.leaf_paths()
-    terminals = [
-        inf_convolution(phi, n, points=points, pool=pool) for n in levels
-    ]
+    """Solve along the regularization ladder of phi and report monotonicity."""
+    terminals = [inf_convolution(phi, n) for n in levels]
     labels = ["n=%g" % n for n in levels]
     return _run_ladder(lattice, f, terminals, labels)
 

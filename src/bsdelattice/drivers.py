@@ -442,7 +442,8 @@ def _golden_max(fun, a, b, tol=1e-11, iters=120):
     return x, fun(x)
 
 
-def _numeric_conjugate(f: DriverSpec, t, w, y, mu) -> float:
+def numeric_conjugate(f: DriverSpec, t, w, y, mu) -> float:
+    """Grid + golden-section conjugate, ignoring any declared closed form."""
     mu = np.asarray(mu, dtype=float).reshape(-1)
     d = mu.shape[0]
 
@@ -509,12 +510,7 @@ def conjugate(f: DriverSpec, t, w, y, mu) -> float:
     """
     if f.analytic_conjugate is not None:
         return float(f.analytic_conjugate(t, w, y, np.asarray(mu, dtype=float)))
-    return _numeric_conjugate(f, t, w, y, mu)
-
-
-def numeric_conjugate(f: DriverSpec, t, w, y, mu) -> float:
-    """Grid + golden-section conjugate, ignoring any declared closed form."""
-    return _numeric_conjugate(f, t, w, y, mu)
+    return numeric_conjugate(f, t, w, y, mu)
 
 
 def subgradient(

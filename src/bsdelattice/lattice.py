@@ -206,8 +206,9 @@ class PathLattice:
         Full-path mode only; refuses to materialize beyond a fixed entry
         budget since the array grows like leaves * (N+1) * d.  Terminals
         with a running form never need it.  Its callers are terminals
-        without one (the inf-convolution's shift candidates among them), the
-        inf-convolution's candidate pool, and path-dependent driver contexts.
+        without one (the inf-convolution of a path terminal below its
+        declared Lipschitz constant among them) and path-dependent driver
+        contexts.
         """
         if self.mode != "full":
             raise StructuralError("leaf paths are not resolvable on a recombining lattice")

@@ -5,7 +5,7 @@ One sweep freezes the driver at the previous iterate and walks backward:
     Y^{p+1}_i = E[Y^{p+1}_{i+1} | node] + f(Y^p_i, Z^p_i) dt,
 
 with Z^{p+1}_i read off the martingale projection of Y^{p+1}_{i+1} and the
-orthogonal increments formed from that projection's mean and Z^{p+1}_i.  By
+orthogonal increments formed from Y^{p+1}_{i+1} and Z^{p+1}_i.  By
 the tower property this is the martingale representation of the terminal
 plus the frozen driver summed along each path: the driver sum up to slice i
 is constant across a node's children, so it drops out of the projection.
@@ -101,7 +101,7 @@ def picard_step(
     resid = 0.0
     for i in range(n - 1, -1, -1):
         mean, Z[i] = martingale_projection(lattice, i, Y[i + 1])
-        dm[i] = orthogonal_increments(lattice, i, Y[i + 1], mean, Z[i])
+        dm[i] = orthogonal_increments(lattice, i, Y[i + 1], Z[i])
         fv = _slice_driver(lattice, f, i)
         Y[i] = mean + fv(state.Y[i], state.Z[i]) * dt
         # residual of the new iterate in the implicit one-step equation

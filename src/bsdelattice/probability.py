@@ -83,7 +83,7 @@ def martingale_projection(lattice: PathLattice, i: int, child_values: np.ndarray
 
     Returns (mean, z) with mean shape (n_i,) and z shape (n_i, d) the
     conditional covariation with the increments divided by dt.  What is left
-    over per edge is orthogonal_increments(lattice, i, child_values, mean, z).
+    over per edge is orthogonal_increments(lattice, i, child_values, z).
     """
     v = gather_children(lattice, i, child_values)
     if v.ndim != 2:
@@ -94,15 +94,16 @@ def martingale_projection(lattice: PathLattice, i: int, child_values: np.ndarray
 
 
 def orthogonal_increments(
-    lattice: PathLattice, i: int, child_values: np.ndarray, mean: np.ndarray, z: np.ndarray
+    lattice: PathLattice, i: int, child_values: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
     """Per-edge remainder X - mean - z . dW of slice-(i+1) values, shape (n_i, 2**d).
 
-    With the mean and z of martingale_projection it has conditional mean zero
-    and is conditionally orthogonal to every increment component.
+    The mean is the one-step conditional mean, taken from the same gather.
+    With the z of martingale_projection the remainder has conditional mean
+    zero and is conditionally orthogonal to every increment component.
     """
     v = gather_children(lattice, i, child_values)
-    return v - mean[:, None] - z @ (lattice.signs.T * lattice.grid.sqrt_dt)
+    return v - v.mean(axis=1)[:, None] - z @ (lattice.signs.T * lattice.grid.sqrt_dt)
 
 
 # -- controls and densities --------------------------------------------------

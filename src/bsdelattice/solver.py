@@ -66,10 +66,7 @@ class SolutionTriple:
     info: SolveInfo = field(default_factory=SolveInfo)
 
     def dm(self, i: int) -> np.ndarray:
-        lat = self.lattice
-        y_next = self.Y.slices[i + 1]
-        mean = conditional_expectation(lat, i, y_next)
-        return orthogonal_increments(lat, i, y_next, mean, self.Z.slices[i])
+        return orthogonal_increments(self.lattice, i, self.Y.slices[i + 1], self.Z.slices[i])
 
     @property
     def y0(self) -> float:
@@ -93,15 +90,13 @@ class SolutionTriple:
 
 
 def terminal_values(lattice: PathLattice, phi: TerminalFunctional) -> np.ndarray:
-    if lattice.mode == "recombining":
-        if not phi.markovian or phi.terminal_map is None:
-            raise StructuralError(
-                "recombining mode needs a terminal functional of the final value "
-                "(markovian with terminal_map); %r is not" % (phi.name,)
-            )
+    if phi.markovian and phi.terminal_map is not None:
         xi = phi.terminal_map(lattice.walk_slice(lattice.steps))
-    elif phi.markovian and phi.terminal_map is not None:
-        xi = phi.terminal_map(lattice.walk_slice(lattice.steps))
+    elif lattice.mode == "recombining":
+        raise StructuralError(
+            "recombining mode needs a terminal functional of the final value "
+            "(markovian with terminal_map); %r is not" % (phi.name,)
+        )
     elif isinstance(phi.evaluate, RunningFunctional):
         # forward over the walk slices; node k of slice j+1 extends node k // 2**d
         run = phi.evaluate

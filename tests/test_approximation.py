@@ -19,6 +19,7 @@ from bsdelattice.approximation import (
 from bsdelattice.drivers import make_driver, make_terminal, scale_terminal
 from bsdelattice.errors import GridError
 from bsdelattice.lattice import build_lattice
+from bsdelattice.solver import solve_backward, terminal_values
 
 
 def test_digital_regularization_recovers_closed_form_exactly():
@@ -26,12 +27,9 @@ def test_digital_regularization_recovers_closed_form_exactly():
     paths = lat.leaf_paths()
     digital = make_terminal("digital")
     for n in (1, 2, 4):
-        for pool in (None, paths):
-            phi_n = inf_convolution(digital, n, pool=pool)
-            got = phi_n.evaluate(paths)
-            w_t = paths[:, -1, 0]
-            want = np.minimum(1.0, n * np.maximum(w_t, 0.0))
-            assert np.array_equal(got, want), (n, pool is None)
+        got = inf_convolution(digital, n).evaluate(paths)
+        want = np.minimum(1.0, n * np.maximum(paths[:, -1, 0], 0.0))
+        assert np.array_equal(got, want), n
 
 
 def test_regularization_is_exactly_monotone_in_level():
@@ -40,7 +38,7 @@ def test_regularization_is_exactly_monotone_in_level():
     for name in ("digital", "maxpath", "clipped-endpoint"):
         phi = make_terminal(name)
         prev = None
-        for n in (1, 2, 4, 8):
+        for n in (0.25, 0.5, 1, 2, 4, 8):
             vals = inf_convolution(phi, n).evaluate(paths)
             if prev is not None:
                 assert np.all(vals >= prev)
@@ -52,7 +50,7 @@ def test_regularization_never_exceeds_original():
     paths = rng.normal(size=(30, 5, 1))
     phi = make_terminal("maxpath")
     raw = phi.evaluate(paths)
-    for n in (1, 4, 16):
+    for n in (0.25, 0.5, 1, 4, 16):
         assert np.all(inf_convolution(phi, n).evaluate(paths) <= raw + 1e-15)
 
 
@@ -64,16 +62,12 @@ def test_markov_map_agrees_with_path_evaluation():
     assert np.array_equal(
         phi_n.terminal_map(paths[:, -1, :]), phi_n.evaluate(paths)
     )
-    pooled = inf_convolution(make_terminal("digital"), 3, pool=paths)
-    assert not pooled.markovian
 
 
 def test_inf_convolution_guards():
     phi = make_terminal("digital")
     with pytest.raises(GridError):
         inf_convolution(phi, 0)
-    with pytest.raises(GridError):
-        inf_convolution(phi, 1, pool=np.zeros((2 ** 12 + 1, 3, 1)))
 
 
 def test_monotone_ladder_on_digital_terminal():
@@ -89,10 +83,53 @@ def test_monotone_ladder_on_digital_terminal():
     for lo, hi in zip(ladder.solutions, ladder.solutions[1:]):
         for a, b in zip(lo.Y.slices, hi.Y.slices):
             assert np.min(b - a) >= -1e-12
-    nopool = monotone_limit_experiment(
-        lat, make_driver("quadratic"), make_terminal("digital"), use_pool=False
+
+
+@pytest.mark.parametrize("dim,steps", [(1, 8), (2, 4)])
+@pytest.mark.parametrize(
+    "name,levels", [("endpoint", (0.5, 1, 2)), ("clipped-endpoint", (0.25, 0.5, 1))]
+)
+def test_full_and_recombining_ladders_agree(name, levels, dim, steps):
+    f = make_driver("quadratic")
+    phi = make_terminal(name)
+    full, rec = (
+        monotone_limit_experiment(build_lattice(steps, dim=dim, mode=mode), f, phi, levels)
+        for mode in ("full", "recombining")
     )
-    assert nopool.monotone
+    assert len(full.rows) == len(rec.rows) == len(levels)
+    for a, b in zip(full.rows, rec.rows):
+        assert abs(a.y0 - b.y0) <= 1e-12, (a.level, a.y0, b.y0)
+
+
+@pytest.mark.parametrize(
+    "name,mode",
+    [
+        (name, mode)
+        for name in ("endpoint", "clipped-endpoint", "const:1")
+        for mode in ("full", "recombining")
+    ]
+    + [("maxpath", "full")],
+)
+def test_regularization_at_declared_constant_is_the_terminal(name, mode):
+    phi = make_terminal(name)
+    for dim in (1, 2):
+        lat = build_lattice(5, dim=dim, mode=mode)
+        want = terminal_values(lat, phi)
+        for n in (max(phi.lipschitz, 0.25), 1, 2, 16):
+            got = terminal_values(lat, inf_convolution(phi, n))
+            assert np.array_equal(got, want), (dim, n)
+
+
+def test_maxpath_ladder_runs_past_the_leaf_path_budget():
+    lat = build_lattice(19, dim=1)
+    f = make_driver("quadratic")
+    phi = make_terminal("maxpath")
+    direct = solve_backward(lat, f, phi)
+    ladder = monotone_limit_experiment(lat, f, phi)
+    assert ladder.monotone and len(ladder.rows) == 5
+    for sol in ladder.solutions:
+        for a, b in zip(sol.Y.slices, direct.Y.slices):
+            assert np.array_equal(a, b)
 
 
 def test_uniform_ladder_cauchy_bound():

@@ -54,7 +54,7 @@ def test_martingale_projection_reconstructs_exactly():
         lat = build_lattice(3, dim=dim)
         v = rng.normal(size=lat.node_count(3))
         mean, z = martingale_projection(lat, 2, v)
-        dm = orthogonal_increments(lat, 2, v, mean, z)
+        dm = orthogonal_increments(lat, 2, v, z)
         inc = lat.step_increments()
         recon = mean[:, None] + z @ inc.T + dm
         assert np.allclose(recon.ravel(), v, atol=1e-14)
@@ -71,7 +71,7 @@ def test_martingale_projection_z_formula():
     mean, z = martingale_projection(lat, 0, v)
     assert mean[0] == 2.0
     assert z[0, 0] == pytest.approx((3.0 - 1.0) / (2 * 0.5))
-    assert np.allclose(orthogonal_increments(lat, 0, v, mean, z), 0.0)
+    assert np.allclose(orthogonal_increments(lat, 0, v, z), 0.0)
 
 
 def test_density_two_step_example():
