@@ -21,6 +21,12 @@ Conventions
   axis, one entry per path, so repeating the state per child block carries
   it from one full-layout slice to the next: the solver then evaluates it
   slice by slice without materializing leaf paths.
+* bound form: f.at(t, w, z) is the driver with (t, w, z) fixed, a function
+  y -> f(t, w, y, z) as a float array.  The backward solve binds z once per
+  slice, since z is fixed there before the implicit step iterates y.  A
+  driver may declare fix_z(t, w, z) -> (y -> array) doing its z-only work
+  once per binding, with the bits of evaluate; without it, at calls
+  evaluate on every y.
 * conjugate(f, t, w, y, mu) returns +inf as the "unbounded" marker; it is a
   value, not an error, and propagates through the dual machinery.
 
@@ -50,7 +56,9 @@ class DriverSpec:
     on paths; z_lipschitz maps a radius a to a Lipschitz constant of f in z on
     |z| <= a; lower_bound maps a radius c to inf f over |y| <= c (both None
     when not declared).  y_dependence is 'none' for y-independent drivers,
-    otherwise 'increasing' / 'decreasing' / 'general'.
+    otherwise 'increasing' / 'decreasing' / 'general'.  fix_z(t, w, z), when
+    declared, returns y -> f(t, w, y, z) with the z-only work done once; it
+    must give evaluate's bits (see at).
     """
 
     name: str
@@ -61,6 +69,7 @@ class DriverSpec:
     lower_bound: Optional[Callable[[float], float]] = None
     analytic_conjugate: Optional[Callable] = None
     analytic_subgradient: Optional[Callable] = None
+    fix_z: Optional[Callable] = None
     y_dependence: str = "none"
     w_dependence: str = "none"  # 'none' or 'path'
     time_dependent: bool = False
@@ -71,6 +80,12 @@ class DriverSpec:
 
     def __call__(self, t, w, y, z):
         return self.evaluate(t, w, y, z)
+
+    def at(self, t, w, z):
+        """The bound form y -> f(t, w, y, z) as a float array, (t, w, z) fixed."""
+        if self.fix_z is not None:
+            return self.fix_z(t, w, z)
+        return lambda y: np.asarray(self.evaluate(t, w, y, z), dtype=float)
 
 
 @dataclass
@@ -174,6 +189,11 @@ def linear_driver(a: float, b: float) -> DriverSpec:
     a, b = float(a), float(b)
     if b < 0:
         raise GridError("linear driver needs b >= 0, got %r" % (b,))
+
+    def fix_z(t, w, z):
+        n = _norm(z)
+        return lambda y: a + b * (np.abs(y) + n)
+
     return DriverSpec(
         name="linear:%g,%g" % (a, b),
         evaluate=lambda t, w, y, z: a + b * (np.abs(y) + _norm(z)),
@@ -185,6 +205,7 @@ def linear_driver(a: float, b: float) -> DriverSpec:
             _norm(mu) <= b, -a - b * np.abs(y), np.inf
         ),
         analytic_subgradient=lambda t, w, y, z: _radial(z, np.full(np.shape(_norm(z)), b)),
+        fix_z=fix_z,
         y_dependence="general",
     )
 

@@ -100,14 +100,13 @@ def dual_value(
             live = np.isfinite(e_mu) & np.isfinite(g0)
             if live.any():
                 wl = None if w_ctx is None else w_ctx[live]
+                ml = mu[live]
 
-                def fv(y, m):
-                    return -_conjugate_slice(f, t1, wl, y, m, conjugate_mode)
+                def fy(y):
+                    return -_conjugate_slice(f, t1, wl, y, ml, conjugate_mode)
 
                 el = e_mu[live]
-                r[live] = _implicit_step(
-                    fv, mu[live], el, el - g0[live] * dt, dt, tol, max_iter, i
-                )[0]
+                r[live] = _implicit_step(fy, el, el - g0[live] * dt, dt, tol, max_iter, i)[0]
         _check_no_nan(r, i, "the candidate value")
         slices[i] = r
         r_next = r

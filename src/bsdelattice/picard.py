@@ -102,10 +102,10 @@ def picard_step(
     for i in range(n - 1, -1, -1):
         mean, Z[i] = martingale_projection(lattice, i, Y[i + 1])
         dm[i] = orthogonal_increments(lattice, i, Y[i + 1], Z[i])
-        fv = _slice_driver(lattice, f, i)
-        Y[i] = mean + fv(state.Y[i], state.Z[i]) * dt
+        bind = _slice_driver(lattice, f, i)
+        Y[i] = mean + bind(state.Z[i])(state.Y[i]) * dt
         # residual of the new iterate in the implicit one-step equation
-        r = np.abs(Y[i] - mean - fv(Y[i], Z[i]) * dt)
+        r = np.abs(Y[i] - mean - bind(Z[i])(Y[i]) * dt)
         bad = np.flatnonzero(np.isnan(r))
         if bad.size:
             raise ConvergenceError(

@@ -4,15 +4,17 @@ One backward step from slice i+1 to slice i does two things: project the
 known slice values onto their conditional mean and z (the martingale
 projection), and solve the scalar implicit equation
 
-    y - fhat(t_{i+1}, w, y, z) * dt = mean
+    y = mean + fy(y) * dt,    fy(y) = fhat(t_{i+1}, w, y, z)
 
-at every node.  The solve keeps Y and Z only: the orthogonal-martingale
+at every node.  z and w are fixed before the implicit step, so the driver is
+bound to them once per slice (_slice_driver, DriverSpec.at) and the step
+iterates y alone.  The solve keeps Y and Z only: the orthogonal-martingale
 increment on each edge, Y_{i+1} - mean - z . dW, is fixed by them and is
 recomputed on demand (SolutionTriple.dm).  The driver argument w is the
 shifted path sampled at grid times, known one step ahead, which is what
 makes the implicit equation well-posed node by node.  _implicit_step is the
 one solver of that equation, for the dual candidates too (with the negated
-conjugate for fhat): a Banach fixed point with a monotone-bisection fallback.
+conjugate for fy): a Banach fixed point with a monotone-bisection fallback.
 
 Also here: the closed-form z bound 2 sqrt(d) (L + K T) exp(K T), the discrete
 Gronwall envelope and its exponential-domination flag, the bound certificate
@@ -128,14 +130,22 @@ def driver_context(lattice: PathLattice, f: DriverSpec, i: int):
 
 
 def _slice_driver(lattice: PathLattice, f: DriverSpec, i: int):
-    """The step-i average driver as a float-array function (y, z) -> fhat, w fixed."""
+    """The step-i average driver as a binder z -> (y -> fhat as a float array), w fixed.
+
+    A time-constant driver binds through its bound form f.at(t_{i+1}, w, z),
+    so its z-only work runs once per bound z; a time-dependent one is averaged
+    over the step (composite Simpson) on every call of the bound function.
+    """
     grid = lattice.grid
     w_ctx = driver_context(lattice, f, i)
+    if not f.time_dependent:
+        t1 = grid.time(i + 1)
+        return lambda z: f.at(t1, w_ctx, z)
 
-    def fv(y, z):
-        return np.asarray(average_driver(f, grid, i, w_ctx, y, z), dtype=float)
+    def bind(z):
+        return lambda y: np.asarray(average_driver(f, grid, i, w_ctx, y, z), dtype=float)
 
-    return fv
+    return bind
 
 
 def check_step_size(f: DriverSpec, grid: TimeGrid):
@@ -178,10 +188,10 @@ def solve_backward(
     y_next = xi
     for i in range(grid.steps - 1, -1, -1):
         mean, z = martingale_projection(lattice, i, y_next)
-        fv = _slice_driver(lattice, f, i)
+        fy = _slice_driver(lattice, f, i)(z)
         n_iter = 1 if f.y_dependence == "none" else max_iter  # y-free: iterate 1 is exact
         y, iters, bisected, rmax = _implicit_step(
-            fv, z, mean, mean + fv(mean, z) * dt, dt, tol, n_iter, i
+            fy, mean, mean + fy(mean) * dt, dt, tol, n_iter, i
         )
         info.iterations_max = max(info.iterations_max, iters)
         info.bisection_nodes += bisected
@@ -198,30 +208,31 @@ def solve_backward(
     )
 
 
-def _implicit_step(fv, z, mean, y, dt, tol, max_iter, i):
-    """Solve y = mean + fv(y, z) dt nodewise at slice i from the first iterate y.
+def _implicit_step(fy, mean, y, dt, tol, max_iter, i):
+    """Solve y = mean + fy(y) dt nodewise at slice i from the first iterate y.
 
+    fy is the slice's driver with z (and w) bound, a function of y alone.
     Fixed point until a step is at most tol/4 or max_iter iterates are made,
-    then bisection on the nodes whose residual |y - fv(y, z) dt - mean| is
+    then bisection on the nodes whose residual |y - fy(y) dt - mean| is
     above tol; ConvergenceError names slice i if that misses tol too.  Returns
     (y, iterations, bisected nodes, worst residual), a NaN residual included.
     The array of the first iterate may be overwritten.
     """
     iters = 1
     while iters < max_iter:
-        y_new = mean + fv(y, z) * dt
+        y_new = mean + fy(y) * dt
         iters += 1
         step = float(np.max(np.abs(y_new - y)))
         y = y_new
         if step <= 0.25 * tol:
             break
-    resid = np.abs(y - fv(y, z) * dt - mean)
+    resid = np.abs(y - fy(y) * dt - mean)
     rmax = float(resid.max())
     if not rmax > tol:
         return y, iters, 0, rmax
     bad = np.flatnonzero(resid > tol)
-    y[bad] = _bisect_nodes(fv, z, mean, dt, y, bad)
-    rmax = float(np.abs(y - fv(y, z) * dt - mean).max())
+    y[bad] = _bisect_nodes(fy, mean, dt, y, bad)
+    rmax = float(np.abs(y - fy(y) * dt - mean).max())
     if rmax > tol:
         raise ConvergenceError(
             "implicit step at slice %d failed to reach tol=%.3g "
@@ -232,10 +243,10 @@ def _implicit_step(fv, z, mean, y, dt, tol, max_iter, i):
     return y, iters, bad.size, rmax
 
 
-def _bisect_nodes(fv, z, mean, dt, y_start, rows):
-    """Monotone bisection for y - fv(y, z) dt = mean on the given rows.
+def _bisect_nodes(fy, mean, dt, y_start, rows):
+    """Monotone bisection for y - fy(y) dt = mean on the given rows.
 
-    The map y -> y - fv(y, z) dt is strictly increasing under K dt < 1, so a
+    The map y -> y - fy(y) dt is strictly increasing under K dt < 1, so a
     sign change brackets the unique root; brackets expand geometrically from
     the fixed-point iterate.  Halving stops once a pass leaves both bracket
     ends unchanged, since every later pass would repeat it.
@@ -245,7 +256,7 @@ def _bisect_nodes(fv, z, mean, dt, y_start, rows):
     def h(yv):
         full = y_start.copy()
         full[rows] = yv
-        return yv - fv(full, z)[rows] * dt - m
+        return yv - fy(full)[rows] * dt - m
 
     lo = y_start[rows] - 1.0
     hi = y_start[rows] + 1.0
@@ -306,7 +317,7 @@ def solution_residuals(sol: SolutionTriple, f: DriverSpec, phi: TerminalFunction
         z = sol.Z.slices[i]
         dm = sol.dm(i)
         v = gather_children(lat, i, sol.Y.slices[i + 1])
-        fv = _slice_driver(lat, f, i)(y, z)
+        fv = _slice_driver(lat, f, i)(z)(y)
         resid = v - y[:, None] + (fv * dt)[:, None] - z @ inc.T - dm
         worst.append(np.max(np.abs(resid)))
         dm_mean.append(np.max(np.abs(dm.mean(axis=1))))

@@ -159,14 +159,14 @@ def first_difference(got, want):
     return None
 
 
-def bisect_nodes_fixed_halvings(fv, z, mean, dt, y_start, rows):
+def bisect_nodes_fixed_halvings(fy, mean, dt, y_start, rows):
     """solver._bisect_nodes as it was before it stopped early: always 200 halvings."""
     m = mean[rows]
 
     def h(yv):
         full = y_start.copy()
         full[rows] = yv
-        return yv - fv(full, z)[rows] * dt - m
+        return yv - fy(full)[rows] * dt - m
 
     lo = y_start[rows] - 1.0
     hi = y_start[rows] + 1.0

@@ -108,6 +108,42 @@ def test_running_functional_runs_init_update_finish_in_order():
     assert not isinstance(plain.evaluate, RunningFunctional)
 
 
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return np.array_equal(got, want, equal_nan=True) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_linear_bound_form_has_the_bits_of_evaluate(d):
+    # z's norm is taken once when z is bound; the sum keeps evaluate's order
+    f = make_driver("linear:0.5,1.5")
+    assert f.fix_z is not None
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+    rng = np.random.default_rng(d)
+    y = np.concatenate([rng.normal(size=12), special, special[::-1]])
+    z = rng.normal(size=(y.size, d))
+    z[12:17, 0] = special[::-1]
+    z[17:, -1] = special
+    assert _same_bits(f.at(0.25, None, z)(y), f.evaluate(0.25, None, y, z))
+    for yv in [0.7, -0.0, np.nan, np.inf, -np.inf]:
+        for zrow in z[12:]:
+            assert _same_bits(f.at(0.25, None, zrow)(yv), f.evaluate(0.25, None, yv, zrow))
+
+
+def test_bound_form_falls_back_to_evaluate():
+    f = DriverSpec(
+        name="int-valued",
+        evaluate=lambda t, w, y, z: 2 * np.asarray(y) + np.shape(z)[-1],
+        lipschitz_wy=2.0,
+    )
+    z = np.zeros((3, 2))
+    y = np.array([1, -2, 3])
+    got = f.at(0.0, None, z)(y)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, f.evaluate(0.0, None, y, z))
+    assert f.at(0.0, None, z[0])(4).dtype == np.float64
+
+
 def test_average_driver_time_constant_shortcut():
     grid = TimeGrid(horizon=1.0, steps=2)
     f = make_driver("quadratic")

@@ -3,13 +3,14 @@
 import io
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from bsdelattice import solver
+from bsdelattice import drivers, solver
 from bsdelattice.drivers import (
     DriverSpec,
     make_driver,
@@ -288,14 +289,14 @@ def test_bisection_stops_once_the_bracket_stops_moving(monkeypatch):
     bisect = solver._bisect_nodes
     calls = []
 
-    def counted(fv, z, mean, dt, y_start, rows):
+    def counted(fy, mean, dt, y_start, rows):
         n = [0]
 
-        def fv_counted(y, zz):
+        def fv_counted(y):
             n[0] += 1
-            return fv(y, zz)
+            return fy(y)
 
-        out = bisect(fv_counted, z, mean, dt, y_start, rows)
+        out = bisect(fv_counted, mean, dt, y_start, rows)
         calls.append(n[0])
         return out
 
@@ -307,6 +308,35 @@ def test_bisection_stops_once_the_bracket_stops_moving(monkeypatch):
     assert calls and max(calls) <= 80, calls
     for got, ref in zip(sol.Y.slices, want.Y.slices):
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize(
+    "mode, steps, terminal",
+    [("full", 8, "maxpath"), ("recombining", 12, "clipped-endpoint")],
+)
+def test_linear_driver_norms_z_once_per_slice(monkeypatch, mode, steps, terminal):
+    # z is bound once per slice, so its norm is not retaken on each iterate;
+    # the generic bound form (evaluate per call) must give the same bits
+    lat = build_lattice(steps, dim=2, mode=mode)
+    f, phi = make_driver("linear:1,1"), make_terminal(terminal)
+    norm = drivers._norm
+    calls = [0]
+
+    def counted(z):
+        calls[0] += 1
+        return norm(z)
+
+    monkeypatch.setattr(drivers, "_norm", counted)
+    terminal_values(lat, phi)  # maxpath's running max takes norms too
+    in_terminal, calls[0] = calls[0], 0
+    sol = solve_backward(lat, f, phi)
+    assert calls[0] - in_terminal == lat.steps
+    calls[0] = 0
+    generic = solve_backward(lat, replace(f, fix_z=None), phi)
+    assert calls[0] - in_terminal > 2 * lat.steps
+    assert sol.info.iterations_max == generic.info.iterations_max > 2
+    for got, want in zip(sol.Y.slices + sol.Z.slices, generic.Y.slices + generic.Z.slices):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("where", ["Y", "Z"])
