@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import DriverSpec, TerminalFunctional, numeric_conjugate, subgradient
-from .errors import ConvergenceError, OptimizerAdmissibilityError
+from .errors import ConvergenceError, OptimizerAdmissibilityError, StructuralError
 from .lattice import PathLattice
 from .probability import (
     AdaptedProcess,
@@ -35,8 +35,8 @@ from .solver import SolutionTriple, _implicit_step, _write_rows, check_step_size
 from .solver import driver_context, terminal_values
 
 
-def _conjugate_slice(f, t, w_ctx, y, mu, mode):
-    if mode == "auto" and f.analytic_conjugate is not None:
+def _conjugate_slice(f, t, w_ctx, y, mu):
+    if f.analytic_conjugate is not None:
         return np.asarray(f.analytic_conjugate(t, w_ctx, y, mu), dtype=float)
     y_arr = np.broadcast_to(np.asarray(y, dtype=float), mu.shape[:-1])
     out = np.empty(mu.shape[:-1])
@@ -64,18 +64,23 @@ def dual_value(
     control: ControlProcess,
     tol: float = 1e-12,
     max_iter: int = 200,
-    conjugate_mode: str = "auto",
 ) -> AdaptedProcess:
     """Candidate value process for one admissible control, at every node.
 
     One step back solves r = E^mu[R_{i+1} | node] - g(r, mu) dt, g the
     z-conjugate, with the backward solve's fixed point and bisection fallback;
-    ConvergenceError names the slice where both miss tol.
-    conjugate_mode "auto" prefers the driver's closed-form conjugate;
-    "numeric" forces the search-based one (for validating the closed form
-    through an independent route).  A NaN tilted expectation, conjugate or
-    candidate value raises ConvergenceError naming the slice and node.
+    ConvergenceError names the slice where both miss tol.  The driver's
+    closed-form conjugate is used when declared, the search-based one
+    otherwise.  A NaN tilted expectation, conjugate or candidate value raises
+    ConvergenceError naming the slice and node.  A time-dependent driver
+    raises StructuralError: the solve averages it over each step, while the
+    conjugate here is taken at t_{i+1}, so the two would not be dual.
     """
+    if f.time_dependent:
+        raise StructuralError(
+            "dual_value needs a time-constant driver: the solve averages %r over "
+            "each step, but its conjugate is taken at the step's end t_{i+1}" % (f.name,)
+        )
     check_step_size(f, lattice.grid)
     control.check_admissible()
     xi = terminal_values(lattice, phi)
@@ -91,11 +96,11 @@ def dual_value(
         w_ctx = driver_context(lattice, f, i)
         t1 = grid.time(i + 1)
         if f.y_dependence == "none":
-            g = _conjugate_slice(f, t1, w_ctx, np.zeros_like(e_mu), mu, conjugate_mode)
+            g = _conjugate_slice(f, t1, w_ctx, np.zeros_like(e_mu), mu)
             r = e_mu - g * dt
         else:
             r = np.full_like(e_mu, -np.inf)
-            g0 = _conjugate_slice(f, t1, w_ctx, e_mu, mu, conjugate_mode)
+            g0 = _conjugate_slice(f, t1, w_ctx, e_mu, mu)
             _check_no_nan(g0, i, "the conjugate")
             live = np.isfinite(e_mu) & np.isfinite(g0)
             if live.any():
@@ -103,7 +108,7 @@ def dual_value(
                 ml = mu[live]
 
                 def fy(y):
-                    return -_conjugate_slice(f, t1, wl, y, ml, conjugate_mode)
+                    return -_conjugate_slice(f, t1, wl, y, ml)
 
                 el = e_mu[live]
                 r[live] = _implicit_step(fy, el, el - g0[live] * dt, dt, tol, max_iter, i)[0]

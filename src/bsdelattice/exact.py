@@ -192,20 +192,3 @@ def exact_solve(steps: int, dim: int, horizon, driver: str, terminal) -> ExactSo
         dM[i] = dm_here
     return ExactSolution(steps=steps, dim=dim, dt=m, Y=Y, Z=Z, dm=dM)
 
-
-def endpoint_component(k: int = 0):
-    """Terminal functional: component k of the final walk value."""
-
-    def phi(path):
-        return path[-1][k]
-
-    return phi
-
-
-def node_index_for(choices, dim: int) -> int:
-    """Full-path slice index of a choice tuple, matching the lattice layout."""
-    idx = 0
-    base = 2 ** dim
-    for c in choices:
-        idx = idx * base + c
-    return idx

@@ -1,4 +1,4 @@
-"""Bernoulli random-walk lattices and their interpolations.
+"""Bernoulli random-walk lattices.
 
 A lattice carries a d-dimensional random walk with increments +-sqrt(dt) per
 component over a uniform time grid t_i = i*T/N.  Two layouts are supported:
@@ -18,8 +18,8 @@ component over a uniform time grid t_i = i*T/N.  Two layouts are supported:
 
 Values attached to a slice are numpy arrays in node order.  gather_children
 is the one place that turns the layout into per-parent child arrays; every
-backward recursion goes through it.  Nodes are referred to by plain
-(time_index, node_index) pairs.
+backward recursion goes through it.  shifted_grid_samples delays walk paths
+by one grid slot, the w argument of a path-dependent driver.
 """
 
 from __future__ import annotations
@@ -127,21 +127,6 @@ class PathLattice:
     def step_increments(self) -> np.ndarray:
         """(2**d, d) increments of one step: signs * sqrt(dt)."""
         return self.signs * self.grid.sqrt_dt
-
-    def parent_index(self, i: int, k: int) -> int:
-        if self.mode != "full":
-            raise StructuralError("parents are not unique on a recombining lattice")
-        if i < 1:
-            raise StructuralError("the root has no parent")
-        return k // self.n_choices
-
-    def prefix_index(self, i: int, k: int, j: int) -> int:
-        """Index at slice j (<= i) of the path prefix of full-path node (i, k)."""
-        if self.mode != "full":
-            raise StructuralError("path prefixes are not resolvable on a recombining lattice")
-        if not 0 <= j <= i:
-            raise StructuralError("prefix slice %d outside 0..%d" % (j, i))
-        return k // self.n_choices ** (i - j)
 
     def sign_label(self, i: int, k: int) -> str:
         """Human-readable sign prefix of full-path node (i, k), e.g. '(+-,++)'."""
@@ -285,59 +270,7 @@ def gather_children(lattice: PathLattice, i: int, child_values: np.ndarray) -> n
     return np.stack(views, axis=1)
 
 
-# -- interpolations ----------------------------------------------------------
-
-
-def _covering_step(grid: TimeGrid, t: float) -> int:
-    j = int(math.ceil(t / grid.dt - 1e-12))
-    return min(max(j, 1), grid.steps)
-
-
-def interpolate_linear(lattice: PathLattice, node, t: float) -> np.ndarray:
-    """Piecewise-linear interpolation of the walk along a node's path.
-
-    node is a (time_index, node_index) pair on a full-path lattice whose
-    depth covers the interval [t_{j-1}, t_j] containing t.
-    """
-    i, k = node
-    if lattice.mode != "full":
-        raise StructuralError("path values are not resolvable on a recombining lattice")
-    if not 0 <= i <= lattice.steps or not 0 <= k < lattice.node_count(i):
-        raise StructuralError("node (%r, %r) is not on the lattice" % (i, k))
-    T = lattice.grid.horizon
-    if not (-1e-12 <= t <= T + 1e-12):
-        raise TimeDomainError("t=%r outside [0, %r]" % (t, T))
-    t = min(max(t, 0.0), T)
-    if t == 0.0:
-        return np.zeros(lattice.dim)
-    j = _covering_step(lattice.grid, t)
-    if j > i:
-        raise StructuralError(
-            "node at time index %d does not determine the walk on step %d" % (i, j)
-        )
-    kj = lattice.prefix_index(i, k, j)
-    w1 = lattice.walk_slice(j)[kj]
-    w0 = lattice.walk_slice(j - 1)[kj // lattice.n_choices]
-    theta = (t - lattice.grid.time(j - 1)) / lattice.grid.dt
-    return w0 + theta * (w1 - w0)
-
-
-def interpolate_shifted(lattice: PathLattice, node, t: float) -> np.ndarray:
-    """Adapted shift of the linear interpolation: 0 for t <= dt, else value at t - dt.
-
-    The result depends only on increments up to index ceil((t - dt)/dt), so it
-    is known one step ahead of t; drivers are fed this path.
-    """
-    h = lattice.grid.dt
-    T = lattice.grid.horizon
-    if not (-1e-12 <= t <= T + 1e-12):
-        raise TimeDomainError("t=%r outside [0, %r]" % (t, T))
-    if t <= h:
-        i, k = node
-        if not 0 <= i <= lattice.steps or not 0 <= k < lattice.node_count(i):
-            raise StructuralError("node (%r, %r) is not on the lattice" % (i, k))
-        return np.zeros(lattice.dim)
-    return interpolate_linear(lattice, node, t - h)
+# -- driver path samples -----------------------------------------------------
 
 
 def shifted_grid_samples(path: np.ndarray) -> np.ndarray:

@@ -8,8 +8,8 @@ cannot vary across the 2**d children of a node.
 
 The change of measure for a control mu multiplies each one-step transition by
 1 + mu . dW; admissibility is the strict positivity of these weights on every
-edge.  Per-path densities only exist in full-path mode and the measure-change
-operations refuse recombining lattices.
+edge.  The change is applied one step at a time, by tilted_expectation, on
+either layout.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ class AdaptedProcess:
                     "slice %d has %d values for %d nodes"
                     % (i, arr.shape[0], self.lattice.node_count(i))
                 )
-
-    def value(self, node):
-        i, k = node
-        return self.slices[i][k]
 
     def sup_norm(self) -> float:
         """max |value| over all slices; NaN if any value is."""
@@ -106,7 +102,7 @@ def orthogonal_increments(
     return v - v.mean(axis=1)[:, None] - z @ (lattice.signs.T * lattice.grid.sqrt_dt)
 
 
-# -- controls and densities --------------------------------------------------
+# -- controls ----------------------------------------------------------------
 
 
 class ControlProcess:
@@ -171,95 +167,3 @@ class ControlProcess:
     def admissibility_margin(self) -> float:
         """min over all edges of 1 + mu . dW (admissible iff > 0); NaN if any weight is."""
         return float(np.min([self.step_weights(i).min() for i in range(self.lattice.steps)]))
-
-
-def density(control: ControlProcess) -> np.ndarray:
-    """Per-leaf density of P^mu against the walk measure, full-path mode only.
-
-    The product of edge weights along each path; positive with mean one when
-    the control is admissible (checked).
-    """
-    lat = control.lattice
-    if lat.mode != "full":
-        raise StructuralError("per-path densities need a full-path lattice")
-    control.check_admissible()
-    d = np.ones(1)
-    for i in range(lat.steps):
-        d = (d[:, None] * control.step_weights(i)).ravel()
-    return d
-
-
-def conditional_expectation_under(
-    control: ControlProcess, leaf_values: np.ndarray, i: int = 0
-) -> np.ndarray:
-    """E^mu[X | node] for every node at slice i, X given on the leaves.
-
-    Backward accumulation of weight-reweighted one-step means, renormalized by
-    the conditional density mass (which is 1 up to rounding).
-    """
-    lat = control.lattice
-    if lat.mode != "full":
-        raise StructuralError("measure-change expectations need a full-path lattice")
-    if leaf_values.shape != (lat.node_count(lat.steps),):
-        raise StructuralError("leaf values must be a flat slice-%d array" % lat.steps)
-    control.check_admissible()
-    num = np.asarray(leaf_values, dtype=float)
-    mass = np.ones_like(num)
-    for j in range(lat.steps - 1, i - 1, -1):
-        w = control.step_weights(j)
-        num = tilted_expectation(lat, j, num, w)
-        mass = tilted_expectation(lat, j, mass, w)
-    return num / mass
-
-
-def expectation_under_mu(control: ControlProcess, leaf_values: np.ndarray, node=(0, 0)) -> float:
-    """E^mu[X | node] for one node; X given on the leaves."""
-    i, k = node
-    return float(conditional_expectation_under(control, leaf_values, i)[k])
-
-
-@dataclass
-class DriftCheckReport:
-    passed: bool
-    max_deviation: float
-    density_mean: float
-    min_weight: float
-
-    def __str__(self):
-        return (
-            "drifted walk %s: max |E^mu[dW - mu dt | node]| = %.3g, "
-            "density mean %.15g, min edge weight %.3g"
-            % ("martingale" if self.passed else "NOT a martingale",
-               self.max_deviation, self.density_mean, self.min_weight)
-        )
-
-
-def drifted_walk_check(control: ControlProcess, tol: float = 1e-12) -> DriftCheckReport:
-    """Verify W - integral of mu dt is a martingale under P^mu at every node.
-
-    Checks the compensated one-step conditional means under the reweighted
-    kernel, plus density positivity and unit mean.
-    """
-    lat = control.lattice
-    if lat.mode != "full":
-        raise StructuralError("the drifted-walk check needs a full-path lattice")
-    control.check_admissible()
-    inc = lat.step_increments()
-    dt = lat.grid.dt
-    worst = 0.0
-    for i in range(lat.steps):
-        w = control.step_weights(i)
-        mass = w.mean(axis=1)
-        mu = control.process.slices[i]
-        # E^mu[dW^k - mu^k dt | node] for every component
-        comp = (w @ inc) / (lat.n_choices * mass[:, None]) - mu * dt
-        worst = max(worst, float(np.max(np.abs(comp))))
-    dens = density(control)
-    p = lat.slice_probabilities(lat.steps)
-    dmean = float(dens @ p)
-    return DriftCheckReport(
-        passed=bool(worst <= tol and dens.min() > 0.0 and abs(dmean - 1.0) <= 1e-9),
-        max_deviation=worst,
-        density_mean=dmean,
-        min_weight=float(control.admissibility_margin()),
-    )

@@ -16,9 +16,10 @@ makes the implicit equation well-posed node by node.  _implicit_step is the
 one solver of that equation, for the dual candidates too (with the negated
 conjugate for fy): a Banach fixed point with a monotone-bisection fallback.
 
-Also here: the closed-form z bound 2 sqrt(d) (L + K T) exp(K T), the discrete
-Gronwall envelope and its exponential-domination flag, the bound certificate
-combining the two, and a BMO-style tail estimate of the control.
+Also here: the closed-form z bound 2 sqrt(d) (L + K T) exp(K T), its
+certificate at the lattice's step size (an admissibility margin and the
+exponential domination of the discrete Gronwall envelope), and a BMO-style
+tail estimate of the control.
 """
 
 from __future__ import annotations
@@ -342,40 +343,12 @@ def z_bound(L: float, K: float, T: float, d: int) -> float:
     return 2.0 * math.sqrt(d) * (L + K * T) * math.exp(K * T)
 
 
-@dataclass
-class GronwallEnvelope:
-    values: np.ndarray  # on grid times t_0..t_N
-    dominated: bool  # values <= 2 A exp(B (T - t)) everywhere
-    bound_values: np.ndarray
-
-
-def gronwall_envelope(A: float, B: float, grid: TimeGrid) -> GronwallEnvelope:
-    """Backward product envelope X_T = A, X_{t_i} = A prod_{j >= i+2} (1 - B dt_j)^-1.
-
-    Requires B dt < 1.  The dominated flag records whether the envelope stays
-    below twice the exponential A exp(B (T - t)) on the whole grid.
-    """
-    dt = grid.dt
-    if B * dt >= 1.0:
-        raise StepSizeError(
-            "B*dt = %.6g >= 1: envelope product undefined; use N > %g" % (B * dt, B * grid.horizon)
-        )
-    n = grid.steps
-    vals = np.empty(n + 1)
-    vals[n] = A
-    factor = 1.0 / (1.0 - B * dt)
-    # X at t_i multiplies the factors for steps i+2 .. N
-    vals[n - 1] = A
-    for i in range(n - 2, -1, -1):
-        vals[i] = vals[i + 1] * factor
-    bound = 2.0 * A * np.exp(B * (grid.horizon - grid.times))
-    return GronwallEnvelope(
-        values=vals, dominated=bool(np.all(vals <= bound + 1e-15)), bound_values=bound
-    )
-
-
 def _selfref_envelope_dominated(A: float, B: float, grid: TimeGrid) -> bool:
-    """Domination flag for the variant with the step-(i+1) factor included."""
+    """Whether A prod_{j > i} (1 - B dt)^-1 stays below 2 A exp(B (T - t_i)) at every t_i.
+
+    The product is the discrete Gronwall envelope of the z bound; False when
+    B dt >= 1, where it is undefined.
+    """
     dt = grid.dt
     if B * dt >= 1.0:
         return False

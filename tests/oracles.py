@@ -2,13 +2,18 @@
 
 Everything here is deliberately written without the package's array code:
 plain dicts keyed by choice tuples, python floats, itertools enumeration.
-Slow, small, and easy to audit by hand.  The exceptions come at the end:
-two CSV writers that keep the per-row, per-value loops the exporters used
-before they wrote whole blocks of rows; the block writers must match their
-bytes.  The recombining dM column they take from solver._dm_column, whose
-rule has its own brute-force test.  Last, the monotone bisection with its
-fixed 200 halvings, against which the early-stopping one must give the same
-bits.
+Slow, small, and easy to audit by hand.  Among them are the paper's
+continuous-time constructions that the package only ever samples: the
+adapted shifted interpolation of the walk, which a path-dependent driver
+reads at grid times, and the per-path density of P^mu, whose ratios are the
+tilted expectations a dual candidate is built from.
+
+The exceptions come at the end: two CSV writers that keep the per-row,
+per-value loops the exporters used before they wrote whole blocks of rows;
+the block writers must match their bytes.  The recombining dM column they
+take from solver._dm_column, whose rule has its own brute-force test.  Last,
+the monotone bisection with its fixed 200 halvings, against which the
+early-stopping one must give the same bits.
 """
 
 import math
@@ -35,6 +40,34 @@ def walk_path(choices, dim, dt):
 def shifted_samples(path):
     """Driver w argument: path delayed by one grid slot, zero first."""
     return [tuple(0.0 for _ in path[0])] + list(path[:-1])
+
+
+def interpolate_linear(path, dt, t):
+    """Piecewise-linear interpolation at time t of a walk path sampled every dt.
+
+    path holds the walk at grid times 0, dt, ..., its length fixing how far it
+    is known; ValueError when t lies on a step the path does not cover.
+    """
+    if t < -1e-12:
+        raise ValueError("t=%r is negative" % (t,))
+    if t <= 0.0:
+        return tuple(path[0])
+    j = max(int(math.ceil(t / dt - 1e-12)), 1)
+    if j >= len(path):
+        raise ValueError("a path known up to slice %d does not reach t=%r" % (len(path) - 1, t))
+    theta = (t - (j - 1) * dt) / dt
+    return tuple(a + theta * (b - a) for a, b in zip(path[j - 1], path[j]))
+
+
+def interpolate_shifted(path, dt, t):
+    """The adapted shift of the linear interpolation: zero for t <= dt, else its value at t - dt.
+
+    It is known one step ahead of t, which is what a path-dependent driver
+    may read when solving at the step ending at t.
+    """
+    if t <= dt:
+        return tuple(0.0 for _ in path[0])
+    return interpolate_linear(path, dt, t - dt)
 
 
 def brute_solve(steps, dim, horizon, f, phi, tol=1e-15, max_iter=500):
@@ -85,6 +118,30 @@ def node_index(choices, dim):
     for c in choices:
         idx = idx * (2 ** dim) + c
     return idx
+
+
+def leaf_density(choices, mu_slices, dim, dt):
+    """Density of P^mu against the walk measure on one path: prod_j (1 + mu_j . dW_j).
+
+    mu_slices[j] holds one control row per slice-j node, in the lattice's
+    node order; the row at the path's slice-j prefix decides step j+1.
+    """
+    s = math.sqrt(dt)
+    dens = 1.0
+    for j, c in enumerate(choices):
+        mu = mu_slices[j][node_index(choices[:j], dim)]
+        dens *= 1.0 + sum(float(mu[k]) * sg * s for k, sg in enumerate(signs(c, dim)))
+    return dens
+
+
+def expectation_under(values_by_node, density_by_node, node, steps, dim):
+    """E^mu[xi | node] as the density-weighted mean over the leaves below node."""
+    num = mass = 0.0
+    for tail in product(range(2 ** dim), repeat=steps - len(node)):
+        leaf = tuple(node) + tail
+        num += density_by_node[leaf] * values_by_node[leaf]
+        mass += density_by_node[leaf]
+    return num / mass
 
 
 def conditional_mean(values_by_node, node, steps, dim):

@@ -1,12 +1,20 @@
 """Dual candidates, subgradient controls, and gap reports."""
 
+import dataclasses
 import io
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
-from bsdelattice.drivers import make_driver, make_terminal, scale_terminal, shift_terminal
+from bsdelattice.drivers import (
+    DriverSpec,
+    make_driver,
+    make_terminal,
+    scale_terminal,
+    shift_terminal,
+)
 from bsdelattice.duality import (
     comparison_minimum,
     dual_value,
@@ -20,6 +28,7 @@ from bsdelattice.errors import (
     AdmissibilityError,
     ConvergenceError,
     OptimizerAdmissibilityError,
+    StructuralError,
 )
 from bsdelattice.lattice import build_lattice
 from bsdelattice.probability import ControlProcess, left_process, predictable_process
@@ -125,10 +134,57 @@ def test_numeric_conjugate_route_closes_gap():
     phi = scale_terminal(make_terminal("endpoint"), 0.25)
     sol = solve_backward(lat, f, phi)
     control = optimal_control(sol, f)
-    cand = dual_value(lat, f, phi, control, conjugate_mode="numeric")
+    # without a closed form the dual takes the search-based conjugate
+    cand = dual_value(lat, dataclasses.replace(f, analytic_conjugate=None), phi, control)
     rep = duality_gap(sol, cand, control)
     assert rep.min_gap >= -1e-6
     assert abs(rep.root_gap) <= 1e-6
+
+
+@pytest.mark.parametrize("steps,dim", [(6, 1), (4, 2)])
+def test_abs_dual_is_the_density_ratio_expectation(steps, dim):
+    # |mu| <= 1 makes the abs conjugate 0, so the candidate is E^mu[xi | node],
+    # here against ratios of per-path densities summed over the leaves
+    lat, f, phi, _ = _solve("abs", "maxpath", steps, dim)
+    dt = lat.grid.dt
+    rng = np.random.default_rng(17)
+    paths = list(product(range(2 ** dim), repeat=steps))
+    xi = {leaf: max(math.hypot(*p) for p in oracles.walk_path(leaf, dim, dt)) for leaf in paths}
+    for _ in range(4):
+        control = random_admissible_control(lat, rng, cap=1.0 / math.sqrt(dim))
+        cand = dual_value(lat, f, phi, control)
+        dens = {
+            leaf: oracles.leaf_density(leaf, control.process.slices, dim, dt) for leaf in paths
+        }
+        worst = 0.0
+        for i in range(steps + 1):
+            for node in product(range(2 ** dim), repeat=i):
+                want = oracles.expectation_under(xi, dens, node, steps, dim)
+                got = cand.slices[i][oracles.node_index(node, dim)]
+                worst = max(worst, abs(got - want))
+        assert worst <= 1e-13
+
+
+def test_time_dependent_driver_is_refused():
+    # f = (1+t)|z|^2/2 is convex, but the solve averages it over each step
+    # while the dual would take its conjugate at t_{i+1}: at the subgradient
+    # tilt that dual reads 0.78125 over the primal root 0.75
+    f = DriverSpec(
+        name="(1+t)|z|^2/2",
+        evaluate=lambda t, w, y, z: 0.5 * (1.0 + t) * np.sum(np.asarray(z) ** 2, axis=-1),
+        lipschitz_wy=0.0,
+        analytic_conjugate=lambda t, w, y, mu: np.sum(np.asarray(mu) ** 2, axis=-1)
+        / (2.0 * (1.0 + t)),
+        analytic_subgradient=lambda t, w, y, z: (1.0 + t) * np.asarray(z, dtype=float),
+        time_dependent=True,
+    )
+    lat = build_lattice(8, dim=1)
+    phi = make_terminal("endpoint")
+    sol = solve_backward(lat, f, phi)
+    assert sol.y0 == pytest.approx(0.75, abs=1e-12)
+    control = optimal_control(sol, f)
+    with pytest.raises(StructuralError, match="time-constant driver"):
+        dual_value(lat, f, phi, control)
 
 
 def test_unbounded_conjugate_floods_candidate_with_minus_inf():

