@@ -43,7 +43,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GridError, QuadratureError, ValidationError
-from .lattice import ConditionCheck, ConditionReport, TimeGrid
+from .lattice import ConditionCheck, ConditionReport, TimeGrid, _sum_columns
 
 _UNBOUNDED_DOUBLINGS = 3
 
@@ -139,8 +139,13 @@ def _then(evaluate: Callable, post: Callable) -> Callable:
 # -- catalogs ----------------------------------------------------------------
 
 
+def _sq_norm(z):
+    """|z|^2 over the last axis, with the bits of np.sum(z ** 2, axis=-1)."""
+    return _sum_columns(np.asarray(z, dtype=float) ** 2)
+
+
 def _norm(z):
-    return np.sqrt(np.sum(np.asarray(z, dtype=float) ** 2, axis=-1))
+    return np.sqrt(_sq_norm(z))
 
 
 def _zeros_like_yz(y, z):
@@ -192,7 +197,16 @@ def linear_driver(a: float, b: float) -> DriverSpec:
 
     def fix_z(t, w, z):
         n = _norm(z)
-        return lambda y: a + b * (np.abs(y) + n)
+
+        def fy(y):
+            # a + b * (|y| + n), in place on the one new array
+            out = np.abs(y, dtype=float)
+            out += n
+            out *= b
+            out += a
+            return out
+
+        return fy
 
     return DriverSpec(
         name="linear:%g,%g" % (a, b),
@@ -213,7 +227,7 @@ def linear_driver(a: float, b: float) -> DriverSpec:
 def quadratic_driver() -> DriverSpec:
     return DriverSpec(
         name="quadratic",
-        evaluate=lambda t, w, y, z: 0.5 * np.sum(np.asarray(z, dtype=float) ** 2, axis=-1),
+        evaluate=lambda t, w, y, z: 0.5 * _sq_norm(z),
         lipschitz_wy=0.0,
         zero_bound=0.0,
         z_lipschitz=lambda a: a,
@@ -226,14 +240,14 @@ def quadratic_driver() -> DriverSpec:
 def quartic_driver() -> DriverSpec:
     return DriverSpec(
         name="quartic",
-        evaluate=lambda t, w, y, z: np.sum(np.asarray(z, dtype=float) ** 2, axis=-1) ** 2,
+        evaluate=lambda t, w, y, z: _sq_norm(z) ** 2,
         lipschitz_wy=0.0,
         zero_bound=0.0,
         z_lipschitz=lambda a: 4.0 * a ** 3,
         lower_bound=lambda c: 0.0,
         analytic_conjugate=lambda t, w, y, mu: 3.0 * (_norm(mu) / 4.0) ** (4.0 / 3.0),
         analytic_subgradient=lambda t, w, y, z: 4.0
-        * np.sum(np.asarray(z, dtype=float) ** 2, axis=-1)[..., None]
+        * _sq_norm(z)[..., None]
         * np.asarray(z, dtype=float),
     )
 
@@ -471,7 +485,7 @@ def numeric_conjugate(f: DriverSpec, t, w, y, mu) -> float:
     def objective(z):
         return float(np.dot(z, mu)) - float(f.evaluate(t, w, y, z))
 
-    radius = 1.0 + float(np.sqrt(np.sum(mu ** 2)))
+    radius = 1.0 + float(_norm(mu))
     doublings = 0
     best_boundary = -np.inf
     while True:
@@ -549,7 +563,7 @@ def subgradient(
     if f.analytic_subgradient is not None:
         mu = np.asarray(f.analytic_subgradient(t, w, y, z), dtype=float).reshape(-1)
     else:
-        h = 1e-6 * (1.0 + float(np.sqrt(np.sum(z ** 2))))
+        h = 1e-6 * (1.0 + float(_norm(z)))
         mu = np.empty_like(z)
         for k in range(z.shape[0]):
             zp = z.copy()
@@ -670,7 +684,7 @@ def verify_driver_properties(f: DriverSpec, plan: SamplingPlan = SamplingPlan())
         for j in range(n):
             z1, z2 = zs[j, 0], zs[j, 1]
             gap = abs(ev(ts[j], ws[j], ys[j, 0], z1) - ev(ts[j], ws[j], ys[j, 0], z2))
-            margins.append(gap - b * float(np.sqrt(np.sum((z1 - z2) ** 2))))
+            margins.append(gap - b * float(_norm(z1 - z2)))
         worst = np.max(margins, initial=-np.inf)
         rep.checks.append(
             ConditionCheck(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .drivers import DriverSpec, TerminalFunctional, numeric_conjugate, subgradient
 from .errors import ConvergenceError, OptimizerAdmissibilityError, StructuralError
-from .lattice import PathLattice
+from .lattice import PathLattice, _sum_columns
 from .probability import (
     AdaptedProcess,
     ControlProcess,
@@ -107,11 +107,15 @@ def dual_value(
                 wl = None if w_ctx is None else w_ctx[live]
                 ml = mu[live]
 
-                def fy(y):
-                    return -_conjugate_slice(f, t1, wl, y, ml)
+                def fy_rows(rows):
+                    w_rows = None if wl is None else wl[rows]
+                    m_rows = ml[rows]
+                    return lambda y: -_conjugate_slice(f, t1, w_rows, y, m_rows)
 
+                fy = fy_rows(slice(None))
                 el = e_mu[live]
-                r[live] = _implicit_step(fy, el, el - g0[live] * dt, dt, tol, max_iter, i)[0]
+                first = el - g0[live] * dt
+                r[live] = _implicit_step(fy, fy_rows, el, first, dt, tol, max_iter, i)[0]
         _check_no_nan(r, i, "the candidate value")
         slices[i] = r
         r_next = r
@@ -145,7 +149,7 @@ def optimal_control(sol: SolutionTriple, f: DriverSpec) -> ControlProcess:
     control = ControlProcess(predictable_process(lat, slices))
     margin = control.admissibility_margin()
     if margin <= 0.0:
-        worst_l1 = max(float(np.max(np.abs(s).sum(axis=1))) for s in slices)
+        worst_l1 = max(float(np.max(_sum_columns(np.abs(s)))) for s in slices)
         required = int(math.floor(grid.horizon * worst_l1 * worst_l1)) + 1
         raise OptimizerAdmissibilityError(
             "subgradient control drives a one-step weight to %.3g <= 0; "

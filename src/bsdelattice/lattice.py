@@ -18,8 +18,12 @@ component over a uniform time grid t_i = i*T/N.  Two layouts are supported:
 
 Values attached to a slice are numpy arrays in node order.  gather_children
 is the one place that turns the layout into per-parent child arrays; every
-backward recursion goes through it.  shifted_grid_samples delays walk paths
-by one grid slot, the w argument of a path-dependent driver.
+backward recursion goes through it.  On the recombining layout it copies the
+2**d shifted grid slices of slice i+1 into one preallocated block.
+_sum_columns adds such a block's choices (or a vector's components) in
+numpy's own reduction order, so one-step means keep the bits of .mean(axis=1)
+without a reduction call over a short axis.  shifted_grid_samples delays walk
+paths by one grid slot, the w argument of a path-dependent driver.
 """
 
 from __future__ import annotations
@@ -102,6 +106,13 @@ class PathLattice:
         self.n_choices = 2 ** dim
         self.signs = sign_matrix(dim)
         self.signs.setflags(write=False)
+        # one-step projection weights: z = block @ z_weights, dW = z @ dw_weights
+        self.z_weights = self.signs / (self.n_choices * grid.sqrt_dt)
+        self.z_weights.setflags(write=False)
+        self.dw_weights = self.signs.T * grid.sqrt_dt
+        self.dw_weights.setflags(write=False)
+        # down steps per component of each choice, the grid offset of its children
+        self._downs = tuple(tuple(int(b) for b in row) for row in self.signs < 0)
         self._walk_cache: dict = {}
         self._prob_cache: dict = {}
         self._leaf_paths = None
@@ -250,24 +261,48 @@ def build_lattice(
 def gather_children(lattice: PathLattice, i: int, child_values: np.ndarray) -> np.ndarray:
     """(n_i, 2**d, ...) slice-(i+1) values arranged per parent, choices in sign-row order.
 
-    Full-path mode returns a reshape view of the contiguous child blocks;
-    recombining mode stacks the 2**d shifted (i+1)**d views of the slice-(i+1)
-    grid, the one under choice c offset by its down steps.
+    Full-path mode returns a reshape view of the contiguous child blocks.
+    Recombining mode copies the 2**d shifted (i+1)**d slices of the
+    slice-(i+1) grid, the one under choice c offset by its down steps, into
+    one new C-contiguous block of child_values' dtype.
     """
-    if child_values.shape[0] != lattice.node_count(i + 1):
+    n_next = lattice.node_count(i + 1)
+    if child_values.shape[0] != n_next:
         raise StructuralError(
-            "expected %d values on slice %d, got %d"
-            % (lattice.node_count(i + 1), i + 1, child_values.shape[0])
+            "expected %d values on slice %d, got %d" % (n_next, i + 1, child_values.shape[0])
         )
-    n, rest = lattice.node_count(i), child_values.shape[1:]
+    rest = child_values.shape[1:]
     if lattice.mode == "full":
-        return child_values.reshape((n, lattice.n_choices) + rest)
+        return child_values.reshape((-1, lattice.n_choices) + rest)
     grid = child_values.reshape((i + 2,) * lattice.dim + rest)
-    views = [
-        grid[tuple(slice(down, down + i + 1) for down in downs)].reshape((n,) + rest)
-        for downs in (lattice.signs < 0).astype(int)
-    ]
-    return np.stack(views, axis=1)
+    out = np.empty(((i + 1) ** lattice.dim, lattice.n_choices) + rest, dtype=child_values.dtype)
+    per_choice = out.reshape((i + 1,) * lattice.dim + (lattice.n_choices,) + rest)
+    lead = (slice(None),) * lattice.dim
+    for c, downs in enumerate(lattice._downs):
+        per_choice[lead + (c,)] = grid[tuple(slice(down, down + i + 1) for down in downs)]
+    return out
+
+
+def _sum_columns(v: np.ndarray) -> np.ndarray:
+    """v.sum(axis=-1) of a float array, bit for bit, as whole-column adds.
+
+    numpy sums a row of k <= 8 entries from 0.0: in sequence for k < 8, as
+    the pairwise tree ((v0+v1)+(v2+v3))+((v4+v5)+(v6+v7)) for k = 8 when the
+    last axis has the smallest stride.  Adding the k columns in that order
+    gives the same bits (signed zeros, infinities and NaN included) without
+    a reduction call over a short axis.  Other shapes fall back to numpy.
+    """
+    k = v.shape[-1]
+    if 0 < k < 8:
+        s = v[..., 0] + 0.0
+        for j in range(1, k):
+            s += v[..., j]
+        return s
+    step = abs(v.strides[-1])
+    if k == 8 and all(step < abs(st) for st, m in zip(v.strides[:-1], v.shape[:-1]) if m > 1):
+        c = [v[..., j] for j in range(8)]
+        return 0.0 + (((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7])))
+    return v.sum(axis=-1)
 
 
 # -- driver path samples -----------------------------------------------------

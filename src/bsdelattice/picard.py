@@ -29,7 +29,7 @@ import numpy as np
 
 from .drivers import DriverSpec, TerminalFunctional
 from .errors import ConvergenceError, StructuralError
-from .lattice import PathLattice
+from .lattice import PathLattice, _sum_columns
 from .probability import (
     left_process,
     martingale_projection,
@@ -128,7 +128,7 @@ def iteration_distance(lattice: PathLattice, old: PicardState, new: PicardState)
     dy = float(np.max([np.max(np.abs(a - b)) for a, b in zip(old.Y, new.Y)]))
     acc = np.zeros(1)
     for i in range(lattice.steps):
-        dz2 = ((old.Z[i] - new.Z[i]) ** 2).sum(axis=1) * dt
+        dz2 = _sum_columns((old.Z[i] - new.Z[i]) ** 2) * dt
         acc = np.repeat(acc + dz2, nch)
     dz = float(np.sqrt(np.max(acc))) if lattice.steps else 0.0
     cum = np.zeros(1)

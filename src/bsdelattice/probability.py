@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, GridError, StructuralError
-from .lattice import PathLattice, gather_children
+from .lattice import PathLattice, _sum_columns, gather_children
 
 
 @dataclass
@@ -62,31 +62,49 @@ def predictable_process(lattice, slices) -> AdaptedProcess:
 # -- one-step conditional expectations ---------------------------------------
 
 
+def _choice_mean(v: np.ndarray) -> np.ndarray:
+    """v.mean(axis=1) of gathered (n_i, 2**d, ...) children, bit for bit.
+
+    The choices are added column by column in numpy's reduction order
+    (lattice._sum_columns) and the sum divided by 2**d, as numpy's mean does.
+    """
+    if v.ndim > 2:
+        v = np.moveaxis(v, 1, -1)
+    return _sum_columns(v) / v.shape[-1]
+
+
 def conditional_expectation(lattice: PathLattice, i: int, child_values: np.ndarray) -> np.ndarray:
-    """E[X | node] over one step: slice-(i+1) values down to slice i."""
-    return gather_children(lattice, i, child_values).mean(axis=1)
+    """E[X | node] over one step: slice-(i+1) values down to slice i.
+
+    The 2**d gathered children are added in numpy's reduction order, so the
+    mean has the bits of .mean(axis=1) over the choices.
+    """
+    return _choice_mean(gather_children(lattice, i, child_values))
 
 
 def tilted_expectation(
     lattice: PathLattice, i: int, child_values: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """One-step mean of slice-(i+1) values reweighted by the (n_i, 2**d) edge weights."""
-    return (gather_children(lattice, i, child_values) * weights).mean(axis=1)
+    """One-step mean of slice-(i+1) values reweighted by the (n_i, 2**d) edge weights.
+
+    Summed over the choices like conditional_expectation.
+    """
+    return _choice_mean(gather_children(lattice, i, child_values) * weights)
 
 
 def martingale_projection(lattice: PathLattice, i: int, child_values: np.ndarray):
     """Project slice-(i+1) scalar values onto their mean and walk part.
 
-    Returns (mean, z) with mean shape (n_i,) and z shape (n_i, d) the
-    conditional covariation with the increments divided by dt.  What is left
-    over per edge is orthogonal_increments(lattice, i, child_values, z).
+    Returns (mean, z) with mean shape (n_i,), as conditional_expectation
+    gives it, and z shape (n_i, d) the conditional covariation with the
+    increments divided by dt, a BLAS product of the contiguous child block
+    with lattice.z_weights.  What is left over per edge is
+    orthogonal_increments(lattice, i, child_values, z).
     """
     v = gather_children(lattice, i, child_values)
     if v.ndim != 2:
         raise StructuralError("martingale projection expects scalar slice values")
-    mean = v.mean(axis=1)
-    z = v @ (lattice.signs / (lattice.n_choices * lattice.grid.sqrt_dt))
-    return mean, z
+    return _choice_mean(v), v @ lattice.z_weights
 
 
 def orthogonal_increments(
@@ -99,7 +117,9 @@ def orthogonal_increments(
     zero and is conditionally orthogonal to every increment component.
     """
     v = gather_children(lattice, i, child_values)
-    return v - v.mean(axis=1)[:, None] - z @ (lattice.signs.T * lattice.grid.sqrt_dt)
+    out = v - _choice_mean(v)[:, None]
+    out -= z @ lattice.dw_weights
+    return out
 
 
 # -- controls ----------------------------------------------------------------

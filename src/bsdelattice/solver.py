@@ -32,9 +32,10 @@ import numpy as np
 
 from .drivers import DriverSpec, RunningFunctional, TerminalFunctional, average_driver
 from .errors import ConvergenceError, StepSizeError, StructuralError
-from .lattice import PathLattice, TimeGrid, gather_children, shifted_grid_samples
+from .lattice import PathLattice, TimeGrid, _sum_columns, gather_children, shifted_grid_samples
 from .probability import (
     AdaptedProcess,
+    _choice_mean,
     conditional_expectation,
     left_process,
     martingale_projection,
@@ -89,7 +90,7 @@ class SolutionTriple:
         return left_process(self.lattice, slices)
 
     def z_sup(self) -> float:
-        return float(np.max([np.max(np.sqrt((s ** 2).sum(axis=1))) for s in self.Z.slices]))
+        return float(np.max([np.sqrt(_sum_columns(s ** 2)).max() for s in self.Z.slices]))
 
 
 def terminal_values(lattice: PathLattice, phi: TerminalFunctional) -> np.ndarray:
@@ -131,20 +132,27 @@ def driver_context(lattice: PathLattice, f: DriverSpec, i: int):
 
 
 def _slice_driver(lattice: PathLattice, f: DriverSpec, i: int):
-    """The step-i average driver as a binder z -> (y -> fhat as a float array), w fixed.
+    """The step-i average driver as a binder (z, rows) -> (y -> fhat as a float array).
 
-    A time-constant driver binds through its bound form f.at(t_{i+1}, w, z),
-    so its z-only work runs once per bound z; a time-dependent one is averaged
-    over the step (composite Simpson) on every call of the bound function.
+    The binder fixes z and the slice's w; with rows it keeps only those
+    nodes of both, so the bound function takes y on the rows alone.  A
+    time-constant driver binds through its bound form f.at(t_{i+1}, w, z),
+    so its z-only work runs once per bound z; a time-dependent one is
+    averaged over the step (composite Simpson) on every call of the bound
+    function.
     """
     grid = lattice.grid
     w_ctx = driver_context(lattice, f, i)
-    if not f.time_dependent:
-        t1 = grid.time(i + 1)
-        return lambda z: f.at(t1, w_ctx, z)
+    t1 = grid.time(i + 1)
 
-    def bind(z):
-        return lambda y: np.asarray(average_driver(f, grid, i, w_ctx, y, z), dtype=float)
+    def bind(z, rows=None):
+        w = w_ctx
+        if rows is not None:
+            z = z[rows]
+            w = None if w is None else w[rows]
+        if not f.time_dependent:
+            return f.at(t1, w, z)
+        return lambda y: np.asarray(average_driver(f, grid, i, w, y, z), dtype=float)
 
     return bind
 
@@ -189,10 +197,11 @@ def solve_backward(
     y_next = xi
     for i in range(grid.steps - 1, -1, -1):
         mean, z = martingale_projection(lattice, i, y_next)
-        fy = _slice_driver(lattice, f, i)(z)
+        bind = _slice_driver(lattice, f, i)
+        fy = bind(z)
         n_iter = 1 if f.y_dependence == "none" else max_iter  # y-free: iterate 1 is exact
         y, iters, bisected, rmax = _implicit_step(
-            fy, mean, mean + fy(mean) * dt, dt, tol, n_iter, i
+            fy, lambda rows: bind(z, rows), mean, mean + fy(mean) * dt, dt, tol, n_iter, i
         )
         info.iterations_max = max(info.iterations_max, iters)
         info.bisection_nodes += bisected
@@ -209,31 +218,37 @@ def solve_backward(
     )
 
 
-def _implicit_step(fy, mean, y, dt, tol, max_iter, i):
+def _implicit_step(fy, fy_rows, mean, y, dt, tol, max_iter, i):
     """Solve y = mean + fy(y) dt nodewise at slice i from the first iterate y.
 
-    fy is the slice's driver with z (and w) bound, a function of y alone.
-    Fixed point until a step is at most tol/4 or max_iter iterates are made,
-    then bisection on the nodes whose residual |y - fy(y) dt - mean| is
-    above tol; ConvergenceError names slice i if that misses tol too.  Returns
-    (y, iterations, bisected nodes, worst residual), a NaN residual included.
-    The array of the first iterate may be overwritten.
+    fy is the slice's driver with z (and w) bound, a function of y alone;
+    fy_rows(rows) is the same driver bound to the given nodes only.  Fixed
+    point until a step is at most tol/4 or max_iter iterates are made, then
+    bisection on the nodes whose residual |y - fy(y) dt - mean| is above tol;
+    ConvergenceError names slice i if that misses tol too.  Returns (y,
+    iterations, bisected nodes, worst residual), a NaN residual included.
+    The array of the first iterate may be overwritten; arrays fy returns are
+    only read.
     """
     iters = 1
+    nxt = np.empty_like(y)
+    diff = np.empty_like(y)
     while iters < max_iter:
-        y_new = mean + fy(y) * dt
+        np.multiply(fy(y), dt, out=nxt)
+        np.add(mean, nxt, out=nxt)
         iters += 1
-        step = float(np.max(np.abs(y_new - y)))
-        y = y_new
+        np.subtract(nxt, y, out=diff)
+        step = np.abs(diff, out=diff).max()
+        y, nxt = nxt, y
         if step <= 0.25 * tol:
             break
-    resid = np.abs(y - fy(y) * dt - mean)
+    resid = _residual(fy(y), mean, y, dt, diff)
     rmax = float(resid.max())
     if not rmax > tol:
         return y, iters, 0, rmax
     bad = np.flatnonzero(resid > tol)
-    y[bad] = _bisect_nodes(fy, mean, dt, y, bad)
-    rmax = float(np.abs(y - fy(y) * dt - mean).max())
+    y[bad] = _bisect_nodes(fy_rows(bad), mean, dt, y, bad)
+    rmax = float(_residual(fy(y), mean, y, dt, diff).max())
     if rmax > tol:
         raise ConvergenceError(
             "implicit step at slice %d failed to reach tol=%.3g "
@@ -244,20 +259,28 @@ def _implicit_step(fy, mean, y, dt, tol, max_iter, i):
     return y, iters, bad.size, rmax
 
 
+def _residual(fv, mean, y, dt, out):
+    """|y - fv dt - mean| into out."""
+    np.multiply(fv, dt, out=out)
+    np.subtract(y, out, out=out)
+    np.subtract(out, mean, out=out)
+    return np.abs(out, out=out)
+
+
 def _bisect_nodes(fy, mean, dt, y_start, rows):
     """Monotone bisection for y - fy(y) dt = mean on the given rows.
 
-    The map y -> y - fy(y) dt is strictly increasing under K dt < 1, so a
-    sign change brackets the unique root; brackets expand geometrically from
-    the fixed-point iterate.  Halving stops once a pass leaves both bracket
-    ends unchanged, since every later pass would repeat it.
+    fy is the driver bound to the rows: it takes and returns values on the
+    rows alone.  The map y -> y - fy(y) dt is strictly increasing under
+    K dt < 1, so a sign change brackets the unique root; brackets expand
+    geometrically from the fixed-point iterate.  Halving stops once a pass
+    leaves both bracket ends unchanged, since every later pass would repeat
+    it.
     """
     m = mean[rows]
 
     def h(yv):
-        full = y_start.copy()
-        full[rows] = yv
-        return yv - fy(full)[rows] * dt - m
+        return yv - fy(yv) * dt - m
 
     lo = y_start[rows] - 1.0
     hi = y_start[rows] + 1.0
@@ -321,9 +344,9 @@ def solution_residuals(sol: SolutionTriple, f: DriverSpec, phi: TerminalFunction
         fv = _slice_driver(lat, f, i)(z)(y)
         resid = v - y[:, None] + (fv * dt)[:, None] - z @ inc.T - dm
         worst.append(np.max(np.abs(resid)))
-        dm_mean.append(np.max(np.abs(dm.mean(axis=1))))
+        dm_mean.append(np.max(np.abs(_choice_mean(dm))))
         for k in range(lat.dim):
-            dm_orth.append(np.max(np.abs((dm * inc[None, :, k]).mean(axis=1))))
+            dm_orth.append(np.max(np.abs(_choice_mean(dm * inc[None, :, k]))))
     xi = terminal_values(lat, phi)
     term = float(np.max(np.abs(sol.Y.slices[-1] - xi)))
     # numpy folds: a NaN anywhere reaches the report and fails it
@@ -400,7 +423,7 @@ def bmo_estimate(sol: SolutionTriple) -> float:
     tail = np.zeros(lat.node_count(lat.steps))
     worst = 0.0
     for i in range(lat.steps - 1, -1, -1):
-        z2 = (sol.Z.slices[i] ** 2).sum(axis=1)
+        z2 = _sum_columns(sol.Z.slices[i] ** 2)
         tail = z2 * dt + conditional_expectation(lat, i, tail)
         worst = float(np.maximum(worst, tail.max()))
     return worst

@@ -217,13 +217,14 @@ def first_difference(got, want):
 
 
 def bisect_nodes_fixed_halvings(fy, mean, dt, y_start, rows):
-    """solver._bisect_nodes as it was before it stopped early: always 200 halvings."""
+    """solver._bisect_nodes as it was before it stopped early: always 200 halvings.
+
+    fy is the driver bound to the rows, as solver._bisect_nodes takes it.
+    """
     m = mean[rows]
 
     def h(yv):
-        full = y_start.copy()
-        full[rows] = yv
-        return yv - fy(full)[rows] * dt - m
+        return yv - fy(yv) * dt - m
 
     lo = y_start[rows] - 1.0
     hi = y_start[rows] + 1.0

@@ -9,6 +9,7 @@ from bsdelattice.errors import BudgetError, StructuralError, TimeDomainError
 from bsdelattice.lattice import (
     DEFAULT_LEAF_BUDGET,
     TimeGrid,
+    _sum_columns,
     build_lattice,
     gather_children,
     shifted_grid_samples,
@@ -210,6 +211,72 @@ def test_walk_conditions_exact_rational_oracle():
     for _ in range(2 ** dim):
         total += Fraction(1, 2 ** dim) * Fraction(1, steps)  # (+-sqrt(dt))^2 = dt exactly
     assert total == Fraction(1, steps)
+
+
+def gather_children_by_index(lat, i, child_values):
+    """Oracle: child of grid point m under choice c is point m + downs(c) of slice i+1."""
+    side = (i + 1,) * lat.dim
+    out = []
+    for k in range(lat.node_count(i)):
+        m = np.unravel_index(k, side)
+        row = []
+        for signs in lat.signs:
+            point = tuple(int(a + (s < 0)) for a, s in zip(m, signs))
+            row.append(child_values[np.ravel_multi_index(point, (i + 2,) * lat.dim)])
+        out.append(row)
+    return np.array(out, dtype=child_values.dtype)
+
+
+@pytest.mark.parametrize("dim, steps", [(1, 7), (2, 5), (3, 4)])
+def test_recombining_gather_equals_index_oracle(dim, steps):
+    lat = build_lattice(steps, dim=dim, mode="recombining")
+    for i in range(steps):
+        n_next = lat.node_count(i + 1)
+        ids = gather_children(lat, i, np.arange(n_next))
+        want = gather_children_by_index(lat, i, np.arange(n_next))
+        # the integer ids keep their dtype: _dm_column indexes with them
+        assert ids.dtype == np.arange(1).dtype and ids.flags.c_contiguous
+        assert ids.shape == (lat.node_count(i), lat.n_choices)
+        assert np.array_equal(ids, want)
+        # trailing axes ride along, as walk slices (n, d) do
+        walk = lat.walk_slice(i + 1)
+        got = gather_children(lat, i, walk)
+        assert got.flags.c_contiguous and got.shape == (lat.node_count(i), lat.n_choices, dim)
+        assert got.tobytes() == gather_children_by_index(lat, i, walk).tobytes()
+
+
+def _sum_rows(k, rng):
+    """(n, k) rows with signed zeros, infinities, NaN, subnormals and huge values."""
+    specials = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308]
+    v = rng.standard_normal((400, k)) * 10.0 ** rng.integers(-30, 30, (400, k))
+    mask = rng.random((400, k)) < 0.3
+    v[mask] = rng.choice(specials, int(mask.sum()))
+    v[:20] = -0.0
+    v[20:40] = rng.choice([0.0, -0.0], (20, k))
+    v[40:60] = rng.choice([1e308, -1e308, 5e-324], (20, k))
+    return v
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_column_sum_has_numpys_reduction_bits(k):
+    # pins the reduction order the one-step means rely on: a numpy that
+    # reorders its short-axis sums fails here, not in a CSV digest
+    v = _sum_rows(k, np.random.default_rng(k))
+    wide = np.repeat(v[:, :, None], 3, axis=2)
+    layouts = {
+        "contiguous block": v,
+        # the full layout's reshape view of a (n * k, 3) slice, one column of it
+        "strided view": wide.reshape(-1, 3).reshape(v.shape[0], k, 3)[:, :, 1],
+        "column-major": np.asfortranarray(v),
+    }
+    with np.errstate(invalid="ignore", over="ignore"):
+        for name, a in layouts.items():
+            got = _sum_columns(a)
+            assert got.tobytes() == a.sum(axis=1).tobytes(), name
+            assert (got / k).tobytes() == a.mean(axis=1).tobytes(), name
+            assert _sum_columns(a[7]).tobytes() == a[7].sum().tobytes(), name
+        # the -0.0 rows are where a sum without numpy's leading 0.0 differs
+        assert not np.signbit(_sum_columns(v[:20])).any()
 
 
 def test_walk_conditions_catch_corruption():

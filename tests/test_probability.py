@@ -6,7 +6,7 @@ import pytest
 
 from bsdelattice.drivers import make_driver, make_terminal
 from bsdelattice.errors import AdmissibilityError, StructuralError
-from bsdelattice.lattice import build_lattice
+from bsdelattice.lattice import build_lattice, gather_children
 from bsdelattice.probability import (
     AdaptedProcess,
     ControlProcess,
@@ -30,6 +30,36 @@ def test_process_shapes_validated():
         left_process(lat, [np.zeros(1), np.zeros(2)])
     with pytest.raises(StructuralError):
         left_process(lat, [np.zeros(1), np.zeros(3), np.zeros(4)])
+
+
+@pytest.mark.parametrize(
+    "mode, steps, dim",
+    [("full", 4, 1), ("full", 3, 2), ("full", 2, 3), ("recombining", 9, 1),
+     ("recombining", 6, 2), ("recombining", 4, 3)],
+)
+def test_one_step_means_have_the_bits_of_numpy_reductions(mode, steps, dim):
+    # the column-by-column means against the formulas they replaced
+    rng = np.random.default_rng(steps * dim)
+    lat = build_lattice(steps, dim=dim, mode=mode)
+    signs, sq = lat.signs, lat.grid.sqrt_dt
+    for i in range(steps):
+        n_next = lat.node_count(i + 1)
+        v = rng.normal(size=n_next) * 10.0 ** rng.integers(-8, 8, n_next)
+        v[rng.random(n_next) < 0.2] = -0.0
+        kids = gather_children(lat, i, v)
+        mean, z = martingale_projection(lat, i, v)
+        assert mean.tobytes() == kids.mean(axis=1).tobytes()
+        assert z.tobytes() == (kids @ (signs / (lat.n_choices * sq))).tobytes()
+        assert conditional_expectation(lat, i, v).tobytes() == mean.tobytes()
+        w = 1.0 + rng.uniform(-0.5, 0.5, kids.shape)
+        assert tilted_expectation(lat, i, v, w).tobytes() == (kids * w).mean(axis=1).tobytes()
+        dm = orthogonal_increments(lat, i, v, z)
+        want = kids - kids.mean(axis=1)[:, None] - z @ (signs.T * sq)
+        assert dm.tobytes() == want.tobytes()
+        # trailing axes: the mean runs over the choice axis, not the last one
+        walk = lat.walk_slice(i + 1)
+        got = conditional_expectation(lat, i, walk)
+        assert got.tobytes() == gather_children(lat, i, walk).mean(axis=1).tobytes()
 
 
 def test_conditional_expectation_matches_enumeration():

@@ -302,9 +302,32 @@ def test_bisection_rescues_a_truncated_fixed_point():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def test_bisection_cuts_path_samples_to_the_bisected_rows():
+    # a path- and y-dependent driver: bisection binds w and z to the bisected
+    # rows, and finishes at the full fixed point's values
+    def evaluate(t, w, y, z):
+        arr = np.asarray(w, dtype=float)
+        return arr[..., :, 0].mean(axis=-1) + np.abs(y) + 0.5 * drivers._norm(z)
+
+    f = DriverSpec(name="pathabs", evaluate=evaluate, lipschitz_wy=2.0,
+                   w_dependence="path", y_dependence="general")
+    lat, phi = build_lattice(7, dim=1), make_terminal("maxpath")
+    ref = solve_backward(lat, f, phi)
+    bind = solver._slice_driver(lat, f, 4)
+    z, y = ref.Z.slices[4], ref.Y.slices[4]
+    rows = np.array([3, 0, 11])
+    assert bind(z, rows)(y[rows]).tobytes() == bind(z)(y)[rows].tobytes()
+    sol = solve_backward(lat, f, phi, max_iter=2)
+    assert ref.info.bisection_nodes == 0 < sol.info.bisection_nodes
+    assert solution_residuals(sol, f, phi).dynamics_max <= 1e-10
+    for got, want in zip(sol.Y.slices, ref.Y.slices):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_bisection_stops_once_the_bracket_stops_moving(monkeypatch):
     # the early stop gives the bits of the fixed 200 halvings in far fewer
-    # driver calls; max_iter=2 sends every node of full N=8 to bisection
+    # driver calls; max_iter=2 sends every node of full N=8 to bisection.
+    # The driver comes bound to the bisected rows and sees only their values.
     lat = build_lattice(8, dim=1)
     f, phi = make_driver("linear:1,1"), make_terminal("maxpath")
     bisect = solver._bisect_nodes
@@ -315,6 +338,7 @@ def test_bisection_stops_once_the_bracket_stops_moving(monkeypatch):
 
         def fv_counted(y):
             n[0] += 1
+            assert np.shape(y) == np.shape(rows)
             return fy(y)
 
         out = bisect(fv_counted, mean, dt, y_start, rows)
@@ -329,6 +353,37 @@ def test_bisection_stops_once_the_bracket_stops_moving(monkeypatch):
     assert calls and max(calls) <= 80, calls
     for got, ref in zip(sol.Y.slices, want.Y.slices):
         assert np.array_equal(got, ref)
+
+
+def test_implicit_step_only_reads_what_the_driver_returns():
+    # a bound driver may hand back a read-only array or a scalar; the fixed
+    # point and the bisection write only into arrays the step owns
+    lat = build_lattice(6, dim=1)
+    phi = make_terminal("maxpath")
+    lin = make_driver("linear:1,1")
+
+    def frozen_fix_z(t, w, z):
+        fy = lin.at(t, w, z)
+
+        def frozen(y):
+            out = fy(y)
+            out.setflags(write=False)
+            return out
+
+        return frozen
+
+    frozen = replace(lin, fix_z=frozen_fix_z)
+    for max_iter in (200, 2):  # 2 sends the slices to bisection
+        got = solve_backward(lat, frozen, phi, max_iter=max_iter)
+        want = solve_backward(lat, lin, phi, max_iter=max_iter)
+        assert got.info.bisection_nodes == want.info.bisection_nodes
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.Y.slices, want.Y.slices))
+    const = make_driver("constant:0.5")
+    scalar = replace(const, fix_z=lambda t, w, z: lambda y: 0.5, y_dependence="general")
+    got = solve_backward(lat, scalar, phi)
+    want = solve_backward(lat, const, phi)
+    assert got.info.iterations_max > 1
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got.Y.slices, want.Y.slices))
 
 
 @pytest.mark.parametrize(
