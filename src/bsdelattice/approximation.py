@@ -26,7 +26,7 @@ import numpy as np
 from .drivers import DriverSpec, TerminalFunctional
 from .errors import GridError
 from .lattice import build_lattice
-from .solver import bmo_estimate, solve_backward
+from .solver import _backward_sweep, bmo_estimate, solve_backward
 
 
 def _shift_min(value, x, final, n, mags):
@@ -213,6 +213,9 @@ def refinement_experiment(
 ) -> RefinementStudy:
     """Solve on finer and finer grids and track the root error to reference.
 
+    Each grid is solved as solve_backward solves it, with the same checks,
+    errors and bits of Y_0, but slice by slice: the study keeps only the
+    latest slice, so a grid holds O(one slice) instead of its whole solution.
     The fitted order is the least-squares slope of log error against log N
     (so first order shows up as roughly 1.0); it is NaN when any error
     vanishes exactly or fewer than two grids are given.
@@ -221,8 +224,9 @@ def refinement_experiment(
     for steps in steps_list:
         kwargs = {} if leaf_budget is None else {"leaf_budget": leaf_budget}
         lat = build_lattice(int(steps), dim=dim, horizon=horizon, mode=mode, **kwargs)
-        # keep y0 only, so this grid's solution is freed before the next solve
-        y0 = solve_backward(lat, f, phi).y0
+        for _, y, _, _, _, _ in _backward_sweep(lat, f, phi):
+            pass
+        y0 = float(y[0])
         study.rows.append((int(steps), y0, abs(y0 - study.reference)))
     errs = np.array([r[2] for r in study.rows])
     ns = np.array([r[0] for r in study.rows], dtype=float)

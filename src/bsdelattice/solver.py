@@ -8,13 +8,17 @@ projection), and solve the scalar implicit equation
 
 at every node.  z and w are fixed before the implicit step, so the driver is
 bound to them once per slice (_slice_driver, DriverSpec.at) and the step
-iterates y alone.  The solve keeps Y and Z only: the orthogonal-martingale
-increment on each edge, Y_{i+1} - mean - z . dW, is fixed by them and is
-recomputed on demand (SolutionTriple.dm).  The driver argument w is the
-shifted path sampled at grid times, known one step ahead, which is what
-makes the implicit equation well-posed node by node.  _implicit_step is the
-one solver of that equation, for the dual candidates too (with the negated
-conjugate for fy): a Banach fixed point with a monotone-bisection fallback.
+iterates y alone.  The slice loop is one generator, _backward_sweep, which
+yields the slices from the terminal down to slice 0: solve_backward stores
+them all, and the refinement study (approximation.refinement_experiment)
+keeps only the latest, so it holds one slice per grid.  The stored solve
+keeps Y and Z only: the orthogonal-martingale increment on each edge,
+Y_{i+1} - mean - z . dW, is fixed by them and is recomputed on demand
+(SolutionTriple.dm).  The driver argument w is the shifted path sampled at
+grid times, known one step ahead, which is what makes the implicit equation
+well-posed node by node.  _implicit_step is the one solver of that
+equation, for the dual candidates too (with the negated conjugate for fy):
+a Banach fixed point with a monotone-bisection fallback.
 
 Also here: the closed-form z bound 2 sqrt(d) (L + K T) exp(K T), its
 certificate at the lattice's step size (an admissibility margin and the
@@ -167,6 +171,42 @@ def check_step_size(f: DriverSpec, grid: TimeGrid):
         )
 
 
+def _backward_sweep(
+    lattice: PathLattice,
+    f: DriverSpec,
+    phi: TerminalFunctional,
+    tol: float = 1e-12,
+    max_iter: int = 200,
+):
+    """Yield the slices of the backward solve, terminal first, one at a time.
+
+    Checks the step size and the recombining w-dependence, evaluates the
+    terminal and yields (N, xi, None, 0, 0, 0.0); then, for i = N-1..0,
+    yields (i, y, z, iterations, bisected nodes, worst residual) of slice i.
+    Only the slice being solved and the slice it is solved from are held
+    here, so a caller that keeps the latest y alone holds O(one slice).
+    Kept private: perfbench/tracer.py wraps every public function, and the
+    span of a wrapped generator would close before its body runs.
+    """
+    grid = lattice.grid
+    check_step_size(f, grid)
+    if lattice.mode == "recombining" and f.w_dependence != "none":
+        raise StructuralError("recombining mode needs a w-independent driver")
+    y_next = terminal_values(lattice, phi)
+    yield grid.steps, y_next, None, 0, 0, 0.0
+    dt = grid.dt
+    n_iter = 1 if f.y_dependence == "none" else max_iter  # y-free: iterate 1 is exact
+    for i in range(grid.steps - 1, -1, -1):
+        mean, z = martingale_projection(lattice, i, y_next)
+        bind = _slice_driver(lattice, f, i)
+        fy = bind(z)
+        y, iters, bisected, rmax = _implicit_step(
+            fy, lambda rows: bind(z, rows), mean, mean + fy(mean) * dt, dt, tol, n_iter, i
+        )
+        yield i, y, z, iters, bisected, rmax
+        y_next = y
+
+
 def solve_backward(
     lattice: PathLattice,
     f: DriverSpec,
@@ -183,37 +223,18 @@ def solve_backward(
     tol, with a monotone-bisection fallback; ConvergenceError reports the
     worst residual if both fail.
     """
-    grid = lattice.grid
-    check_step_size(f, grid)
-    if lattice.mode == "recombining" and f.w_dependence != "none":
-        raise StructuralError("recombining mode needs a w-independent driver")
-    xi = terminal_values(lattice, phi)
-    dt = grid.dt
     info = SolveInfo(driver_name=f.name, terminal_name=phi.name)
-
-    y_slices = [None] * (grid.steps + 1)
-    z_slices = [None] * grid.steps
-    y_slices[grid.steps] = xi
-    y_next = xi
-    for i in range(grid.steps - 1, -1, -1):
-        mean, z = martingale_projection(lattice, i, y_next)
-        bind = _slice_driver(lattice, f, i)
-        fy = bind(z)
-        n_iter = 1 if f.y_dependence == "none" else max_iter  # y-free: iterate 1 is exact
-        y, iters, bisected, rmax = _implicit_step(
-            fy, lambda rows: bind(z, rows), mean, mean + fy(mean) * dt, dt, tol, n_iter, i
-        )
+    y_slices = [None] * (lattice.steps + 1)
+    z_slices = [None] * (lattice.steps + 1)  # the terminal slice decides no z
+    for i, y, z, iters, bisected, rmax in _backward_sweep(lattice, f, phi, tol, max_iter):
+        y_slices[i], z_slices[i] = y, z
         info.iterations_max = max(info.iterations_max, iters)
         info.bisection_nodes += bisected
         info.residual_max = float(np.maximum(info.residual_max, rmax))
-        y_slices[i] = y
-        z_slices[i] = z
-        y_next = y
-
     return SolutionTriple(
         lattice=lattice,
         Y=left_process(lattice, y_slices),
-        Z=predictable_process(lattice, z_slices),
+        Z=predictable_process(lattice, z_slices[:-1]),
         info=info,
     )
 
@@ -274,8 +295,8 @@ def _bisect_nodes(fy, mean, dt, y_start, rows):
     rows alone.  The map y -> y - fy(y) dt is strictly increasing under
     K dt < 1, so a sign change brackets the unique root; brackets expand
     geometrically from the fixed-point iterate.  Halving stops once a pass
-    leaves both bracket ends unchanged, since every later pass would repeat
-    it.
+    leaves both bracket ends unchanged (0.0 and -0.0 count as equal, a NaN
+    end never moves), since every later pass would repeat it.
     """
     m = mean[rows]
 
@@ -295,11 +316,13 @@ def _bisect_nodes(fy, mean, dt, y_start, rows):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         hm = h(mid)
-        lo_new = np.where(hm <= 0.0, mid, lo)
-        hi_new = np.where(hm > 0.0, mid, hi)
-        if np.array_equal(lo_new, lo, equal_nan=True) and np.array_equal(hi_new, hi, equal_nan=True):
+        to_lo = hm <= 0.0
+        to_hi = hm > 0.0
+        # mid replaces one end per row; a NaN mid makes hm NaN and moves none
+        if not ((to_lo & (mid != lo)).any() or (to_hi & (mid != hi)).any()):
             break
-        lo, hi = lo_new, hi_new
+        np.copyto(lo, mid, where=to_lo)
+        np.copyto(hi, mid, where=to_hi)
     return 0.5 * (lo + hi)
 
 

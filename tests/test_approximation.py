@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from bsdelattice.approximation import (
     uniform_limit_experiment,
 )
 from bsdelattice.drivers import make_driver, make_terminal, scale_terminal
-from bsdelattice.errors import GridError
+from bsdelattice.errors import GridError, StepSizeError, StructuralError
 from bsdelattice.lattice import build_lattice
 from bsdelattice.solver import solve_backward, terminal_values
 
@@ -193,6 +194,48 @@ def test_refinement_with_exact_solution_leaves_order_nan():
         mode="full",
     )
     assert math.isnan(study.fitted_order)
+
+
+@pytest.mark.parametrize("terminal", ["const:1", "clipped-endpoint"])
+@pytest.mark.parametrize(
+    "mode,dim,steps",
+    [("recombining", 1, (125, 250, 500)), ("recombining", 2, (20, 40)), ("full", 1, (4, 8))],
+)
+def test_refinement_rows_have_the_bits_of_the_stored_solve(mode, dim, steps, terminal):
+    # the study streams each grid's slices; its Y_0 is the stored solve's
+    f, phi = make_driver("linear:1,1"), make_terminal(terminal)
+    study = refinement_experiment(f, phi, steps, reference=0.0, dim=dim, mode=mode)
+    assert [r[0] for r in study.rows] == list(steps)
+    for n, y0, _ in study.rows:
+        want = solve_backward(build_lattice(n, dim=dim, mode=mode), f, phi).y0
+        assert y0.hex() == want.hex(), n
+
+
+def test_refinement_raises_what_the_solve_raises():
+    cases = [
+        (make_driver("linear:0,5"), make_terminal("endpoint"), "full", StepSizeError),
+        (make_driver("zero"), make_terminal("maxpath"), "recombining", StructuralError),
+    ]
+    for f, phi, mode, error in cases:
+        with pytest.raises(error) as solved:
+            solve_backward(build_lattice(4, dim=1, mode=mode), f, phi)
+        with pytest.raises(error) as studied:
+            refinement_experiment(f, phi, (4,), reference=1.0, mode=mode)
+        assert str(studied.value) == str(solved.value)
+
+
+@pytest.mark.parametrize("dim,steps", [(1, 1000), (2, 80)])
+def test_refinement_holds_one_slice_per_grid(dim, steps):
+    # the study keeps the latest slice only, not the grid's Y and Z
+    f, phi = make_driver("linear:1,1"), make_terminal("clipped-endpoint")
+    tracemalloc.start()
+    try:
+        refinement_experiment(f, phi, (steps,), reference=0.0, dim=dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    last_slice = build_lattice(steps, dim=dim, mode="recombining").node_count(steps) * 8
+    assert peak < 32 * last_slice, peak / last_slice
 
 
 def test_ladder_and_refinement_csv_layouts():

@@ -353,6 +353,19 @@ def test_bisection_stops_once_the_bracket_stops_moving(monkeypatch):
     assert calls and max(calls) <= 80, calls
     for got, ref in zip(sol.Y.slices, want.Y.slices):
         assert np.array_equal(got, ref)
+    # a bracket that holds NaN (from a NaN start or a NaN mean) never moves;
+    # the other rows still stop early, with the bits of the fixed halvings
+    mean = np.array([0.3, math.nan, -0.0, 0.0, 0.1])
+    y_start = np.array([0.2, 0.2, -0.0, math.nan, -0.0])
+    rows = np.arange(5)
+    fy = f.at(1.0, None, np.zeros((5, 1)))
+    dt = 0.125
+    calls.clear()
+    got = counted(fy, mean, dt, y_start, rows)
+    want = oracles.bisect_nodes_fixed_halvings(fy, mean, dt, y_start, rows)
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(got[3]) and not np.isnan(got[1])
+    assert calls[0] <= 80, calls
 
 
 def test_implicit_step_only_reads_what_the_driver_returns():
@@ -432,6 +445,19 @@ def test_residuals_report_a_nan(where):
     for key in keys:
         assert math.isnan(getattr(rep, key)), key
     assert not rep.passed
+
+
+@pytest.mark.parametrize("terminal", ["const:1", "clipped-endpoint"])
+@pytest.mark.parametrize("dim,steps", [(1, 2000), (2, 160)])
+def test_refinement_sized_solves_pass_the_residual_check(dim, steps, terminal):
+    # the finest grids of the recombining refinement study, which keeps Y_0
+    # only and so checks no residual of its own
+    lat = build_lattice(steps, dim=dim, mode="recombining")
+    f, phi = make_driver("linear:1,1"), make_terminal(terminal)
+    sol = solve_backward(lat, f, phi)
+    assert solution_residuals(sol, f, phi).passed
+    if terminal == "clipped-endpoint":
+        assert sol.z_sup() > 0.1
 
 
 @pytest.mark.parametrize("dim,steps", [(1, 400), (2, 40)])
