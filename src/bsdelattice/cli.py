@@ -39,7 +39,6 @@ from .errors import (
     ConvergenceError,
     GridError,
     LatticeModelError,
-    QuadratureError,
     ValidationError,
 )
 from .lattice import build_lattice, verify_walk_conditions
@@ -329,7 +328,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge(args)
         return _COMMANDS[args.command](cfg)
-    except (ConvergenceError, AdmissibilityError, ValidationError, QuadratureError) as exc:
+    except (ConvergenceError, AdmissibilityError, ValidationError) as exc:
         print("property failure: %s" % exc, file=sys.stderr)
         return 1
     except (LatticeModelError, ValueError, OSError) as exc:

@@ -42,8 +42,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GridError, QuadratureError, ValidationError
-from .lattice import ConditionCheck, ConditionReport, TimeGrid, _sum_columns
+from .errors import GridError, ValidationError
+from .lattice import ConditionCheck, ConditionReport, _sum_columns
 
 _UNBOUNDED_DOUBLINGS = 3
 
@@ -58,7 +58,9 @@ class DriverSpec:
     when not declared).  y_dependence is 'none' for y-independent drivers,
     otherwise 'increasing' / 'decreasing' / 'general'.  fix_z(t, w, z), when
     declared, returns y -> f(t, w, y, z) with the z-only work done once; it
-    must give evaluate's bits (see at).
+    must give evaluate's bits (see at).  The solve, the dual and the
+    subgradient control all evaluate the driver of step i at its end t_{i+1};
+    a driver that wants a step average computes it in its own evaluate.
     """
 
     name: str
@@ -72,7 +74,6 @@ class DriverSpec:
     fix_z: Optional[Callable] = None
     y_dependence: str = "none"
     w_dependence: str = "none"  # 'none' or 'path'
-    time_dependent: bool = False
 
     @property
     def path_dependent(self) -> bool:
@@ -410,47 +411,6 @@ def scale_terminal(phi: TerminalFunctional, s: float) -> TerminalFunctional:
         markovian=phi.markovian,
         terminal_map=None if phi.terminal_map is None else (lambda x: s * phi.terminal_map(x)),
     )
-
-
-# -- step averaging ----------------------------------------------------------
-
-
-def average_driver(f: DriverSpec, grid: TimeGrid, i: int, w, y, z, rel_tol: float = 1e-8):
-    """Average of f(s, w, y, z) over the step (t_i, t_{i+1}], composite Simpson, 32 panels.
-
-    Time-constant drivers shortcut to a single evaluation at the right
-    endpoint.  The 32-panel result is cross-checked against 16 panels; a
-    relative disagreement beyond rel_tol raises QuadratureError carrying the
-    achieved estimate.
-    """
-    if not 0 <= i < grid.steps:
-        raise GridError("step index %d outside 0..%d" % (i, grid.steps - 1))
-    t1 = grid.time(i + 1)
-    if not f.time_dependent:
-        return f.evaluate(t1, w, y, z)
-    t0 = grid.time(i)
-    npoints = 65  # 32 Simpson panels
-    ts = np.linspace(t0, t1, npoints)
-    vals = [np.asarray(f.evaluate(float(s), w, y, z), dtype=float) for s in ts]
-    vals = np.stack(vals, axis=0)
-    h = (t1 - t0) / (npoints - 1)
-
-    def simpson(v, step):
-        sl = v[::step]
-        hh = h * step
-        return (hh / 3.0) * (sl[0] + sl[-1] + 4.0 * sl[1:-1:2].sum(axis=0) + 2.0 * sl[2:-2:2].sum(axis=0))
-
-    s32 = simpson(vals, 1)
-    s16 = simpson(vals, 2)
-    scale = max(1.0, float(np.max(np.abs(s32))))
-    err = float(np.max(np.abs(s32 - s16))) / scale
-    if err > rel_tol:
-        raise QuadratureError(
-            "step-average quadrature self-check failed (relative error %.3g)" % err,
-            estimate=s32 / (t1 - t0),
-            error_estimate=err,
-        )
-    return s32 / (t1 - t0)
 
 
 # -- convex conjugate and subgradients ---------------------------------------

@@ -2,9 +2,11 @@
 
 Every admissible predictable control mu induces a candidate value process:
 terminal values unchanged, one step back the tilted conditional expectation
-minus the driver's z-conjugate times dt.  Convexity of the driver makes every
-candidate a lower bound on the solved value (weak duality); the subgradient
-control closes the gap when its tilt keeps all one-step weights positive.
+minus the driver's z-conjugate times dt.  The conjugate and the subgradient
+of step i are taken at t_{i+1}, the time at which the solve evaluates the
+driver.  Convexity of the driver makes every candidate a lower bound on the
+solved value (weak duality); the subgradient control closes the gap when its
+tilt keeps all one-step weights positive.
 Its implicit step is the backward solve's (solver._implicit_step: fixed
 point, bisection fallback) with the negated conjugate for the driver.
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import DriverSpec, TerminalFunctional, numeric_conjugate, subgradient
-from .errors import ConvergenceError, OptimizerAdmissibilityError, StructuralError
+from .errors import ConvergenceError, OptimizerAdmissibilityError
 from .lattice import PathLattice, _sum_columns
 from .probability import (
     AdaptedProcess,
@@ -72,15 +74,10 @@ def dual_value(
     ConvergenceError names the slice where both miss tol.  The driver's
     closed-form conjugate is used when declared, the search-based one
     otherwise.  A NaN tilted expectation, conjugate or candidate value raises
-    ConvergenceError naming the slice and node.  A time-dependent driver
-    raises StructuralError: the solve averages it over each step, while the
-    conjugate here is taken at t_{i+1}, so the two would not be dual.
+    ConvergenceError naming the slice and node.  The conjugate of step i is
+    taken at t_{i+1}, where the solve evaluates the driver, so a
+    time-dependent driver's candidate is dual to its solve too.
     """
-    if f.time_dependent:
-        raise StructuralError(
-            "dual_value needs a time-constant driver: the solve averages %r over "
-            "each step, but its conjugate is taken at the step's end t_{i+1}" % (f.name,)
-        )
     check_step_size(f, lattice.grid)
     control.check_admissible()
     xi = terminal_values(lattice, phi)

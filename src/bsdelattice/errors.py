@@ -55,14 +55,5 @@ class OptimizerAdmissibilityError(AdmissibilityError):
         self.required_steps = required_steps
 
 
-class QuadratureError(LatticeModelError):
-    """Step-averaging quadrature failed its self-check; carries the achieved estimate."""
-
-    def __init__(self, msg, estimate=None, error_estimate=None):
-        super().__init__(msg)
-        self.estimate = estimate
-        self.error_estimate = error_estimate
-
-
 class ValidationError(LatticeModelError):
     """A computed quantity failed its independent identity check (e.g. conjugacy)."""

@@ -4,7 +4,7 @@ One backward step from slice i+1 to slice i does two things: project the
 known slice values onto their conditional mean and z (the martingale
 projection), and solve the scalar implicit equation
 
-    y = mean + fy(y) * dt,    fy(y) = fhat(t_{i+1}, w, y, z)
+    y = mean + fy(y) * dt,    fy(y) = f(t_{i+1}, w, y, z)
 
 at every node.  z and w are fixed before the implicit step, so the driver is
 bound to them once per slice (_slice_driver, DriverSpec.at) and the step
@@ -34,7 +34,7 @@ from itertools import chain
 
 import numpy as np
 
-from .drivers import DriverSpec, RunningFunctional, TerminalFunctional, average_driver
+from .drivers import DriverSpec, RunningFunctional, TerminalFunctional
 from .errors import ConvergenceError, StepSizeError, StructuralError
 from .lattice import PathLattice, TimeGrid, _sum_columns, gather_children, shifted_grid_samples
 from .probability import (
@@ -136,27 +136,22 @@ def driver_context(lattice: PathLattice, f: DriverSpec, i: int):
 
 
 def _slice_driver(lattice: PathLattice, f: DriverSpec, i: int):
-    """The step-i average driver as a binder (z, rows) -> (y -> fhat as a float array).
+    """The step-i driver at t_{i+1} as a binder (z, rows) -> (y -> f as a float array).
 
     The binder fixes z and the slice's w; with rows it keeps only those
-    nodes of both, so the bound function takes y on the rows alone.  A
-    time-constant driver binds through its bound form f.at(t_{i+1}, w, z),
-    so its z-only work runs once per bound z; a time-dependent one is
-    averaged over the step (composite Simpson) on every call of the bound
-    function.
+    nodes of both, so the bound function takes y on the rows alone.  It
+    binds through the bound form f.at(t_{i+1}, w, z), so the driver's z-only
+    work runs once per bound z.
     """
-    grid = lattice.grid
     w_ctx = driver_context(lattice, f, i)
-    t1 = grid.time(i + 1)
+    t1 = lattice.grid.time(i + 1)
 
     def bind(z, rows=None):
         w = w_ctx
         if rows is not None:
             z = z[rows]
             w = None if w is None else w[rows]
-        if not f.time_dependent:
-            return f.at(t1, w, z)
-        return lambda y: np.asarray(average_driver(f, grid, i, w, y, z), dtype=float)
+        return f.at(t1, w, z)
 
     return bind
 
@@ -350,7 +345,7 @@ class ResidualReport:
 def solution_residuals(sol: SolutionTriple, f: DriverSpec, phi: TerminalFunctional) -> ResidualReport:
     """Recompute the one-step dynamics residual and the structural identities.
 
-    The dynamics residual is Y_{i+1} - Y_i + fhat dt - z . dW - dm per edge,
+    The dynamics residual is Y_{i+1} - Y_i + f(t_{i+1}) dt - z . dW - dm per edge,
     with dm formed from Y_{i+1} and the stored Z; dm must have conditional
     mean zero and be orthogonal to every increment component.
     """

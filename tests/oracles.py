@@ -5,8 +5,10 @@ plain dicts keyed by choice tuples, python floats, itertools enumeration.
 Slow, small, and easy to audit by hand.  Among them are the paper's
 continuous-time constructions that the package only ever samples: the
 adapted shifted interpolation of the walk, which a path-dependent driver
-reads at grid times, and the per-path density of P^mu, whose ratios are the
-tilted expectations a dual candidate is built from.
+reads at grid times, the per-path density of P^mu, whose ratios are the
+tilted expectations a dual candidate is built from, and the continuous-time
+limits of the quadratic driver |z|^2/2 in closed form (Cole-Hopf), which
+the lattice solve approaches as N grows.
 
 The exceptions come at the end: two CSV writers that keep the per-row,
 per-value loops the exporters used before they wrote whole blocks of rows;
@@ -152,6 +154,28 @@ def conditional_mean(values_by_node, node, steps, dim):
     for tail in product(range(nchoice), repeat=depth):
         total += values_by_node[tuple(node) + tail]
     return total / nchoice ** depth
+
+
+def _normal_cdf(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def cole_hopf_clipped_endpoint():
+    """(Y_0, Z_0) for f = |z|^2/2 and xi = clip(W_1, -1, 1), horizon 1.
+
+    By Cole-Hopf exp(Y) is a martingale, so Y_0 = log E[exp xi], and Z_0 is
+    the x-derivative of log E[exp clip(x + W_1)] at 0, that is
+    E[e^xi 1{|W_1| < 1}] / E[e^xi].  On |x| < 1, e^x phi(x) = e^(1/2)
+    phi(x - 1) with phi the standard normal density.
+    """
+    inner = math.exp(0.5) * (_normal_cdf(0.0) - _normal_cdf(-2.0))
+    mass = (math.exp(-1.0) + math.exp(1.0)) * _normal_cdf(-1.0) + inner
+    return math.log(mass), inner / mass
+
+
+def cole_hopf_digital():
+    """Y_0 = log E[exp 1{W_1 > 0}] = log((1 + e)/2) for f = |z|^2/2, horizon 1."""
+    return math.log((1.0 + math.e) / 2.0)
 
 
 def _fmt(x):

@@ -22,6 +22,8 @@ from bsdelattice.errors import GridError, StepSizeError, StructuralError
 from bsdelattice.lattice import build_lattice
 from bsdelattice.solver import solve_backward, terminal_values
 
+import oracles
+
 
 def test_digital_regularization_recovers_closed_form_exactly():
     lat = build_lattice(8, dim=1)
@@ -194,6 +196,44 @@ def test_refinement_with_exact_solution_leaves_order_nan():
         mode="full",
     )
     assert math.isnan(study.fitted_order)
+
+
+def _log_mass_clipped(shift):
+    """log E[exp clip(shift + W_1)] by the trapezoid rule on [-12, 12]."""
+    x = np.linspace(-12.0, 12.0, 240001)
+    v = np.exp(np.clip(x + shift, -1.0, 1.0) - 0.5 * x ** 2) / math.sqrt(2.0 * math.pi)
+    return math.log((x[1] - x[0]) * (np.sum(v) - 0.5 * (v[0] + v[-1])))
+
+
+def test_quadratic_clipped_endpoint_approaches_its_cole_hopf_limit():
+    # Theorem 1 with a nonzero Z: Y_0 and Z_0 within 0.25/N on both parities
+    # (measured constants 0.205 / 0.018 for Y_0 and 0.221 / 0.065 for Z_0 on
+    # even / odd N; neither parity is monotone, so no ratio is checked)
+    y_lim, z_lim = oracles.cole_hopf_clipped_endpoint()
+    assert abs(_log_mass_clipped(0.0) - y_lim) <= 1e-8
+    assert abs((_log_mass_clipped(1e-3) - _log_mass_clipped(-1e-3)) / 2e-3 - z_lim) <= 1e-6
+    f, phi = make_driver("quadratic"), make_terminal("clipped-endpoint")
+    for n in (100, 400, 1600, 101, 401, 1601):
+        sol = solve_backward(build_lattice(n, mode="recombining"), f, phi)
+        assert abs(sol.y0 - y_lim) <= 0.25 / n, n
+        assert abs(sol.Z.slices[0][0, 0] - z_lim) <= 0.25 / n, n
+
+
+def test_quadratic_digital_approaches_its_limit_from_each_parity():
+    # Theorem 3: even N puts a node on the jump, which takes the lower value,
+    # and approaches log((1+e)/2) from below at order 1/2 (constant 0.365);
+    # odd N approaches from above, also at order 1/2 but with constant 0.0058
+    limit = oracles.cole_hopf_digital()
+    f, phi = make_driver("quadratic"), make_terminal("digital")
+    for n, lo, hi in [(100, -0.4, -0.3), (400, -0.4, -0.3), (1600, -0.4, -0.3),
+                      (101, 0.004, 0.008), (401, 0.004, 0.008), (1601, 0.004, 0.008)]:
+        err = solve_backward(build_lattice(n, mode="recombining"), f, phi).y0 - limit
+        assert lo <= err * math.sqrt(n) <= hi, n
+    # the default ladder is the minimal supersolution approached from below
+    ladder = monotone_limit_experiment(build_lattice(400, mode="recombining"), f, phi)
+    y0s = [row.y0 for row in ladder.rows]
+    assert ladder.monotone
+    assert y0s == sorted(y0s) and y0s[-1] <= limit
 
 
 @pytest.mark.parametrize("terminal", ["const:1", "clipped-endpoint"])

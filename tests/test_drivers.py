@@ -7,7 +7,6 @@ from bsdelattice.drivers import (
     DriverSpec,
     RunningFunctional,
     SamplingPlan,
-    average_driver,
     conjugate,
     make_driver,
     make_terminal,
@@ -17,8 +16,9 @@ from bsdelattice.drivers import (
     subgradient,
     verify_driver_properties,
 )
-from bsdelattice.errors import GridError, QuadratureError, ValidationError
-from bsdelattice.lattice import TimeGrid
+from bsdelattice.errors import GridError, ValidationError
+from bsdelattice.lattice import build_lattice
+from bsdelattice.solver import solve_backward
 
 ALL_DRIVERS = ["zero", "constant:1.5", "linear:1,1", "quadratic", "quartic", "abs", "exp"]
 ALL_TERMINALS = ["endpoint", "const:1", "maxpath", "digital", "clipped-endpoint"]
@@ -144,56 +144,31 @@ def test_bound_form_falls_back_to_evaluate():
     assert f.at(0.0, None, z[0])(4).dtype == np.float64
 
 
-def test_average_driver_time_constant_shortcut():
-    grid = TimeGrid(horizon=1.0, steps=2)
-    f = make_driver("quadratic")
-    assert average_driver(f, grid, 0, None, 0.0, np.array([2.0])) == pytest.approx(2.0)
-
-
-def test_average_driver_exact_polynomials():
-    grid = TimeGrid(horizon=1.0, steps=2)
-    lin = DriverSpec(
-        name="time-linear",
-        evaluate=lambda t, w, y, z: t + 0.0 * np.asarray(z, dtype=float)[..., 0],
+def _time_driver(rest):
+    """f = t + rest(z), time-dependent, y- and w-free."""
+    return DriverSpec(
+        name="t+",
+        evaluate=lambda t, w, y, z: t + rest(np.asarray(z, dtype=float)),
         lipschitz_wy=0.0,
-        time_dependent=True,
-    )
-    # average of t over (0, 0.5] is 0.25
-    assert float(average_driver(lin, grid, 0, None, 0.0, np.array([0.0]))) == pytest.approx(
-        0.25, abs=1e-15
-    )
-    sq = DriverSpec(
-        name="time-square",
-        evaluate=lambda t, w, y, z: t ** 2 + 0.0 * np.asarray(z, dtype=float)[..., 0],
-        lipschitz_wy=0.0,
-        time_dependent=True,
-    )
-    # average of t^2 over (0, 0.5] is 1/12, Simpson is exact on cubics
-    assert float(average_driver(sq, grid, 0, None, 0.0, np.array([0.0]))) == pytest.approx(
-        1.0 / 12.0, abs=1e-15
-    )
-    cub = DriverSpec(
-        name="time-cubic",
-        evaluate=lambda t, w, y, z: t ** 3 + 0.0 * np.asarray(z, dtype=float)[..., 0],
-        lipschitz_wy=0.0,
-        time_dependent=True,
-    )
-    assert float(average_driver(cub, grid, 1, None, 0.0, np.array([0.0]))) == pytest.approx(
-        (1.0 - 0.5 ** 4) / (4 * 0.5), abs=1e-14
     )
 
 
-def test_average_driver_quadrature_error():
-    grid = TimeGrid(horizon=1.0, steps=1)
-    wild = DriverSpec(
-        name="oscillatory",
-        evaluate=lambda t, w, y, z: math.sin(5000.0 * t) + 0.0 * np.asarray(z, dtype=float)[..., 0],
-        lipschitz_wy=0.0,
-        time_dependent=True,
-    )
-    with pytest.raises(QuadratureError) as exc:
-        average_driver(wild, grid, 0, None, 0.0, np.array([0.0]))
-    assert exc.value.estimate is not None
+@pytest.mark.parametrize("steps,mode", [(8, "full"), (50, "recombining")])
+def test_solve_evaluates_the_driver_at_the_step_end(steps, mode):
+    # f = t gives sum_i t_{i+1} dt = T(T + dt)/2; the step average would give T^2/2
+    f = _time_driver(lambda z: 0.0 * z[..., 0])
+    sol = solve_backward(build_lattice(steps, mode=mode), f, make_terminal("const:0"))
+    assert sol.y0 == 0.5 * (1.0 + 1.0 / steps)
+
+
+@pytest.mark.parametrize("steps", [100, 400, 1600, 101, 401, 1601])
+def test_time_term_adds_its_endpoint_sum_to_the_quadratic_solve(steps):
+    lat = build_lattice(steps, mode="recombining")
+    phi = make_terminal("clipped-endpoint")
+    quad = make_driver("quadratic")
+    got = solve_backward(lat, _time_driver(lambda z: quad(0.0, None, 0.0, z)), phi).y0
+    want = solve_backward(lat, quad, phi).y0 + 0.5 * (1.0 + 1.0 / steps)
+    assert abs(got - want) <= 1e-14
 
 
 def test_conjugate_analytic_values():

@@ -28,7 +28,6 @@ from bsdelattice.errors import (
     AdmissibilityError,
     ConvergenceError,
     OptimizerAdmissibilityError,
-    StructuralError,
 )
 from bsdelattice.lattice import build_lattice
 from bsdelattice.probability import ControlProcess, left_process, predictable_process
@@ -165,10 +164,10 @@ def test_abs_dual_is_the_density_ratio_expectation(steps, dim):
         assert worst <= 1e-13
 
 
-def test_time_dependent_driver_is_refused():
-    # f = (1+t)|z|^2/2 is convex, but the solve averages it over each step
-    # while the dual would take its conjugate at t_{i+1}: at the subgradient
-    # tilt that dual reads 0.78125 over the primal root 0.75
+def test_dual_closes_on_a_time_varying_driver():
+    # f = (1+t)|z|^2/2 on the endpoint terminal has z = 1 everywhere, so the
+    # root is sum_i (1 + t_{i+1}) dt / 2 = 25/32 on N = 8; the conjugate is
+    # taken at t_{i+1} like the driver, so the subgradient tilt closes the gap
     f = DriverSpec(
         name="(1+t)|z|^2/2",
         evaluate=lambda t, w, y, z: 0.5 * (1.0 + t) * np.sum(np.asarray(z) ** 2, axis=-1),
@@ -176,15 +175,17 @@ def test_time_dependent_driver_is_refused():
         analytic_conjugate=lambda t, w, y, mu: np.sum(np.asarray(mu) ** 2, axis=-1)
         / (2.0 * (1.0 + t)),
         analytic_subgradient=lambda t, w, y, z: (1.0 + t) * np.asarray(z, dtype=float),
-        time_dependent=True,
     )
     lat = build_lattice(8, dim=1)
     phi = make_terminal("endpoint")
     sol = solve_backward(lat, f, phi)
-    assert sol.y0 == pytest.approx(0.75, abs=1e-12)
+    assert sol.y0 == 0.78125
     control = optimal_control(sol, f)
-    with pytest.raises(StructuralError, match="time-constant driver"):
-        dual_value(lat, f, phi, control)
+    assert abs(duality_gap(sol, dual_value(lat, f, phi, control), control).root_gap) <= 1e-12
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        control = random_admissible_control(lat, rng)
+        assert duality_gap(sol, dual_value(lat, f, phi, control), control).min_gap >= -1e-9
 
 
 def test_unbounded_conjugate_floods_candidate_with_minus_inf():
