@@ -4,8 +4,7 @@ One sweep freezes the driver at the previous iterate and walks backward:
 
     Y^{p+1}_i = E[Y^{p+1}_{i+1} | node] + f(Y^p_i, Z^p_i) dt,
 
-with Z^{p+1}_i read off the martingale projection of Y^{p+1}_{i+1} and the
-orthogonal increments formed from Y^{p+1}_{i+1} and Z^{p+1}_i.  By
+with Z^{p+1}_i read off the martingale projection of Y^{p+1}_{i+1}.  By
 the tower property this is the martingale representation of the terminal
 plus the frozen driver summed along each path: the driver sum up to slice i
 is constant across a node's children, so it drops out of the projection.
@@ -15,10 +14,21 @@ The iteration stops when either the triple distance to the previous iterate
 residual of the new iterate drops strictly below tol.  The residual branch is
 what lets driver-free problems finish after a single sweep.
 
-An iterate keeps its orthogonal increments, which the martingale distance
-reads; the converged solution keeps Y and Z only.  The control and
-martingale distances are sups over paths, so this module requires full-path
-lattices.
+One iterate is held, Y and Z, and a sweep overwrites it slice by slice; the
+old slice becomes the difference dY_i = old - new, which the next slice down
+reads.  The control and martingale distances are sups over paths, formed as
+backward tails over each node's children, so they are exact on both lattice
+layouts and need no path arrays:
+
+    S_i = |dZ_i|^2 dt + max_c S_{i+1}[child c],                 dZ_l2 = sqrt(S_0)
+    U_i = max(0, max_c (ddm_i[:, c] + U_{i+1}[child c])),       L_i likewise with min
+    dM_sup = max(U_0, -L_0)
+
+with S_N = U_N = L_N = 0 and ddm_i the orthogonal increments of (dY_{i+1},
+dZ_i), the difference of the two iterates' dM on the step out of slice i.
+U_i (L_i) is the largest (smallest) partial sum of ddm from node i onward,
+so max(U_0, -L_0) is the sup over paths and times of |M^p - M^{p+1}|.  The
+folds use np.maximum and np.minimum, so a NaN term makes its sup NaN.
 """
 
 from __future__ import annotations
@@ -28,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import DriverSpec, TerminalFunctional
-from .errors import ConvergenceError, StructuralError
-from .lattice import PathLattice, _sum_columns
+from .errors import ConvergenceError
+from .lattice import PathLattice, _sum_columns, gather_children
 from .probability import (
     left_process,
     martingale_projection,
@@ -47,10 +57,11 @@ from .solver import (
 
 @dataclass
 class PicardState:
+    """The iterate after p sweeps: Y on slices 0..N, Z on slices 0..N-1."""
+
     p: int
     Y: list
     Z: list
-    dm: list
     residual: float
 
 
@@ -71,7 +82,6 @@ class PicardResult:
     solution: SolutionTriple
     trace: list
     iterations: int
-    converged: bool = True
 
     @property
     def final_residual(self) -> float:
@@ -81,62 +91,95 @@ class PicardResult:
 def zero_state(lattice: PathLattice) -> PicardState:
     Y = [np.zeros(lattice.node_count(i)) for i in range(lattice.steps + 1)]
     Z = [np.zeros((lattice.node_count(i), lattice.dim)) for i in range(lattice.steps)]
-    dm = [
-        np.zeros((lattice.node_count(i), lattice.n_choices))
-        for i in range(lattice.steps)
-    ]
-    return PicardState(p=0, Y=Y, Z=Z, dm=dm, residual=np.inf)
+    return PicardState(p=0, Y=Y, Z=Z, residual=np.inf)
+
+
+def _fold_choices(pick, v: np.ndarray) -> np.ndarray:
+    """pick (np.maximum or np.minimum) over 0.0 and the columns of an (n_i, 2**d) block."""
+    out = pick(0.0, v[:, 0])
+    for c in range(1, v.shape[1]):
+        pick(out, v[:, c], out=out)
+    return out
+
+
+def _new_slice(lattice, f, i, y_next, y_old, z_old, sweep):
+    """Slice i of a sweep: the new (y, z) and the worst implicit residual of y.
+
+    y_next is the new slice i+1; the driver is frozen at the old (y_old,
+    z_old).  Raises ConvergenceError naming the sweep and the slice when a
+    residual is NaN.
+    """
+    dt = lattice.grid.dt
+    mean, z = martingale_projection(lattice, i, y_next)
+    bind = _slice_driver(lattice, f, i)
+    y = mean + bind(z_old)(y_old) * dt
+    # residual of the new iterate in the implicit one-step equation
+    r = np.abs(y - mean - bind(z)(y) * dt)
+    bad = np.flatnonzero(np.isnan(r))
+    if bad.size:
+        raise ConvergenceError(
+            "picard sweep %d: implicit residual is NaN at slice %d, first node %d"
+            % (sweep, i, bad[0]),
+            residual=np.nan,
+            iterations=sweep,
+        )
+    return y, z, float(np.max(r))
+
+
+def _tails(lattice, i, dy_next, dz, tails):
+    """(S_i, U_i, L_i) from the differences dY_{i+1}, dZ_i and the tails of slice i+1.
+
+    tails is None past the terminal slice, where all three are zero.
+    """
+    dz2 = _sum_columns(dz ** 2) * lattice.grid.dt
+    ddm = orthogonal_increments(lattice, i, dy_next, dz)
+    if tails is None:
+        return dz2, _fold_choices(np.maximum, ddm), _fold_choices(np.minimum, ddm)
+    s_next, u_next, l_next = tails
+    # S >= 0, so the fold's 0.0 start leaves it unchanged
+    s = dz2 + _fold_choices(np.maximum, gather_children(lattice, i, s_next))
+    u = _fold_choices(np.maximum, ddm + gather_children(lattice, i, u_next))
+    np.add(ddm, gather_children(lattice, i, l_next), out=ddm)
+    return s, u, _fold_choices(np.minimum, ddm)
 
 
 def picard_step(
     lattice: PathLattice, f: DriverSpec, xi: np.ndarray, state: PicardState
-) -> PicardState:
-    """One backward sweep with the driver frozen at the previous iterate."""
-    dt = lattice.grid.dt
+) -> TraceRow:
+    """One backward sweep with the driver frozen at the previous iterate.
+
+    Overwrites state with the new iterate, slice by slice, and returns the
+    sweep's (value sup, control path-l2, martingale sup) distance to the
+    previous one.  Each sup is NaN when any of its terms is, so a NaN never
+    reads as close.
+    """
     n = lattice.steps
-    Y = [None] * (n + 1)
-    Z = [None] * n
-    dm = [None] * n
+    Y, Z = state.Y, state.Z
+    dy_next = Y[n] - xi
     Y[n] = xi
+    dy_sup = np.max(np.abs(dy_next))
+    tails = None  # (S, U, L) of slice i+1; zero past the terminal slice
     resid = 0.0
     for i in range(n - 1, -1, -1):
-        mean, Z[i] = martingale_projection(lattice, i, Y[i + 1])
-        dm[i] = orthogonal_increments(lattice, i, Y[i + 1], Z[i])
-        bind = _slice_driver(lattice, f, i)
-        Y[i] = mean + bind(state.Z[i])(state.Y[i]) * dt
-        # residual of the new iterate in the implicit one-step equation
-        r = np.abs(Y[i] - mean - bind(Z[i])(Y[i]) * dt)
-        bad = np.flatnonzero(np.isnan(r))
-        if bad.size:
-            raise ConvergenceError(
-                "picard sweep %d: implicit residual is NaN at slice %d, first node %d"
-                % (state.p + 1, i, bad[0]),
-                residual=np.nan,
-                iterations=state.p + 1,
-            )
-        resid = max(resid, float(np.max(r)))
-    return PicardState(p=state.p + 1, Y=Y, Z=Z, dm=dm, residual=resid)
-
-
-def iteration_distance(lattice: PathLattice, old: PicardState, new: PicardState):
-    """(value sup, control path-l2, martingale sup) distance between iterates.
-
-    Each sup is NaN when any of its terms is, so a NaN never reads as close.
-    """
-    dt = lattice.grid.dt
-    nch = lattice.n_choices
-    dy = float(np.max([np.max(np.abs(a - b)) for a, b in zip(old.Y, new.Y)]))
-    acc = np.zeros(1)
-    for i in range(lattice.steps):
-        dz2 = _sum_columns((old.Z[i] - new.Z[i]) ** 2) * dt
-        acc = np.repeat(acc + dz2, nch)
-    dz = float(np.sqrt(np.max(acc))) if lattice.steps else 0.0
-    cum = np.zeros(1)
-    dmsup = 0.0
-    for i in range(lattice.steps):
-        cum = np.repeat(cum, nch) + (old.dm[i] - new.dm[i]).ravel()
-        dmsup = float(np.maximum(dmsup, np.max(np.abs(cum))))
-    return dy, dz, dmsup
+        y, z, rmax = _new_slice(lattice, f, i, Y[i + 1], Y[i], Z[i], state.p + 1)
+        resid = max(resid, rmax)
+        # the old slices become the differences old - new
+        dy = np.subtract(Y[i], y, out=Y[i])
+        dz = np.subtract(Z[i], z, out=Z[i])
+        Y[i], Z[i] = y, z
+        dy_sup = np.maximum(dy_sup, np.max(np.abs(dy)))
+        tails = _tails(lattice, i, dy_next, dz, tails)
+        dy_next = dy
+    state.p += 1
+    state.residual = resid
+    s, u, lo = tails
+    # U_0 >= 0 >= L_0; abs() also turns a -0.0 tail into +0.0
+    return TraceRow(
+        p=state.p,
+        dY_sup=float(dy_sup),
+        dZ_l2=float(np.sqrt(s[0])),
+        dM_sup=float(np.maximum(np.abs(u[0]), np.abs(lo[0]))),
+    )
 
 
 def picard_solve(
@@ -148,26 +191,24 @@ def picard_solve(
 ) -> PicardResult:
     """Iterate from the zero triple until the stopping rule fires.
 
-    Raises ConvergenceError when neither the triple distance nor the implicit
-    residual gets strictly below tol within max_p sweeps (a tol of 0 can
-    never be reached and always exhausts the budget), and at once, naming
-    the sweep and the slice, when a sweep's implicit residual is NaN.
+    Runs on both lattice layouts, under the solve's conditions on the driver
+    and the terminal.  Raises ConvergenceError when neither the triple
+    distance nor the implicit residual gets strictly below tol within max_p
+    sweeps (a tol of 0 can never be reached and always exhausts the budget),
+    and at once, naming the sweep and the slice, when a sweep's implicit
+    residual is NaN.
     """
-    if lattice.mode != "full":
-        raise StructuralError("picard iteration needs a full-path lattice")
     check_step_size(f, lattice.grid)
     xi = terminal_values(lattice, phi)
     state = zero_state(lattice)
     trace = []
     for _ in range(max_p):
-        new = picard_step(lattice, f, xi, state)
-        dy, dz, dmsup = iteration_distance(lattice, state, new)
-        trace.append(TraceRow(p=new.p, dY_sup=dy, dZ_l2=dz, dM_sup=dmsup))
-        state = new
-        if dy + dz + dmsup < tol or new.residual < tol:
+        row = picard_step(lattice, f, xi, state)
+        trace.append(row)
+        if row.total < tol or state.residual < tol:
             info = SolveInfo(
-                iterations_max=new.p,
-                residual_max=new.residual,
+                iterations_max=state.p,
+                residual_max=state.residual,
                 driver_name=f.name,
                 terminal_name=phi.name,
             )
@@ -177,7 +218,7 @@ def picard_solve(
                 Z=predictable_process(lattice, state.Z),
                 info=info,
             )
-            return PicardResult(solution=sol, trace=trace, iterations=new.p)
+            return PicardResult(solution=sol, trace=trace, iterations=state.p)
     raise ConvergenceError(
         "picard iteration did not reach tol=%.3g in %d sweeps "
         "(last residual %.3g)" % (tol, max_p, state.residual),

@@ -15,7 +15,9 @@ per-value loops the exporters used before they wrote whole blocks of rows;
 the block writers must match their bytes.  The recombining dM column they
 take from solver._dm_column, whose rule has its own brute-force test.  Last,
 the monotone bisection with its fixed 200 halvings, against which the
-early-stopping one must give the same bits.
+early-stopping one must give the same bits, and the Picard distances as
+forward sums along every full-layout path, against which the backward
+tails of the streamed sweep are checked.
 """
 
 import math
@@ -23,6 +25,8 @@ from itertools import product
 
 import numpy as np
 
+from bsdelattice.lattice import _sum_columns
+from bsdelattice.probability import orthogonal_increments
 from bsdelattice.solver import _dm_column
 
 
@@ -266,3 +270,29 @@ def bisect_nodes_fixed_halvings(fy, mean, dt, y_start, rows):
         lo = np.where(hm <= 0.0, mid, lo)
         hi = np.where(hm > 0.0, mid, hi)
     return 0.5 * (lo + hi)
+
+
+def picard_distances_by_paths(lattice, old, new):
+    """(dY_sup, dZ_l2, dM_sup) between two Picard iterates, summed forward along every path.
+
+    old and new carry Y (slices 0..N) and Z (slices 0..N-1) on a full-path
+    lattice.  Each slice's terms are repeated out to its 2**d children, so
+    the last pass holds one running sum per path; dM of each iterate is
+    formed by orthogonal_increments.  Each sup is NaN when any term is.
+    """
+    dt = lattice.grid.dt
+    nch = lattice.n_choices
+    dy = float(np.max([np.max(np.abs(a - b)) for a, b in zip(old.Y, new.Y)]))
+    acc = np.zeros(1)
+    for i in range(lattice.steps):
+        dz2 = _sum_columns((old.Z[i] - new.Z[i]) ** 2) * dt
+        acc = np.repeat(acc + dz2, nch)
+    dz = float(np.sqrt(np.max(acc)))
+    cum = np.zeros(1)
+    dmsup = 0.0
+    for i in range(lattice.steps):
+        dm_old = orthogonal_increments(lattice, i, old.Y[i + 1], old.Z[i])
+        dm_new = orthogonal_increments(lattice, i, new.Y[i + 1], new.Z[i])
+        cum = np.repeat(cum, nch) + (dm_old - dm_new).ravel()
+        dmsup = float(np.maximum(dmsup, np.max(np.abs(cum))))
+    return dy, dz, dmsup

@@ -148,6 +148,16 @@ def test_picard_trace(tmp_path, capsys):
     assert summary["iterations"] == len(lines) - 1
 
 
+def test_picard_runs_on_a_recombining_lattice(tmp_path, capsys):
+    argv = ["--mode", "recombining", "--steps", "40", "--driver", "linear:1,1",
+            "--terminal", "clipped-endpoint"]
+    assert run(["picard"] + argv + ["--out", str(tmp_path / "trace.csv")]) == 0
+    picard = json.loads(capsys.readouterr().out)
+    assert run(["solve"] + argv + ["--out", str(tmp_path / "sol.csv")]) == 0
+    direct = json.loads(capsys.readouterr().out)
+    assert abs(picard["y0"] - direct["y0"]) <= 1e-8
+
+
 @pytest.mark.parametrize("command", ["duality", "picard"])
 def test_nan_terminal_is_a_property_failure(tmp_path, capsys, command):
     out = tmp_path / "out.csv"
