@@ -20,7 +20,7 @@ Conventions
   the walk values w_0, ..., w_N.  Its state keeps the leading path (or node)
   axis, one entry per path, so repeating the state per child block carries
   it from one full-layout slice to the next: the solver then evaluates it
-  slice by slice without materializing leaf paths.
+  slice by slice without building paths.
 * bound form: f.at(t, w, z) is the driver with (t, w, z) fixed, a function
   y -> f(t, w, y, z) as a float array.  The backward solve binds z once per
   slice, since z is fixed there before the implicit step iterates y.  A
@@ -55,8 +55,9 @@ class DriverSpec:
     lipschitz_wy is the joint Lipschitz constant in (w, y) under the sup-norm
     on paths; z_lipschitz maps a radius a to a Lipschitz constant of f in z on
     |z| <= a; lower_bound maps a radius c to inf f over |y| <= c (both None
-    when not declared).  y_dependence is 'none' for y-independent drivers,
-    otherwise 'increasing' / 'decreasing' / 'general'.  fix_z(t, w, z), when
+    when not declared).  y_dependence is 'none' for a y-independent driver,
+    whose solve and dual steps are then explicit; any other value (the
+    catalog uses 'general') marks a driver that may read y.  fix_z(t, w, z), when
     declared, returns y -> f(t, w, y, z) with the z-only work done once; it
     must give evaluate's bits (see at).  The solve, the dual and the
     subgradient control all evaluate the driver of step i at its end t_{i+1};
@@ -545,18 +546,22 @@ def subgradient(
 # -- property verification ---------------------------------------------------
 
 
+# probe box of verify_driver_properties: |y| and |z| radii, the length of a
+# sampled path w, and the slack allowed on a Lipschitz margin
+_PROBE_Y_RADIUS = 2.0
+_PROBE_Z_RADIUS = 2.0
+_PROBE_PATH_LENGTH = 4
+_PROBE_SLACK = 1e-9
+
+
 @dataclass
 class SamplingPlan:
     """Randomized probe plan for verify_driver_properties."""
 
     samples: int = 256
     seed: int = 0
-    y_radius: float = 2.0
-    z_radius: float = 2.0
     dim: int = 1
     horizon: float = 1.0
-    path_length: int = 4
-    slack: float = 1e-9
 
 
 def verify_driver_properties(f: DriverSpec, plan: SamplingPlan = SamplingPlan()) -> ConditionReport:
@@ -572,14 +577,14 @@ def verify_driver_properties(f: DriverSpec, plan: SamplingPlan = SamplingPlan())
     n = plan.samples
 
     ts = rng.uniform(0.0, plan.horizon, n)
-    ys = rng.uniform(-plan.y_radius, plan.y_radius, (n, 2))
-    zs = rng.uniform(-plan.z_radius / math.sqrt(d), plan.z_radius / math.sqrt(d), (n, 2, d))
+    ys = rng.uniform(-_PROBE_Y_RADIUS, _PROBE_Y_RADIUS, (n, 2))
+    zs = rng.uniform(-_PROBE_Z_RADIUS / math.sqrt(d), _PROBE_Z_RADIUS / math.sqrt(d), (n, 2, d))
     if f.w_dependence == "none":
         ws = [None] * n
         wpairs = [None] * n
     else:
-        ws = [rng.normal(0.0, 1.0, (plan.path_length, d)) for _ in range(n)]
-        wpairs = [rng.normal(0.0, 1.0, (plan.path_length, d)) for _ in range(n)]
+        ws = [rng.normal(0.0, 1.0, (_PROBE_PATH_LENGTH, d)) for _ in range(n)]
+        wpairs = [rng.normal(0.0, 1.0, (_PROBE_PATH_LENGTH, d)) for _ in range(n)]
 
     def ev(t, w, y, z):
         return float(f.evaluate(t, w, y, z))
@@ -630,7 +635,7 @@ def verify_driver_properties(f: DriverSpec, plan: SamplingPlan = SamplingPlan())
     rep.checks.append(
         ConditionCheck(
             "lipschitz-wy",
-            bool(worst <= plan.slack),
+            bool(worst <= _PROBE_SLACK),
             "constant %g (margin %.3g)" % (f.lipschitz_wy, worst),
             float(worst),
         )
@@ -639,7 +644,7 @@ def verify_driver_properties(f: DriverSpec, plan: SamplingPlan = SamplingPlan())
     if f.z_lipschitz is None:
         rep.checks.append(ConditionCheck("local-lipschitz-z", None, "no z envelope declared"))
     else:
-        b = f.z_lipschitz(plan.z_radius)
+        b = f.z_lipschitz(_PROBE_Z_RADIUS)
         margins = []
         for j in range(n):
             z1, z2 = zs[j, 0], zs[j, 1]
@@ -649,8 +654,8 @@ def verify_driver_properties(f: DriverSpec, plan: SamplingPlan = SamplingPlan())
         rep.checks.append(
             ConditionCheck(
                 "local-lipschitz-z",
-                bool(worst <= plan.slack),
-                "envelope b(%g)=%g (margin %.3g)" % (plan.z_radius, b, worst),
+                bool(worst <= _PROBE_SLACK),
+                "envelope b(%g)=%g (margin %.3g)" % (_PROBE_Z_RADIUS, b, worst),
                 float(worst),
             )
         )
@@ -658,7 +663,7 @@ def verify_driver_properties(f: DriverSpec, plan: SamplingPlan = SamplingPlan())
     if f.lower_bound is None:
         rep.checks.append(ConditionCheck("lower-bound", None, "no lower bound declared"))
     else:
-        lb = f.lower_bound(plan.y_radius)
+        lb = f.lower_bound(_PROBE_Y_RADIUS)
         worst = np.min(
             [ev(ts[j], ws[j], ys[j, 0], zs[j, 0]) - lb for j in range(n)], initial=np.inf
         )
@@ -666,7 +671,7 @@ def verify_driver_properties(f: DriverSpec, plan: SamplingPlan = SamplingPlan())
             ConditionCheck(
                 "lower-bound",
                 bool(worst >= -1e-12),
-                "f >= %g on |y| <= %g (margin %.3g)" % (lb, plan.y_radius, worst),
+                "f >= %g on |y| <= %g (margin %.3g)" % (lb, _PROBE_Y_RADIUS, worst),
                 float(worst),
             )
         )

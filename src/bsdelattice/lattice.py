@@ -22,8 +22,9 @@ backward recursion goes through it.  On the recombining layout it copies the
 2**d shifted grid slices of slice i+1 into one preallocated block.
 _sum_columns adds such a block's choices (or a vector's components) in
 numpy's own reduction order, so one-step means keep the bits of .mean(axis=1)
-without a reduction call over a short axis.  shifted_grid_samples delays walk
-paths by one grid slot, the w argument of a path-dependent driver.
+without a reduction call over a short axis.  On the full layout,
+PathLattice.paths builds the walk paths to any slice's nodes on demand, read
+from the cached walk slices; nothing per path is cached.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .errors import (
 )
 
 DEFAULT_LEAF_BUDGET = 2 ** 20
-_PATH_ARRAY_MAX_ENTRIES = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,6 @@ class PathLattice:
         self._downs = tuple(tuple(int(b) for b in row) for row in self.signs < 0)
         self._walk_cache: dict = {}
         self._prob_cache: dict = {}
-        self._leaf_paths = None
 
     # -- sizes ---------------------------------------------------------------
 
@@ -196,33 +195,20 @@ class PathLattice:
         self._prob_cache[i] = p
         return p
 
-    def leaf_paths(self) -> np.ndarray:
-        """(n_N, N+1, d) full walk paths at grid times, one row per leaf.
+    def paths(self, i: int, rows=None) -> np.ndarray:
+        """(n, i+1, d) walk values at times 0..i along the paths to slice-i nodes.
 
-        Full-path mode only; refuses to materialize beyond a fixed entry
-        budget since the array grows like leaves * (N+1) * d.  Terminals
-        with a running form never need it.  Its callers are terminals
-        without one (the inf-convolution of a path terminal below its
-        declared Lipschitz constant among them) and path-dependent driver
-        contexts.
+        rows are the slice-i node indices, all of them in order by default.
+        The step-j value of node k is walk_slice(j) at its ancestor k >> d*(i-j).
+        Full-path mode only; built on every call, never cached.
         """
         if self.mode != "full":
-            raise StructuralError("leaf paths are not resolvable on a recombining lattice")
-        if self._leaf_paths is not None:
-            return self._leaf_paths
-        entries = self.node_count(self.steps) * (self.steps + 1) * self.dim
-        if entries > _PATH_ARRAY_MAX_ENTRIES:
-            raise BudgetError(
-                "materializing leaf paths needs %d entries, over the %d-entry budget"
-                % (entries, _PATH_ARRAY_MAX_ENTRIES)
-            )
-        paths = np.empty((self.node_count(self.steps), self.steps + 1, self.dim))
-        for j in range(self.steps + 1):
-            block = self.n_choices ** (self.steps - j)
-            paths[:, j, :] = np.repeat(self.walk_slice(j), block, axis=0)
-        paths.setflags(write=False)
-        self._leaf_paths = paths
-        return paths
+            raise StructuralError("paths are not resolvable on a recombining lattice")
+        k = np.arange(self.node_count(i)) if rows is None else np.asarray(rows)
+        out = np.empty((k.size, i + 1, self.dim))
+        for j in range(i + 1):
+            out[:, j, :] = self.walk_slice(j)[k >> (self.dim * (i - j))]
+        return out
 
 
 def _binomial_weights(i: int) -> np.ndarray:
@@ -303,20 +289,6 @@ def _sum_columns(v: np.ndarray) -> np.ndarray:
         c = [v[..., j] for j in range(8)]
         return 0.0 + (((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7])))
     return v.sum(axis=-1)
-
-
-# -- driver path samples -----------------------------------------------------
-
-
-def shifted_grid_samples(path: np.ndarray) -> np.ndarray:
-    """Shifted path sampled at grid times: out[..., j, :] = path[..., j-1, :], 0 first.
-
-    On the uniform grid the shifted interpolation at t_j equals the walk at
-    t_{j-1}; this is the w argument handed to drivers.
-    """
-    out = np.zeros_like(path)
-    out[..., 1:, :] = path[..., :-1, :]
-    return out
 
 
 # -- walk-condition report ---------------------------------------------------

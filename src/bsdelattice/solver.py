@@ -36,7 +36,7 @@ import numpy as np
 
 from .drivers import DriverSpec, RunningFunctional, TerminalFunctional
 from .errors import ConvergenceError, StepSizeError, StructuralError
-from .lattice import PathLattice, TimeGrid, _sum_columns, gather_children, shifted_grid_samples
+from .lattice import PathLattice, TimeGrid, _sum_columns, gather_children
 from .probability import (
     AdaptedProcess,
     _choice_mean,
@@ -64,8 +64,7 @@ class SolutionTriple:
     Y is a left process (value per node, slice N equals the terminal values);
     Z is predictable (per deciding node).  dm(i) forms the orthogonal-martingale
     increments per edge of the step out of slice i, shape (n_i, 2**d), from
-    Y_{i+1} and the stored Z_i.  The cumulative M (with M_0 = 0) is
-    materialized on demand in full-path mode.
+    Y_{i+1} and the stored Z_i.
     """
 
     lattice: PathLattice
@@ -80,24 +79,33 @@ class SolutionTriple:
     def y0(self) -> float:
         return float(self.Y.slices[0][0])
 
-    @property
-    def M(self) -> AdaptedProcess:
-        if self.lattice.mode != "full":
-            raise StructuralError(
-                "cumulative M is per path; not resolvable on a recombining lattice"
-            )
-        slices = [np.zeros(1)]
-        for i in range(self.lattice.steps):
-            slices.append(
-                np.repeat(slices[-1], self.lattice.n_choices) + self.dm(i).ravel()
-            )
-        return left_process(self.lattice, slices)
-
     def z_sup(self) -> float:
         return float(np.max([np.sqrt(_sum_columns(s ** 2)).max() for s in self.Z.slices]))
 
 
+# most path entries a whole-path terminal sees at once: paths are built per
+# block of consecutive leaves, so no full (leaves, N+1, d) array is held
+_PATH_BLOCK_ENTRIES = 2 ** 20
+
+
+def _leaf_values(phi: TerminalFunctional, xi, n: int) -> np.ndarray:
+    """phi's values as a float array; StructuralError unless there are n of them."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (n,):
+        raise StructuralError(
+            "terminal %r returned shape %r for %d leaves" % (phi.name, xi.shape, n)
+        )
+    return xi
+
+
 def terminal_values(lattice: PathLattice, phi: TerminalFunctional) -> np.ndarray:
+    """The terminal on every slice-N node.
+
+    A Markov terminal maps the final walk values; otherwise (full layout
+    only) a running evaluate goes forward over the walk slices, and a plain
+    one is called on the paths of consecutive leaf blocks.
+    """
+    n = lattice.node_count(lattice.steps)
     if phi.markovian and phi.terminal_map is not None:
         xi = phi.terminal_map(lattice.walk_slice(lattice.steps))
     elif lattice.mode == "recombining":
@@ -115,24 +123,26 @@ def terminal_values(lattice: PathLattice, phi: TerminalFunctional) -> np.ndarray
             )
         xi = run.finish(state)
     else:
-        xi = phi.evaluate(lattice.leaf_paths())
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (lattice.node_count(lattice.steps),):
-        raise StructuralError(
-            "terminal %r returned shape %r for %d leaves"
-            % (phi.name, xi.shape, lattice.node_count(lattice.steps))
-        )
-    return xi
+        block = max(1, _PATH_BLOCK_ENTRIES // ((lattice.steps + 1) * lattice.dim))
+        parts = []
+        for k in range(0, n, block):
+            rows = np.arange(k, min(k + block, n))
+            xi = phi.evaluate(lattice.paths(lattice.steps, rows))
+            parts.append(_leaf_values(phi, xi, rows.size))
+        xi = np.concatenate(parts)
+    return _leaf_values(phi, xi, n)
 
 
 def driver_context(lattice: PathLattice, f: DriverSpec, i: int):
-    """w argument for solving at slice i: shifted path samples on grid 0..i+1."""
+    """w argument for solving at slice i: the path delayed one grid slot, on grid 0..i+1.
+
+    The shifted interpolation at t_j is the walk at t_{j-1}, so w is a zero
+    column followed by the node's path.
+    """
     if not f.path_dependent:
         return None
-    if lattice.mode != "full":
-        raise StructuralError("path-dependent drivers need a full-path lattice")
-    stride = lattice.n_choices ** (lattice.steps - i)
-    return shifted_grid_samples(lattice.leaf_paths()[::stride, : i + 2, :])
+    p = lattice.paths(i)
+    return np.concatenate([np.zeros((p.shape[0], 1, lattice.dim)), p], axis=1)
 
 
 def _slice_driver(lattice: PathLattice, f: DriverSpec, i: int):

@@ -235,7 +235,7 @@ def test_07_terminal_perturbations_stay_controlled():
         sa = solve_backward(lat, f, pa)
         sb = solve_backward(lat, f, pb)
         gap = max(float(np.max(np.abs(sa.Y.slices[i] - sb.Y.slices[i]))) for i in range(n + 1))
-        leaf = lat.leaf_paths()
+        leaf = lat.paths(lat.steps)
         spread = float(np.max(np.abs(pa.evaluate(leaf) - pb.evaluate(leaf))))
         growth = math.exp(f.lipschitz_wy * lat.grid.horizon)
         worst_excess = max(worst_excess, gap - growth * spread)
@@ -318,7 +318,7 @@ def test_11_cross_term_payoff_lands_in_the_orthogonal_remainder():
         * np.asarray(paths, dtype=float)[..., -1, 1],
     )
     sol = solve_backward(lat, make_driver("zero"), phi)
-    xi = phi.evaluate(lat.leaf_paths())
+    xi = phi.evaluate(lat.paths(lat.steps))
     exact = bool(np.all(sol.Z.slices[0] == 0.0)) and np.array_equal(sol.dm(0).ravel(), xi)
     inc = lat.step_increments()
     ortho = float(np.max(np.abs(sol.dm(0) @ inc / inc.shape[0])))

@@ -27,7 +27,7 @@ import oracles
 
 def test_digital_regularization_recovers_closed_form_exactly():
     lat = build_lattice(8, dim=1)
-    paths = lat.leaf_paths()
+    paths = lat.paths(lat.steps)
     digital = make_terminal("digital")
     for n in (1, 2, 4):
         got = inf_convolution(digital, n).evaluate(paths)
@@ -59,7 +59,7 @@ def test_regularization_never_exceeds_original():
 
 def test_markov_map_agrees_with_path_evaluation():
     lat = build_lattice(6, dim=1)
-    paths = lat.leaf_paths()
+    paths = lat.paths(lat.steps)
     phi_n = inf_convolution(make_terminal("digital"), 3)
     assert phi_n.markovian
     assert np.array_equal(

@@ -12,7 +12,6 @@ from bsdelattice.lattice import (
     _sum_columns,
     build_lattice,
     gather_children,
-    shifted_grid_samples,
     sign_matrix,
     verify_walk_conditions,
 )
@@ -179,19 +178,18 @@ def test_interpolate_shifted_is_delayed():
     assert oracles.interpolate_shifted(parent, dt, 1.0) == oracles.interpolate_shifted(up, dt, 1.0)
 
 
-def test_shifted_grid_samples():
-    path = np.arange(8.0).reshape(1, 4, 2)
-    out = shifted_grid_samples(path)
-    assert out[0, 0].tolist() == [0.0, 0.0]
-    assert np.array_equal(out[0, 1:], path[0, :-1])
-
-
 def test_leaf_paths_match_enumeration():
     lat = build_lattice(3, dim=2)
-    paths = lat.leaf_paths()
+    for i in range(4):
+        paths = lat.paths(i)
+        assert paths.shape == (lat.node_count(i), i + 1, 2)
+        for node in itertools.product(range(4), repeat=i):
+            want = oracles.walk_path(node, 2, lat.grid.dt)
+            assert np.allclose(paths[oracles.node_index(node, 2)], want, atol=1e-14)
+        rows = np.arange(lat.node_count(i))[::-3]
+        assert np.array_equal(lat.paths(i, rows), paths[rows])
     oracle = enumerate_paths(3, 2, 1.0)
-    for r, (_, w) in enumerate(oracle):
-        assert np.allclose(paths[r], w, atol=1e-14)
+    assert np.allclose(lat.paths(3), [w for _, w in oracle], atol=1e-14)
 
 
 def test_walk_conditions_pass_exactly():

@@ -220,10 +220,7 @@ def test_full_path_only_operations():
     # per-path quantities are refused on a recombining lattice
     lat = build_lattice(3, dim=1, mode="recombining")
     with pytest.raises(StructuralError):
-        lat.leaf_paths()
-    sol = solve_backward(lat, make_driver("quadratic"), make_terminal("endpoint"))
-    with pytest.raises(StructuralError):
-        sol.M
+        lat.paths(lat.steps)
 
 
 def test_admissibility_margin_keeps_a_nan():

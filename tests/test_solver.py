@@ -11,14 +11,16 @@ import numpy as np
 import pytest
 
 from bsdelattice import drivers, solver
+from bsdelattice.approximation import inf_convolution
 from bsdelattice.drivers import (
     DriverSpec,
+    TerminalFunctional,
     make_driver,
     make_terminal,
     scale_terminal,
     shift_terminal,
 )
-from bsdelattice.errors import BudgetError, ConvergenceError, StepSizeError, StructuralError
+from bsdelattice.errors import ConvergenceError, StepSizeError, StructuralError
 from bsdelattice.exact import exact_solve
 from bsdelattice.lattice import build_lattice
 from bsdelattice.probability import left_process, predictable_process
@@ -58,8 +60,6 @@ def test_zero_driver_endpoint_reproduces_walk():
         assert np.allclose(z[:, 1], 0.0, atol=1e-13)
     for i in range(lat.steps):
         assert np.max(np.abs(sol.dm(i))) < 1e-13
-    m = sol.M
-    assert all(np.max(np.abs(s)) < 1e-12 for s in m.slices)
 
 
 def test_constant_driver_shifts_conditional_mean():
@@ -121,8 +121,6 @@ def test_exact_rational_certifies_float_solver_deeper():
     def phi(paths):
         arr = np.asarray(paths, dtype=float)
         return arr[..., -1, 0] + arr[..., -1, 1]
-
-    from bsdelattice.drivers import TerminalFunctional
 
     term = TerminalFunctional(name="sum-endpoint", evaluate=phi, lipschitz=math.sqrt(2.0), markovian=False)
     sol2 = solve_backward(build_lattice(3, dim=2), make_driver("constant:0.7"), term)
@@ -712,11 +710,63 @@ def test_running_terminal_matches_enumerated_maxpath(dim, steps):
 
 def test_maxpath_solves_past_the_leaf_path_budget():
     lat = build_lattice(20)
-    with pytest.raises(BudgetError):
-        lat.leaf_paths()
     sol = solve_backward(lat, make_driver("linear:1,1"), make_terminal("maxpath"))
     xi = sol.Y.slices[-1]
     # the all-up and the all-down path both end at |W| = N sqrt(dt) = sqrt(20)
     assert xi[0] == xi[-1] == pytest.approx(math.sqrt(20.0), rel=1e-14)
     assert np.all(np.isfinite(xi)) and math.isfinite(sol.y0)
     assert sol.info.residual_max <= 1e-12
+    # the plain path form, evaluated over leaf blocks, gives the running form's bits
+    maxpath = make_terminal("maxpath")
+    plain = TerminalFunctional(name="plain-maxpath", evaluate=lambda p: maxpath.evaluate(p))
+    assert np.array_equal(terminal_values(lat, plain), xi)
+    del sol, xi
+
+    # a path-dependent driver reads w = (0, W_{t_0}, ..., W_{t_i}) at slice i
+    lat = build_lattice(19)
+    f = DriverSpec(
+        name="last-w",
+        evaluate=lambda t, w, y, z: w[..., -1, 0],
+        lipschitz_wy=1.0,
+        w_dependence="path",
+    )
+    sol = solve_backward(lat, f, make_terminal("endpoint"))
+    # Y_i = E[Y_{i+1} | node] + W_{t_i} dt is solved by Y_i = W_{t_i} (1 + T - t_i)
+    for i in range(20):
+        want = lat.walk_slice(i)[:, 0] * (2.0 - lat.grid.time(i))
+        assert np.max(np.abs(sol.Y.slices[i] - want)) <= 1e-12, i
+
+
+def _path_mean(paths):
+    # a whole-path terminal with no running form: the mean of |W| over the grid
+    return np.sqrt((np.asarray(paths) ** 2).sum(axis=-1)).mean(axis=-1)
+
+
+PATH_MEAN = TerminalFunctional(name="path-mean", evaluate=_path_mean, lipschitz=1.0, bound=1.0)
+
+
+@pytest.mark.parametrize("entries", [70, 100])
+@pytest.mark.parametrize("steps,dim", [(8, 1), (4, 2)])
+@pytest.mark.parametrize(
+    "phi", [inf_convolution(make_terminal("maxpath"), 0.5), PATH_MEAN], ids=["infconv", "mean"]
+)
+def test_path_terminal_blocks_give_the_one_block_bits(monkeypatch, phi, steps, dim, entries):
+    lat = build_lattice(steps, dim=dim)
+    whole = terminal_values(lat, phi)  # 256 leaves in one block
+    # blocks of 7 or of 10-11 leaves cut across the subtrees, the last one short
+    monkeypatch.setattr(solver, "_PATH_BLOCK_ENTRIES", entries)
+    assert np.array_equal(terminal_values(lat, phi), whole)
+
+
+@pytest.mark.parametrize("entries", [None, 50])
+@pytest.mark.parametrize(
+    "bad",
+    [lambda p: 0.0, lambda p: np.zeros(len(p) + 1), lambda p: np.asarray(p)[..., 0]],
+    ids=["scalar", "one-extra", "two-dim"],
+)
+def test_path_terminal_of_the_wrong_shape_is_refused(monkeypatch, bad, entries):
+    if entries is not None:
+        monkeypatch.setattr(solver, "_PATH_BLOCK_ENTRIES", entries)
+    phi = TerminalFunctional(name="bad", evaluate=bad)
+    with pytest.raises(StructuralError, match="returned shape"):
+        terminal_values(build_lattice(6), phi)
