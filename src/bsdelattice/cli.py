@@ -13,9 +13,11 @@ a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,53 +47,34 @@ from .lattice import build_lattice, verify_walk_conditions
 from .picard import export_picard_trace_csv, picard_solve
 from .solver import export_solution_csv, solution_summary, solve_backward
 
-DEFAULTS = {
-    "steps": 8,
-    "dim": 1,
-    "horizon": 1.0,
-    "mode": "full",
-    "driver": "quadratic",
-    "terminal": "endpoint",
-    "tol": None,
-    "max_iter": 200,
-    "steps_list": [10, 50, 100],
-    "levels": [1, 2, 4, 8, 16],
-    "reference": None,
-    "samples": 16,
-    "seed": 0,
-    "leaf_budget": None,
-    "out": None,
-}
-
 
 @dataclass
 class ExperimentConfig:
+    """One run's options; the field defaults are the options' defaults."""
+
     command: str
-    steps: int
-    dim: int
-    horizon: float
-    mode: str
-    driver: str
-    terminal: str
-    tol: float
-    max_iter: int
-    steps_list: list
-    levels: list
-    reference: float
-    samples: int
-    seed: int
-    leaf_budget: int
-    out: str
+    steps: int = 8
+    dim: int = 1
+    horizon: float = 1.0
+    mode: str = "full"
+    driver: str = "quadratic"
+    terminal: str = "endpoint"
+    tol: Optional[float] = None
+    max_iter: int = 200
+    steps_list: Sequence[int] = (10, 50, 100)
+    levels: Sequence[float] = (1, 2, 4, 8, 16)
+    reference: Optional[float] = None
+    samples: int = 16
+    seed: int = 0
+    leaf_budget: Optional[int] = None
+    out: Optional[str] = None
 
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
-    def lattice(self, steps=None):
+    def lattice(self):
         kwargs = {}
         if self.leaf_budget is not None:
             kwargs["leaf_budget"] = int(self.leaf_budget)
         return build_lattice(
-            int(steps if steps is not None else self.steps),
+            int(self.steps),
             dim=int(self.dim),
             horizon=float(self.horizon),
             mode=self.mode,
@@ -99,16 +82,15 @@ class ExperimentConfig:
         )
 
 
-def _parse_int_list(value):
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    return [int(v) for v in str(value).split(",") if v.strip()]
+# every option: the config fields but the subcommand
+_OPTIONS = [fld for fld in fields(ExperimentConfig) if fld.name != "command"]
 
 
-def _parse_level_list(value):
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(v) for v in str(value).split(",") if v.strip()]
+def _parse_list(value, kind):
+    """A list option (a list, or a comma-separated string) as a list of kind."""
+    if not isinstance(value, (list, tuple)):
+        value = [v for v in str(value).split(",") if v.strip()]
+    return [kind(v) for v in value]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -148,40 +130,34 @@ def _load_config(path):
         data = json.load(fh)
     if not isinstance(data, dict):
         raise GridError("config must be a JSON object, got %s" % type(data).__name__)
-    unknown = sorted(set(data) - set(DEFAULTS))
+    unknown = sorted(set(data) - {fld.name for fld in _OPTIONS})
     if unknown:
         raise GridError("unknown config keys: %s" % ", ".join(unknown))
     return data
 
 
 def _merge(args: argparse.Namespace) -> ExperimentConfig:
+    """Flags over the config file over the defaults; an empty list option is refused."""
     file_cfg = _load_config(args.config) if getattr(args, "config", None) else {}
     merged = {}
-    for key, default in DEFAULTS.items():
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            merged[key] = cli_val
-        elif key in file_cfg:
-            merged[key] = file_cfg[key]
-        else:
-            merged[key] = default
-    merged["steps_list"] = _parse_int_list(merged["steps_list"])
-    merged["levels"] = _parse_level_list(merged["levels"])
+    for fld in _OPTIONS:
+        value = getattr(args, fld.name, None)
+        merged[fld.name] = file_cfg.get(fld.name, fld.default) if value is None else value
+    for key, kind in (("steps_list", int), ("levels", float)):
+        merged[key] = _parse_list(merged[key], kind)
+        if not merged[key]:
+            raise GridError("%s is empty" % key.replace("_", "-"))
     return ExperimentConfig(command=args.command, **merged)
 
 
-class _OutSink:
-    def __init__(self, path):
-        self.path = path
-
-    def __enter__(self):
-        self._fh = open(self.path, "w") if self.path else sys.stdout
-        return self._fh
-
-    def __exit__(self, *exc):
-        if self.path:
-            self._fh.close()
-        return False
+@contextlib.contextmanager
+def _out_sink(path):
+    """The CSV sink: the file at path, or stdout when path is empty."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as fh:
+        yield fh
 
 
 def _emit_summary(cfg: ExperimentConfig, payload: dict):
@@ -196,7 +172,7 @@ def _cmd_solve(cfg: ExperimentConfig) -> int:
     phi = make_terminal(cfg.terminal)
     tol = 1e-12 if cfg.tol is None else float(cfg.tol)
     sol = solve_backward(lat, f, phi, tol=tol, max_iter=int(cfg.max_iter))
-    with _OutSink(cfg.out) as fh:
+    with _out_sink(cfg.out) as fh:
         export_solution_csv(sol, fh)
     _emit_summary(cfg, solution_summary(sol))
     return 0
@@ -206,19 +182,19 @@ def _cmd_duality(cfg: ExperimentConfig) -> int:
     lat = cfg.lattice()
     f = make_driver(cfg.driver)
     phi = make_terminal(cfg.terminal)
-    tol = 1e-12 if cfg.tol is None else float(cfg.tol)
-    sol = solve_backward(lat, f, phi, tol=tol, max_iter=int(cfg.max_iter))
+    opts = {"tol": 1e-12 if cfg.tol is None else float(cfg.tol), "max_iter": int(cfg.max_iter)}
+    sol = solve_backward(lat, f, phi, **opts)
     control = optimal_control(sol, f)
-    candidate = dual_value(lat, f, phi, control, tol=tol, max_iter=int(cfg.max_iter))
+    candidate = dual_value(lat, f, phi, control, **opts)
     report = duality_gap(sol, candidate, control)
-    rng = cfg.rng()
+    rng = np.random.default_rng(cfg.seed)
     gaps = []
     for _ in range(int(cfg.samples)):
         probe = random_admissible_control(lat, rng)
-        gaps.append(duality_gap(sol, dual_value(lat, f, phi, probe), probe).min_gap)
+        gaps.append(duality_gap(sol, dual_value(lat, f, phi, probe, **opts), probe).min_gap)
     # a numpy fold keeps a NaN gap from any probe
     sampled_min = float(np.min(gaps)) if gaps else None
-    with _OutSink(cfg.out) as fh:
+    with _out_sink(cfg.out) as fh:
         export_duality_csv(sol, candidate, control, fh)
     payload = duality_summary(report)
     payload["sampled_min_gap"] = sampled_min
@@ -234,7 +210,7 @@ def _cmd_picard(cfg: ExperimentConfig) -> int:
     phi = make_terminal(cfg.terminal)
     tol = 1e-10 if cfg.tol is None else float(cfg.tol)
     result = picard_solve(lat, f, phi, tol=tol, max_p=int(cfg.max_iter))
-    with _OutSink(cfg.out) as fh:
+    with _out_sink(cfg.out) as fh:
         export_picard_trace_csv(result, fh)
     _emit_summary(
         cfg,
@@ -260,7 +236,7 @@ def _cmd_converge(cfg: ExperimentConfig) -> int:
         mode=cfg.mode,
         leaf_budget=cfg.leaf_budget,
     )
-    with _OutSink(cfg.out) as fh:
+    with _out_sink(cfg.out) as fh:
         export_refinement_csv(study, fh)
     _emit_summary(
         cfg,
@@ -278,7 +254,7 @@ def _cmd_approx(cfg: ExperimentConfig) -> int:
     ladder = monotone_limit_experiment(
         lat, make_driver(cfg.driver), make_terminal(cfg.terminal), levels=cfg.levels
     )
-    with _OutSink(cfg.out) as fh:
+    with _out_sink(cfg.out) as fh:
         export_ladder_csv(ladder, fh)
     _emit_summary(
         cfg,
@@ -305,7 +281,7 @@ def _cmd_verify(cfg: ExperimentConfig) -> int:
         state = "SKIP" if check.passed is None else ("PASS" if check.passed else "FAIL")
         lines.append("driver:%s %s" % (check.name, state))
     text = "\n".join(lines) + "\n"
-    with _OutSink(cfg.out) as fh:
+    with _out_sink(cfg.out) as fh:
         fh.write(text)
     if cfg.out:
         sys.stdout.write(text)

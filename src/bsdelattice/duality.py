@@ -7,8 +7,11 @@ of step i are taken at t_{i+1}, the time at which the solve evaluates the
 driver.  Convexity of the driver makes every candidate a lower bound on the
 solved value (weak duality); the subgradient control closes the gap when its
 tilt keeps all one-step weights positive.
-Its implicit step is the backward solve's (solver._implicit_step: fixed
-point, bisection fallback) with the negated conjugate for the driver.
+The dual binds its conjugate, and the control its subgradient, through the
+solve's per-slice binder (solver._slice_driver), so all three read step i's
+time and path in one place.  Its implicit step is the backward solve's
+(solver._implicit_step: fixed point, bisection fallback) with the negated
+conjugate for the driver; a y-free driver's step stays explicit.
 
 A conjugate value of +inf sends the candidate to -inf at that node, which
 then propagates toward the root.  That is a legitimate (useless) candidate,
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,21 +37,28 @@ from .probability import (
     predictable_process,
     tilted_expectation,
 )
-from .solver import SolutionTriple, _implicit_step, _write_rows, check_step_size
-from .solver import driver_context, terminal_values
+from .solver import SolutionTriple, _implicit_step, _slice_driver, _write_rows, check_step_size
+from .solver import terminal_values
 
 
-def _conjugate_slice(f, t, w_ctx, y, mu):
-    if f.analytic_conjugate is not None:
-        return np.asarray(f.analytic_conjugate(t, w_ctx, y, mu), dtype=float)
-    y_arr = np.broadcast_to(np.asarray(y, dtype=float), mu.shape[:-1])
-    out = np.empty(mu.shape[:-1])
-    flat_mu = mu.reshape(-1, mu.shape[-1])
-    flat_y = y_arr.reshape(-1)
-    for k in range(flat_mu.shape[0]):
-        wk = None if w_ctx is None else w_ctx[k]
-        out.reshape(-1)[k] = numeric_conjugate(f, t, wk, flat_y[k], flat_mu[k])
+def _node_by_node(scalar, t, w, y, a, out):
+    """out[k] = scalar(t, w[k], y[k], a[k]) for every node k; w may be None."""
+    for k in range(a.shape[0]):
+        out[k] = scalar(t, None if w is None else w[k], y[k], a[k])
     return out
+
+
+def _conjugate_slice(f, t, w, y, mu):
+    if f.analytic_conjugate is not None:
+        return np.asarray(f.analytic_conjugate(t, w, y, mu), dtype=float)
+    return _node_by_node(partial(numeric_conjugate, f), t, w, y, mu, np.empty(mu.shape[:-1]))
+
+
+def _subgradient_slice(f, t, w, y, z):
+    if f.analytic_subgradient is not None:
+        mu = np.asarray(f.analytic_subgradient(t, w, y, z), dtype=float)
+        return np.broadcast_to(mu, z.shape).copy()
+    return _node_by_node(partial(subgradient, f, validate=False), t, w, y, z, np.empty_like(z))
 
 
 def _check_no_nan(values, i, what):
@@ -81,38 +92,33 @@ def dual_value(
     check_step_size(f, lattice.grid)
     control.check_admissible()
     xi = terminal_values(lattice, phi)
-    grid = lattice.grid
-    dt = grid.dt
-    slices = [None] * (grid.steps + 1)
-    slices[grid.steps] = xi
+    dt = lattice.grid.dt
+    slices = [None] * (lattice.steps + 1)
+    slices[lattice.steps] = xi
     r_next = xi
-    for i in range(grid.steps - 1, -1, -1):
+
+    def neg_conjugate(t, w, m):
+        return lambda y: -_conjugate_slice(f, t, w, y, m)
+
+    for i in range(lattice.steps - 1, -1, -1):
         e_mu = tilted_expectation(lattice, i, r_next, control.step_weights(i))
         _check_no_nan(e_mu, i, "the tilted expectation")
         mu = control.process.slices[i]
-        w_ctx = driver_context(lattice, f, i)
-        t1 = grid.time(i + 1)
+        bind = _slice_driver(lattice, f, i, neg_conjugate)
         if f.y_dependence == "none":
-            g = _conjugate_slice(f, t1, w_ctx, np.zeros_like(e_mu), mu)
-            r = e_mu - g * dt
+            # explicit: r = E^mu - g dt, g taken at y = 0
+            r = e_mu + bind(mu)(np.zeros_like(e_mu)) * dt
         else:
             r = np.full_like(e_mu, -np.inf)
-            g0 = _conjugate_slice(f, t1, w_ctx, e_mu, mu)
+            g0 = bind(mu)(e_mu)  # -g at the mean
             _check_no_nan(g0, i, "the conjugate")
-            live = np.isfinite(e_mu) & np.isfinite(g0)
-            if live.any():
-                wl = None if w_ctx is None else w_ctx[live]
-                ml = mu[live]
-
-                def fy_rows(rows):
-                    w_rows = None if wl is None else wl[rows]
-                    m_rows = ml[rows]
-                    return lambda y: -_conjugate_slice(f, t1, w_rows, y, m_rows)
-
-                fy = fy_rows(slice(None))
+            live = np.flatnonzero(np.isfinite(e_mu) & np.isfinite(g0))
+            if live.size:
                 el = e_mu[live]
-                first = el - g0[live] * dt
-                r[live] = _implicit_step(fy, fy_rows, el, first, dt, tol, max_iter, i)[0]
+                r[live] = _implicit_step(
+                    bind(mu, live), lambda rows: bind(mu, live[rows]),
+                    el, el + g0[live] * dt, dt, tol, max_iter, i,
+                )[0]
         _check_no_nan(r, i, "the candidate value")
         slices[i] = r
         r_next = r
@@ -127,27 +133,19 @@ def optimal_control(sol: SolutionTriple, f: DriverSpec) -> ControlProcess:
     would be admissible.
     """
     lat = sol.lattice
-    grid = lat.grid
-    slices = []
-    for i in range(lat.steps):
-        y = sol.Y.slices[i]
-        z = sol.Z.slices[i]
-        w_ctx = driver_context(lat, f, i)
-        t1 = grid.time(i + 1)
-        if f.analytic_subgradient is not None:
-            mu = np.asarray(f.analytic_subgradient(t1, w_ctx, y, z), dtype=float)
-            mu = np.broadcast_to(mu, z.shape).copy()
-        else:
-            mu = np.empty_like(z)
-            for k in range(z.shape[0]):
-                wk = None if w_ctx is None else w_ctx[k]
-                mu[k] = subgradient(f, t1, wk, float(y[k]), z[k], validate=False)
-        slices.append(mu)
+
+    def selection(t, w, z):
+        return lambda y: _subgradient_slice(f, t, w, y, z)
+
+    slices = [
+        _slice_driver(lat, f, i, selection)(sol.Z.slices[i])(sol.Y.slices[i])
+        for i in range(lat.steps)
+    ]
     control = ControlProcess(predictable_process(lat, slices))
     margin = control.admissibility_margin()
     if margin <= 0.0:
         worst_l1 = max(float(np.max(_sum_columns(np.abs(s)))) for s in slices)
-        required = int(math.floor(grid.horizon * worst_l1 * worst_l1)) + 1
+        required = int(math.floor(lat.grid.horizon * worst_l1 * worst_l1)) + 1
         raise OptimizerAdmissibilityError(
             "subgradient control drives a one-step weight to %.3g <= 0; "
             "the same tilt sizes fit on N >= %d steps" % (margin, required),

@@ -145,23 +145,27 @@ def driver_context(lattice: PathLattice, f: DriverSpec, i: int):
     return np.concatenate([np.zeros((p.shape[0], 1, lattice.dim)), p], axis=1)
 
 
-def _slice_driver(lattice: PathLattice, f: DriverSpec, i: int):
-    """The step-i driver at t_{i+1} as a binder (z, rows) -> (y -> f as a float array).
+def _slice_driver(lattice: PathLattice, f: DriverSpec, i: int, form=None):
+    """The step-i binder (a, rows) -> form(t_{i+1}, w, a), w the slice's driver context.
 
-    The binder fixes z and the slice's w; with rows it keeps only those
-    nodes of both, so the bound function takes y on the rows alone.  It
-    binds through the bound form f.at(t_{i+1}, w, z), so the driver's z-only
-    work runs once per bound z.
+    The only reader of t_{i+1} and driver_context: the solve, the dual and the
+    subgradient control all evaluate step i at its end t_{i+1} and with the
+    same w.  form defaults to the bound driver f.at(t, w, z), a function of y
+    whose z-only work runs once per bound z; the dual passes its negated
+    conjugate (a = mu), the control its subgradient selection.  With rows the
+    binder keeps only those nodes of a and w, so the bound function takes y
+    on the rows alone.
     """
     w_ctx = driver_context(lattice, f, i)
     t1 = lattice.grid.time(i + 1)
+    form = f.at if form is None else form
 
-    def bind(z, rows=None):
+    def bind(a, rows=None):
         w = w_ctx
         if rows is not None:
-            z = z[rows]
+            a = a[rows]
             w = None if w is None else w[rows]
-        return f.at(t1, w, z)
+        return form(t1, w, a)
 
     return bind
 

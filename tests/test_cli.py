@@ -243,3 +243,40 @@ def test_verify_reports_all_checks(tmp_path, capsys):
     assert "walk:moments PASS" in text
     assert "driver:convex-z PASS" in text
     assert "FAIL" not in text
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["converge", "--mode", "recombining", "--reference", "1"], "steps_list"),
+        (["approx", "--steps", "4"], "levels"),
+    ],
+)
+@pytest.mark.parametrize("by_config", [False, True])
+def test_empty_list_option_is_an_input_error(tmp_path, capsys, argv, key, by_config):
+    out = tmp_path / "out.csv"
+    if by_config:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: []}))
+        extra = ["--config", str(cfg)]
+    else:
+        extra = ["--" + key.replace("_", "-"), ""]
+    assert run(argv + extra + ["--out", str(out)]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_duality_probes_get_the_runs_tol_and_max_iter(tmp_path, capsys, monkeypatch):
+    real = cli.dual_value
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "dual_value", recording)
+    argv = ["duality", "--steps", "4", "--driver", "linear:1,1", "--tol", "1e-10",
+            "--max-iter", "7", "--samples", "3", "--out", str(tmp_path / "dual.csv")]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert seen == [{"tol": 1e-10, "max_iter": 7}] * 4

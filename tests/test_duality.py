@@ -30,8 +30,13 @@ from bsdelattice.errors import (
     OptimizerAdmissibilityError,
 )
 from bsdelattice.lattice import build_lattice
-from bsdelattice.probability import ControlProcess, left_process, predictable_process
-from bsdelattice.solver import solve_backward
+from bsdelattice.probability import (
+    ControlProcess,
+    left_process,
+    predictable_process,
+    tilted_expectation,
+)
+from bsdelattice.solver import solve_backward, terminal_values
 
 import oracles
 
@@ -308,3 +313,61 @@ def test_nan_gap_is_never_weakly_consistent():
     report = duality_gap(sol, left_process(lat, slices), control)
     assert math.isnan(report.min_gap) and math.isnan(report.max_gap)
     assert not report.weakly_consistent
+
+
+def test_minus_inf_mean_at_a_finite_domain_control_stays_minus_inf():
+    # |mu| = 1.2 > b on slice 3 sends it to -inf; below, mu = 0.5 is in the
+    # conjugate's domain, but the mean is -inf and -a - b|y| is -inf there too
+    lat, f, phi, _ = _solve("linear:1,1", "endpoint", 4)
+    mu = [np.full((lat.node_count(i), 1), 1.2 if i == 3 else 0.5) for i in range(4)]
+    cand = dual_value(lat, f, phi, ControlProcess(predictable_process(lat, mu)))
+    for i in range(4):
+        assert np.all(cand.slices[i] == -np.inf), i
+
+
+@pytest.mark.parametrize(
+    "driver,terminal,steps", [("quadratic", "maxpath", 6), ("abs", "endpoint", 5)]
+)
+def test_numeric_subgradient_control_matches_the_closed_form(driver, terminal, steps):
+    lat, f, phi, sol = _solve(driver, terminal, steps)
+    closed = optimal_control(sol, f)
+    numeric = optimal_control(sol, dataclasses.replace(f, analytic_subgradient=None))
+    for a, b in zip(numeric.process.slices, closed.process.slices):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
+
+
+def test_dual_closes_on_a_path_dependent_driver_without_closed_forms():
+    # no closed conjugate or subgradient: both go node by node with w[k]
+    f = DriverSpec(
+        name="|z|^2/2 + tanh(w)/10",
+        evaluate=lambda t, w, y, z: 0.5 * np.sum(np.asarray(z) ** 2, axis=-1)
+        + 0.1 * np.tanh(np.asarray(w)[..., -1, 0]),
+        lipschitz_wy=0.1,
+        w_dependence="path",
+    )
+    lat = build_lattice(4, dim=1)
+    phi = make_terminal("endpoint")
+    sol = solve_backward(lat, f, phi)
+    control = optimal_control(sol, f)
+    rep = duality_gap(sol, dual_value(lat, f, phi, control), control)
+    assert abs(rep.root_gap) <= 1e-9
+    assert abs(rep.min_gap) <= 1e-9
+
+
+@pytest.mark.parametrize("driver", ["zero", "constant:0.5", "quadratic", "quartic", "abs", "exp"])
+@pytest.mark.parametrize("mode,steps,dim", [("full", 6, 1), ("full", 4, 2), ("recombining", 30, 1)])
+def test_y_free_dual_is_the_explicit_recursion(driver, mode, steps, dim):
+    # r_i = E^mu[r_{i+1}] - g(t_{i+1}, 0, mu_i) dt, bit for bit
+    terminal = "endpoint" if mode == "full" else "clipped-endpoint"
+    lat = build_lattice(steps, dim=dim, mode=mode)
+    f, phi = make_driver(driver), make_terminal(terminal)
+    rng = np.random.default_rng(23)
+    for _ in range(2):
+        control = random_admissible_control(lat, rng)
+        got = dual_value(lat, f, phi, control).slices
+        r = terminal_values(lat, phi)
+        for i in range(steps - 1, -1, -1):
+            mu = control.process.slices[i]
+            g = f.analytic_conjugate(lat.grid.time(i + 1), None, 0.0, mu)
+            r = tilted_expectation(lat, i, r, control.step_weights(i)) - g * lat.grid.dt
+            np.testing.assert_array_equal(got[i].view(np.uint64), r.view(np.uint64))
