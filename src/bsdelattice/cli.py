@@ -84,12 +84,27 @@ class ExperimentConfig:
 
 # every option: the config fields but the subcommand
 _OPTIONS = [fld for fld in fields(ExperimentConfig) if fld.name != "command"]
+# the options argparse reads with type=int; leaf_budget may also be null
+_INT_OPTIONS = {fld.name for fld in _OPTIONS if fld.type in ("int", "Optional[int]")}
 
 
-def _parse_list(value, kind):
-    """A list option (a list, or a comma-separated string) as a list of kind."""
+def _check_int(key, value):
+    """A config value of an integer option: a JSON integer, not a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GridError("%s must be an integer, got %r" % (key.replace("_", "-"), value))
+
+
+def _parse_list(key, value, kind):
+    """A list option (a list, or a comma-separated string) as a list of kind.
+
+    The entries of an integer list must be integers already, as a flag's are
+    parsed; int() would truncate 2.5 to 2.
+    """
     if not isinstance(value, (list, tuple)):
         value = [v for v in str(value).split(",") if v.strip()]
+    elif kind is int:
+        for v in value:
+            _check_int(key, v)
     return [kind(v) for v in value]
 
 
@@ -137,14 +152,23 @@ def _load_config(path):
 
 
 def _merge(args: argparse.Namespace) -> ExperimentConfig:
-    """Flags over the config file over the defaults; an empty list option is refused."""
+    """Flags over the config file over the defaults.
+
+    An empty list option is refused, and so is a config value of an integer
+    option that is not a JSON integer (GridError, like a flag argparse
+    refuses); null stays allowed where the default is null.
+    """
     file_cfg = _load_config(args.config) if getattr(args, "config", None) else {}
     merged = {}
     for fld in _OPTIONS:
         value = getattr(args, fld.name, None)
-        merged[fld.name] = file_cfg.get(fld.name, fld.default) if value is None else value
+        if value is None:
+            value = file_cfg.get(fld.name, fld.default)
+            if fld.name in _INT_OPTIONS and not (value is None and fld.default is None):
+                _check_int(fld.name, value)
+        merged[fld.name] = value
     for key, kind in (("steps_list", int), ("levels", float)):
-        merged[key] = _parse_list(merged[key], kind)
+        merged[key] = _parse_list(key, merged[key], kind)
         if not merged[key]:
             raise GridError("%s is empty" % key.replace("_", "-"))
     return ExperimentConfig(command=args.command, **merged)
@@ -184,14 +208,15 @@ def _cmd_duality(cfg: ExperimentConfig) -> int:
     phi = make_terminal(cfg.terminal)
     opts = {"tol": 1e-12 if cfg.tol is None else float(cfg.tol), "max_iter": int(cfg.max_iter)}
     sol = solve_backward(lat, f, phi, **opts)
+    xi = sol.Y.slices[-1]  # the terminal, evaluated once for every candidate
     control = optimal_control(sol, f)
-    candidate = dual_value(lat, f, phi, control, **opts)
+    candidate = dual_value(lat, f, xi, control, **opts)
     report = duality_gap(sol, candidate, control)
     rng = np.random.default_rng(cfg.seed)
     gaps = []
     for _ in range(int(cfg.samples)):
         probe = random_admissible_control(lat, rng)
-        gaps.append(duality_gap(sol, dual_value(lat, f, phi, probe, **opts), probe).min_gap)
+        gaps.append(duality_gap(sol, dual_value(lat, f, xi, probe, **opts), probe).min_gap)
     # a numpy fold keeps a NaN gap from any probe
     sampled_min = float(np.min(gaps)) if gaps else None
     with _out_sink(cfg.out) as fh:

@@ -26,7 +26,10 @@ Conventions
   slice, since z is fixed there before the implicit step iterates y.  A
   driver may declare fix_z(t, w, z) -> (y -> array) doing its z-only work
   once per binding, with the bits of evaluate; without it, at calls
-  evaluate on every y.
+  evaluate on every y.  fix_mu(t, w, mu) -> (y -> array) is the same for the
+  conjugate: the dual binds mu once per slice and iterates y, so a driver
+  that declares it takes its mu-only work (the domain test |mu| <= b of
+  linear) once per slice, with the bits of analytic_conjugate.
 * conjugate(f, t, w, y, mu) returns +inf as the "unbounded" marker; it is a
   value, not an error, and propagates through the dual machinery.
 
@@ -59,9 +62,13 @@ class DriverSpec:
     whose solve and dual steps are then explicit; any other value (the
     catalog uses 'general') marks a driver that may read y.  fix_z(t, w, z), when
     declared, returns y -> f(t, w, y, z) with the z-only work done once; it
-    must give evaluate's bits (see at).  The solve, the dual and the
-    subgradient control all evaluate the driver of step i at its end t_{i+1};
-    a driver that wants a step average computes it in its own evaluate.
+    must give evaluate's bits (see at).  fix_mu(t, w, mu), when declared, is
+    its counterpart for the conjugate: y -> analytic_conjugate(t, w, y, mu)
+    on the bound nodes, bit for bit, with the mu-only work done once.  The
+    dual binds mu once per slice, so its fixed point then pays only the
+    y-part on each iterate.  The solve, the dual and the subgradient control
+    all evaluate the driver of step i at its end t_{i+1}; a driver that
+    wants a step average computes it in its own evaluate.
     """
 
     name: str
@@ -73,6 +80,7 @@ class DriverSpec:
     analytic_conjugate: Optional[Callable] = None
     analytic_subgradient: Optional[Callable] = None
     fix_z: Optional[Callable] = None
+    fix_mu: Optional[Callable] = None
     y_dependence: str = "none"
     w_dependence: str = "none"  # 'none' or 'path'
 
@@ -210,6 +218,21 @@ def linear_driver(a: float, b: float) -> DriverSpec:
 
         return fy
 
+    def fix_mu(t, w, mu):
+        outside = ~(_norm(mu) <= b)
+        clip = bool(outside.any())
+
+        def conj(y):
+            # np.where(|mu| <= b, -a - b * |y|, inf), in place on the one new array
+            out = np.abs(y, dtype=float)
+            out *= b
+            np.subtract(-a, out, out=out)
+            if clip:
+                np.copyto(out, np.inf, where=outside)
+            return out
+
+        return conj
+
     return DriverSpec(
         name="linear:%g,%g" % (a, b),
         evaluate=lambda t, w, y, z: a + b * (np.abs(y) + _norm(z)),
@@ -222,6 +245,7 @@ def linear_driver(a: float, b: float) -> DriverSpec:
         ),
         analytic_subgradient=lambda t, w, y, z: _radial(z, np.full(np.shape(_norm(z)), b)),
         fix_z=fix_z,
+        fix_mu=fix_mu,
         y_dependence="general",
     )
 

@@ -9,9 +9,17 @@ solved value (weak duality); the subgradient control closes the gap when its
 tilt keeps all one-step weights positive.
 The dual binds its conjugate, and the control its subgradient, through the
 solve's per-slice binder (solver._slice_driver), so all three read step i's
-time and path in one place.  Its implicit step is the backward solve's
+time and path in one place.  mu is bound once per slice: a driver that
+declares fix_mu does its mu-only work there, and the fixed point pays only
+the y-part per iterate.  Its implicit step is the backward solve's
 (solver._implicit_step: fixed point, bisection fallback) with the negated
 conjugate for the driver; a y-free driver's step stays explicit.
+
+dual_value takes the terminal slice, not the terminal functional: every
+candidate of a solve starts from the solve's own terminal values, so a run
+that probes many controls evaluates the terminal once.  Each slice's NaN
+and admissibility guards are one reduction; the offending node or edge is
+searched for only when the guard fails.
 
 A conjugate value of +inf sends the candidate to -inf at that node, which
 then propagates toward the root.  That is a legitimate (useless) candidate,
@@ -27,8 +35,8 @@ from functools import partial
 
 import numpy as np
 
-from .drivers import DriverSpec, TerminalFunctional, numeric_conjugate, subgradient
-from .errors import ConvergenceError, OptimizerAdmissibilityError
+from .drivers import DriverSpec, numeric_conjugate, subgradient
+from .errors import ConvergenceError, OptimizerAdmissibilityError, StructuralError
 from .lattice import PathLattice, _sum_columns
 from .probability import (
     AdaptedProcess,
@@ -38,7 +46,6 @@ from .probability import (
     tilted_expectation,
 )
 from .solver import SolutionTriple, _implicit_step, _slice_driver, _write_rows, check_step_size
-from .solver import terminal_values
 
 
 def _node_by_node(scalar, t, w, y, a, out):
@@ -62,8 +69,9 @@ def _subgradient_slice(f, t, w, y, z):
 
 
 def _check_no_nan(values, i, what):
-    bad = np.flatnonzero(np.isnan(values))
-    if bad.size:
+    # one reduction per slice (min is NaN iff a value is); the search runs on a hit
+    if math.isnan(values.min()):
+        bad = np.flatnonzero(np.isnan(values))
         raise ConvergenceError(
             "dual step at slice %d: %s is NaN at %d node(s), first node %d"
             % (i, what, bad.size, bad[0])
@@ -73,32 +81,43 @@ def _check_no_nan(values, i, what):
 def dual_value(
     lattice: PathLattice,
     f: DriverSpec,
-    phi: TerminalFunctional,
+    xi: np.ndarray,
     control: ControlProcess,
     tol: float = 1e-12,
     max_iter: int = 200,
 ) -> AdaptedProcess:
     """Candidate value process for one admissible control, at every node.
 
-    One step back solves r = E^mu[R_{i+1} | node] - g(r, mu) dt, g the
-    z-conjugate, with the backward solve's fixed point and bisection fallback;
+    xi is the terminal slice, terminal_values(lattice, phi) or the solve's
+    own last slice; it becomes the candidate's last slice and is never
+    written, so one array can serve every candidate of a solve.  A length
+    other than the terminal node count raises StructuralError.  One step
+    back solves r = E^mu[R_{i+1} | node] - g(r, mu) dt, g the z-conjugate,
+    with the backward solve's fixed point and bisection fallback;
     ConvergenceError names the slice where both miss tol.  The driver's
-    closed-form conjugate is used when declared, the search-based one
-    otherwise.  A NaN tilted expectation, conjugate or candidate value raises
-    ConvergenceError naming the slice and node.  The conjugate of step i is
-    taken at t_{i+1}, where the solve evaluates the driver, so a
-    time-dependent driver's candidate is dual to its solve too.
+    bound conjugate (fix_mu) is used when declared, then its closed form,
+    then the search-based one.  A NaN tilted expectation, conjugate or
+    candidate value raises ConvergenceError naming the slice and node.  The
+    conjugate of step i is taken at t_{i+1}, where the solve evaluates the
+    driver, so a time-dependent driver's candidate is dual to its solve too.
     """
     check_step_size(f, lattice.grid)
     control.check_admissible()
-    xi = terminal_values(lattice, phi)
+    n_leaves = lattice.node_count(lattice.steps)
+    if np.shape(xi) != (n_leaves,):
+        raise StructuralError(
+            "terminal slice has shape %s for %d terminal nodes" % (np.shape(xi), n_leaves)
+        )
     dt = lattice.grid.dt
     slices = [None] * (lattice.steps + 1)
     slices[lattice.steps] = xi
     r_next = xi
 
     def neg_conjugate(t, w, m):
-        return lambda y: -_conjugate_slice(f, t, w, y, m)
+        if f.fix_mu is None:
+            return lambda y: -_conjugate_slice(f, t, w, y, m)
+        g = f.fix_mu(t, w, m)  # m's work once per slice
+        return lambda y: -g(y)
 
     for i in range(lattice.steps - 1, -1, -1):
         e_mu = tilted_expectation(lattice, i, r_next, control.step_weights(i))

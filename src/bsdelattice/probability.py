@@ -172,9 +172,9 @@ class ControlProcess:
         lat = self.lattice
         for i in range(lat.steps):
             w = self.step_weights(i)
-            bad = np.argwhere(~(w > 0.0))
-            if bad.size:
-                k, c = map(int, bad[0])
+            # one reduction per slice (a NaN weight makes the min NaN, which fails too)
+            if not w.min() > 0.0:
+                k, c = map(int, np.argwhere(~(w > 0.0))[0])
                 label = lat.sign_label(i, k) if lat.mode == "full" else "node %d at %d" % (k, i)
                 sign = "".join(
                     "-" if self.lattice.signs[c, b] < 0 else "+" for b in range(lat.dim)

@@ -280,3 +280,77 @@ def test_duality_probes_get_the_runs_tol_and_max_iter(tmp_path, capsys, monkeypa
     assert run(argv) == 0
     capsys.readouterr()
     assert seen == [{"tol": 1e-10, "max_iter": 7}] * 4
+
+
+_INT_CONFIG_CASES = [
+    (["solve"], "steps"),
+    (["solve"], "dim"),
+    (["solve"], "max_iter"),
+    (["solve"], "leaf_budget"),
+    (["duality", "--steps", "3"], "samples"),
+    (["duality", "--steps", "3", "--samples", "1"], "seed"),
+]
+
+
+_INT_CONFIG_BAD = [
+    pytest.param(argv, key, value, id="%s=%s" % (key, json.dumps(value)))
+    for argv, key in _INT_CONFIG_CASES
+    for value in [2.7, 2.0, True, "3", [3], None]
+    if not (key == "leaf_budget" and value is None)  # null is its default
+]
+
+
+@pytest.mark.parametrize("argv,key,value", _INT_CONFIG_BAD)
+def test_integer_config_value_must_be_a_json_integer(tmp_path, capsys, argv, key, value):
+    # argparse refuses such a flag; from a config, 2.7 steps ran N=2 and a 1.5 seed crashed
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert "input error: %s must be an integer" % key.replace("_", "-") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", [2.5, 20.0, False, "20"])
+def test_steps_list_config_entry_must_be_a_json_integer(tmp_path, capsys, entry):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"steps_list": [10, entry]}))
+    out = tmp_path / "out.csv"
+    argv = ["converge", "--mode", "recombining", "--reference", "1", "--config", str(cfg)]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "input error: steps-list must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integer_config_values_still_run(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"steps": 3, "samples": 2, "seed": 5, "max_iter": 50, "leaf_budget": None}))
+    assert run(["duality", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["samples"] == 2
+    cfg.write_text(json.dumps({"steps_list": [10, 20]}))
+    argv = ["converge", "--config", str(cfg), "--mode", "recombining", "--driver", "linear:1,1",
+            "--terminal", "const:1", "--reference", "4.43656365691809", "--out", str(tmp_path / "c.csv")]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["errors_decreasing"]
+    assert len((tmp_path / "c.csv").read_text().strip().split("\n")) == 3
+
+
+def test_duality_evaluates_the_terminal_once(tmp_path, capsys, monkeypatch):
+    # the solve's terminal slice serves the tilt and every probe
+    from bsdelattice import duality, solver
+
+    calls = []
+    real = solver.terminal_values
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (solver, duality, cli):
+        if hasattr(mod, "terminal_values"):
+            monkeypatch.setattr(mod, "terminal_values", counting)
+    argv = ["duality", "--steps", "4", "--driver", "linear:1,1", "--terminal", "maxpath",
+            "--samples", "3", "--out", str(tmp_path / "dual.csv")]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsdelattice.drivers import (
     DriverSpec,
     RunningFunctional,
     SamplingPlan,
     conjugate,
+    linear_driver,
     make_driver,
     make_terminal,
     numeric_conjugate,
@@ -128,6 +131,37 @@ def test_linear_bound_form_has_the_bits_of_evaluate(d):
     for yv in [0.7, -0.0, np.nan, np.inf, -np.inf]:
         for zrow in z[12:]:
             assert _same_bits(f.at(0.25, None, zrow)(yv), f.evaluate(0.25, None, yv, zrow))
+
+
+_Y_SPECIALS = np.array([0.0, -0.0, 0.3, -2.5, np.inf, -np.inf, np.nan])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    a=st.floats(0.0, 1e3),
+    b=st.floats(0.0, 1e3),
+    d=st.integers(1, 3),
+    rows=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=24),
+    y=st.lists(st.floats(), min_size=1, max_size=12),
+)
+def test_linear_bound_conjugate_has_the_bits_of_the_closed_form(a, b, d, rows, y):
+    # mu inside, on and outside |mu| = b (b * e_k has norm b exactly), paired
+    # with drawn y and with every special y
+    f = linear_driver(a, b)
+    assert f.fix_mu is not None
+    eye = np.eye(d)
+    drawn = np.array(rows[: len(rows) // d * d]).reshape(-1, d)
+    mu = np.vstack(
+        [drawn, 0.0 * eye[:1], 0.5 * b * eye, b * eye, -b * eye, np.nextafter(b, np.inf) * eye,
+         np.full((1, d), np.nan), np.full((1, d), np.inf)]
+    )
+    for ys, mus in [
+        (np.resize(np.array(y), mu.shape[0]), mu),
+        (np.repeat(_Y_SPECIALS, mu.shape[0]), np.tile(mu, (_Y_SPECIALS.size, 1))),
+    ]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = f.analytic_conjugate(0.5, None, ys, mus)
+            assert _same_bits(f.fix_mu(0.5, None, mus)(ys), want)
 
 
 def test_bound_form_falls_back_to_evaluate():

@@ -28,6 +28,7 @@ from bsdelattice.errors import (
     AdmissibilityError,
     ConvergenceError,
     OptimizerAdmissibilityError,
+    StructuralError,
 )
 from bsdelattice.lattice import build_lattice
 from bsdelattice.probability import (
@@ -53,7 +54,7 @@ def test_two_step_quadratic_strong_duality_frozen():
     control = optimal_control(sol, f)
     for sl in control.process.slices:
         assert np.allclose(sl, 1.0, atol=1e-13)
-    cand = dual_value(lat, f, phi, control)
+    cand = dual_value(lat, f, terminal_values(lat, phi), control)
     s = math.sqrt(0.5)
     assert cand.slices[0][0] == pytest.approx(0.5, abs=1e-13)
     assert cand.slices[1] == pytest.approx([s + 0.25, -s + 0.25], abs=1e-13)
@@ -82,7 +83,7 @@ def test_one_step_subgradient_control_is_rejected():
 def test_strong_duality_at_subgradient_control(driver, terminal, steps, mode):
     lat, f, phi, sol = _solve(driver, terminal, steps, mode=mode)
     control = optimal_control(sol, f)
-    cand = dual_value(lat, f, phi, control)
+    cand = dual_value(lat, f, terminal_values(lat, phi), control)
     rep = duality_gap(sol, cand, control)
     assert rep.min_gap >= -1e-9
     assert abs(rep.root_gap) <= 1e-9
@@ -99,7 +100,7 @@ def test_weak_duality_over_random_controls():
         lat, f, phi, sol = _solve(driver, terminal, steps)
         for _ in range(32):
             control = random_admissible_control(lat, rng)
-            cand = dual_value(lat, f, phi, control)
+            cand = dual_value(lat, f, terminal_values(lat, phi), control)
             rep = duality_gap(sol, cand, control)
             assert rep.min_gap >= -1e-9, (driver, terminal, rep.min_gap)
 
@@ -109,12 +110,12 @@ def test_weak_duality_y_dependent_driver():
     lat, f, phi, sol = _solve("linear:0.3,1", "clipped-endpoint", 8)
     for _ in range(16):
         control = random_admissible_control(lat, rng, cap=0.95)
-        cand = dual_value(lat, f, phi, control)
+        cand = dual_value(lat, f, terminal_values(lat, phi), control)
         rep = duality_gap(sol, cand, control)
         assert rep.min_gap >= -1e-9
     # the subgradient tilt closes the gap even with y in the driver
     star = optimal_control(sol, f)
-    cand = dual_value(lat, f, phi, star)
+    cand = dual_value(lat, f, terminal_values(lat, phi), star)
     rep = duality_gap(sol, cand, star)
     assert rep.min_gap >= -1e-9
     assert abs(rep.root_gap) <= 1e-9
@@ -126,7 +127,7 @@ def test_weak_duality_y_dependent_driver():
             lat2, [np.zeros((lat2.node_count(i), 1)) for i in range(lat2.steps)]
         )
     )
-    cand2 = dual_value(lat2, f2, phi2, zero)
+    cand2 = dual_value(lat2, f2, terminal_values(lat2, phi2), zero)
     rep2 = duality_gap(sol2, cand2, zero)
     assert abs(rep2.root_gap) <= 1e-12
     assert rep2.max_gap <= 1e-12
@@ -139,7 +140,9 @@ def test_numeric_conjugate_route_closes_gap():
     sol = solve_backward(lat, f, phi)
     control = optimal_control(sol, f)
     # without a closed form the dual takes the search-based conjugate
-    cand = dual_value(lat, dataclasses.replace(f, analytic_conjugate=None), phi, control)
+    cand = dual_value(
+        lat, dataclasses.replace(f, analytic_conjugate=None), terminal_values(lat, phi), control
+    )
     rep = duality_gap(sol, cand, control)
     assert rep.min_gap >= -1e-6
     assert abs(rep.root_gap) <= 1e-6
@@ -156,7 +159,7 @@ def test_abs_dual_is_the_density_ratio_expectation(steps, dim):
     xi = {leaf: max(math.hypot(*p) for p in oracles.walk_path(leaf, dim, dt)) for leaf in paths}
     for _ in range(4):
         control = random_admissible_control(lat, rng, cap=1.0 / math.sqrt(dim))
-        cand = dual_value(lat, f, phi, control)
+        cand = dual_value(lat, f, terminal_values(lat, phi), control)
         dens = {
             leaf: oracles.leaf_density(leaf, control.process.slices, dim, dt) for leaf in paths
         }
@@ -186,11 +189,16 @@ def test_dual_closes_on_a_time_varying_driver():
     sol = solve_backward(lat, f, phi)
     assert sol.y0 == 0.78125
     control = optimal_control(sol, f)
-    assert abs(duality_gap(sol, dual_value(lat, f, phi, control), control).root_gap) <= 1e-12
+    assert abs(
+        duality_gap(sol, dual_value(lat, f, terminal_values(lat, phi), control), control).root_gap
+    ) <= 1e-12
     rng = np.random.default_rng(5)
     for _ in range(4):
         control = random_admissible_control(lat, rng)
-        assert duality_gap(sol, dual_value(lat, f, phi, control), control).min_gap >= -1e-9
+        assert (
+            duality_gap(sol, dual_value(lat, f, terminal_values(lat, phi), control), control).min_gap
+            >= -1e-9
+        )
 
 
 def test_unbounded_conjugate_floods_candidate_with_minus_inf():
@@ -198,7 +206,7 @@ def test_unbounded_conjugate_floods_candidate_with_minus_inf():
     mu = [np.full((lat.node_count(i), 1), 1.5) for i in range(lat.steps)]
     control = ControlProcess(predictable_process(lat, mu))
     assert control.admissibility_margin() > 0.0
-    cand = dual_value(lat, f, phi, control)
+    cand = dual_value(lat, f, terminal_values(lat, phi), control)
     assert np.isneginf(cand.slices[0][0])
     rep = duality_gap(sol, cand, control)
     assert rep.min_gap >= -1e-9
@@ -209,8 +217,8 @@ def test_dual_bisection_rescues_a_truncated_fixed_point():
     # the dual step shares the solve's implicit solver, bisection included
     lat, f, phi, sol = _solve("linear:1,1", "maxpath", 8)
     control = optimal_control(sol, f)
-    ref = dual_value(lat, f, phi, control)
-    got = dual_value(lat, f, phi, control, max_iter=2)
+    ref = dual_value(lat, f, terminal_values(lat, phi), control)
+    got = dual_value(lat, f, terminal_values(lat, phi), control, max_iter=2)
     for a, b in zip(got.slices, ref.slices):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
@@ -219,7 +227,7 @@ def test_dual_value_rejects_inadmissible_control():
     lat, f, phi, _ = _solve("quadratic", "endpoint", 2)
     mu = [np.full((lat.node_count(i), 1), 2.0) for i in range(lat.steps)]
     with pytest.raises(AdmissibilityError):
-        dual_value(lat, f, phi, ControlProcess(predictable_process(lat, mu)))
+        dual_value(lat, f, terminal_values(lat, phi), ControlProcess(predictable_process(lat, mu)))
 
 
 def test_comparison_minimum_constant_shift():
@@ -242,7 +250,7 @@ def test_comparison_minimum_keeps_a_nan(slice_index):
 def test_duality_csv_layout_and_determinism():
     lat, f, phi, sol = _solve("quadratic", "endpoint", 2)
     control = optimal_control(sol, f)
-    cand = dual_value(lat, f, phi, control)
+    cand = dual_value(lat, f, terminal_values(lat, phi), control)
     buf = io.StringIO()
     export_duality_csv(sol, cand, control, buf)
     text = buf.getvalue()
@@ -268,7 +276,7 @@ def test_duality_csv_matches_per_row_writer(mode, steps, dim):
     terminal = "endpoint" if mode == "full" else "clipped-endpoint"
     lat, f, phi, sol = _solve("linear:1,1", terminal, steps, dim, mode)
     control = optimal_control(sol, f)
-    cand = dual_value(lat, f, phi, control)
+    cand = dual_value(lat, f, terminal_values(lat, phi), control)
     got, want = io.StringIO(), io.StringIO()
     export_duality_csv(sol, cand, control, got)
     oracles.per_row_duality_csv(sol, cand, control, want)
@@ -279,7 +287,7 @@ def test_maxpath_duality_csv_matches_per_row_writer():
     # full N=11: the running-max terminal gives a leaf slice of two blocks
     lat, f, phi, sol = _solve("linear:1,1", "maxpath", 11)
     control = optimal_control(sol, f)
-    cand = dual_value(lat, f, phi, control)
+    cand = dual_value(lat, f, terminal_values(lat, phi), control)
     got, want = io.StringIO(), io.StringIO()
     export_duality_csv(sol, cand, control, got)
     oracles.per_row_duality_csv(sol, cand, control, want)
@@ -291,7 +299,46 @@ def test_nan_terminal_dual_value_raises(driver):
     lat = build_lattice(4, dim=1)
     control = random_admissible_control(lat, np.random.default_rng(3))
     with pytest.raises(ConvergenceError, match=r"slice 3: the tilted expectation is NaN .*first node 0"):
-        dual_value(lat, make_driver(driver), make_terminal("const:nan"), control)
+        dual_value(
+            lat, make_driver(driver), terminal_values(lat, make_terminal("const:nan")), control
+        )
+
+
+def test_nan_below_the_terminal_slice_names_its_slice_and_first_node():
+    # finite except for +-inf leaves: the parents' means or conjugates are NaN
+    lat = build_lattice(3, dim=1)
+    zero = ControlProcess.from_constant(lat, [0.0])
+    xi = np.zeros(8)
+    xi[[4, 6]], xi[[5, 7]] = -np.inf, np.inf
+    with pytest.raises(
+        ConvergenceError,
+        match=r"slice 2: the tilted expectation is NaN at 2 node\(s\), first node 2$",
+    ):
+        dual_value(lat, make_driver("linear:1,1"), xi, zero)
+    xi = np.zeros(8)
+    xi[[3, 7]] = np.inf  # -a - 0 * |inf| is NaN
+    with pytest.raises(
+        ConvergenceError, match=r"slice 2: the conjugate is NaN at 2 node\(s\), first node 1$"
+    ):
+        dual_value(lat, make_driver("linear:1,0"), xi, zero)
+
+
+@pytest.mark.parametrize("size", [7, 9])
+def test_dual_value_refuses_a_terminal_slice_of_the_wrong_length(size):
+    lat, f, phi, sol = _solve("linear:1,1", "endpoint", 3)
+    with pytest.raises(StructuralError, match="8 terminal nodes"):
+        dual_value(lat, f, np.zeros(size), optimal_control(sol, f))
+
+
+def test_candidates_share_the_terminal_slice_and_leave_it_unwritten():
+    lat, f, phi, sol = _solve("linear:1,1", "maxpath", 6)
+    xi = sol.Y.slices[-1]
+    kept = xi.copy()
+    rng = np.random.default_rng(4)
+    for control in [optimal_control(sol, f)] + [random_admissible_control(lat, rng) for _ in range(3)]:
+        assert dual_value(lat, f, xi, control).slices[-1] is xi
+    assert np.array_equal(xi, kept)
+    assert np.array_equal(xi, terminal_values(lat, phi))
 
 
 def test_unbounded_conjugate_stays_a_value():
@@ -300,7 +347,7 @@ def test_unbounded_conjugate_stays_a_value():
     control = ControlProcess(
         predictable_process(lat, [np.full((lat.node_count(i), 1), 1.2) for i in range(3)])
     )
-    cand = dual_value(lat, f, phi, control)
+    cand = dual_value(lat, f, terminal_values(lat, phi), control)
     assert np.all(cand.slices[0] == -np.inf)
     assert duality_gap(sol, cand, control).weakly_consistent
 
@@ -308,7 +355,7 @@ def test_unbounded_conjugate_stays_a_value():
 def test_nan_gap_is_never_weakly_consistent():
     lat, f, phi, sol = _solve("linear:1,1", "maxpath", 4)
     control = optimal_control(sol, f)
-    slices = [s.copy() for s in dual_value(lat, f, phi, control).slices]
+    slices = [s.copy() for s in dual_value(lat, f, terminal_values(lat, phi), control).slices]
     slices[2][1] = np.nan
     report = duality_gap(sol, left_process(lat, slices), control)
     assert math.isnan(report.min_gap) and math.isnan(report.max_gap)
@@ -320,7 +367,9 @@ def test_minus_inf_mean_at_a_finite_domain_control_stays_minus_inf():
     # conjugate's domain, but the mean is -inf and -a - b|y| is -inf there too
     lat, f, phi, _ = _solve("linear:1,1", "endpoint", 4)
     mu = [np.full((lat.node_count(i), 1), 1.2 if i == 3 else 0.5) for i in range(4)]
-    cand = dual_value(lat, f, phi, ControlProcess(predictable_process(lat, mu)))
+    cand = dual_value(
+        lat, f, terminal_values(lat, phi), ControlProcess(predictable_process(lat, mu))
+    )
     for i in range(4):
         assert np.all(cand.slices[i] == -np.inf), i
 
@@ -349,7 +398,7 @@ def test_dual_closes_on_a_path_dependent_driver_without_closed_forms():
     phi = make_terminal("endpoint")
     sol = solve_backward(lat, f, phi)
     control = optimal_control(sol, f)
-    rep = duality_gap(sol, dual_value(lat, f, phi, control), control)
+    rep = duality_gap(sol, dual_value(lat, f, terminal_values(lat, phi), control), control)
     assert abs(rep.root_gap) <= 1e-9
     assert abs(rep.min_gap) <= 1e-9
 
@@ -364,7 +413,7 @@ def test_y_free_dual_is_the_explicit_recursion(driver, mode, steps, dim):
     rng = np.random.default_rng(23)
     for _ in range(2):
         control = random_admissible_control(lat, rng)
-        got = dual_value(lat, f, phi, control).slices
+        got = dual_value(lat, f, terminal_values(lat, phi), control).slices
         r = terminal_values(lat, phi)
         for i in range(steps - 1, -1, -1):
             mu = control.process.slices[i]

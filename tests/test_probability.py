@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,25 @@ def test_admissibility_error_names_path():
     ok = ControlProcess.from_constant(lat, [0.99])
     ok.check_admissible()
     assert ok.admissibility_margin() > 0
+
+
+def test_admissibility_error_names_the_first_bad_edge_of_a_later_slice():
+    # slices 0 and 1 pass; in slice 2 node 5 fails on its down-first edges, node 9 too
+    lat = build_lattice(3, dim=2)
+    mus = [np.full((lat.node_count(i), 2), 0.1) for i in range(3)]
+    mus[2][5] = [2.0, 0.0]
+    mus[2][9] = [-2.0, 0.0]
+    with pytest.raises(AdmissibilityError, match=re.escape("step 3: weight -0.154701 on edge (+-,+-) -> -+ ")):
+        ControlProcess(predictable_process(lat, mus)).check_admissible()
+
+
+def test_nan_weight_is_inadmissible():
+    lat = build_lattice(3, dim=2)
+    mus = [np.full((lat.node_count(i), 2), 0.1) for i in range(3)]
+    mus[1][2] = [np.nan, 0.0]
+    mus[2][5] = [2.0, 0.0]  # a later slice's bad edge is not the one named
+    with pytest.raises(AdmissibilityError, match=re.escape("step 2: weight nan on edge (-+) -> ++ ")):
+        ControlProcess(predictable_process(lat, mus)).check_admissible()
 
 
 def test_expectation_under_mu_drifted_endpoint():
