@@ -26,10 +26,7 @@ Conventions
   slice, since z is fixed there before the implicit step iterates y.  A
   driver may declare fix_z(t, w, z) -> (y -> array) doing its z-only work
   once per binding, with the bits of evaluate; without it, at calls
-  evaluate on every y.  fix_mu(t, w, mu) -> (y -> array) is the same for the
-  conjugate: the dual binds mu once per slice and iterates y, so a driver
-  that declares it takes its mu-only work (the domain test |mu| <= b of
-  linear) once per slice, with the bits of analytic_conjugate.
+  evaluate on every y.  fix_mu(t, w, mu) does the same for the conjugate.
 * conjugate(f, t, w, y, mu) returns +inf as the "unbounded" marker; it is a
   value, not an error, and propagates through the dual machinery.
 
@@ -62,13 +59,13 @@ class DriverSpec:
     whose solve and dual steps are then explicit; any other value (the
     catalog uses 'general') marks a driver that may read y.  fix_z(t, w, z), when
     declared, returns y -> f(t, w, y, z) with the z-only work done once; it
-    must give evaluate's bits (see at).  fix_mu(t, w, mu), when declared, is
-    its counterpart for the conjugate: y -> analytic_conjugate(t, w, y, mu)
-    on the bound nodes, bit for bit, with the mu-only work done once.  The
-    dual binds mu once per slice, so its fixed point then pays only the
-    y-part on each iterate.  The solve, the dual and the subgradient control
-    all evaluate the driver of step i at its end t_{i+1}; a driver that
-    wants a step average computes it in its own evaluate.
+    must give evaluate's bits (see at).  fix_mu(t, w, mu), when declared,
+    returns y -> analytic_conjugate(t, w, y, mu) on y arrays, bit for bit,
+    with the mu-only work done once: the dual binds mu once per slice, so
+    its fixed point pays only the y-part per iterate.  The solve, the dual
+    and the subgradient control all evaluate the driver of step i at its end
+    t_{i+1}; a driver that wants a step average computes it in its own
+    evaluate.
     """
 
     name: str
