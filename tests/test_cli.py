@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from bsdelattice import cli
+from bsdelattice import cli, duality, solver
 from bsdelattice.cli import main
 
 
@@ -290,8 +290,6 @@ _INT_CONFIG_CASES = [
     (["duality", "--steps", "3"], "samples"),
     (["duality", "--steps", "3", "--samples", "1"], "seed"),
 ]
-
-
 _INT_CONFIG_BAD = [
     pytest.param(argv, key, value, id="%s=%s" % (key, json.dumps(value)))
     for argv, key in _INT_CONFIG_CASES
@@ -337,8 +335,6 @@ def test_integer_config_values_still_run(tmp_path, capsys):
 
 def test_duality_evaluates_the_terminal_once(tmp_path, capsys, monkeypatch):
     # the solve's terminal slice serves the tilt and every probe
-    from bsdelattice import duality, solver
-
     calls = []
     real = solver.terminal_values
 
