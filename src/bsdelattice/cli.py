@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
@@ -84,28 +85,49 @@ class ExperimentConfig:
 
 # every option: the config fields but the subcommand
 _OPTIONS = [fld for fld in fields(ExperimentConfig) if fld.name != "command"]
-# the options argparse reads with type=int; leaf_budget may also be null
-_INT_OPTIONS = {fld.name for fld in _OPTIONS if fld.type in ("int", "Optional[int]")}
+# the options argparse reads with type=int or type=float, by kind; leaf_budget,
+# tol and reference may also be null
+_KINDS = {"int": int, "Optional[int]": int, "float": float, "Optional[float]": float}
+_NUMBER_OPTIONS = {fld.name: _KINDS[fld.type] for fld in _OPTIONS if fld.type in _KINDS}
 
 
-def _check_int(key, value):
-    """A config value of an integer option: a JSON integer, not a bool or a float."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise GridError("%s must be an integer, got %r" % (key.replace("_", "-"), value))
+def _check_number(key, value, kind):
+    """A config value of a numeric option: a JSON integer for int, any JSON number for float.
+
+    A bool is neither, and neither is a string; int() would also truncate 2.5
+    to 2.
+    """
+    allowed = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise GridError(
+            "%s must be %s, got %r"
+            % (key.replace("_", "-"), "an integer" if kind is int else "a number", value)
+        )
 
 
 def _parse_list(key, value, kind):
     """A list option (a list, or a comma-separated string) as a list of kind.
 
-    The entries of an integer list must be integers already, as a flag's are
-    parsed; int() would truncate 2.5 to 2.
+    The entries of a list must be JSON numbers of the option's kind, as a
+    flag's are parsed.
     """
     if not isinstance(value, (list, tuple)):
         value = [v for v in str(value).split(",") if v.strip()]
-    elif kind is int:
+    else:
         for v in value:
-            _check_int(key, v)
+            _check_number(key, v, kind)
     return [kind(v) for v in value]
+
+
+def _check_ranges(merged):
+    """GridError for a tol that is not a finite number >= 0, samples < 0 or max_iter < 1."""
+    tol = merged["tol"]
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise GridError("tol must be a finite number >= 0, got %r" % (tol,))
+    if merged["samples"] < 0:
+        raise GridError("samples must be >= 0, got %r" % (merged["samples"],))
+    if merged["max_iter"] < 1:
+        raise GridError("max-iter must be >= 1, got %r" % (merged["max_iter"],))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,9 +176,11 @@ def _load_config(path):
 def _merge(args: argparse.Namespace) -> ExperimentConfig:
     """Flags over the config file over the defaults.
 
-    An empty list option is refused, and so is a config value of an integer
-    option that is not a JSON integer (GridError, like a flag argparse
-    refuses); null stays allowed where the default is null.
+    An empty list option is refused, and so is a config value of a numeric
+    option that is not a JSON number of its kind (GridError, like a flag
+    argparse refuses); null stays allowed where the default is null.  A tol
+    that is not a finite number >= 0, samples < 0 and max_iter < 1 are
+    refused too, from a flag or a config.
     """
     file_cfg = _load_config(args.config) if getattr(args, "config", None) else {}
     merged = {}
@@ -164,13 +188,15 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, fld.name, None)
         if value is None:
             value = file_cfg.get(fld.name, fld.default)
-            if fld.name in _INT_OPTIONS and not (value is None and fld.default is None):
-                _check_int(fld.name, value)
+            kind = _NUMBER_OPTIONS.get(fld.name)
+            if kind is not None and not (value is None and fld.default is None):
+                _check_number(fld.name, value, kind)
         merged[fld.name] = value
     for key, kind in (("steps_list", int), ("levels", float)):
         merged[key] = _parse_list(key, merged[key], kind)
         if not merged[key]:
             raise GridError("%s is empty" % key.replace("_", "-"))
+    _check_ranges(merged)
     return ExperimentConfig(command=args.command, **merged)
 
 

@@ -236,17 +236,21 @@ def export_duality_csv(
 
     margin is the smallest one-step weight at the node's deciding step,
     empty on the last slice where no further step is taken.  Values take 17
-    significant digits; each slice is written in blocks of rows, each distinct
-    value of a block formatted once, with the bytes of formatting every value
-    on its own.
+    significant digits.  The slices stream through solver._write_rows one
+    at a time, in blocks of rows that span slices, with the bytes of
+    formatting every value on its own.
     """
     fileobj.write("node_id,primal,dual,gap,margin\n")
     lat = sol.lattice
-    for i in range(lat.steps + 1):
-        y = sol.Y.slices[i]
-        r = candidate.slices[i]
-        margins = control.step_weights(i).min(axis=1) if i < lat.steps else None
-        _write_rows(fileobj, "%d:" % i, [y, r, y - r, margins])
+
+    def slices():
+        for i in range(lat.steps + 1):
+            y = sol.Y.slices[i]
+            r = candidate.slices[i]
+            margins = control.step_weights(i).min(axis=1) if i < lat.steps else None
+            yield [y, r, y - r, margins]
+
+    _write_rows(fileobj, ":", slices())
 
 
 def duality_summary(report: DualityReport) -> dict:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -464,32 +463,99 @@ def bmo_estimate(sol: SolutionTriple) -> float:
 # -- exports -----------------------------------------------------------------
 
 
-# rows formatted per block: large enough that the per-block overhead vanishes,
-# small enough that the block's formatted text stays a fraction of a MiB
-_BLOCK_ROWS = 1024
+# '%.17g' of a double has at most 24 characters (a sign, 17 digits, the point
+# and an exponent like e-308); a field is ',' and the number, NUL-padded to
+# that width
+_NUMBER_BYTES = 24
+_FIELD = np.dtype("S%d" % (1 + _NUMBER_BYTES))
+_FIELD_FORMAT = b",%%-%d.17g" % _NUMBER_BYTES
+_SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
+# field bytes of one block, which set its rows: the byte matrix, its NUL mask
+# and the text are each about this large, and the values, sort keys and
+# indices add 8 bytes a field each.  Blocks of 4096 rows of 4 fields made a
+# duality process 1.5 MiB larger.
+_BLOCK_BYTES = 1 << 18
 
 
-def _write_rows(fileobj, prefix, columns):
-    """Write rows 'prefix<k>,<col_1>,...,<col_m>' for k = 0..n-1, block by block.
+def _write_rows(fileobj, sep, slices):
+    """Write the rows '<i><sep><k>,<col_1>,...,<col_m>' of every node k of every slice i.
 
-    Each column is a 1-D array of length n, or None for an empty field; the
-    first is never None.  Values take 17 significant digits ('%.17g', which
-    round-trips every double and writes nan, inf and -0 as
-    format(float(x), ".17g") does).  A block formats each distinct float64 bit
-    pattern once, in one '%' pass, and its rows pick the strings up by index;
-    keying on bits keeps 0.0 and -0.0 apart.
+    slices yields, for i = 0, 1, ..., slice i's m columns: 1-D arrays of the
+    slice's length, or None for an empty field; the first is never None.  It
+    is read one slice at a time, and a block of rows may span slices.
+    Values take 17 significant digits ('%.17g', which round-trips every
+    double and writes nan, inf and -0 as format(float(x), ".17g") does).  A
+    block formats each distinct float64 bit pattern once, in one '%' pass,
+    keying on bits so that 0.0 and -0.0 stay apart.  Its rows are then one
+    uint8 matrix: the digits of i and k, the separators, the field bytes
+    picked from a table by each value's index, and the newlines, with NUL
+    wherever a number is shorter than its column or a field is empty.
+    Dropping the NULs leaves the block's text, written as one string.
     """
-    cols = [c for c in columns if c is not None]
-    row = prefix + "%d" + "".join(",%s" if c is not None else "," for c in columns) + "\n"
-    n = len(cols[0])
-    for k0 in range(0, n, _BLOCK_ROWS):
-        k1 = min(k0 + _BLOCK_ROWS, n)
-        block = np.stack([c[k0:k1] for c in cols], dtype=np.float64)
-        bits, inv = np.unique(block.view(np.uint64), return_inverse=True)
-        text = ("%.17g\n" * bits.size) % tuple(bits.view(np.float64).tolist())
-        fields = np.array(text.split("\n"), dtype=object)[inv.reshape(block.shape)]
-        values = chain.from_iterable(zip(range(k0, k1), *fields.tolist()))
-        fileobj.write((row * (k1 - k0)) % tuple(values))
+    values = None
+    filled = top = 0  # rows in the block, and its largest node id
+    for i, columns in enumerate(slices):
+        if values is None:
+            block = max(1, _BLOCK_BYTES // (len(columns) * _FIELD.itemsize))
+            times = np.empty(block, dtype=np.int64)
+            nodes = np.empty(block, dtype=np.int64)
+            values = np.empty((block, len(columns)))
+            empty = np.empty((block, len(columns)), dtype=bool)
+        n = columns[0].shape[0]
+        k = 0
+        while k < n:
+            take = min(n - k, block - filled)
+            rows = slice(filled, filled + take)
+            times[rows] = i
+            nodes[rows] = np.arange(k, k + take)
+            for j, col in enumerate(columns):
+                empty[rows, j] = col is None
+                values[rows, j] = 0.0 if col is None else col[k : k + take]
+            filled += take
+            k += take
+            top = max(top, k - 1)
+            if filled == block:
+                fileobj.write(_block_text(sep, times, nodes, top, values, empty))
+                filled = top = 0
+    if filled:
+        rows = slice(0, filled)
+        fileobj.write(_block_text(sep, times[rows], nodes[rows], top, values[rows], empty[rows]))
+
+
+def _block_text(sep, times, nodes, top, values, empty):
+    """The text of one block of rows, top its largest node id; see _write_rows."""
+    n, m = values.shape
+    bits, inv = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
+    # a field per distinct value, then one with ',' alone for the empty field
+    fields = (_FIELD_FORMAT * bits.size + b"," + b" " * _NUMBER_BYTES) % tuple(
+        bits.view(np.float64).tolist()
+    )
+    table = np.frombuffer(fields.translate(_SPACE_TO_NUL), dtype=_FIELD)
+    inv = inv.reshape(n, m)
+    np.copyto(inv, bits.size, where=empty)
+    wt, wk = len(str(times[-1])), len(str(top))
+    head = wt + 1 + wk
+    mat = np.empty((n, head + m * _FIELD.itemsize + 1), dtype=np.uint8)
+    _put_digits(mat[:, :wt], times)
+    mat[:, wt] = ord(sep)
+    _put_digits(mat[:, wt + 1 : head], nodes)
+    # mode="clip" gathers straight into the matrix; "raise" would gather into a copy
+    np.take(table, inv, out=mat[:, head:-1].view(_FIELD), mode="clip")
+    mat[:, -1] = ord("\n")
+    return mat[mat != 0].tobytes().decode("ascii")
+
+
+def _put_digits(out, v):
+    """The decimal digits of the integers v >= 0 into out's columns, right-aligned, NUL-padded."""
+    last = out.shape[1] - 1
+    rest = v
+    for j in range(last, -1, -1):
+        left, digit = np.divmod(rest, 10)
+        digit += ord("0")
+        if j < last:
+            digit *= np.sign(rest)  # NUL where no digit is left
+        out[:, j] = digit.astype(np.uint8)
+        rest = left
 
 
 def _dm_column(lat: PathLattice, i: int, dm: np.ndarray) -> np.ndarray:
@@ -523,19 +589,23 @@ def export_solution_csv(sol: SolutionTriple, fileobj):
     that comes last in (parent, choice) order, and NaN increments never win
     (a node whose incoming increments are all NaN reads 0).
 
-    Each slice is written in blocks of rows, each distinct value of a block
-    formatted once; the bytes are those of formatting every value with
-    format(float(x), ".17g").
+    The slices stream through _write_rows one at a time, so dM is formed
+    for one slice at a time; its blocks of rows span slices, and the bytes
+    are those of formatting every value with format(float(x), ".17g").
     """
     lat = sol.lattice
     d = lat.dim
     header = ["time_index", "node_id", "Y"] + ["Z_%d" % (k + 1) for k in range(d)] + ["dM"]
     fileobj.write(",".join(header) + "\n")
-    for i in range(lat.steps + 1):
-        z = sol.Z.slices[i] if i < lat.steps else None
-        z_cols = [z[:, c] if z is not None else None for c in range(d)]
-        dm_col = _dm_column(lat, i, sol.dm(i - 1)) if i > 0 else None
-        _write_rows(fileobj, "%d," % i, [sol.Y.slices[i]] + z_cols + [dm_col])
+
+    def slices():
+        for i in range(lat.steps + 1):
+            z = sol.Z.slices[i] if i < lat.steps else None
+            z_cols = [z[:, c] if z is not None else None for c in range(d)]
+            dm_col = _dm_column(lat, i, sol.dm(i - 1)) if i > 0 else None
+            yield [sol.Y.slices[i]] + z_cols + [dm_col]
+
+    _write_rows(fileobj, ",", slices())
 
 
 def solution_summary(sol: SolutionTriple) -> dict:

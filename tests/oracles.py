@@ -12,12 +12,12 @@ the lattice solve approaches as N grows.
 
 The exceptions come at the end: two CSV writers that keep the per-row,
 per-value loops the exporters used before they wrote whole blocks of rows;
-the block writers must match their bytes.  The recombining dM column they
-take from solver._dm_column, whose rule has its own brute-force test.  Last,
-the monotone bisection with its fixed 200 halvings, against which the
-early-stopping one must give the same bits, and the Picard distances as
-forward sums along every full-layout path, against which the backward
-tails of the streamed sweep are checked.
+the block writer behind both exports must match their bytes.  The
+recombining dM column they take from solver._dm_column, whose rule has its
+own brute-force test.  Last, the monotone bisection with its fixed 200
+halvings, against which the early-stopping one must give the same bits,
+and the Picard distances as forward sums along every full-layout path,
+against which the backward tails of the streamed sweep are checked.
 """
 
 import math

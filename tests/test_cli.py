@@ -320,6 +320,96 @@ def test_steps_list_config_entry_must_be_a_json_integer(tmp_path, capsys, entry)
     assert not out.exists()
 
 
+_FLOAT_CONFIG_CASES = [
+    (["solve", "--steps", "2"], "horizon"),
+    (["solve", "--steps", "2"], "tol"),
+    (["converge", "--mode", "recombining", "--steps-list", "10,20"], "reference"),
+]
+_FLOAT_CONFIG_BAD = [
+    pytest.param(argv, key, value, id="%s=%s" % (key, json.dumps(value)))
+    for argv, key in _FLOAT_CONFIG_CASES
+    for value in [True, False, "1", "1e-10", [1.0], {"v": 1}]
+] + [pytest.param(["solve", "--steps", "2"], "horizon", None, id="horizon=null")]
+
+
+@pytest.mark.parametrize("argv,key,value", _FLOAT_CONFIG_BAD)
+def test_float_config_value_must_be_a_json_number(tmp_path, capsys, argv, key, value):
+    # {"horizon": true, "tol": false} solved with horizon 1.0 and tol 0.0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert "input error: %s must be a number" % key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", [True, False, "2", None])
+def test_levels_config_entry_must_be_a_json_number(tmp_path, capsys, entry):
+    # [true, 2] ran a level 1.0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"levels": [entry, 2]}))
+    out = tmp_path / "out.csv"
+    assert run(["approx", "--steps", "4", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "input error: levels must be a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -1.0, -1e-300])
+@pytest.mark.parametrize("by_config", [False, True])
+def test_tol_must_be_finite_and_not_negative(tmp_path, capsys, value, by_config):
+    # --tol inf solved to y0 4.7849 against 5.0153, --tol nan ran every
+    # iteration, and --tol -1 exited 1 as a property failure
+    out = tmp_path / "out.csv"
+    argv = ["solve", "--steps", "6", "--driver", "linear:1,1", "--out", str(out)]
+    if by_config:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tol": value}))  # Infinity and NaN, which json reads back
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--tol=%r" % value]
+    assert run(argv) == 2
+    assert "input error: tol must be a finite number >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,key,value",
+    [
+        (["duality", "--steps", "3"], "samples", -2),
+        (["solve", "--steps", "3"], "max_iter", 0),
+        (["duality", "--steps", "3"], "max_iter", -1),
+        (["picard", "--steps", "3"], "max_iter", 0),
+    ],
+)
+@pytest.mark.parametrize("by_config", [False, True])
+def test_samples_and_max_iter_below_their_range(tmp_path, capsys, argv, key, value, by_config):
+    # duality --samples -2 exited 0 and reported "samples": -2
+    out = tmp_path / "out.csv"
+    if by_config:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = argv + ["--config", str(cfg)]
+    else:
+        argv = argv + ["--" + key.replace("_", "-"), str(value)]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "input error: %s must be >=" % key.replace("_", "-") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_boundary_numbers_still_run(tmp_path, capsys):
+    # tol 0, samples 0 and max_iter 1 are in range; integers are numbers
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"tol": 0, "horizon": 2, "samples": 0, "max_iter": 1}))
+    argv = ["duality", "--steps", "3", "--driver", "zero", "--config", str(cfg),
+            "--out", str(tmp_path / "d.csv")]
+    assert run(argv) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["samples"] == 0 and summary["sampled_min_gap"] is None
+    cfg.write_text(json.dumps({"levels": [0.5, 1]}))
+    assert run(["approx", "--steps", "4", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["levels"] == 2
+
+
 def test_integer_config_values_still_run(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"steps": 3, "samples": 2, "seed": 5, "max_iter": 50, "leaf_budget": None}))

@@ -272,7 +272,7 @@ def test_duality_csv_layout_and_determinism():
     "mode,steps,dim", [("full", 11, 1), ("full", 5, 2), ("recombining", 60, 1), ("recombining", 30, 2)]
 )
 def test_duality_csv_matches_per_row_writer(mode, steps, dim):
-    # full N=11 has a 2048-node leaf slice, two blocks of rows
+    # full N=11 has 4095 rows, in blocks that span slices
     terminal = "endpoint" if mode == "full" else "clipped-endpoint"
     lat, f, phi, sol = _solve("linear:1,1", terminal, steps, dim, mode)
     control = optimal_control(sol, f)
@@ -284,7 +284,7 @@ def test_duality_csv_matches_per_row_writer(mode, steps, dim):
 
 
 def test_maxpath_duality_csv_matches_per_row_writer():
-    # full N=11: the running-max terminal gives a leaf slice of two blocks
+    # full N=11: the running-max terminal repeats values across blocks
     lat, f, phi, sol = _solve("linear:1,1", "maxpath", 11)
     control = optimal_control(sol, f)
     cand = dual_value(lat, f, terminal_values(lat, phi), control)

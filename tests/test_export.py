@@ -1,0 +1,180 @@
+"""The CSV row writer behind both exports, against the per-row oracle writers.
+
+solver._write_rows cuts the rows of all slices into blocks of
+_BLOCK_BYTES // (fields * _FIELD.itemsize) rows, so a block may start in one
+slice and end in a later one.  These tests set _BLOCK_BYTES to get the block
+edges they need, and each asserts that its edges fall where it says: inside
+a slice, on a slice's last row, between node ids of different digit counts,
+and next to empty fields.  The bytes must equal those of the oracles, which
+format one value at a time.
+"""
+
+import io
+
+import numpy as np
+import pytest
+
+from bsdelattice import solver
+from bsdelattice.drivers import make_driver, make_terminal
+from bsdelattice.duality import dual_value, export_duality_csv, optimal_control
+from bsdelattice.lattice import build_lattice
+from bsdelattice.probability import left_process, predictable_process
+from bsdelattice.solver import SolutionTriple, export_solution_csv, solve_backward
+
+import oracles
+
+
+def _fields(kind, dim):
+    """Fields a row of the export holds after its node id."""
+    return dim + 2 if kind == "solve" else 4
+
+
+def _set_block_rows(monkeypatch, kind, dim, rows):
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", rows * _fields(kind, dim) * solver._FIELD.itemsize)
+
+
+def _first_rows(lat):
+    """Row index (header excluded) of each slice's first node, and the row count."""
+    counts = [lat.node_count(i) for i in range(lat.steps + 1)]
+    return np.concatenate([[0], np.cumsum(counts)[:-1]]).tolist(), sum(counts)
+
+
+def _assert_matches_oracle(kind, lat):
+    terminal = "endpoint" if lat.mode == "full" else "clipped-endpoint"
+    f = make_driver("linear:1,1")
+    sol = solve_backward(lat, f, make_terminal(terminal))
+    got, want = io.StringIO(), io.StringIO()
+    if kind == "solve":
+        export_solution_csv(sol, got)
+        oracles.per_row_solution_csv(sol, want)
+    else:
+        control = optimal_control(sol, f)
+        cand = dual_value(lat, f, sol.Y.slices[-1], control)
+        export_duality_csv(sol, cand, control, got)
+        oracles.per_row_duality_csv(sol, cand, control, want)
+    assert oracles.first_difference(got.getvalue(), want.getvalue()) is None
+    return got.getvalue()
+
+
+KINDS = ["solve", "duality"]
+# (mode, steps, dim) per dimension: several slices per block and blocks
+# inside slices, at small block sizes
+LATTICES = [
+    ("full", 9, 1),
+    ("recombining", 120, 1),
+    ("full", 5, 2),
+    ("recombining", 12, 2),
+    ("full", 3, 3),
+    ("recombining", 6, 3),
+]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mode,steps,dim", LATTICES)
+@pytest.mark.parametrize("rows", [1, 7, 100])
+def test_blocks_that_span_slices(monkeypatch, kind, mode, steps, dim, rows):
+    lat = build_lattice(steps, dim=dim, mode=mode)
+    starts, total = _first_rows(lat)
+    # some slice boundary lies strictly inside a block (every one, at 1 row)
+    assert rows == 1 or any(s % rows for s in starts[1:])
+    _set_block_rows(monkeypatch, kind, dim, rows)
+    text = _assert_matches_oracle(kind, lat)
+    assert text.count("\n") == 1 + total
+
+
+# (mode, steps, dim, rows): rows after each slice in the comment, with the
+# slice ends that are block ends in brackets
+EDGE_CASES = [
+    ("full", 9, 1, 1023),  # 1, 3, ..., 511, [1023]: the file is one block
+    ("full", 10, 1, 511),  # 1, 3, ..., [511], 1023, 2047 = 4 * 511 + 3
+    ("recombining", 9, 1, 15),  # 1, 3, 6, 10, [15], 21, 28, 36, [45], 55
+    ("full", 4, 2, 85),  # 1, 5, 21, [85], 341 = 4 * 85 + 1: a last block of one row
+    ("recombining", 6, 2, 14),  # 1, 5, [14], 30, 55, 91, [140]
+    ("full", 3, 3, 73),  # 1, 9, [73], 585 = 8 * 73 + 1
+    ("recombining", 4, 3, 25),  # 1, 9, 36, [100], [225]
+]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mode,steps,dim,rows", EDGE_CASES)
+def test_a_slice_that_ends_on_a_block_edge(monkeypatch, kind, mode, steps, dim, rows):
+    lat = build_lattice(steps, dim=dim, mode=mode)
+    starts, total = _first_rows(lat)
+    assert any(s % rows == 0 for s in starts[1:] + [total])
+    _set_block_rows(monkeypatch, kind, dim, rows)
+    _assert_matches_oracle(kind, lat)
+
+
+# full layouts whose last slice has node ids past 10000: (steps, dim, rows
+# before the last slice)
+WIDE_LAST_SLICE = [(14, 1, 16383), (7, 2, 5461), (5, 3, 4681)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("steps,dim,before", WIDE_LAST_SLICE)
+def test_node_ids_that_gain_a_digit_inside_a_block(monkeypatch, kind, steps, dim, before):
+    lat = build_lattice(steps, dim=dim)
+    starts, _ = _first_rows(lat)
+    assert starts[-1] == before
+    rows = 4096
+    for k in (10, 100, 1000, 10000):
+        # nodes k - 1 and k of the last slice share a block
+        assert (before + k - 1) // rows == (before + k) // rows
+    _set_block_rows(monkeypatch, kind, dim, rows)
+    text = _assert_matches_oracle(kind, lat)
+    lines = text.splitlines()
+    sep = "," if kind == "solve" else ":"
+    assert lines[1 + before + 9999].startswith("%d%s9999," % (steps, sep))
+    assert lines[1 + before + 10000].startswith("%d%s10000," % (steps, sep))
+
+
+# (mode, steps, dim): the last slice starts inside a block of the writer's
+# own size, so a block holds rows with Z (or margin) and rows without; the
+# root, with no dM, shares the first block with later rows
+EMPTY_FIELD_CASES = [
+    ("full", 12, 1),
+    ("recombining", 100, 1),
+    ("full", 6, 2),
+    ("recombining", 30, 2),
+    ("full", 4, 3),
+    ("recombining", 8, 3),
+]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mode,steps,dim", EMPTY_FIELD_CASES)
+def test_empty_fields_inside_a_block(kind, mode, steps, dim):
+    lat = build_lattice(steps, dim=dim, mode=mode)
+    starts, _ = _first_rows(lat)
+    rows = solver._BLOCK_BYTES // (_fields(kind, dim) * solver._FIELD.itemsize)
+    assert rows > 1 and starts[-1] % rows != 0
+    text = _assert_matches_oracle(kind, lat)
+    root, last = text.splitlines()[1].split(","), text.splitlines()[-1].split(",")
+    if kind == "solve":
+        assert root[-1] == "" and "" not in root[:-1]  # dM at the root
+        assert last[3 : 3 + dim] == [""] * dim and last[-1] != ""  # Z on the last slice
+    else:
+        assert "" not in root and last[-1] == ""  # the margin on the last slice
+
+
+# numbers of every length '%.17g' writes, up to the 24 characters of a
+# negative number with 17 digits and a three-digit exponent
+WIDEST = [-4.9406564584124654e-324, -2.2250738585072014e-308, -1.7976931348623157e308,
+          1.7976931348623157e308, -0.1, 1e22, -1e-5, 123456789.0, 0.5, -0.0, 7.0]
+
+
+def test_the_widest_numbers_fill_their_fields():
+    lat = build_lattice(4, dim=2)
+    n = lat.node_count
+    vals = [np.resize(np.roll(WIDEST, i), n(i)) for i in range(5)]
+    sol = SolutionTriple(
+        lattice=lat,
+        Y=left_process(lat, vals),
+        Z=predictable_process(lat, [np.stack([v, v[::-1]], axis=1) for v in vals[:4]]),
+    )
+    got, want = io.StringIO(), io.StringIO()
+    with np.errstate(over="ignore", invalid="ignore"):  # dM overflows to inf and nan
+        export_solution_csv(sol, got)
+        oracles.per_row_solution_csv(sol, want)
+    assert oracles.first_difference(got.getvalue(), want.getvalue()) is None
+    assert max(len(f) for f in got.getvalue().replace("\n", ",").split(",")) == solver._NUMBER_BYTES

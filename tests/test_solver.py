@@ -574,8 +574,8 @@ def test_recombining_dm_column_keeps_largest_incoming_edge(steps, dim):
     assert sign_ties > 0
 
 
-# (mode, steps, dim): full N=10 has a leaf slice of exactly one block of rows
-# and N=11 one of two; recombining d=2 N=40 ends on a 1681-node slice.
+# (mode, steps, dim) at the writer's own block size; tests/test_export.py
+# places the block edges
 EXPORT_CASES = [
     ("full", 10, 1),
     ("full", 11, 1),
@@ -633,9 +633,9 @@ REPEATED = [0.0, -0.0, _bits(0x7FF8000000000000), _bits(0x7FF8000000000001), 5e-
 
 
 def test_csv_export_of_repeated_values_matches_per_row_writer():
-    # full N=12 ends on a 4096-node slice, four blocks of rows, whose columns
-    # draw from a handful of values: every block formats each distinct bit
-    # pattern once, so values that format alike must still map back row by row
+    # full N=12 has 8191 rows in several blocks, whose columns draw from a
+    # handful of values: every block formats each distinct bit pattern once,
+    # so values that format alike must still map back row by row
     lat = build_lattice(12, dim=1)
     rng = np.random.default_rng(5)
     n = lat.node_count
