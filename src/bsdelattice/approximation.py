@@ -62,10 +62,11 @@ def inf_convolution(phi: TerminalFunctional, n: float) -> TerminalFunctional:
     A Markov terminal is regularized through its terminal map, and its path
     form reads the final value, so both layouts see the same numbers.  When
     n is at least phi's declared Lipschitz constant every candidate is at
-    least phi, and phi itself (running form included) is returned.
+    least phi, and phi itself (running form included) is returned.  A level
+    that is not positive, NaN included, raises GridError.
     """
     n = float(n)
-    if n <= 0:
+    if not n > 0:
         raise GridError("regularization level must be positive, got %g" % n)
     if phi.lipschitz is not None and phi.lipschitz <= n:
         return phi

@@ -120,10 +120,17 @@ def _parse_list(key, value, kind):
 
 
 def _check_ranges(merged):
-    """GridError for a tol that is not a finite number >= 0, samples < 0 or max_iter < 1."""
+    """GridError for a tol that is not a finite number >= 0, a non-finite
+    reference or level, samples < 0 or max_iter < 1."""
     tol = merged["tol"]
     if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
         raise GridError("tol must be a finite number >= 0, got %r" % (tol,))
+    reference = merged["reference"]
+    if reference is not None and not math.isfinite(reference):
+        raise GridError("reference must be a finite number, got %r" % (reference,))
+    for level in merged["levels"]:
+        if not math.isfinite(level):
+            raise GridError("levels must be finite numbers, got %r" % (level,))
     if merged["samples"] < 0:
         raise GridError("samples must be >= 0, got %r" % (merged["samples"],))
     if merged["max_iter"] < 1:
@@ -179,8 +186,8 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
     An empty list option is refused, and so is a config value of a numeric
     option that is not a JSON number of its kind (GridError, like a flag
     argparse refuses); null stays allowed where the default is null.  A tol
-    that is not a finite number >= 0, samples < 0 and max_iter < 1 are
-    refused too, from a flag or a config.
+    that is not a finite number >= 0, a non-finite reference or level,
+    samples < 0 and max_iter < 1 are refused too, from a flag or a config.
     """
     file_cfg = _load_config(args.config) if getattr(args, "config", None) else {}
     merged = {}

@@ -24,7 +24,9 @@ _sum_columns adds such a block's choices (or a vector's components) in
 numpy's own reduction order, so one-step means keep the bits of .mean(axis=1)
 without a reduction call over a short axis.  On the full layout,
 PathLattice.paths builds the walk paths to any slice's nodes on demand, read
-from the cached walk slices; nothing per path is cached.
+from the cached walk slices; nothing per path is cached.  A reader that goes
+forward over all full-layout slices once takes them from
+PathLattice.walk_slices, which caches none.
 """
 
 from __future__ import annotations
@@ -152,33 +154,55 @@ class PathLattice:
     # -- values --------------------------------------------------------------
 
     def walk_slice(self, i: int) -> np.ndarray:
-        """(n_i, d) walk values at time index i, in node order.  Cached."""
+        """(n_i, d) walk values at time index i, in node order.  Cached.
+
+        On the full layout the slices up to i are built by walk_slices' steps
+        from the latest cached one, and each is cached on the way.
+        """
         if not 0 <= i <= self.steps:
             raise TimeDomainError("slice index %d outside 0..%d" % (i, self.steps))
         cached = self._walk_cache.get(i)
         if cached is not None:
             return cached
         if self.mode == "full":
-            start = max(j for j in range(i + 1) if j in self._walk_cache or j == 0)
-            w = self._walk_cache.get(start)
-            if w is None:
-                w = np.zeros((1, self.dim))
-                w.setflags(write=False)
-                self._walk_cache[0] = w
-            inc = self.step_increments()
-            for j in range(start, i):
-                nxt = np.repeat(w, self.n_choices, axis=0)
-                nxt.reshape(-1, self.n_choices, self.dim)[...] += inc[None, :, :]
-                nxt.setflags(write=False)
-                self._walk_cache[j + 1] = nxt
-                w = nxt
-            return w
+            start = max((j for j in self._walk_cache if j < i), default=None)
+            if start is None:
+                built = enumerate(self.walk_slices())
+            else:
+                built = enumerate(self._walk_after(start, self._walk_cache[start]), start + 1)
+            for j, w in built:
+                self._walk_cache[j] = w
+                if j == i:
+                    return w
         n = self.node_count(i)
         m = np.array(np.unravel_index(np.arange(n), (i + 1,) * self.dim)).T
         w = (i - 2.0 * m) * self.grid.sqrt_dt
         w.setflags(write=False)
         self._walk_cache[i] = w
         return w
+
+    def walk_slices(self):
+        """Yield the full-layout walk slices 0..N in order, each built from the last.
+
+        Nothing is cached, so a reader that goes forward once (the terminal)
+        holds one slice and the step that builds the next.  The slices are
+        the bits walk_slice(i) returns.
+        """
+        if self.mode != "full":
+            raise StructuralError("walk_slices builds the full layout's slices only")
+        w = np.zeros((1, self.dim))
+        w.setflags(write=False)
+        yield w
+        yield from self._walk_after(0, w)
+
+    def _walk_after(self, j: int, w: np.ndarray):
+        """Yield the full-layout walk slices j+1..N, built in turn from slice j's values w."""
+        inc = self.step_increments()
+        for _ in range(j, self.steps):
+            w = np.repeat(w, self.n_choices, axis=0)
+            w.reshape(-1, self.n_choices, self.dim)[...] += inc[None, :, :]
+            w.setflags(write=False)
+            yield w
 
     def slice_probabilities(self, i: int) -> np.ndarray:
         """(n_i,) node probabilities at time index i.  Cached."""

@@ -116,9 +116,16 @@ def orthogonal_increments(
     With the z of martingale_projection the remainder has conditional mean
     zero and is conditionally orthogonal to every increment component.
     """
-    v = gather_children(lattice, i, child_values)
-    out = v - _choice_mean(v)[:, None]
-    out -= z @ lattice.dw_weights
+    return _orthogonal_remainder(gather_children(lattice, i, child_values), z @ lattice.dw_weights)
+
+
+def _orthogonal_remainder(children: np.ndarray, zdw: np.ndarray) -> np.ndarray:
+    """children - their one-step mean - zdw, for gathered (n, 2**d) children and z . dW.
+
+    Row by row, so a range of parents gets the bits of the whole slice.
+    """
+    out = children - _choice_mean(children)[:, None]
+    out -= zdw
     return out
 
 

@@ -39,6 +39,7 @@ from .lattice import PathLattice, TimeGrid, _sum_columns, gather_children
 from .probability import (
     AdaptedProcess,
     _choice_mean,
+    _orthogonal_remainder,
     conditional_expectation,
     left_process,
     martingale_projection,
@@ -102,11 +103,19 @@ def terminal_values(lattice: PathLattice, phi: TerminalFunctional) -> np.ndarray
 
     A Markov terminal maps the final walk values; otherwise (full layout
     only) a running evaluate goes forward over the walk slices, and a plain
-    one is called on the paths of consecutive leaf blocks.
+    one is called on the paths of consecutive leaf blocks.  The Markov and
+    running forms take the full layout's slices from lattice.walk_slices,
+    so they hold one walk slice at a time and leave the lattice's cache as
+    they found it.
     """
     n = lattice.node_count(lattice.steps)
     if phi.markovian and phi.terminal_map is not None:
-        xi = phi.terminal_map(lattice.walk_slice(lattice.steps))
+        if lattice.mode == "full":
+            for w in lattice.walk_slices():
+                pass
+        else:
+            w = lattice.walk_slice(lattice.steps)
+        xi = phi.terminal_map(w)
     elif lattice.mode == "recombining":
         raise StructuralError(
             "recombining mode needs a terminal functional of the final value "
@@ -115,11 +124,10 @@ def terminal_values(lattice: PathLattice, phi: TerminalFunctional) -> np.ndarray
     elif isinstance(phi.evaluate, RunningFunctional):
         # forward over the walk slices; node k of slice j+1 extends node k // 2**d
         run = phi.evaluate
-        state = run.init(lattice.walk_slice(0))
-        for j in range(1, lattice.steps + 1):
-            state = run.update(
-                np.repeat(state, lattice.n_choices, axis=0), lattice.walk_slice(j)
-            )
+        walk = lattice.walk_slices()
+        state = run.init(next(walk))
+        for w in walk:
+            state = run.update(np.repeat(state, lattice.n_choices, axis=0), w)
         xi = run.finish(state)
     else:
         block = max(1, _PATH_BLOCK_ENTRIES // ((lattice.steps + 1) * lattice.dim))
@@ -448,14 +456,17 @@ def z_bound_certificate(
 
 
 def bmo_estimate(sol: SolutionTriple) -> float:
-    """max over nodes of E[sum_{j > i} |Z_j|^2 dt | node]."""
+    """max over nodes of E[sum_{j > i} |Z_j|^2 dt | node]; NaN if any Z is.
+
+    The tail starts at slice N-1 as |Z_{N-1}|^2 dt, the bits of adding it to
+    the mean of a zero slice N, and no slice-N array is made.
+    """
     lat = sol.lattice
     dt = lat.grid.dt
-    tail = np.zeros(lat.node_count(lat.steps))
-    worst = 0.0
-    for i in range(lat.steps - 1, -1, -1):
-        z2 = _sum_columns(sol.Z.slices[i] ** 2)
-        tail = z2 * dt + conditional_expectation(lat, i, tail)
+    tail = _sum_columns(sol.Z.slices[-1] ** 2) * dt
+    worst = float(np.maximum(0.0, tail.max()))
+    for i in range(lat.steps - 2, -1, -1):
+        tail = _sum_columns(sol.Z.slices[i] ** 2) * dt + conditional_expectation(lat, i, tail)
         worst = float(np.maximum(worst, tail.max()))
     return worst
 
@@ -481,8 +492,9 @@ def _write_rows(fileobj, sep, slices):
     """Write the rows '<i><sep><k>,<col_1>,...,<col_m>' of every node k of every slice i.
 
     slices yields, for i = 0, 1, ..., slice i's m columns: 1-D arrays of the
-    slice's length, or None for an empty field; the first is never None.  It
-    is read one slice at a time, and a block of rows may span slices.
+    slice's length, objects that give such an array's rows k:stop when
+    sliced (_EdgeRows), or None for an empty field; the first is an array.
+    It is read one slice at a time, and a block of rows may span slices.
     Values take 17 significant digits ('%.17g', which round-trips every
     double and writes nan, inf and -0 as format(float(x), ".17g") does).  A
     block formats each distinct float64 bit pattern once, in one '%' pass,
@@ -559,24 +571,44 @@ def _put_digits(out, v):
 
 
 def _dm_column(lat: PathLattice, i: int, dm: np.ndarray) -> np.ndarray:
-    """dM on the edge into each node of slice i >= 1, by the rule export_solution_csv states.
+    """dM on the edge into each node of recombining slice i >= 1, by export_solution_csv's rule.
 
     dm is the (n_{i-1}, 2**d) array of increments on the step into slice i.
+    Choice c's children are the slice-i grid shifted by its down steps, so
+    each choice compares and copies on that shifted view.
     """
-    if lat.mode == "full":
-        return dm.ravel()
-    n = lat.node_count(i)
+    col = np.zeros((i + 1,) * lat.dim)
+    best = np.full(col.shape, -1.0)
+    dm = dm.reshape((i,) * lat.dim + (lat.n_choices,))
     mag = np.abs(dm)
-    ch = gather_children(lat, i - 1, np.arange(n))
-    col = np.zeros(n)
-    best = np.full(n, -1.0)
     # a node's incoming edges come from distinct parents, the lowest
     # choice from the last parent: sweep choices down, later edges win ties
     for c in range(lat.n_choices - 1, -1, -1):
-        win = mag[:, c] >= best[ch[:, c]]
-        best[ch[win, c]] = mag[win, c]
-        col[ch[win, c]] = dm[win, c]
-    return col
+        view = tuple(slice(down, down + i) for down in lat._downs[c])
+        win = mag[..., c] >= best[view]
+        np.copyto(best[view], mag[..., c], where=win)
+        np.copyto(col[view], dm[..., c], where=win)
+    return col.ravel()
+
+
+class _EdgeRows:
+    """Full-layout dM on the edges into slice i+1's nodes, formed per row range.
+
+    Slicing rows k:stop returns those nodes' dM, the bits that
+    orthogonal_increments gives: the z . dW product is its one BLAS call over
+    the whole slice, and only the child mean and the subtraction run on the
+    parents of the rows asked for, so no slice-sized dM column is made.
+    """
+
+    def __init__(self, lat: PathLattice, i: int, child_values: np.ndarray, z: np.ndarray):
+        self.children = gather_children(lat, i, child_values)
+        self.zdw = z @ lat.dw_weights
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        m = self.children.shape[1]
+        first, last = rows.start // m, -(-rows.stop // m)
+        dm = _orthogonal_remainder(self.children[first:last], self.zdw[first:last])
+        return dm.ravel()[rows.start - first * m : rows.stop - first * m]
 
 
 def export_solution_csv(sol: SolutionTriple, fileobj):
@@ -589,9 +621,10 @@ def export_solution_csv(sol: SolutionTriple, fileobj):
     that comes last in (parent, choice) order, and NaN increments never win
     (a node whose incoming increments are all NaN reads 0).
 
-    The slices stream through _write_rows one at a time, so dM is formed
-    for one slice at a time; its blocks of rows span slices, and the bytes
-    are those of formatting every value with format(float(x), ".17g").
+    The slices stream through _write_rows one at a time, and its blocks of
+    rows span slices.  Full-layout dM is formed per block from the slice's
+    z . dW product (_EdgeRows), recombining dM one slice at a time.  The
+    bytes are those of formatting every value with format(float(x), ".17g").
     """
     lat = sol.lattice
     d = lat.dim
@@ -602,7 +635,12 @@ def export_solution_csv(sol: SolutionTriple, fileobj):
         for i in range(lat.steps + 1):
             z = sol.Z.slices[i] if i < lat.steps else None
             z_cols = [z[:, c] if z is not None else None for c in range(d)]
-            dm_col = _dm_column(lat, i, sol.dm(i - 1)) if i > 0 else None
+            if i == 0:
+                dm_col = None
+            elif lat.mode == "full":
+                dm_col = _EdgeRows(lat, i - 1, sol.Y.slices[i], sol.Z.slices[i - 1])
+            else:
+                dm_col = _dm_column(lat, i, sol.dm(i - 1))
             yield [sol.Y.slices[i]] + z_cols + [dm_col]
 
     _write_rows(fileobj, ",", slices())

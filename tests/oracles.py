@@ -12,12 +12,14 @@ the lattice solve approaches as N grows.
 
 The exceptions come at the end: two CSV writers that keep the per-row,
 per-value loops the exporters used before they wrote whole blocks of rows;
-the block writer behind both exports must match their bytes.  The
-recombining dM column they take from solver._dm_column, whose rule has its
-own brute-force test.  Last, the monotone bisection with its fixed 200
-halvings, against which the early-stopping one must give the same bits,
-and the Picard distances as forward sums along every full-layout path,
-against which the backward tails of the streamed sweep are checked.
+the block writer behind both exports must match their bytes.  They take
+full-layout dM from whole slices (SolutionTriple.dm), which the exporter
+forms per block, and the recombining dM column from solver._dm_column,
+whose rule has its own brute-force test.  Last, the monotone bisection
+with its fixed 200 halvings, against which the early-stopping one must
+give the same bits, and the Picard distances as forward sums along every
+full-layout path, against which the backward tails of the streamed sweep
+are checked.
 """
 
 import math
@@ -195,7 +197,12 @@ def per_row_solution_csv(sol, fileobj):
     for i in range(lat.steps + 1):
         y = sol.Y.slices[i]
         z = sol.Z.slices[i] if i < lat.steps else None
-        dm_col = _dm_column(lat, i, sol.dm(i - 1)) if i > 0 else None
+        if i == 0:
+            dm_col = None
+        elif lat.mode == "full":
+            dm_col = sol.dm(i - 1).ravel()
+        else:
+            dm_col = _dm_column(lat, i, sol.dm(i - 1))
         for k in range(y.shape[0]):
             row = [str(i), str(k), _fmt(y[k])]
             if z is not None:

@@ -73,6 +73,12 @@ def test_inf_convolution_guards():
         inf_convolution(phi, 0)
 
 
+def test_nan_level_is_refused():
+    # n <= 0 let a NaN level through to the shift family
+    with pytest.raises(GridError, match="must be positive"):
+        inf_convolution(make_terminal("digital"), math.nan)
+
+
 def test_monotone_ladder_on_digital_terminal():
     lat = build_lattice(8, dim=1)
     ladder = monotone_limit_experiment(

@@ -372,6 +372,43 @@ def test_tol_must_be_finite_and_not_negative(tmp_path, capsys, value, by_config)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("by_config", [False, True])
+def test_reference_must_be_finite(tmp_path, capsys, value, by_config):
+    # --reference nan exited 1 and printed "final_error": NaN; inf printed Infinity
+    out = tmp_path / "out.csv"
+    argv = ["converge", "--mode", "recombining", "--steps-list", "10,20,40",
+            "--driver", "linear:1,1", "--terminal", "const:1", "--out", str(out)]
+    if by_config:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"reference": value}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--reference=%r" % value]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "input error: reference must be a finite number" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("by_config", [False, True])
+def test_levels_must_be_finite(tmp_path, capsys, value, by_config):
+    # --levels nan,1 exited 1 with "monotone": false
+    out = tmp_path / "out.csv"
+    argv = ["approx", "--steps", "4", "--out", str(out)]
+    if by_config:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"levels": [1, value]}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--levels=%r,1" % value]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "input error: levels must be finite numbers" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv,key,value",
     [

@@ -63,6 +63,12 @@ def test_full_walk_matches_enumeration(steps, dim):
             assert np.allclose(ws[k], w[i], atol=1e-14, rtol=0.0)
 
 
+def test_walk_slices_are_the_full_layouts_only():
+    # a recombining slice is a grid of points, not the last slice repeated
+    with pytest.raises(StructuralError, match="full layout"):
+        next(build_lattice(3, mode="recombining").walk_slices())
+
+
 def test_full_probabilities_exact():
     lat = build_lattice(3, dim=2)
     for i in range(4):
@@ -232,7 +238,7 @@ def test_recombining_gather_equals_index_oracle(dim, steps):
         n_next = lat.node_count(i + 1)
         ids = gather_children(lat, i, np.arange(n_next))
         want = gather_children_by_index(lat, i, np.arange(n_next))
-        # the integer ids keep their dtype: _dm_column indexes with them
+        # integer ids keep their dtype, so they can index a slice
         assert ids.dtype == np.arange(1).dtype and ids.flags.c_contiguous
         assert ids.shape == (lat.node_count(i), lat.n_choices)
         assert np.array_equal(ids, want)

@@ -474,6 +474,58 @@ def test_recombining_solve_retains_little_more_than_y_and_z(dim, steps):
     assert retained <= 1.25 * yz, retained / yz
 
 
+class _NullSink:
+    def write(self, text):
+        return len(text)
+
+
+def test_full_export_and_summary_hold_the_solution_and_one_slice():
+    # N=17: the walk-slice cache stayed held after the solve (1 MiB more),
+    # and export plus summary peaked 2.65 leaf slices above what was held,
+    # with a whole dM slice and a zero slice N; the z . dW product is one
+    # leaf slice and the writer's block buffers less than one more
+    lat = build_lattice(17)
+    tracemalloc.start()
+    try:
+        sol = solve_backward(lat, make_driver("linear:1,1"), make_terminal("endpoint"))
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        export_solution_csv(sol, _NullSink())
+        solution_summary(sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    leaf = lat.node_count(17) * 8
+    solution = sum(a.nbytes for a in sol.Y.slices + sol.Z.slices)
+    assert held < solution + leaf / 4, (held - solution) / leaf
+    assert peak - held < 2.25 * leaf, (peak - held) / leaf
+
+
+@pytest.mark.parametrize("steps,dim", [(9, 1), (5, 2), (3, 3)])
+@pytest.mark.parametrize("name", ["endpoint", "maxpath"])
+def test_terminal_streams_the_walk_slices(steps, dim, name):
+    phi = make_terminal(name)
+    lat = build_lattice(steps, dim=dim)
+    got = terminal_values(lat, phi)
+    assert lat._walk_cache == {}
+    # the cached route, with the cache filled out of order
+    cached = build_lattice(steps, dim=dim)
+    cached.walk_slice(steps // 2)
+    if phi.markovian:
+        want = phi.terminal_map(cached.walk_slice(steps))
+    else:
+        run = phi.evaluate
+        state = run.init(cached.walk_slice(0))
+        for j in range(1, steps + 1):
+            state = run.update(np.repeat(state, lat.n_choices, axis=0), cached.walk_slice(j))
+        want = run.finish(state)
+    assert got.tobytes() == want.tobytes()
+    walk = list(lat.walk_slices())
+    assert len(walk) == steps + 1 and lat._walk_cache == {}
+    for j, w in enumerate(walk):
+        assert w.tobytes() == cached.walk_slice(j).tobytes(), j
+
+
 def test_z_bound_closed_form():
     assert z_bound(1.0, 1.0, 1.0, 4) == pytest.approx(8.0 * math.e, rel=1e-14)
     assert z_bound(2.0, 0.0, 5.0, 1) == pytest.approx(4.0)
