@@ -110,54 +110,48 @@ class LadderRow:
 @dataclass
 class ApproximationLadder:
     rows: list
-    solutions: list
     monotone: bool
     increments_decreasing: bool
     cauchy_uniform: bool
 
 
+def _increment_extremes(cur_slices, prev_slices):
+    """(sup |cur - prev|, min(cur - prev)) over every node, one slice at a time.
+
+    numpy folds the per-slice extremes, so a NaN increment reaches both.
+    """
+    sups, mins = [], []
+    for cur, prev in zip(cur_slices, prev_slices):
+        d = cur - prev
+        sups.append(np.max(np.abs(d)))
+        mins.append(np.min(d))
+    return float(np.max(sups, initial=0.0)), float(np.min(mins, initial=math.inf))
+
+
 def _run_ladder(lattice, f: DriverSpec, terminals, labels) -> ApproximationLadder:
+    """Solve the levels in turn; a level is compared with the previous one's Y only."""
     growth = math.exp(f.lipschitz_wy * lattice.grid.horizon)
     rows = []
-    sols = []
-    prev_sol = None
-    prev_xi = None
+    prev_y = None
     monotone = True
     cauchy = True
     sups = []
     for label, phi in zip(labels, terminals):
         sol = solve_backward(lattice, f, phi)
-        xi = sol.Y.slices[-1]
-        if prev_sol is None:
-            rows.append(LadderRow(level=label, y0=sol.y0, bmo=bmo_estimate(sol)))
-        else:
-            # numpy folds, so a NaN increment reaches both and fails the ladder
-            diffs = [cur - old for cur, old in zip(sol.Y.slices, prev_sol.Y.slices)]
-            sup_inc = float(np.max([np.max(np.abs(d)) for d in diffs], initial=0.0))
-            min_inc = float(np.min([np.min(d) for d in diffs], initial=math.inf))
-            gap = float(np.max(np.abs(xi - prev_xi)))
-            ok = sup_inc <= growth * gap + 1e-9
-            rows.append(
-                LadderRow(
-                    level=label,
-                    y0=sol.y0,
-                    bmo=bmo_estimate(sol),
-                    sup_increment=sup_inc,
-                    min_increment=min_inc,
-                    terminal_gap=gap,
-                    cauchy_ok=ok,
-                )
-            )
-            monotone = monotone and min_inc >= -1e-12
-            cauchy = cauchy and ok
-            sups.append(sup_inc)
-        sols.append(sol)
-        prev_sol = sol
-        prev_xi = xi
+        row = LadderRow(level=label, y0=sol.y0, bmo=bmo_estimate(sol))
+        if prev_y is not None:
+            row.sup_increment, row.min_increment = _increment_extremes(sol.Y.slices, prev_y)
+            row.terminal_gap = float(np.max(np.abs(sol.Y.slices[-1] - prev_y[-1])))
+            row.cauchy_ok = row.sup_increment <= growth * row.terminal_gap + 1e-9
+            monotone = monotone and row.min_increment >= -1e-12
+            cauchy = cauchy and row.cauchy_ok
+            sups.append(row.sup_increment)
+        rows.append(row)
+        # keep Y for the next level's increments; Z goes before its solve
+        prev_y, sol = sol.Y.slices, None
     decreasing = all(sups[j + 1] <= sups[j] + 1e-12 for j in range(len(sups) - 1))
     return ApproximationLadder(
         rows=rows,
-        solutions=sols,
         monotone=monotone,
         increments_decreasing=decreasing,
         cauchy_uniform=cauchy,

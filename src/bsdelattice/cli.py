@@ -95,7 +95,8 @@ def _check_number(key, value, kind):
     """A config value of a numeric option: a JSON integer for int, any JSON number for float.
 
     A bool is neither, and neither is a string; int() would also truncate 2.5
-    to 2.
+    to 2.  A JSON integer for a float option must also fit a float, which
+    1 followed by 400 zeros does not.
     """
     allowed = int if kind is int else (int, float)
     if isinstance(value, bool) or not isinstance(value, allowed):
@@ -103,6 +104,14 @@ def _check_number(key, value, kind):
             "%s must be %s, got %r"
             % (key.replace("_", "-"), "an integer" if kind is int else "a number", value)
         )
+    if kind is float and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise GridError(
+                "%s must fit a float, got an integer of %d digits"
+                % (key.replace("_", "-"), len(str(abs(value))))
+            ) from None
 
 
 def _parse_list(key, value, kind):

@@ -22,15 +22,18 @@ backward recursion goes through it.  On the recombining layout it copies the
 2**d shifted grid slices of slice i+1 into one preallocated block.
 _sum_columns adds such a block's choices (or a vector's components) in
 numpy's own reduction order, so one-step means keep the bits of .mean(axis=1)
-without a reduction call over a short axis.  On the full layout,
-PathLattice.paths builds the walk paths to any slice's nodes on demand, read
-from the cached walk slices; nothing per path is cached.  A reader that goes
-forward over all full-layout slices once takes them from
-PathLattice.walk_slices, which caches none.
+without a reduction call over a short axis.
+
+A PathLattice is a value: it holds its grid, dimension, layout, signs and
+projection weights, and builds every slice array on the call that asks for
+it.  PathLattice.walk_slices is the one builder of the walk slices; on the
+full layout PathLattice.paths forms any nodes' paths from their base-2**d
+digits with the same sums, so it reads no slice.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -91,12 +94,12 @@ def sign_matrix(dim: int) -> np.ndarray:
 class PathLattice:
     """Random-walk lattice over a TimeGrid; see the module docstring for layout.
 
-    Construct through build_lattice, which enforces the node budget.  Treat
-    instances as immutable after construction; slice arrays returned by the
-    accessors are cached and shared.
+    Construct through build_lattice, which enforces the node budget.  Every
+    attribute is set here and none changes; the accessors build each slice
+    array anew and keep no reference to it.
     """
 
-    def __init__(self, grid: TimeGrid, dim: int, mode: str, leaf_budget: int):
+    def __init__(self, grid: TimeGrid, dim: int, mode: str):
         if dim < 1:
             raise GridError("dimension must be >= 1, got %r" % (dim,))
         if mode not in ("full", "recombining"):
@@ -104,7 +107,6 @@ class PathLattice:
         self.grid = grid
         self.dim = dim
         self.mode = mode
-        self.leaf_budget = leaf_budget
         self.n_choices = 2 ** dim
         self.signs = sign_matrix(dim)
         self.signs.setflags(write=False)
@@ -115,8 +117,6 @@ class PathLattice:
         self.dw_weights.setflags(write=False)
         # down steps per component of each choice, the grid offset of its children
         self._downs = tuple(tuple(int(b) for b in row) for row in self.signs < 0)
-        self._walk_cache: dict = {}
-        self._prob_cache: dict = {}
 
     # -- sizes ---------------------------------------------------------------
 
@@ -141,7 +141,11 @@ class PathLattice:
         return self.signs * self.grid.sqrt_dt
 
     def sign_label(self, i: int, k: int) -> str:
-        """Human-readable sign prefix of full-path node (i, k), e.g. '(+-,++)'."""
+        """Human-readable label of node (i, k).
+
+        The full layout gives its sign prefix, e.g. '(+-,++)'; the
+        recombining layout gives 'point[k]@i'.
+        """
         if self.mode != "full":
             return "point[%d]@%d" % (k, i)
         digits = []
@@ -154,84 +158,71 @@ class PathLattice:
     # -- values --------------------------------------------------------------
 
     def walk_slice(self, i: int) -> np.ndarray:
-        """(n_i, d) walk values at time index i, in node order.  Cached.
+        """(n_i, d) walk values at time index i, in node order, built on every call.
 
-        On the full layout the slices up to i are built by walk_slices' steps
-        from the latest cached one, and each is cached on the way.
+        The full layout returns the i-th slice of walk_slices; the
+        recombining layout the closed form (i - 2 m) sqrt(dt) of its grid.
         """
         if not 0 <= i <= self.steps:
             raise TimeDomainError("slice index %d outside 0..%d" % (i, self.steps))
-        cached = self._walk_cache.get(i)
-        if cached is not None:
-            return cached
         if self.mode == "full":
-            start = max((j for j in self._walk_cache if j < i), default=None)
-            if start is None:
-                built = enumerate(self.walk_slices())
-            else:
-                built = enumerate(self._walk_after(start, self._walk_cache[start]), start + 1)
-            for j, w in built:
-                self._walk_cache[j] = w
-                if j == i:
-                    return w
+            return next(itertools.islice(self.walk_slices(), i, None))
         n = self.node_count(i)
         m = np.array(np.unravel_index(np.arange(n), (i + 1,) * self.dim)).T
         w = (i - 2.0 * m) * self.grid.sqrt_dt
         w.setflags(write=False)
-        self._walk_cache[i] = w
         return w
 
     def walk_slices(self):
-        """Yield the full-layout walk slices 0..N in order, each built from the last.
+        """Yield the walk slices 0..N in order; the one builder of full-layout slices.
 
-        Nothing is cached, so a reader that goes forward once (the terminal)
-        holds one slice and the step that builds the next.  The slices are
-        the bits walk_slice(i) returns.
+        On the full layout each slice is built from the last: node k of
+        slice j+1 is node k >> d of slice j plus increment k & (2**d - 1).
+        A reader that goes forward once holds one slice and the step that
+        builds the next.  The recombining layout yields walk_slice's
+        closed-form grids.
         """
         if self.mode != "full":
-            raise StructuralError("walk_slices builds the full layout's slices only")
+            yield from map(self.walk_slice, range(self.steps + 1))
+            return
+        inc = self.step_increments()
         w = np.zeros((1, self.dim))
         w.setflags(write=False)
         yield w
-        yield from self._walk_after(0, w)
-
-    def _walk_after(self, j: int, w: np.ndarray):
-        """Yield the full-layout walk slices j+1..N, built in turn from slice j's values w."""
-        inc = self.step_increments()
-        for _ in range(j, self.steps):
+        for _ in range(self.steps):
             w = np.repeat(w, self.n_choices, axis=0)
             w.reshape(-1, self.n_choices, self.dim)[...] += inc[None, :, :]
             w.setflags(write=False)
             yield w
 
     def slice_probabilities(self, i: int) -> np.ndarray:
-        """(n_i,) node probabilities at time index i.  Cached."""
-        cached = self._prob_cache.get(i)
-        if cached is not None:
-            return cached
+        """(n_i,) node probabilities at time index i, built on every call."""
         if self.mode == "full":
             n = self.node_count(i)
-            p = np.full(n, 1.0 / n)
-        else:
-            p = np.ones(1)
-            for _ in range(self.dim):
-                p = np.multiply.outer(p, _binomial_weights(i)).ravel()
-        self._prob_cache[i] = p
+            return np.full(n, 1.0 / n)
+        p = np.ones(1)
+        for _ in range(self.dim):
+            p = np.multiply.outer(p, _binomial_weights(i)).ravel()
         return p
 
     def paths(self, i: int, rows=None) -> np.ndarray:
         """(n, i+1, d) walk values at times 0..i along the paths to slice-i nodes.
 
         rows are the slice-i node indices, all of them in order by default.
-        The step-j value of node k is walk_slice(j) at its ancestor k >> d*(i-j).
-        Full-path mode only; built on every call, never cached.
+        Node k's step-j choice is its digit (k >> d*(i-j)) & (2**d - 1), and
+        the path adds the choices' increments in time order, the sums
+        walk_slices makes, so the values carry its bits.  Full-path mode
+        only; no walk slice is read.
         """
         if self.mode != "full":
             raise StructuralError("paths are not resolvable on a recombining lattice")
         k = np.arange(self.node_count(i)) if rows is None else np.asarray(rows)
+        inc = self.step_increments()
         out = np.empty((k.size, i + 1, self.dim))
-        for j in range(i + 1):
-            out[:, j, :] = self.walk_slice(j)[k >> (self.dim * (i - j))]
+        out[:, 0, :] = 0.0
+        for j in range(1, i + 1):
+            digit = (k >> (self.dim * (i - j))) & (self.n_choices - 1)
+            out[:, j, :] = out[:, j - 1, :] + inc[digit]
         return out
 
 
@@ -257,9 +248,9 @@ def build_lattice(
     pass a larger budget explicitly to go beyond it.
     """
     grid = TimeGrid(horizon=float(horizon), steps=int(steps))
-    lattice = PathLattice(grid, int(dim), mode, int(leaf_budget))
+    lattice = PathLattice(grid, int(dim), mode)
     leaves = lattice.node_count(lattice.steps)
-    if leaves > lattice.leaf_budget:
+    if leaves > int(leaf_budget):
         raise BudgetError(
             "lattice with steps=%d dim=%d mode=%s has %d leaf nodes; "
             "needs leaf_budget >= %d (default %d)"
@@ -352,9 +343,11 @@ class ConditionReport:
 def verify_walk_conditions(lattice: PathLattice, tol: float = 1e-12) -> ConditionReport:
     """Check the walk-structure conditions on the lattice and report per condition.
 
-    Increment moments are recomputed from the stored slice probabilities, so a
-    corrupted lattice fails here.  The vanishing-mesh limit condition cannot be
-    checked at fixed N and is reported as deferred to the convergence suite.
+    Increment moments are recomputed from the lattice's slice probabilities
+    and child offsets from consecutive walk_slices, so a lattice whose
+    measure or walk is corrupted fails here.  The vanishing-mesh limit
+    condition cannot be checked at fixed N and is reported as deferred to
+    the convergence suite.
     """
     grid = lattice.grid
     rep = ConditionReport()
@@ -427,14 +420,14 @@ def verify_walk_conditions(lattice: PathLattice, tol: float = 1e-12) -> Conditio
         )
     )
 
-    # every gathered child sits one increment away from its parent (np.max keeps NaN)
-    worst = float(np.max([
-        np.max(np.abs(
-            gather_children(lattice, i, lattice.walk_slice(i + 1))
-            - lattice.walk_slice(i)[:, None, :] - inc
-        ))
-        for i in range(lattice.steps)
-    ]))
+    # every gathered child sits one increment away from its parent (np.max keeps
+    # NaN); one child-sized array per pair of consecutive walk slices
+    devs = []
+    for i, (parent, child) in enumerate(itertools.pairwise(lattice.walk_slices())):
+        off = gather_children(lattice, i, child) - parent[:, None, :]
+        off -= inc
+        devs.append(np.max(np.abs(off, out=off)))
+    worst = float(np.max(devs))
     # recombining walk values round relative to their size, up to N sqrt(dt)
     reach = 1.0 + lattice.steps * grid.sqrt_dt
     rep.checks.append(

@@ -182,13 +182,13 @@ class ControlProcess:
             # one reduction per slice (a NaN weight makes the min NaN, which fails too)
             if not w.min() > 0.0:
                 k, c = map(int, np.argwhere(~(w > 0.0))[0])
-                label = lat.sign_label(i, k) if lat.mode == "full" else "node %d at %d" % (k, i)
                 sign = "".join(
                     "-" if self.lattice.signs[c, b] < 0 else "+" for b in range(lat.dim)
                 )
                 raise AdmissibilityError(
                     "control inadmissible at step %d: weight %.6g on edge %s -> %s "
-                    "(needs mu . dW > -1 on every path)" % (i + 1, float(w[k, c]), label, sign)
+                    "(needs mu . dW > -1 on every path)"
+                    % (i + 1, float(w[k, c]), lat.sign_label(i, k), sign)
                 )
 
     def admissibility_margin(self) -> float:

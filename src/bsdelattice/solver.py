@@ -101,21 +101,15 @@ def _leaf_values(phi: TerminalFunctional, xi, n: int) -> np.ndarray:
 def terminal_values(lattice: PathLattice, phi: TerminalFunctional) -> np.ndarray:
     """The terminal on every slice-N node.
 
-    A Markov terminal maps the final walk values; otherwise (full layout
-    only) a running evaluate goes forward over the walk slices, and a plain
-    one is called on the paths of consecutive leaf blocks.  The Markov and
-    running forms take the full layout's slices from lattice.walk_slices,
-    so they hold one walk slice at a time and leave the lattice's cache as
-    they found it.
+    A Markov terminal maps the final walk slice; otherwise (full layout
+    only) a running evaluate goes forward over lattice.walk_slices, and a
+    plain one is called on the paths of consecutive leaf blocks.  The
+    lattice builds the slices on the way and holds none, so the terminal
+    holds one walk slice at a time.
     """
     n = lattice.node_count(lattice.steps)
     if phi.markovian and phi.terminal_map is not None:
-        if lattice.mode == "full":
-            for w in lattice.walk_slices():
-                pass
-        else:
-            w = lattice.walk_slice(lattice.steps)
-        xi = phi.terminal_map(w)
+        xi = phi.terminal_map(lattice.walk_slice(lattice.steps))
     elif lattice.mode == "recombining":
         raise StructuralError(
             "recombining mode needs a terminal functional of the final value "
@@ -351,7 +345,6 @@ class ResidualReport:
     terminal_max: float
     dm_mean_max: float
     dm_orthogonality_max: float
-    z_predictable: bool = True
 
     @property
     def passed(self) -> bool:

@@ -81,17 +81,24 @@ def test_nan_level_is_refused():
 
 def test_monotone_ladder_on_digital_terminal():
     lat = build_lattice(8, dim=1)
-    ladder = monotone_limit_experiment(
-        lat, make_driver("quadratic"), make_terminal("digital")
-    )
+    f, phi = make_driver("quadratic"), make_terminal("digital")
+    ladder = monotone_limit_experiment(lat, f, phi)
     assert isinstance(ladder, ApproximationLadder)
     assert ladder.monotone
     assert ladder.increments_decreasing
     assert ladder.rows[0].sup_increment is None
     assert all(r.bmo > 0.0 for r in ladder.rows)
-    for lo, hi in zip(ladder.solutions, ladder.solutions[1:]):
-        for a, b in zip(lo.Y.slices, hi.Y.slices):
-            assert np.min(b - a) >= -1e-12
+    # the ladder keeps no solutions: re-solve each level and check every node
+    prev = None
+    for n, row in zip((1, 2, 4, 8, 16), ladder.rows):
+        sol = solve_backward(lat, f, inf_convolution(phi, n))
+        assert sol.y0 == row.y0
+        if prev is not None:
+            for a, b in zip(prev, sol.Y.slices):
+                assert np.min(b - a) >= -1e-12
+            inc = np.concatenate([b - a for a, b in zip(prev, sol.Y.slices)])
+            assert row.min_increment == np.min(inc) and row.sup_increment == np.max(np.abs(inc))
+        prev = sol.Y.slices
 
 
 @pytest.mark.parametrize("dim,steps", [(1, 8), (2, 4)])
@@ -136,7 +143,10 @@ def test_maxpath_ladder_runs_past_the_leaf_path_budget():
     direct = solve_backward(lat, f, phi)
     ladder = monotone_limit_experiment(lat, f, phi)
     assert ladder.monotone and len(ladder.rows) == 5
-    for sol in ladder.solutions:
+    # the ladder keeps no solutions: re-solve each level and check every node
+    for n, row in zip((1, 2, 4, 8, 16), ladder.rows):
+        sol = solve_backward(lat, f, inf_convolution(phi, n))
+        assert sol.y0 == row.y0
         for a, b in zip(sol.Y.slices, direct.Y.slices):
             assert np.array_equal(a, b)
 

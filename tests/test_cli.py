@@ -343,6 +343,28 @@ def test_float_config_value_must_be_a_json_number(tmp_path, capsys, argv, key, v
     assert not out.exists()
 
 
+_HUGE = 10 ** 400  # a JSON integer beyond the largest float
+
+
+@pytest.mark.parametrize(
+    "argv,key,value",
+    [
+        pytest.param(argv, key, sign * _HUGE, id="%s=%s1e400" % (key, "-" if sign < 0 else ""))
+        for argv, key in _FLOAT_CONFIG_CASES + [(["approx", "--steps", "3"], "levels")]
+        for sign in (1, -1)
+    ],
+)
+def test_float_config_value_must_fit_a_float(tmp_path, capsys, argv, key, value):
+    # float() of it raised OverflowError: a traceback and exit 1
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: [1, value] if key == "levels" else value}))
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "input error: %s must fit a float, got an integer of 401 digits" % key in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("entry", [True, False, "2", None])
 def test_levels_config_entry_must_be_a_json_number(tmp_path, capsys, entry):
     # [true, 2] ran a level 1.0

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsdelattice.errors import BudgetError, StructuralError, TimeDomainError
 from bsdelattice.lattice import (
@@ -63,10 +65,64 @@ def test_full_walk_matches_enumeration(steps, dim):
             assert np.allclose(ws[k], w[i], atol=1e-14, rtol=0.0)
 
 
-def test_walk_slices_are_the_full_layouts_only():
+def test_recombining_walk_slices_are_the_grids():
     # a recombining slice is a grid of points, not the last slice repeated
-    with pytest.raises(StructuralError, match="full layout"):
-        next(build_lattice(3, mode="recombining").walk_slices())
+    lat = build_lattice(3, dim=2, mode="recombining")
+    walk = list(lat.walk_slices())
+    assert [w.shape for w in walk] == [((i + 1) ** 2, 2) for i in range(4)]
+    s = math.sqrt(1.0 / 3)
+    for i, w in enumerate(walk):
+        want = [[(i - 2 * a) * s, (i - 2 * b) * s] for a in range(i + 1) for b in range(i + 1)]
+        assert np.allclose(w, want, atol=1e-15, rtol=0.0)
+
+
+def test_lattice_holds_only_what_init_sets():
+    for mode in ("full", "recombining"):
+        lat = build_lattice(4, dim=2, mode=mode)
+        before = dict(vars(lat))
+        list(lat.walk_slices())
+        lat.walk_slice(3)
+        lat.slice_probabilities(2)
+        verify_walk_conditions(lat)
+        if mode == "full":
+            lat.paths(3, [0, 5])
+        assert vars(lat).keys() == before.keys()
+        assert all(vars(lat)[key] is value for key, value in before.items())
+        assert not any(isinstance(value, dict) for value in before.values())
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_paths_carry_the_walk_slices_bits(data):
+    dim = data.draw(st.integers(1, 3), label="dim")
+    steps = data.draw(st.integers(1, {1: 12, 2: 6, 3: 4}[dim]), label="steps")
+    lat = build_lattice(steps, dim=dim)
+    i = data.draw(st.integers(0, steps), label="i")
+    n = lat.node_count(i)
+    rows = data.draw(st.none() | st.lists(st.integers(0, n - 1), max_size=40), label="rows")
+    k = np.arange(n) if rows is None else np.array(rows, dtype=np.intp)
+    got = lat.paths(i, None if rows is None else k)
+    walk = list(lat.walk_slices())
+    assert got.shape == (k.size, i + 1, dim)
+    for j in range(i + 1):
+        want = walk[j][k >> (dim * (i - j))]
+        assert got[:, j, :].tobytes() == want.tobytes(), j
+    assert lat.walk_slice(i).tobytes() == lat.paths(i)[:, -1].tobytes()
+    rec = build_lattice(steps, dim=dim, mode="recombining")
+    for j, w in enumerate(rec.walk_slices()):
+        m = np.array(np.unravel_index(np.arange((j + 1) ** dim), (j + 1,) * dim)).T
+        assert w.tobytes() == ((j - 2.0 * m) * rec.grid.sqrt_dt).tobytes(), j
+        assert w.tobytes() == rec.walk_slice(j).tobytes(), j
+
+
+@pytest.mark.parametrize("dim,steps", [(1, 16), (2, 8), (3, 5)])
+def test_paths_on_deep_slices_carry_the_walk_slices_bits(dim, steps):
+    lat = build_lattice(steps, dim=dim)
+    walk = list(lat.walk_slices())
+    rows = np.arange(lat.node_count(steps))[3::7]
+    got = lat.paths(steps, rows)
+    for j, w in enumerate(walk):
+        assert got[:, j, :].tobytes() == w[rows >> (dim * (steps - j))].tobytes(), j
 
 
 def test_full_probabilities_exact():
@@ -283,21 +339,34 @@ def test_column_sum_has_numpys_reduction_bits(k):
         assert not np.signbit(_sum_columns(v[:20])).any()
 
 
-def test_walk_conditions_catch_corruption():
+def test_walk_conditions_catch_corruption(monkeypatch):
     lat = build_lattice(3, dim=1)
-    p = lat.slice_probabilities(2)
-    p[0] += 1e-3  # negative control: break the stored measure in place
+    sound = lat.slice_probabilities
+
+    def corrupted(i):
+        p = sound(i)
+        if i == 2:
+            p[0] += 1e-3  # negative control: break the lattice's measure on slice 2
+        return p
+
+    monkeypatch.setattr(lat, "slice_probabilities", corrupted)
     rep = verify_walk_conditions(lat)
     assert not rep.passed
     assert any(c.name == "moments" for c in rep.failures())
 
 
-def test_walk_conditions_catch_misplaced_children():
+def test_walk_conditions_catch_misplaced_children(monkeypatch):
     for mode in ("full", "recombining"):
         lat = build_lattice(3, dim=1, mode=mode)
-        w = lat.walk_slice(2).copy()
-        w[-1] += 1e-6  # negative control: move one slice-2 node off its lattice point
-        w.setflags(write=False)
-        lat._walk_cache[2] = w
+        sound = lat.walk_slices
+
+        def corrupted():
+            for i, w in enumerate(sound()):
+                if i == 2:
+                    w = w.copy()
+                    w[-1] += 1e-6  # negative control: move one slice-2 node off its point
+                yield w
+
+        monkeypatch.setattr(lat, "walk_slices", corrupted)
         rep = verify_walk_conditions(lat)
         assert [c.name for c in rep.failures()] == ["children"]

@@ -164,7 +164,6 @@ def test_full_and_recombining_layouts_agree(steps):
 def test_sweeps_hold_one_iterate():
     # one iterate plus slice-sized temporaries; two iterates with their dM measured 5.0x
     lat = build_lattice(14, dim=1)
-    lat.walk_slice(14)  # the lattice's own cache, filled before tracing
     f, phi = make_driver("linear:1,1"), make_terminal("maxpath")
     tracemalloc.start()
     try:

@@ -504,26 +504,15 @@ def test_full_export_and_summary_hold_the_solution_and_one_slice():
 @pytest.mark.parametrize("steps,dim", [(9, 1), (5, 2), (3, 3)])
 @pytest.mark.parametrize("name", ["endpoint", "maxpath"])
 def test_terminal_streams_the_walk_slices(steps, dim, name):
+    # per-path oracle: each leaf's walk by running sums, evaluated one path at a time
     phi = make_terminal(name)
     lat = build_lattice(steps, dim=dim)
     got = terminal_values(lat, phi)
-    assert lat._walk_cache == {}
-    # the cached route, with the cache filled out of order
-    cached = build_lattice(steps, dim=dim)
-    cached.walk_slice(steps // 2)
-    if phi.markovian:
-        want = phi.terminal_map(cached.walk_slice(steps))
-    else:
-        run = phi.evaluate
-        state = run.init(cached.walk_slice(0))
-        for j in range(1, steps + 1):
-            state = run.update(np.repeat(state, lat.n_choices, axis=0), cached.walk_slice(j))
-        want = run.finish(state)
-    assert got.tobytes() == want.tobytes()
-    walk = list(lat.walk_slices())
-    assert len(walk) == steps + 1 and lat._walk_cache == {}
-    for j, w in enumerate(walk):
-        assert w.tobytes() == cached.walk_slice(j).tobytes(), j
+    want = [
+        phi.evaluate(np.array([oracles.walk_path(leaf, dim, lat.grid.dt)]))
+        for leaf in product(range(lat.n_choices), repeat=steps)
+    ]
+    assert got.tobytes() == np.concatenate(want).tobytes()
 
 
 def test_z_bound_closed_form():
