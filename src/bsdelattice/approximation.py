@@ -59,11 +59,12 @@ def inf_convolution(phi: TerminalFunctional, n: float) -> TerminalFunctional:
     at every level, so the ladder is pointwise nondecreasing in n with no
     tolerance at all.
 
-    A Markov terminal is regularized through its terminal map, and its path
-    form reads the final value, so both layouts see the same numbers.  When
-    n is at least phi's declared Lipschitz constant every candidate is at
-    least phi, and phi itself (running form included) is returned.  A level
-    that is not positive, NaN included, raises GridError.
+    A Markov terminal is regularized through its terminal map, and the
+    result is Markov too (its path form reads the final value), so both
+    layouts see the same numbers.  When n is at least phi's declared
+    Lipschitz constant every candidate is at least phi, and phi itself
+    (running form included) is returned.  A level that is not positive, NaN
+    included, raises GridError.
     """
     n = float(n)
     if not n > 0:
@@ -72,27 +73,20 @@ def inf_convolution(phi: TerminalFunctional, n: float) -> TerminalFunctional:
         return phi
     radius = 2.0 * (phi.bound if phi.bound is not None else 1.0)
     mags = [c for c in np.linspace(-radius, radius, 129) if c != 0.0]
-    markov = phi.markovian and phi.terminal_map is not None
-    tmap = None
-    if markov:
+    if phi.markovian:
         def tmap(x):
             xv = np.asarray(x, dtype=float)
             return _shift_min(phi.terminal_map, xv, xv, n, mags)
 
-        def evaluate(paths):
-            return tmap(np.asarray(paths, dtype=float)[..., -1, :])
+        form = {"terminal_map": tmap}
     else:
         def evaluate(paths):
             arr = np.asarray(paths, dtype=float)
             return _shift_min(phi.evaluate, arr, arr[..., -1, :], n, mags)
 
+        form = {"evaluate": evaluate}
     return TerminalFunctional(
-        name="infconv%g:%s" % (n, phi.name),
-        evaluate=evaluate,
-        lipschitz=n,
-        bound=phi.bound,
-        markovian=markov,
-        terminal_map=tmap,
+        name="infconv%g:%s" % (n, phi.name), lipschitz=n, bound=phi.bound, **form
     )
 
 
@@ -217,8 +211,7 @@ def refinement_experiment(
     """
     study = RefinementStudy(reference=float(reference))
     for steps in steps_list:
-        kwargs = {} if leaf_budget is None else {"leaf_budget": leaf_budget}
-        lat = build_lattice(int(steps), dim=dim, horizon=horizon, mode=mode, **kwargs)
+        lat = build_lattice(int(steps), dim, horizon, mode, leaf_budget)
         for _, y, _, _, _, _ in _backward_sweep(lat, f, phi):
             pass
         y0 = float(y[0])

@@ -71,16 +71,7 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def lattice(self):
-        kwargs = {}
-        if self.leaf_budget is not None:
-            kwargs["leaf_budget"] = int(self.leaf_budget)
-        return build_lattice(
-            int(self.steps),
-            dim=int(self.dim),
-            horizon=float(self.horizon),
-            mode=self.mode,
-            **kwargs,
-        )
+        return build_lattice(self.steps, self.dim, self.horizon, self.mode, self.leaf_budget)
 
 
 # every option: the config fields but the subcommand

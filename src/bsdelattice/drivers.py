@@ -9,26 +9,23 @@ conjugate in z and a subgradient selection.
 
 Conventions
 -----------
-* evaluate(t, w, y, z): y has shape (...,) or is scalar, z has shape (..., d);
-  w is None for w-independent drivers, otherwise the shifted path sampled at
-  grid times, shape (..., m, d).  Catalog drivers vectorize over the leading
-  axes.
-* terminal evaluate(paths): paths has shape (..., steps+1, d) holding the raw
-  walk values at grid times; Markov terminals also expose terminal_map acting
-  on the final value only, which is what recombining mode uses.
+* a driver is declared once, by its bound form at(t, w, z): the driver with
+  (t, w, z) fixed, y -> f(t, w, y, z) as a float array over the nodes of z,
+  shape (..., d); w is None for w-independent drivers, else the shifted path
+  at grid times, shape (..., m, d).  The solve binds z once per slice before
+  the implicit step iterates y, so the z-only work runs once per binding;
+  conjugate_at(t, w, mu) is the closed-form conjugate bound the same way.
+  f.evaluate and conjugate(f, ...) are derived from them, and
+  DriverSpec.bound_conjugate and bound_subgradient make the one choice
+  between a closed form and the numeric fallback.
+* a terminal declares its path form evaluate(paths), paths of shape
+  (..., steps+1, d) holding the walk values at grid times, or, when Markov,
+  terminal_map(x) on the final value alone, which recombining mode uses.
 * a terminal evaluate may be a RunningFunctional, a forward recursion over
-  the walk values w_0, ..., w_N.  Its state keeps the leading path (or node)
-  axis, one entry per path, so repeating the state per child block carries
-  it from one full-layout slice to the next: the solver then evaluates it
-  slice by slice without building paths.
-* bound form: f.at(t, w, z) is the driver with (t, w, z) fixed, a function
-  y -> f(t, w, y, z) as a float array.  The backward solve binds z once per
-  slice, since z is fixed there before the implicit step iterates y.  A
-  driver may declare fix_z(t, w, z) -> (y -> array) doing its z-only work
-  once per binding, with the bits of evaluate; without it, at calls
-  evaluate on every y.  fix_mu(t, w, mu) does the same for the conjugate.
-* conjugate(f, t, w, y, mu) returns +inf as the "unbounded" marker; it is a
-  value, not an error, and propagates through the dual machinery.
+  the walk values w_0, ..., w_N, which the solver runs over the full-layout
+  walk slices without building paths.
+* a conjugate value of +inf is the "unbounded" marker; it is a value, not an
+  error, and propagates through the dual machinery.
 
 Catalog names (CLI syntax): zero, constant:c, linear:a,b, quadratic, quartic,
 abs, exp; terminals endpoint, const:c, maxpath, digital, clipped-endpoint.
@@ -38,46 +35,71 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GridError, ValidationError
+from .errors import GridError, StructuralError, ValidationError
 from .lattice import ConditionCheck, ConditionReport, _sum_columns
 
 _UNBOUNDED_DOUBLINGS = 3
 
 
+def _pointwise(form, t, w, a, y):
+    """form(t, w, a)(y) as a float array, a scalar y broadcast over the nodes of a (..., d).
+
+    y is a scalar or one value per node.  A lone node, a of shape (d,), is
+    bound as one row, so a bound form is always called with a y array.
+    """
+    a = np.asarray(a, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if a.ndim == 1:
+        w = None if w is None else np.asarray(w)[None]
+        return np.asarray(form(t, w, a[None])(y.reshape(1)), dtype=float)[0]
+    if y.shape != a.shape[:-1]:
+        y = np.broadcast_to(y, a.shape[:-1])
+    return np.asarray(form(t, w, a)(y), dtype=float)
+
+
+def _node_by_node(scalar, t, w, a, tail=()):
+    """The bound form y -> out, out[k] = scalar(t, w[k], y[k], a[k]) of shape tail per node k."""
+    a = np.asarray(a, dtype=float)
+
+    def form(y):
+        out = np.empty(a.shape[:-1] + tail)
+        for k in np.ndindex(a.shape[:-1]):
+            out[k] = scalar(t, None if w is None else w[k], y[k], a[k])
+        return out
+
+    return form
+
+
 @dataclass
 class DriverSpec:
-    """A generator f(t, w, y, z) with its declared constants.
+    """A generator f(t, w, y, z), declared by its bound form, with its constants.
 
-    lipschitz_wy is the joint Lipschitz constant in (w, y) under the sup-norm
-    on paths; z_lipschitz maps a radius a to a Lipschitz constant of f in z on
-    |z| <= a; lower_bound maps a radius c to inf f over |y| <= c (both None
-    when not declared).  y_dependence is 'none' for a y-independent driver,
-    whose solve and dual steps are then explicit; any other value (the
-    catalog uses 'general') marks a driver that may read y.  fix_z(t, w, z), when
-    declared, returns y -> f(t, w, y, z) with the z-only work done once; it
-    must give evaluate's bits (see at).  fix_mu(t, w, mu), when declared,
-    returns y -> analytic_conjugate(t, w, y, mu) on y arrays, bit for bit,
-    with the mu-only work done once: the dual binds mu once per slice, so
-    its fixed point pays only the y-part per iterate.  The solve, the dual
-    and the subgradient control all evaluate the driver of step i at its end
-    t_{i+1}; a driver that wants a step average computes it in its own
-    evaluate.
+    at(t, w, z) returns y -> f(t, w, y, z), and conjugate_at(t, w, mu) (None:
+    the numeric conjugate) y -> g(t, w, y, mu), each on a y array with one
+    value per node, which they only read; the arrays they return are only
+    read.  analytic_subgradient(t, w, y, z) is a closed-form selection.
+    lipschitz_wy is the joint Lipschitz constant in (w, y) under the
+    sup-norm on paths; z_lipschitz maps a radius a to a Lipschitz constant
+    of f in z on |z| <= a; lower_bound maps a radius c to inf f over |y| <= c
+    (both None when not declared).  y_dependence is 'none' for a
+    y-independent driver, whose solve and dual steps then take one iterate;
+    'general' marks one that may read y.  Every step i is evaluated at its
+    end t_{i+1}; a driver that wants a step average computes it itself.
     """
 
     name: str
-    evaluate: Callable
+    at: Callable
     lipschitz_wy: float
     zero_bound: Optional[float] = None
     z_lipschitz: Optional[Callable[[float], float]] = None
     lower_bound: Optional[Callable[[float], float]] = None
-    analytic_conjugate: Optional[Callable] = None
+    conjugate_at: Optional[Callable] = None
     analytic_subgradient: Optional[Callable] = None
-    fix_z: Optional[Callable] = None
-    fix_mu: Optional[Callable] = None
     y_dependence: str = "none"
     w_dependence: str = "none"  # 'none' or 'path'
 
@@ -85,32 +107,54 @@ class DriverSpec:
     def path_dependent(self) -> bool:
         return self.w_dependence == "path"
 
-    def __call__(self, t, w, y, z):
-        return self.evaluate(t, w, y, z)
+    def evaluate(self, t, w, y, z):
+        """f(t, w, y, z) as a float array, a scalar y broadcast over the nodes of z."""
+        return _pointwise(self.at, t, w, z, y)
 
-    def at(self, t, w, z):
-        """The bound form y -> f(t, w, y, z) as a float array, (t, w, z) fixed."""
-        if self.fix_z is not None:
-            return self.fix_z(t, w, z)
-        return lambda y: np.asarray(self.evaluate(t, w, y, z), dtype=float)
+    __call__ = evaluate
+
+    def bound_conjugate(self, t, w, mu):
+        """y -> g(t, w, y, mu): conjugate_at when declared, else the numeric conjugate per node."""
+        if self.conjugate_at is not None:
+            return self.conjugate_at(t, w, mu)
+        return _node_by_node(partial(numeric_conjugate, self), t, w, mu)
+
+    def bound_subgradient(self, t, w, z):
+        """y -> a z-subgradient per node: the declared selection, else finite differences."""
+        z = np.asarray(z, dtype=float)
+        if self.analytic_subgradient is None:
+            return _node_by_node(partial(_difference_subgradient, self), t, w, z, z.shape[-1:])
+        return lambda y: np.broadcast_to(self.analytic_subgradient(t, w, y, z), z.shape).copy()
 
 
 @dataclass
 class TerminalFunctional:
     """A terminal functional phi(path) with declared Lipschitz/bound constants.
 
-    markovian terminals are functions of the final walk value only and carry
-    terminal_map for use on recombining lattices.
+    It declares evaluate(paths) or, when Markov (a function of the final
+    walk value only), terminal_map(x) alone; both or neither raises
+    StructuralError.  phi(paths) is the path form either way.
     """
 
     name: str
-    evaluate: Callable
+    evaluate: Optional[Callable] = None
     lipschitz: Optional[float] = None
     bound: Optional[float] = None
-    markovian: bool = False
     terminal_map: Optional[Callable] = None
 
+    def __post_init__(self):
+        if (self.evaluate is None) == (self.terminal_map is None):
+            raise StructuralError(
+                "terminal %r must declare exactly one of evaluate and terminal_map" % (self.name,)
+            )
+
+    @property
+    def markovian(self) -> bool:
+        return self.terminal_map is not None
+
     def __call__(self, paths):
+        if self.markovian:
+            return self.terminal_map(np.asarray(paths, dtype=float)[..., -1, :])
         return self.evaluate(paths)
 
 
@@ -136,11 +180,15 @@ class RunningFunctional:
         return self.finish(state)
 
 
-def _then(evaluate: Callable, post: Callable) -> Callable:
-    """paths -> post(evaluate(paths)), still running when evaluate is."""
+def _then(phi: TerminalFunctional, post: Callable) -> dict:
+    """phi's declared form followed by post, as keywords; a running evaluate stays running."""
+    if phi.markovian:
+        tmap = phi.terminal_map
+        return {"terminal_map": lambda x: post(tmap(x))}
+    evaluate = phi.evaluate
     if isinstance(evaluate, RunningFunctional):
-        return replace(evaluate, finish=lambda state: post(evaluate.finish(state)))
-    return lambda paths: post(evaluate(paths))
+        return {"evaluate": replace(evaluate, finish=lambda state: post(evaluate.finish(state)))}
+    return {"evaluate": lambda paths: post(evaluate(paths))}
 
 
 # -- catalogs ----------------------------------------------------------------
@@ -155,9 +203,9 @@ def _norm(z):
     return np.sqrt(_sq_norm(z))
 
 
-def _zeros_like_yz(y, z):
-    shape = np.broadcast_shapes(np.shape(y), np.shape(z)[:-1])
-    return np.zeros(shape) if shape else 0.0
+def _y_free(values):
+    """The bound form of a term that does not read y: y -> values, computed once."""
+    return lambda y: values
 
 
 def _radial(z, magnitude):
@@ -172,12 +220,12 @@ def _radial(z, magnitude):
 def zero_driver() -> DriverSpec:
     return DriverSpec(
         name="zero",
-        evaluate=lambda t, w, y, z: _zeros_like_yz(y, z),
+        at=lambda t, w, z: lambda y: np.zeros(np.shape(y)),
         lipschitz_wy=0.0,
         zero_bound=0.0,
         z_lipschitz=lambda a: 0.0,
         lower_bound=lambda c: 0.0,
-        analytic_conjugate=lambda t, w, y, mu: np.where(_norm(mu) == 0.0, 0.0, np.inf),
+        conjugate_at=lambda t, w, mu: _y_free(np.where(_norm(mu) == 0.0, 0.0, np.inf)),
         analytic_subgradient=lambda t, w, y, z: np.zeros_like(np.asarray(z, dtype=float)),
     )
 
@@ -186,12 +234,12 @@ def constant_driver(c: float) -> DriverSpec:
     c = float(c)
     return DriverSpec(
         name="constant:%g" % c,
-        evaluate=lambda t, w, y, z: _zeros_like_yz(y, z) + c,
+        at=lambda t, w, z: lambda y: np.zeros(np.shape(y)) + c,
         lipschitz_wy=0.0,
         zero_bound=abs(c),
         z_lipschitz=lambda a: 0.0,
         lower_bound=lambda r: c,
-        analytic_conjugate=lambda t, w, y, mu: np.where(_norm(mu) == 0.0, -c, np.inf),
+        conjugate_at=lambda t, w, mu: _y_free(np.where(_norm(mu) == 0.0, -c, np.inf)),
         analytic_subgradient=lambda t, w, y, z: np.zeros_like(np.asarray(z, dtype=float)),
     )
 
@@ -202,7 +250,7 @@ def linear_driver(a: float, b: float) -> DriverSpec:
     if b < 0:
         raise GridError("linear driver needs b >= 0, got %r" % (b,))
 
-    def fix_z(t, w, z):
+    def at(t, w, z):
         n = _norm(z)
 
         def fy(y):
@@ -215,7 +263,7 @@ def linear_driver(a: float, b: float) -> DriverSpec:
 
         return fy
 
-    def fix_mu(t, w, mu):
+    def conjugate_at(t, w, mu):
         outside = ~(_norm(mu) <= b)
         clip = bool(outside.any())
 
@@ -232,17 +280,13 @@ def linear_driver(a: float, b: float) -> DriverSpec:
 
     return DriverSpec(
         name="linear:%g,%g" % (a, b),
-        evaluate=lambda t, w, y, z: a + b * (np.abs(y) + _norm(z)),
+        at=at,
         lipschitz_wy=b,
         zero_bound=abs(a),
         z_lipschitz=lambda r: b,
         lower_bound=lambda c: a,
-        analytic_conjugate=lambda t, w, y, mu: np.where(
-            _norm(mu) <= b, -a - b * np.abs(y), np.inf
-        ),
+        conjugate_at=conjugate_at,
         analytic_subgradient=lambda t, w, y, z: _radial(z, np.full(np.shape(_norm(z)), b)),
-        fix_z=fix_z,
-        fix_mu=fix_mu,
         y_dependence="general",
     )
 
@@ -250,12 +294,12 @@ def linear_driver(a: float, b: float) -> DriverSpec:
 def quadratic_driver() -> DriverSpec:
     return DriverSpec(
         name="quadratic",
-        evaluate=lambda t, w, y, z: 0.5 * _sq_norm(z),
+        at=lambda t, w, z: _y_free(0.5 * _sq_norm(z)),
         lipschitz_wy=0.0,
         zero_bound=0.0,
         z_lipschitz=lambda a: a,
         lower_bound=lambda c: 0.0,
-        analytic_conjugate=lambda t, w, y, mu: 0.5 * _norm(mu) ** 2,
+        conjugate_at=lambda t, w, mu: _y_free(0.5 * _norm(mu) ** 2),
         analytic_subgradient=lambda t, w, y, z: np.asarray(z, dtype=float) + 0.0,
     )
 
@@ -263,12 +307,12 @@ def quadratic_driver() -> DriverSpec:
 def quartic_driver() -> DriverSpec:
     return DriverSpec(
         name="quartic",
-        evaluate=lambda t, w, y, z: _sq_norm(z) ** 2,
+        at=lambda t, w, z: _y_free(_sq_norm(z) ** 2),
         lipschitz_wy=0.0,
         zero_bound=0.0,
         z_lipschitz=lambda a: 4.0 * a ** 3,
         lower_bound=lambda c: 0.0,
-        analytic_conjugate=lambda t, w, y, mu: 3.0 * (_norm(mu) / 4.0) ** (4.0 / 3.0),
+        conjugate_at=lambda t, w, mu: _y_free(3.0 * (_norm(mu) / 4.0) ** (4.0 / 3.0)),
         analytic_subgradient=lambda t, w, y, z: 4.0
         * _sq_norm(z)[..., None]
         * np.asarray(z, dtype=float),
@@ -278,31 +322,31 @@ def quartic_driver() -> DriverSpec:
 def abs_driver() -> DriverSpec:
     return DriverSpec(
         name="abs",
-        evaluate=lambda t, w, y, z: _norm(z),
+        at=lambda t, w, z: _y_free(_norm(z)),
         lipschitz_wy=0.0,
         zero_bound=0.0,
         z_lipschitz=lambda a: 1.0,
         lower_bound=lambda c: 0.0,
-        analytic_conjugate=lambda t, w, y, mu: np.where(_norm(mu) <= 1.0, 0.0, np.inf),
+        conjugate_at=lambda t, w, mu: _y_free(np.where(_norm(mu) <= 1.0, 0.0, np.inf)),
         analytic_subgradient=lambda t, w, y, z: _radial(z, np.ones(np.shape(_norm(z)))),
     )
 
 
 def exp_driver() -> DriverSpec:
-    def conj(t, w, y, mu):
+    def conjugate_at(t, w, mu):
         m = _norm(mu)
         with np.errstate(invalid="ignore", divide="ignore"):
             ent = m * np.log(np.maximum(m, 1e-300)) - m + 1.0
-        return np.where(m <= 1.0, 0.0, ent)
+        return _y_free(np.where(m <= 1.0, 0.0, ent))
 
     return DriverSpec(
         name="exp",
-        evaluate=lambda t, w, y, z: np.expm1(_norm(z)),
+        at=lambda t, w, z: _y_free(np.expm1(_norm(z))),
         lipschitz_wy=0.0,
         zero_bound=0.0,
         z_lipschitz=lambda a: math.exp(a),
         lower_bound=lambda c: 0.0,
-        analytic_conjugate=conj,
+        conjugate_at=conjugate_at,
         analytic_subgradient=lambda t, w, y, z: _radial(z, np.exp(_norm(z))),
     )
 
@@ -335,9 +379,7 @@ def make_driver(spec: str) -> DriverSpec:
 def endpoint_terminal() -> TerminalFunctional:
     return TerminalFunctional(
         name="endpoint",
-        evaluate=lambda paths: np.asarray(paths, dtype=float)[..., -1, 0],
         lipschitz=1.0,
-        markovian=True,
         terminal_map=lambda x: np.asarray(x, dtype=float)[..., 0],
     )
 
@@ -346,10 +388,8 @@ def const_terminal(c: float) -> TerminalFunctional:
     c = float(c)
     return TerminalFunctional(
         name="const:%g" % c,
-        evaluate=lambda paths: np.full(np.shape(paths)[:-2], c),
         lipschitz=0.0,
         bound=abs(c),
-        markovian=True,
         terminal_map=lambda x: np.full(np.shape(x)[:-1], c),
     )
 
@@ -361,16 +401,13 @@ def maxpath_terminal() -> TerminalFunctional:
             _norm, lambda m, w: np.maximum(m, _norm(w)), lambda m: m
         ),
         lipschitz=1.0,
-        markovian=False,
     )
 
 
 def digital_terminal() -> TerminalFunctional:
     return TerminalFunctional(
         name="digital",
-        evaluate=lambda paths: (np.asarray(paths, dtype=float)[..., -1, 0] > 0.0) * 1.0,
         bound=1.0,
-        markovian=True,
         terminal_map=lambda x: (np.asarray(x, dtype=float)[..., 0] > 0.0) * 1.0,
     )
 
@@ -378,10 +415,8 @@ def digital_terminal() -> TerminalFunctional:
 def clipped_endpoint_terminal() -> TerminalFunctional:
     return TerminalFunctional(
         name="clipped-endpoint",
-        evaluate=lambda paths: np.clip(np.asarray(paths, dtype=float)[..., -1, 0], -1.0, 1.0),
         lipschitz=1.0,
         bound=1.0,
-        markovian=True,
         terminal_map=lambda x: np.clip(np.asarray(x, dtype=float)[..., 0], -1.0, 1.0),
     )
 
@@ -414,11 +449,9 @@ def shift_terminal(phi: TerminalFunctional, delta: float) -> TerminalFunctional:
     delta = float(delta)
     return TerminalFunctional(
         name="%s+%g" % (phi.name, delta),
-        evaluate=_then(phi.evaluate, lambda v: v + delta),
         lipschitz=phi.lipschitz,
         bound=None if phi.bound is None else phi.bound + abs(delta),
-        markovian=phi.markovian,
-        terminal_map=None if phi.terminal_map is None else (lambda x: phi.terminal_map(x) + delta),
+        **_then(phi, lambda v: v + delta),
     )
 
 
@@ -427,11 +460,9 @@ def scale_terminal(phi: TerminalFunctional, s: float) -> TerminalFunctional:
     s = float(s)
     return TerminalFunctional(
         name="%g*%s" % (s, phi.name),
-        evaluate=_then(phi.evaluate, lambda v: s * v),
         lipschitz=None if phi.lipschitz is None else abs(s) * phi.lipschitz,
         bound=None if phi.bound is None else abs(s) * phi.bound,
-        markovian=phi.markovian,
-        terminal_map=None if phi.terminal_map is None else (lambda x: s * phi.terminal_map(x)),
+        **_then(phi, lambda v: s * v),
     )
 
 
@@ -460,7 +491,7 @@ def _golden_max(fun, a, b, tol=1e-11, iters=120):
 
 
 def numeric_conjugate(f: DriverSpec, t, w, y, mu) -> float:
-    """Grid + golden-section conjugate, ignoring any declared closed form."""
+    """Grid + golden-section conjugate at one mu, ignoring any declared closed form."""
     mu = np.asarray(mu, dtype=float).reshape(-1)
     d = mu.shape[0]
 
@@ -518,41 +549,42 @@ def numeric_conjugate(f: DriverSpec, t, w, y, mu) -> float:
     return best
 
 
-def conjugate(f: DriverSpec, t, w, y, mu) -> float:
-    """Convex conjugate in z: g(t, w, y, mu) = sup_z (z.mu - f(t, w, y, z)).
+def conjugate(f: DriverSpec, t, w, y, mu):
+    """Convex conjugate in z: g(t, w, y, mu) = sup_z (z.mu - f(t, w, y, z)), f.bound_conjugate's.
 
-    Uses the declared closed form when available, otherwise adaptive grid
-    search with golden-section refinement; returns +inf when the objective
-    keeps growing at the search boundary across radius doublings.
+    mu has shape (..., d), a scalar y is broadcast over its nodes, and a
+    lone mu gives a float.  The numeric fallback returns +inf when the
+    objective keeps growing at the search boundary across radius doublings.
     """
-    if f.analytic_conjugate is not None:
-        return float(f.analytic_conjugate(t, w, y, np.asarray(mu, dtype=float)))
-    return numeric_conjugate(f, t, w, y, mu)
+    return _pointwise(f.bound_conjugate, t, w, mu, y)
+
+
+def _difference_subgradient(f: DriverSpec, t, w, y, z) -> np.ndarray:
+    """Central differences of z -> f(t, w, y, z), step 1e-6 * (1 + |z|) per component.
+
+    At a kink this is the average of the one-sided slopes.
+    """
+    h = 1e-6 * (1.0 + float(_norm(z)))
+    mu = np.empty_like(z)
+    for k in range(z.shape[0]):
+        zp = z.copy()
+        zm = z.copy()
+        zp[k] += h
+        zm[k] -= h
+        mu[k] = (float(f.evaluate(t, w, y, zp)) - float(f.evaluate(t, w, y, zm))) / (2.0 * h)
+    return mu
 
 
 def subgradient(
     f: DriverSpec, t, w, y, z, validate: bool = True, tol: float = 1e-6
 ) -> np.ndarray:
-    """A subgradient of z -> f(t, w, y, z) at z.
+    """A subgradient of z -> f(t, w, y, z) at z, f.bound_subgradient's.
 
-    Uses the declared selection when available, otherwise central finite
-    differences with step 1e-6 * (1 + |z|) per component (at kinks this is the
-    average of the one-sided slopes).  When validate is set, the conjugacy
-    identity z.mu - f(z) = g(mu) is checked within tol and a ValidationError
-    raised on failure.
+    When validate is set, the conjugacy identity z.mu - f(z) = g(mu) is
+    checked within tol and a ValidationError raised on failure.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
-    if f.analytic_subgradient is not None:
-        mu = np.asarray(f.analytic_subgradient(t, w, y, z), dtype=float).reshape(-1)
-    else:
-        h = 1e-6 * (1.0 + float(_norm(z)))
-        mu = np.empty_like(z)
-        for k in range(z.shape[0]):
-            zp = z.copy()
-            zm = z.copy()
-            zp[k] += h
-            zm[k] -= h
-            mu[k] = (float(f.evaluate(t, w, y, zp)) - float(f.evaluate(t, w, y, zm))) / (2.0 * h)
+    mu = _pointwise(f.bound_subgradient, t, w, z, y)
     if validate:
         g = conjugate(f, t, w, y, mu)
         resid = abs(float(np.dot(z, mu)) - float(f.evaluate(t, w, y, z)) - g)

@@ -9,11 +9,12 @@ solved value (weak duality); the subgradient control closes the gap when its
 tilt keeps all one-step weights positive.
 The dual binds its conjugate, and the control its subgradient, through the
 solve's per-slice binder (solver._slice_driver), so all three read step i's
-time and path in one place.  mu is bound once per slice: a driver that
-declares fix_mu does its mu-only work there, and the fixed point pays only
-the y-part per iterate.  Its implicit step is the backward solve's
-(solver._implicit_step: fixed point, bisection fallback) with the negated
-conjugate for the driver; a y-free driver's step stays explicit.
+time and path in one place.  mu is bound once per slice
+(DriverSpec.bound_conjugate), so a closed form does its mu-only work there
+and the fixed point pays only the y-part per iterate.  Its implicit step is
+the backward solve's (solver._implicit_step: fixed point, bisection
+fallback) with the negated conjugate for the driver, under the solve's
+rule for a y-free driver: one iterate.
 
 dual_value takes the terminal slice, not the terminal functional: every
 candidate of a solve starts from the solve's own terminal values, so a run
@@ -31,11 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .drivers import DriverSpec, numeric_conjugate, subgradient
+from .drivers import DriverSpec
 from .errors import ConvergenceError, OptimizerAdmissibilityError, StructuralError
 from .lattice import PathLattice, _sum_columns
 from .probability import (
@@ -45,27 +45,8 @@ from .probability import (
     predictable_process,
     tilted_expectation,
 )
-from .solver import SolutionTriple, _implicit_step, _slice_driver, _write_rows, check_step_size
-
-
-def _node_by_node(scalar, t, w, y, a, out):
-    """out[k] = scalar(t, w[k], y[k], a[k]) for every node k; w may be None."""
-    for k in range(a.shape[0]):
-        out[k] = scalar(t, None if w is None else w[k], y[k], a[k])
-    return out
-
-
-def _conjugate_slice(f, t, w, y, mu):
-    if f.analytic_conjugate is not None:
-        return np.asarray(f.analytic_conjugate(t, w, y, mu), dtype=float)
-    return _node_by_node(partial(numeric_conjugate, f), t, w, y, mu, np.empty(mu.shape[:-1]))
-
-
-def _subgradient_slice(f, t, w, y, z):
-    if f.analytic_subgradient is not None:
-        mu = np.asarray(f.analytic_subgradient(t, w, y, z), dtype=float)
-        return np.broadcast_to(mu, z.shape).copy()
-    return _node_by_node(partial(subgradient, f, validate=False), t, w, y, z, np.empty_like(z))
+from .solver import SolutionTriple, _implicit_step, _iterates, _slice_driver, _write_rows
+from .solver import check_step_size
 
 
 def _check_no_nan(values, i, what):
@@ -94,9 +75,9 @@ def dual_value(
     other than the terminal node count raises StructuralError.  One step
     back solves r = E^mu[R_{i+1} | node] - g(r, mu) dt, g the z-conjugate,
     with the backward solve's fixed point and bisection fallback;
-    ConvergenceError names the slice where both miss tol.  The driver's
-    bound conjugate (fix_mu) is used when declared, then its closed form,
-    then the search-based one.  A NaN tilted expectation, conjugate or
+    ConvergenceError names the slice where both miss tol.  The conjugate is
+    f.bound_conjugate: the declared closed form, else the search-based one.
+    A NaN tilted expectation, conjugate or
     candidate value raises ConvergenceError naming the slice and node.  The
     conjugate of step i is taken at t_{i+1}, where the solve evaluates the
     driver, so a time-dependent driver's candidate is dual to its solve too.
@@ -114,30 +95,25 @@ def dual_value(
     r_next = xi
 
     def neg_conjugate(t, w, m):
-        if f.fix_mu is None:
-            return lambda y: -_conjugate_slice(f, t, w, y, m)
-        g = f.fix_mu(t, w, m)  # m's work once per slice
+        g = f.bound_conjugate(t, w, m)  # m's work once per slice
         return lambda y: -g(y)
 
+    n_iter = _iterates(f, max_iter)
     for i in range(lattice.steps - 1, -1, -1):
         e_mu = tilted_expectation(lattice, i, r_next, control.step_weights(i))
         _check_no_nan(e_mu, i, "the tilted expectation")
         mu = control.process.slices[i]
         bind = _slice_driver(lattice, f, i, neg_conjugate)
-        if f.y_dependence == "none":
-            # explicit: r = E^mu - g dt, g taken at y = 0
-            r = e_mu + bind(mu)(np.zeros_like(e_mu)) * dt
-        else:
-            r = np.full_like(e_mu, -np.inf)
-            g0 = bind(mu)(e_mu)  # -g at the mean
-            _check_no_nan(g0, i, "the conjugate")
-            live = np.flatnonzero(np.isfinite(e_mu) & np.isfinite(g0))
-            if live.size:
-                el = e_mu[live]
-                r[live] = _implicit_step(
-                    bind(mu, live), lambda rows: bind(mu, live[rows]),
-                    el, el + g0[live] * dt, dt, tol, max_iter, i,
-                )[0]
+        r = np.full_like(e_mu, -np.inf)
+        g0 = bind(mu)(e_mu)  # -g at the mean
+        _check_no_nan(g0, i, "the conjugate")
+        live = np.flatnonzero(np.isfinite(e_mu) & np.isfinite(g0))
+        if live.size:
+            el = e_mu[live]
+            r[live] = _implicit_step(
+                bind(mu, live), lambda rows: bind(mu, live[rows]),
+                el, el + g0[live] * dt, dt, tol, n_iter, i,
+            )[0]
         _check_no_nan(r, i, "the candidate value")
         slices[i] = r
         r_next = r
@@ -153,11 +129,8 @@ def optimal_control(sol: SolutionTriple, f: DriverSpec) -> ControlProcess:
     """
     lat = sol.lattice
 
-    def selection(t, w, z):
-        return lambda y: _subgradient_slice(f, t, w, y, z)
-
     slices = [
-        _slice_driver(lat, f, i, selection)(sol.Z.slices[i])(sol.Y.slices[i])
+        _slice_driver(lat, f, i, f.bound_subgradient)(sol.Z.slices[i])(sol.Y.slices[i])
         for i in range(lat.steps)
     ]
     control = ControlProcess(predictable_process(lat, slices))

@@ -1,8 +1,9 @@
 """Exception types shared across the lattice solver and its harnesses.
 
 Everything derives from LatticeModelError so callers can catch the whole
-family; the CLI maps input-contract violations (ValueError subclasses) to
-exit status 2 and property failures to exit status 1.
+family.  The CLI exits 1 on a property failure (ConvergenceError,
+AdmissibilityError, ValidationError) and 2 on any other LatticeModelError
+(StepSizeError and BudgetError included), ValueError or OSError.
 """
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -216,7 +217,7 @@ class PathLattice:
         """
         if self.mode != "full":
             raise StructuralError("paths are not resolvable on a recombining lattice")
-        k = np.arange(self.node_count(i)) if rows is None else np.asarray(rows)
+        k = np.arange(self.node_count(i)) if rows is None else np.asarray(rows, dtype=np.intp)
         inc = self.step_increments()
         out = np.empty((k.size, i + 1, self.dim))
         out[:, 0, :] = 0.0
@@ -240,17 +241,17 @@ def build_lattice(
     dim: int = 1,
     horizon: float = 1.0,
     mode: str = "full",
-    leaf_budget: int = DEFAULT_LEAF_BUDGET,
+    leaf_budget: Optional[int] = None,
 ) -> PathLattice:
     """Build a random-walk lattice over the uniform grid with the given shape.
 
-    Full-path mode requires 2**(dim*steps) <= leaf_budget (default 2**20);
-    pass a larger budget explicitly to go beyond it.
+    Full-path mode requires 2**(dim*steps) <= leaf_budget (None means the
+    default, 2**20); pass a larger budget explicitly to go beyond it.
     """
     grid = TimeGrid(horizon=float(horizon), steps=int(steps))
     lattice = PathLattice(grid, int(dim), mode)
     leaves = lattice.node_count(lattice.steps)
-    if leaves > int(leaf_budget):
+    if leaves > (DEFAULT_LEAF_BUDGET if leaf_budget is None else int(leaf_budget)):
         raise BudgetError(
             "lattice with steps=%d dim=%d mode=%s has %d leaf nodes; "
             "needs leaf_budget >= %d (default %d)"

@@ -108,12 +108,12 @@ def terminal_values(lattice: PathLattice, phi: TerminalFunctional) -> np.ndarray
     holds one walk slice at a time.
     """
     n = lattice.node_count(lattice.steps)
-    if phi.markovian and phi.terminal_map is not None:
+    if phi.markovian:
         xi = phi.terminal_map(lattice.walk_slice(lattice.steps))
     elif lattice.mode == "recombining":
         raise StructuralError(
             "recombining mode needs a terminal functional of the final value "
-            "(markovian with terminal_map); %r is not" % (phi.name,)
+            "(one that declares terminal_map); %r is not" % (phi.name,)
         )
     elif isinstance(phi.evaluate, RunningFunctional):
         # forward over the walk slices; node k of slice j+1 extends node k // 2**d
@@ -153,7 +153,7 @@ def _slice_driver(lattice: PathLattice, f: DriverSpec, i: int, form=None):
     subgradient control all evaluate step i at its end t_{i+1} and with the
     same w.  form defaults to the bound driver f.at(t, w, z), a function of y
     whose z-only work runs once per bound z; the dual passes its negated
-    conjugate (a = mu), the control its subgradient selection.  With rows the
+    conjugate (a = mu), the control f.bound_subgradient.  With rows the
     binder keeps only those nodes of a and w, so the bound function takes y
     on the rows alone.
     """
@@ -181,6 +181,11 @@ def check_step_size(f: DriverSpec, grid: TimeGrid):
         )
 
 
+def _iterates(f: DriverSpec, max_iter: int) -> int:
+    """Fixed-point iterates of an implicit step: one for a y-free driver, whose first is exact."""
+    return 1 if f.y_dependence == "none" else max_iter
+
+
 def _backward_sweep(
     lattice: PathLattice,
     f: DriverSpec,
@@ -205,7 +210,7 @@ def _backward_sweep(
     y_next = terminal_values(lattice, phi)
     yield grid.steps, y_next, None, 0, 0, 0.0
     dt = grid.dt
-    n_iter = 1 if f.y_dependence == "none" else max_iter  # y-free: iterate 1 is exact
+    n_iter = _iterates(f, max_iter)
     for i in range(grid.steps - 1, -1, -1):
         mean, z = martingale_projection(lattice, i, y_next)
         bind = _slice_driver(lattice, f, i)

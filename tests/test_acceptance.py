@@ -95,7 +95,7 @@ def test_02_constant_driver_shifts_by_remaining_time():
         dt = lat.grid.dt
         leaves = {
             choices: float(
-                np.asarray(phi.evaluate(np.asarray(oracles.walk_path(choices, dim, dt))[None])).ravel()[0]
+                np.asarray(phi(np.asarray(oracles.walk_path(choices, dim, dt))[None])).ravel()[0]
             )
             for choices in product(range(2 ** dim), repeat=n)
         }
@@ -152,7 +152,7 @@ def test_04_convex_dual_attains_the_primal_value():
     phi4 = scale_terminal(make_terminal("endpoint"), 0.25)
     s4 = solve_backward(lat4, f4, phi4)
     c4 = optimal_control(s4, f4)
-    numeric4 = dataclasses.replace(f4, analytic_conjugate=None)
+    numeric4 = dataclasses.replace(f4, conjugate_at=None)
     rep4 = duality_gap(s4, dual_value(lat4, numeric4, terminal_values(lat4, phi4), c4), c4)
     ok = ok and abs(rep4.root_gap) <= 1e-6
     _verdict(
@@ -236,7 +236,7 @@ def test_07_terminal_perturbations_stay_controlled():
         sb = solve_backward(lat, f, pb)
         gap = max(float(np.max(np.abs(sa.Y.slices[i] - sb.Y.slices[i]))) for i in range(n + 1))
         leaf = lat.paths(lat.steps)
-        spread = float(np.max(np.abs(pa.evaluate(leaf) - pb.evaluate(leaf))))
+        spread = float(np.max(np.abs(pa(leaf) - pb(leaf))))
         growth = math.exp(f.lipschitz_wy * lat.grid.horizon)
         worst_excess = max(worst_excess, gap - growth * spread)
     _verdict(7, "terminal stability", worst_excess <= 1e-9, "worst excess %.2e" % worst_excess)
@@ -284,7 +284,7 @@ def test_10_numeric_conjugate_and_subgradient_agree_with_closed_forms():
     for fname in names:
         f = make_driver(fname)
         for mu in mu_grid:
-            ana = float(f.analytic_conjugate(0.5, samples, 0.0, np.array([[mu]]))[0])
+            ana = conjugate(f, 0.5, samples, 0.0, np.array([mu]))
             num = numeric_conjugate(f, 0.5, samples, 0.0, np.array([mu]))
             if math.isinf(ana) or math.isinf(num):
                 inf_agree = inf_agree and math.isinf(ana) and math.isinf(num)

@@ -17,7 +17,7 @@ from bsdelattice.approximation import (
     refinement_experiment,
     uniform_limit_experiment,
 )
-from bsdelattice.drivers import make_driver, make_terminal, scale_terminal
+from bsdelattice.drivers import TerminalFunctional, make_driver, make_terminal, scale_terminal
 from bsdelattice.errors import GridError, StepSizeError, StructuralError
 from bsdelattice.lattice import build_lattice
 from bsdelattice.solver import solve_backward, terminal_values
@@ -30,7 +30,7 @@ def test_digital_regularization_recovers_closed_form_exactly():
     paths = lat.paths(lat.steps)
     digital = make_terminal("digital")
     for n in (1, 2, 4):
-        got = inf_convolution(digital, n).evaluate(paths)
+        got = inf_convolution(digital, n)(paths)
         want = np.minimum(1.0, n * np.maximum(paths[:, -1, 0], 0.0))
         assert np.array_equal(got, want), n
 
@@ -42,7 +42,7 @@ def test_regularization_is_exactly_monotone_in_level():
         phi = make_terminal(name)
         prev = None
         for n in (0.25, 0.5, 1, 2, 4, 8):
-            vals = inf_convolution(phi, n).evaluate(paths)
+            vals = inf_convolution(phi, n)(paths)
             if prev is not None:
                 assert np.all(vals >= prev)
             prev = vals
@@ -52,19 +52,22 @@ def test_regularization_never_exceeds_original():
     rng = np.random.default_rng(9)
     paths = rng.normal(size=(30, 5, 1))
     phi = make_terminal("maxpath")
-    raw = phi.evaluate(paths)
+    raw = phi(paths)
     for n in (0.25, 0.5, 1, 4, 16):
-        assert np.all(inf_convolution(phi, n).evaluate(paths) <= raw + 1e-15)
+        assert np.all(inf_convolution(phi, n)(paths) <= raw + 1e-15)
 
 
 def test_markov_map_agrees_with_path_evaluation():
+    # the Markov regularization (built from the terminal map) and the one of
+    # the same terminal declared by its path form shift the same final values
     lat = build_lattice(6, dim=1)
     paths = lat.paths(lat.steps)
-    phi_n = inf_convolution(make_terminal("digital"), 3)
-    assert phi_n.markovian
-    assert np.array_equal(
-        phi_n.terminal_map(paths[:, -1, :]), phi_n.evaluate(paths)
-    )
+    digital = make_terminal("digital")
+    phi_n = inf_convolution(digital, 3)
+    path_form = TerminalFunctional(name="digital-paths", evaluate=digital, bound=1.0)
+    assert phi_n.markovian and not inf_convolution(path_form, 3).markovian
+    assert np.array_equal(phi_n(paths), inf_convolution(path_form, 3)(paths))
+    assert np.array_equal(phi_n(paths), phi_n.terminal_map(paths[:, -1, :]))
 
 
 def test_inf_convolution_guards():

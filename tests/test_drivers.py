@@ -9,6 +9,7 @@ from bsdelattice.drivers import (
     DriverSpec,
     RunningFunctional,
     SamplingPlan,
+    TerminalFunctional,
     conjugate,
     linear_driver,
     make_driver,
@@ -19,7 +20,7 @@ from bsdelattice.drivers import (
     subgradient,
     verify_driver_properties,
 )
-from bsdelattice.errors import GridError, ValidationError
+from bsdelattice.errors import GridError, StructuralError, ValidationError
 from bsdelattice.lattice import build_lattice
 from bsdelattice.solver import solve_backward
 
@@ -30,7 +31,7 @@ ALL_TERMINALS = ["endpoint", "const:1", "maxpath", "digital", "clipped-endpoint"
 def brute_conjugate(f, mu, radius=8.0, n=200001):
     """Oracle: dense 1-d grid search, no refinement."""
     zs = np.linspace(-radius, radius, n)
-    vals = zs * mu - np.array([float(f.evaluate(0.0, None, 0.0, np.array([z]))) for z in zs])
+    vals = zs * mu - f.evaluate(0.0, None, 0.0, zs[:, None])
     return float(vals.max())
 
 
@@ -62,17 +63,30 @@ def test_terminal_values_on_paths():
             [[0.0], [-1.5], [2.0]],
         ]
     )
-    assert np.allclose(make_terminal("endpoint").evaluate(p), [-0.25, 2.0])
-    assert np.allclose(make_terminal("maxpath").evaluate(p), [0.5, 2.0])
-    assert np.allclose(make_terminal("digital").evaluate(p), [0.0, 1.0])
-    assert np.allclose(make_terminal("clipped-endpoint").evaluate(p), [-0.25, 1.0])
-    assert np.allclose(make_terminal("const:2").evaluate(p), [2.0, 2.0])
+    assert np.allclose(make_terminal("endpoint")(p), [-0.25, 2.0])
+    assert np.allclose(make_terminal("maxpath")(p), [0.5, 2.0])
+    assert np.allclose(make_terminal("digital")(p), [0.0, 1.0])
+    assert np.allclose(make_terminal("clipped-endpoint")(p), [-0.25, 1.0])
+    assert np.allclose(make_terminal("const:2")(p), [2.0, 2.0])
     shifted = shift_terminal(make_terminal("endpoint"), 0.5)
-    assert np.allclose(shifted.evaluate(p), [0.25, 2.5])
+    assert np.allclose(shifted(p), [0.25, 2.5])
     assert shifted.terminal_map(np.array([2.0])) == 2.5
     scaled = scale_terminal(make_terminal("endpoint"), -2.0)
-    assert np.allclose(scaled.evaluate(p), [0.5, -4.0])
+    assert np.allclose(scaled(p), [0.5, -4.0])
     assert scaled.lipschitz == 2.0
+    # a Markov terminal declares its map alone, and keeps it under shift and scale
+    for phi in (make_terminal("endpoint"), shifted, scaled):
+        assert phi.markovian and phi.evaluate is None
+
+
+def test_terminal_declares_one_form():
+    endpoint = make_terminal("endpoint")
+    with pytest.raises(StructuralError, match="exactly one"):
+        TerminalFunctional(name="both", evaluate=endpoint, terminal_map=endpoint.terminal_map)
+    with pytest.raises(StructuralError, match="exactly one"):
+        TerminalFunctional(name="neither")
+    with pytest.raises(AttributeError):
+        endpoint.markovian = False  # read-only: the map decides
 
 
 def _whole_path_maxpath(paths):
@@ -106,9 +120,11 @@ def test_running_functional_runs_init_update_finish_in_order():
     )
     assert run(np.array([[1.0], [2.0], [4.0]])) == -7.0
     assert seen == [("init", [1.0]), ("update", [2.0]), ("update", [4.0])]
-    # a terminal without a running form keeps a plain callable under shift
-    plain = shift_terminal(make_terminal("endpoint"), 1.0)
-    assert not isinstance(plain.evaluate, RunningFunctional)
+    # a path terminal without a running form keeps a plain callable under shift
+    endpoint = TerminalFunctional(name="endpoint-paths", evaluate=lambda p: p[..., -1, 0])
+    plain = shift_terminal(endpoint, 1.0)
+    assert callable(plain.evaluate) and not isinstance(plain.evaluate, RunningFunctional)
+    assert plain(np.array([[[0.0], [2.5]]]))[0] == 3.5
 
 
 def _same_bits(got, want):
@@ -116,21 +132,29 @@ def _same_bits(got, want):
     return np.array_equal(got, want, equal_nan=True) and got.tobytes() == want.tobytes()
 
 
+def _norm_of_rows(z):
+    return np.sqrt(np.sum(np.asarray(z, dtype=float) ** 2, axis=-1))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_linear_bound_form_has_the_bits_of_evaluate(d):
-    # z's norm is taken once when z is bound; the sum keeps evaluate's order
+    # z's norm is taken once when z is bound; the sum keeps the closed form's
+    # order, a + b * (|y| + |z|)
     f = make_driver("linear:0.5,1.5")
-    assert f.fix_z is not None
+
+    def closed(y, z):
+        return 0.5 + 1.5 * (np.abs(y) + _norm_of_rows(z))
+
     special = [np.nan, np.inf, -np.inf, -0.0, 0.0]
     rng = np.random.default_rng(d)
     y = np.concatenate([rng.normal(size=12), special, special[::-1]])
     z = rng.normal(size=(y.size, d))
     z[12:17, 0] = special[::-1]
     z[17:, -1] = special
-    assert _same_bits(f.at(0.25, None, z)(y), f.evaluate(0.25, None, y, z))
+    assert _same_bits(f.at(0.25, None, z)(y), closed(y, z))
     for yv in [0.7, -0.0, np.nan, np.inf, -np.inf]:
         for zrow in z[12:]:
-            assert _same_bits(f.at(0.25, None, zrow)(yv), f.evaluate(0.25, None, yv, zrow))
+            assert _same_bits(f.at(0.25, None, zrow)(yv), closed(yv, zrow))
 
 
 _Y_SPECIALS = np.array([0.0, -0.0, 0.3, -2.5, np.inf, -np.inf, np.nan])
@@ -148,7 +172,7 @@ def test_linear_bound_conjugate_has_the_bits_of_the_closed_form(a, b, d, rows, y
     # mu inside, on and outside |mu| = b (b * e_k has norm b exactly), paired
     # with drawn y and with every special y
     f = linear_driver(a, b)
-    assert f.fix_mu is not None
+    assert f.conjugate_at is not None
     eye = np.eye(d)
     drawn = np.array(rows[: len(rows) // d * d]).reshape(-1, d)
     mu = np.vstack(
@@ -160,29 +184,62 @@ def test_linear_bound_conjugate_has_the_bits_of_the_closed_form(a, b, d, rows, y
         (np.repeat(_Y_SPECIALS, mu.shape[0]), np.tile(mu, (_Y_SPECIALS.size, 1))),
     ]:
         with np.errstate(over="ignore", invalid="ignore"):
-            want = f.analytic_conjugate(0.5, None, ys, mus)
-            assert _same_bits(f.fix_mu(0.5, None, mus)(ys), want)
+            want = np.where(_norm_of_rows(mus) <= b, -a - b * np.abs(ys), np.inf)
+            assert _same_bits(f.conjugate_at(0.5, None, mus)(ys), want)
 
 
-def test_bound_form_falls_back_to_evaluate():
+_ROW_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(ALL_DRIVERS),
+    d=st.integers(1, 3),
+    rows=st.lists(
+        st.one_of(st.floats(-1e3, 1e3), st.sampled_from(_ROW_SPECIALS)), min_size=3, max_size=24
+    ),
+    y=st.lists(st.one_of(st.floats(), st.sampled_from(_ROW_SPECIALS)), min_size=1, max_size=12),
+)
+def test_pointwise_forms_have_the_bits_of_the_bound_forms(name, d, rows, y):
+    # evaluate, __call__ and conjugate on one node with a scalar y, and with
+    # a scalar y over every node, give the bound forms' bits on the rows;
+    # every special value also fills a whole row
+    f = make_driver(name)
+    drawn = np.array(rows[: len(rows) // d * d]).reshape(-1, d)
+    a = np.vstack([drawn] + [np.full((1, d), v) for v in _ROW_SPECIALS])
+    ys = np.resize(np.array(y), a.shape[0])
+    with np.errstate(all="ignore"):
+        fz = f.at(0.5, None, a)(ys)
+        gz = f.conjugate_at(0.5, None, a)(ys)
+        for k in range(a.shape[0]):
+            assert _same_bits(f.evaluate(0.5, None, ys[k], a[k]), fz[k])
+            assert _same_bits(f(0.5, None, ys[k], a[k]), fz[k])
+            assert _same_bits(conjugate(f, 0.5, None, ys[k], a[k]), gz[k])
+        y0 = np.full(a.shape[0], ys[0])
+        assert _same_bits(f.evaluate(0.5, None, ys[0], a), f.at(0.5, None, a)(y0))
+        assert _same_bits(conjugate(f, 0.5, None, ys[0], a), f.conjugate_at(0.5, None, a)(y0))
+
+
+def test_derived_evaluate_is_a_float_array():
     f = DriverSpec(
         name="int-valued",
-        evaluate=lambda t, w, y, z: 2 * np.asarray(y) + np.shape(z)[-1],
+        at=lambda t, w, z: lambda y: 2 * np.asarray(y) + np.shape(z)[-1],
         lipschitz_wy=2.0,
     )
     z = np.zeros((3, 2))
     y = np.array([1, -2, 3])
-    got = f.at(0.0, None, z)(y)
+    got = f.evaluate(0.0, None, y, z)
     assert got.dtype == np.float64
-    assert np.array_equal(got, f.evaluate(0.0, None, y, z))
-    assert f.at(0.0, None, z[0])(4).dtype == np.float64
+    assert np.array_equal(got, [4.0, -2.0, 8.0])
+    assert f.evaluate(0.0, None, 4, z[0]).dtype == np.float64
+    assert f.evaluate(0.0, None, 4, z[0]) == 10.0
 
 
 def _time_driver(rest):
     """f = t + rest(z), time-dependent, y- and w-free."""
     return DriverSpec(
         name="t+",
-        evaluate=lambda t, w, y, z: t + rest(np.asarray(z, dtype=float)),
+        at=lambda t, w, z: lambda y: t + rest(np.asarray(z, dtype=float)),
         lipschitz_wy=0.0,
     )
 
@@ -268,7 +325,7 @@ def test_subgradient_analytic_and_numeric():
     assert subgradient(f, 0.0, None, 0.0, z)[0] == pytest.approx(1.25)
     bare = DriverSpec(
         name="quad-no-decl",
-        evaluate=lambda t, w, y, zz: 0.5 * np.sum(np.asarray(zz, dtype=float) ** 2, axis=-1),
+        at=lambda t, w, zz: lambda y: 0.5 * np.sum(np.asarray(zz, dtype=float) ** 2, axis=-1),
         lipschitz_wy=0.0,
     )
     got = subgradient(bare, 0.0, None, 0.0, z)
@@ -284,7 +341,7 @@ def test_subgradient_analytic_and_numeric():
 def test_subgradient_validation_error():
     wrong = DriverSpec(
         name="wrong-subgradient",
-        evaluate=lambda t, w, y, z: 0.5 * np.sum(np.asarray(z, dtype=float) ** 2, axis=-1),
+        at=lambda t, w, z: lambda y: 0.5 * np.sum(np.asarray(z, dtype=float) ** 2, axis=-1),
         lipschitz_wy=0.0,
         analytic_subgradient=lambda t, w, y, z: 2.0 * np.asarray(z, dtype=float),
     )
@@ -313,7 +370,7 @@ def test_catalog_driver_properties_pass(name):
 def test_property_report_negative_control():
     liar = DriverSpec(
         name="quad-y",
-        evaluate=lambda t, w, y, z: np.asarray(y, dtype=float) ** 2
+        at=lambda t, w, z: lambda y: np.asarray(y, dtype=float) ** 2
         + 0.0 * np.asarray(z, dtype=float)[..., 0],
         lipschitz_wy=1.0,  # false: true constant grows with |y|
     )
@@ -333,7 +390,7 @@ def test_nan_driver_fails_every_checkable_property():
 def test_path_dependent_driver_accepts_w():
     f = DriverSpec(
         name="running-max",
-        evaluate=lambda t, w, y, z: np.max(np.abs(w), axis=(-2, -1))
+        at=lambda t, w, z: lambda y: np.max(np.abs(w), axis=(-2, -1))
         + 0.0 * np.asarray(z, dtype=float)[..., 0],
         lipschitz_wy=1.0,
         w_dependence="path",

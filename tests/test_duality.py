@@ -10,6 +10,7 @@ import pytest
 
 from bsdelattice.drivers import (
     DriverSpec,
+    conjugate,
     make_driver,
     make_terminal,
     scale_terminal,
@@ -141,7 +142,7 @@ def test_numeric_conjugate_route_closes_gap():
     control = optimal_control(sol, f)
     # without a closed form the dual takes the search-based conjugate
     cand = dual_value(
-        lat, dataclasses.replace(f, analytic_conjugate=None), terminal_values(lat, phi), control
+        lat, dataclasses.replace(f, conjugate_at=None), terminal_values(lat, phi), control
     )
     rep = duality_gap(sol, cand, control)
     assert rep.min_gap >= -1e-6
@@ -178,9 +179,9 @@ def test_dual_closes_on_a_time_varying_driver():
     # taken at t_{i+1} like the driver, so the subgradient tilt closes the gap
     f = DriverSpec(
         name="(1+t)|z|^2/2",
-        evaluate=lambda t, w, y, z: 0.5 * (1.0 + t) * np.sum(np.asarray(z) ** 2, axis=-1),
+        at=lambda t, w, z: lambda y: 0.5 * (1.0 + t) * np.sum(np.asarray(z) ** 2, axis=-1),
         lipschitz_wy=0.0,
-        analytic_conjugate=lambda t, w, y, mu: np.sum(np.asarray(mu) ** 2, axis=-1)
+        conjugate_at=lambda t, w, mu: lambda y: np.sum(np.asarray(mu) ** 2, axis=-1)
         / (2.0 * (1.0 + t)),
         analytic_subgradient=lambda t, w, y, z: (1.0 + t) * np.asarray(z, dtype=float),
     )
@@ -321,6 +322,11 @@ def test_nan_below_the_terminal_slice_names_its_slice_and_first_node():
         ConvergenceError, match=r"slice 2: the conjugate is NaN at 2 node\(s\), first node 1$"
     ):
         dual_value(lat, make_driver("linear:1,0"), xi, zero)
+    # a y-free step checks its conjugate like any other step
+    with pytest.raises(
+        ConvergenceError, match=r"slice 2: the conjugate is NaN at 4 node\(s\), first node 0$"
+    ):
+        dual_value(lat, make_driver("constant:nan"), np.zeros(8), zero)
 
 
 @pytest.mark.parametrize("size", [7, 9])
@@ -389,7 +395,7 @@ def test_dual_closes_on_a_path_dependent_driver_without_closed_forms():
     # no closed conjugate or subgradient: both go node by node with w[k]
     f = DriverSpec(
         name="|z|^2/2 + tanh(w)/10",
-        evaluate=lambda t, w, y, z: 0.5 * np.sum(np.asarray(z) ** 2, axis=-1)
+        at=lambda t, w, z: lambda y: 0.5 * np.sum(np.asarray(z) ** 2, axis=-1)
         + 0.1 * np.tanh(np.asarray(w)[..., -1, 0]),
         lipschitz_wy=0.1,
         w_dependence="path",
@@ -417,6 +423,6 @@ def test_y_free_dual_is_the_explicit_recursion(driver, mode, steps, dim):
         r = terminal_values(lat, phi)
         for i in range(steps - 1, -1, -1):
             mu = control.process.slices[i]
-            g = f.analytic_conjugate(lat.grid.time(i + 1), None, 0.0, mu)
+            g = conjugate(f, lat.grid.time(i + 1), None, 0.0, mu)
             r = tilted_expectation(lat, i, r, control.step_weights(i)) - g * lat.grid.dt
             np.testing.assert_array_equal(got[i].view(np.uint64), r.view(np.uint64))

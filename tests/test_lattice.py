@@ -125,6 +125,13 @@ def test_paths_on_deep_slices_carry_the_walk_slices_bits(dim, steps):
         assert got[:, j, :].tobytes() == w[rows >> (dim * (steps - j))].tobytes(), j
 
 
+def test_paths_of_no_rows():
+    # an empty list is no rows, not a float array
+    lat = build_lattice(3)
+    for rows in ([], ()):
+        assert lat.paths(3, rows).shape == (0, 4, 1)
+
+
 def test_full_probabilities_exact():
     lat = build_lattice(3, dim=2)
     for i in range(4):
@@ -176,6 +183,10 @@ def test_budget_enforced():
     # and the budget is overridable
     lat = build_lattice(21, dim=1, leaf_budget=2 ** 21)
     assert lat.node_count(21) == 2 ** 21
+    # None is the default budget, with the default's message
+    assert build_lattice(20, dim=1, leaf_budget=None).node_count(20) == DEFAULT_LEAF_BUDGET
+    with pytest.raises(BudgetError, match=r"needs leaf_budget >= 2097152 \(default 1048576\)"):
+        build_lattice(21, dim=1, leaf_budget=None)
 
 
 def test_recombining_counts_and_probabilities():

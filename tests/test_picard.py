@@ -27,7 +27,12 @@ def _path_mean_driver():
         zn = np.sqrt((np.asarray(z, dtype=float) ** 2).sum(axis=-1))
         return arr[..., :, 0].mean(axis=-1) + 0.5 * zn
 
-    return DriverSpec(name="pathmean", evaluate=evaluate, lipschitz_wy=1.0, w_dependence="path")
+    return DriverSpec(
+        name="pathmean",
+        at=lambda t, w, z: lambda y: evaluate(t, w, y, z),
+        lipschitz_wy=1.0,
+        w_dependence="path",
+    )
 
 
 def _copy(state):

@@ -43,7 +43,7 @@ import oracles
 # a driver that declares it reads the path, and is zero
 PATHY = DriverSpec(
     name="pathy",
-    evaluate=lambda t, w, y, z: np.zeros(np.shape(z)[:-1]),
+    at=lambda t, w, z: lambda y: np.zeros(np.shape(z)[:-1]),
     lipschitz_wy=0.0,
     w_dependence="path",
 )
@@ -122,7 +122,7 @@ def test_exact_rational_certifies_float_solver_deeper():
         arr = np.asarray(paths, dtype=float)
         return arr[..., -1, 0] + arr[..., -1, 1]
 
-    term = TerminalFunctional(name="sum-endpoint", evaluate=phi, lipschitz=math.sqrt(2.0), markovian=False)
+    term = TerminalFunctional(name="sum-endpoint", evaluate=phi, lipschitz=math.sqrt(2.0))
     sol2 = solve_backward(build_lattice(3, dim=2), make_driver("constant:0.7"), term)
     for i in range(4):
         for node in product(range(4), repeat=i):
@@ -188,7 +188,7 @@ def test_path_dependent_driver_sees_shifted_samples():
 
     f = DriverSpec(
         name="pathmean",
-        evaluate=evaluate,
+        at=lambda t, w, z: lambda y: evaluate(t, w, y, z),
         lipschitz_wy=1.0,
         w_dependence="path",
     )
@@ -307,8 +307,8 @@ def test_bisection_cuts_path_samples_to_the_bisected_rows():
         arr = np.asarray(w, dtype=float)
         return arr[..., :, 0].mean(axis=-1) + np.abs(y) + 0.5 * drivers._norm(z)
 
-    f = DriverSpec(name="pathabs", evaluate=evaluate, lipschitz_wy=2.0,
-                   w_dependence="path", y_dependence="general")
+    f = DriverSpec(name="pathabs", at=lambda t, w, z: lambda y: evaluate(t, w, y, z),
+                   lipschitz_wy=2.0, w_dependence="path", y_dependence="general")
     lat, phi = build_lattice(7, dim=1), make_terminal("maxpath")
     ref = solve_backward(lat, f, phi)
     bind = solver._slice_driver(lat, f, 4)
@@ -373,7 +373,7 @@ def test_implicit_step_only_reads_what_the_driver_returns():
     phi = make_terminal("maxpath")
     lin = make_driver("linear:1,1")
 
-    def frozen_fix_z(t, w, z):
+    def frozen_at(t, w, z):
         fy = lin.at(t, w, z)
 
         def frozen(y):
@@ -383,14 +383,14 @@ def test_implicit_step_only_reads_what_the_driver_returns():
 
         return frozen
 
-    frozen = replace(lin, fix_z=frozen_fix_z)
+    frozen = replace(lin, at=frozen_at)
     for max_iter in (200, 2):  # 2 sends the slices to bisection
         got = solve_backward(lat, frozen, phi, max_iter=max_iter)
         want = solve_backward(lat, lin, phi, max_iter=max_iter)
         assert got.info.bisection_nodes == want.info.bisection_nodes
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got.Y.slices, want.Y.slices))
     const = make_driver("constant:0.5")
-    scalar = replace(const, fix_z=lambda t, w, z: lambda y: 0.5, y_dependence="general")
+    scalar = replace(const, at=lambda t, w, z: lambda y: 0.5, y_dependence="general")
     got = solve_backward(lat, scalar, phi)
     want = solve_backward(lat, const, phi)
     assert got.info.iterations_max > 1
@@ -403,7 +403,7 @@ def test_implicit_step_only_reads_what_the_driver_returns():
 )
 def test_linear_driver_norms_z_once_per_slice(monkeypatch, mode, steps, terminal):
     # z is bound once per slice, so its norm is not retaken on each iterate;
-    # the generic bound form (evaluate per call) must give the same bits
+    # the closed form a + b(|y| + |z|), norm taken per call, gives the same bits
     lat = build_lattice(steps, dim=2, mode=mode)
     f, phi = make_driver("linear:1,1"), make_terminal(terminal)
     norm = drivers._norm
@@ -419,7 +419,8 @@ def test_linear_driver_norms_z_once_per_slice(monkeypatch, mode, steps, terminal
     sol = solve_backward(lat, f, phi)
     assert calls[0] - in_terminal == lat.steps
     calls[0] = 0
-    generic = solve_backward(lat, replace(f, fix_z=None), phi)
+    closed = replace(f, at=lambda t, w, z: lambda y: 1.0 + 1.0 * (np.abs(y) + drivers._norm(z)))
+    generic = solve_backward(lat, closed, phi)
     assert calls[0] - in_terminal > 2 * lat.steps
     assert sol.info.iterations_max == generic.info.iterations_max > 2
     for got, want in zip(sol.Y.slices + sol.Z.slices, generic.Y.slices + generic.Z.slices):
@@ -509,7 +510,7 @@ def test_terminal_streams_the_walk_slices(steps, dim, name):
     lat = build_lattice(steps, dim=dim)
     got = terminal_values(lat, phi)
     want = [
-        phi.evaluate(np.array([oracles.walk_path(leaf, dim, lat.grid.dt)]))
+        phi(np.array([oracles.walk_path(leaf, dim, lat.grid.dt)]))
         for leaf in product(range(lat.n_choices), repeat=steps)
     ]
     assert got.tobytes() == np.concatenate(want).tobytes()
@@ -759,7 +760,7 @@ def test_maxpath_solves_past_the_leaf_path_budget():
     assert sol.info.residual_max <= 1e-12
     # the plain path form, evaluated over leaf blocks, gives the running form's bits
     maxpath = make_terminal("maxpath")
-    plain = TerminalFunctional(name="plain-maxpath", evaluate=lambda p: maxpath.evaluate(p))
+    plain = TerminalFunctional(name="plain-maxpath", evaluate=lambda p: maxpath(p))
     assert np.array_equal(terminal_values(lat, plain), xi)
     del sol, xi
 
@@ -767,7 +768,7 @@ def test_maxpath_solves_past_the_leaf_path_budget():
     lat = build_lattice(19)
     f = DriverSpec(
         name="last-w",
-        evaluate=lambda t, w, y, z: w[..., -1, 0],
+        at=lambda t, w, z: lambda y: w[..., -1, 0],
         lipschitz_wy=1.0,
         w_dependence="path",
     )
