@@ -1,8 +1,12 @@
 """Command-line front end for solving, certifying, and experimenting.
 
-Subcommands: solve, duality, picard, converge, approx, verify.  Every option
-can also come from a flat JSON config file (same names, underscores for
-hyphens); explicit flags win over the config, the config wins over defaults.
+Subcommands: solve, duality, picard, converge, approx, verify.  Each option
+is declared once, in _OPTIONS, with its kind and default, and _COMMANDS
+names the options each subcommand reads.  A subcommand takes only those,
+as flags or as keys of a flat JSON config file (same names, underscores for
+hyphens); explicit flags win over the config, the config wins over
+defaults, and a flag or config key the subcommand does not read is an
+input error.
 
 Exit codes: 0 on success, 1 when a mathematical property fails (divergence,
 inadmissible optimizer, violated monotonicity), 2 on input errors.  All CSV
@@ -17,8 +21,6 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -49,92 +51,86 @@ from .picard import export_picard_trace_csv, picard_solve
 from .solver import export_solution_csv, solution_summary, solve_backward
 
 
-@dataclass
-class ExperimentConfig:
-    """One run's options; the field defaults are the options' defaults."""
-
-    command: str
-    steps: int = 8
-    dim: int = 1
-    horizon: float = 1.0
-    mode: str = "full"
-    driver: str = "quadratic"
-    terminal: str = "endpoint"
-    tol: Optional[float] = None
-    max_iter: int = 200
-    steps_list: Sequence[int] = (10, 50, 100)
-    levels: Sequence[float] = (1, 2, 4, 8, 16)
-    reference: Optional[float] = None
-    samples: int = 16
-    seed: int = 0
-    leaf_budget: Optional[int] = None
-    out: Optional[str] = None
-
-    def lattice(self):
-        return build_lattice(self.steps, self.dim, self.horizon, self.mode, self.leaf_budget)
+# every option, once: its kind (int, float or str; [int] or [float] for a
+# comma-separated list), its default (null where this is None) and its help
+_OPTIONS = {
+    "steps": (int, 8, "time steps N"),
+    "dim": (int, 1, "walk dimension d"),
+    "horizon": (float, 1.0, "time horizon T"),
+    "mode": (str, "full", "lattice layout: full or recombining"),
+    "driver": (str, "quadratic", "catalog driver, e.g. linear:1,1"),
+    "terminal": (str, "endpoint", "catalog terminal, e.g. const:1"),
+    "tol": (float, None, "fixed-point tolerance (the solver's own when omitted)"),
+    "max_iter": (int, 200, "fixed-point iteration cap; for picard, the sweep cap"),
+    "reference": (float, None, "reference root value"),
+    "samples": (int, 16, "random admissible controls to try"),
+    "seed": (int, 0, "random seed"),
+    "leaf_budget": (int, None, "full-layout leaf budget (2^20 when omitted)"),
+    "out": (str, None, "CSV output path (stdout when omitted)"),
+    "steps_list": ([int], (10, 50, 100), "comma-separated step counts"),
+    "levels": ([float], (1, 2, 4, 8, 16), "comma-separated regularization levels"),
+}
+_LATTICE = ("steps", "dim", "horizon", "mode", "leaf_budget")
+_SOLVE = _LATTICE + ("driver", "terminal", "tol", "max_iter", "out")
 
 
-# every option: the config fields but the subcommand
-_OPTIONS = [fld for fld in fields(ExperimentConfig) if fld.name != "command"]
-# the options argparse reads with type=int or type=float, by kind; leaf_budget,
-# tol and reference may also be null
-_KINDS = {"int": int, "Optional[int]": int, "float": float, "Optional[float]": float}
-_NUMBER_OPTIONS = {fld.name: _KINDS[fld.type] for fld in _OPTIONS if fld.type in _KINDS}
+def _check_value(key, value, kind):
+    """A config value of a scalar option, as its kind: a JSON integer for int,
+    any JSON number for float, a string for str.
 
-
-def _check_number(key, value, kind):
-    """A config value of a numeric option: a JSON integer for int, any JSON number for float.
-
-    A bool is neither, and neither is a string; int() would also truncate 2.5
-    to 2.  A JSON integer for a float option must also fit a float, which
-    1 followed by 400 zeros does not.
+    A bool is no number, and neither is a string; int() would also truncate
+    2.5 to 2.  A JSON integer for a float option must also fit a float,
+    which 1 followed by 400 zeros does not.
     """
+    name = key.replace("_", "-")
+    if kind is str:
+        if not isinstance(value, str):
+            raise GridError("%s must be a string, got %r" % (name, value))
+        return value
     allowed = int if kind is int else (int, float)
     if isinstance(value, bool) or not isinstance(value, allowed):
         raise GridError(
-            "%s must be %s, got %r"
-            % (key.replace("_", "-"), "an integer" if kind is int else "a number", value)
+            "%s must be %s, got %r" % (name, "an integer" if kind is int else "a number", value)
         )
-    if kind is float and isinstance(value, int):
-        try:
-            float(value)
-        except OverflowError:
-            raise GridError(
-                "%s must fit a float, got an integer of %d digits"
-                % (key.replace("_", "-"), len(str(abs(value))))
-            ) from None
+    try:
+        return kind(value)
+    except OverflowError:
+        raise GridError(
+            "%s must fit a float, got an integer of %d digits" % (name, len(str(abs(value))))
+        ) from None
 
 
 def _parse_list(key, value, kind):
-    """A list option (a list, or a comma-separated string) as a list of kind.
+    """A list option (a list, or a comma-separated string) as a non-empty list of kind.
 
     The entries of a list must be JSON numbers of the option's kind, as a
     flag's are parsed.
     """
-    if not isinstance(value, (list, tuple)):
-        value = [v for v in str(value).split(",") if v.strip()]
+    if isinstance(value, (list, tuple)):
+        value = [_check_value(key, v, kind) for v in value]
     else:
-        for v in value:
-            _check_number(key, v, kind)
-    return [kind(v) for v in value]
+        value = [kind(v) for v in str(value).split(",") if v.strip()]
+    if not value:
+        raise GridError("%s is empty" % key.replace("_", "-"))
+    return value
 
 
-def _check_ranges(merged):
+def _check_ranges(cfg):
     """GridError for a tol that is not a finite number >= 0, a non-finite
     reference or level, samples < 0 or max_iter < 1."""
-    tol = merged["tol"]
+    tol = cfg.get("tol")
     if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
         raise GridError("tol must be a finite number >= 0, got %r" % (tol,))
-    reference = merged["reference"]
+    reference = cfg.get("reference")
     if reference is not None and not math.isfinite(reference):
         raise GridError("reference must be a finite number, got %r" % (reference,))
-    for level in merged["levels"]:
+    for level in cfg.get("levels", ()):
         if not math.isfinite(level):
             raise GridError("levels must be finite numbers, got %r" % (level,))
-    if merged["samples"] < 0:
-        raise GridError("samples must be >= 0, got %r" % (merged["samples"],))
-    if merged["max_iter"] < 1:
-        raise GridError("max-iter must be >= 1, got %r" % (merged["max_iter"],))
+    if cfg.get("samples", 0) < 0:
+        raise GridError("samples must be >= 0, got %r" % (cfg["samples"],))
+    if cfg.get("max_iter", 1) < 1:
+        raise GridError("max-iter must be >= 1, got %r" % (cfg["max_iter"],))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -143,68 +139,52 @@ def _build_parser() -> argparse.ArgumentParser:
         description="backward solver and certificates on random-walk lattices",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat JSON file with option values")
-    common.add_argument("--steps", type=int)
-    common.add_argument("--dim", type=int)
-    common.add_argument("--horizon", type=float)
-    common.add_argument("--mode", choices=["full", "recombining"])
-    common.add_argument("--driver")
-    common.add_argument("--terminal")
-    common.add_argument("--tol", type=float)
-    common.add_argument("--max-iter", type=int, dest="max_iter")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--leaf-budget", type=int, dest="leaf_budget")
-    common.add_argument("--out", help="CSV output path (stdout when omitted)")
-    sub.add_parser("solve", parents=[common], help="solve and export the triple")
-    dual = sub.add_parser("duality", parents=[common], help="dual certificate and gap")
-    dual.add_argument("--samples", type=int, help="random admissible controls to try")
-    sub.add_parser("picard", parents=[common], help="iterate and export the trace")
-    conv = sub.add_parser("converge", parents=[common], help="grid refinement study")
-    conv.add_argument("--steps-list", dest="steps_list", help="comma-separated step counts")
-    conv.add_argument("--reference", type=float, help="reference root value")
-    appr = sub.add_parser("approx", parents=[common], help="regularization ladder")
-    appr.add_argument("--levels", help="comma-separated regularization levels")
-    sub.add_parser("verify", parents=[common], help="check walk and driver properties")
+    for command, (_, summary, names) in _COMMANDS.items():
+        # no abbreviations: converge would read --steps as --steps-list
+        cmd = sub.add_parser(command, help=summary, allow_abbrev=False)
+        cmd.add_argument("--config", help="flat JSON file with option values")
+        for key in names:
+            kind, _, text = _OPTIONS[key]
+            number = kind if kind in (int, float) else None
+            cmd.add_argument("--" + key.replace("_", "-"), type=number, help=text)
     return parser
 
 
-def _load_config(path):
+def _load_config(path, names):
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise GridError("config must be a JSON object, got %s" % type(data).__name__)
-    unknown = sorted(set(data) - {fld.name for fld in _OPTIONS})
+    unknown = sorted(set(data) - set(names))
     if unknown:
         raise GridError("unknown config keys: %s" % ", ".join(unknown))
     return data
 
 
-def _merge(args: argparse.Namespace) -> ExperimentConfig:
-    """Flags over the config file over the defaults.
+def _merge(args: argparse.Namespace) -> argparse.Namespace:
+    """The subcommand's options: flags over the config file over the defaults.
 
-    An empty list option is refused, and so is a config value of a numeric
-    option that is not a JSON number of its kind (GridError, like a flag
-    argparse refuses); null stays allowed where the default is null.  A tol
-    that is not a finite number >= 0, a non-finite reference or level,
-    samples < 0 and max_iter < 1 are refused too, from a flag or a config.
+    A config value of a scalar option that is not a JSON value of its kind
+    is refused (GridError, like a flag argparse refuses); null stays allowed
+    where the default is null.  An empty list option is refused, and so are
+    a tol that is not a finite number >= 0, a non-finite reference or level,
+    samples < 0 and max_iter < 1, from a flag or a config.
     """
-    file_cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-    merged = {}
-    for fld in _OPTIONS:
-        value = getattr(args, fld.name, None)
+    names = _COMMANDS[args.command][2]
+    file_cfg = _load_config(args.config, names) if args.config else {}
+    cfg = {}
+    for key in names:
+        kind, default, _ = _OPTIONS[key]
+        value = getattr(args, key)
         if value is None:
-            value = file_cfg.get(fld.name, fld.default)
-            kind = _NUMBER_OPTIONS.get(fld.name)
-            if kind is not None and not (value is None and fld.default is None):
-                _check_number(fld.name, value, kind)
-        merged[fld.name] = value
-    for key, kind in (("steps_list", int), ("levels", float)):
-        merged[key] = _parse_list(key, merged[key], kind)
-        if not merged[key]:
-            raise GridError("%s is empty" % key.replace("_", "-"))
-    _check_ranges(merged)
-    return ExperimentConfig(command=args.command, **merged)
+            value = file_cfg.get(key, default)
+            if key in file_cfg and kind in (int, float, str) and (value, default) != (None, None):
+                value = _check_value(key, value, kind)
+        if isinstance(kind, list):
+            value = _parse_list(key, value, kind[0])
+        cfg[key] = value
+    _check_ranges(cfg)
+    return argparse.Namespace(**cfg)
 
 
 @contextlib.contextmanager
@@ -217,29 +197,38 @@ def _out_sink(path):
         yield fh
 
 
-def _emit_summary(cfg: ExperimentConfig, payload: dict):
+def _emit_summary(cfg, payload: dict):
     # summary goes to stdout only when the CSV went to a file
     if cfg.out:
         print(json.dumps(payload, sort_keys=True))
 
 
-def _cmd_solve(cfg: ExperimentConfig) -> int:
-    lat = cfg.lattice()
-    f = make_driver(cfg.driver)
-    phi = make_terminal(cfg.terminal)
-    tol = 1e-12 if cfg.tol is None else float(cfg.tol)
-    sol = solve_backward(lat, f, phi, tol=tol, max_iter=int(cfg.max_iter))
+def _lattice(cfg):
+    return build_lattice(cfg.steps, cfg.dim, cfg.horizon, cfg.mode, cfg.leaf_budget)
+
+
+def _problem(cfg):
+    """The lattice, driver and terminal the options name."""
+    return _lattice(cfg), make_driver(cfg.driver), make_terminal(cfg.terminal)
+
+
+def _tol(cfg):
+    """tol as a keyword only when given, so each solver keeps its own default."""
+    return {} if cfg.tol is None else {"tol": cfg.tol}
+
+
+def _cmd_solve(cfg) -> int:
+    lat, f, phi = _problem(cfg)
+    sol = solve_backward(lat, f, phi, max_iter=cfg.max_iter, **_tol(cfg))
     with _out_sink(cfg.out) as fh:
         export_solution_csv(sol, fh)
     _emit_summary(cfg, solution_summary(sol))
     return 0
 
 
-def _cmd_duality(cfg: ExperimentConfig) -> int:
-    lat = cfg.lattice()
-    f = make_driver(cfg.driver)
-    phi = make_terminal(cfg.terminal)
-    opts = {"tol": 1e-12 if cfg.tol is None else float(cfg.tol), "max_iter": int(cfg.max_iter)}
+def _cmd_duality(cfg) -> int:
+    lat, f, phi = _problem(cfg)
+    opts = dict(_tol(cfg), max_iter=cfg.max_iter)
     sol = solve_backward(lat, f, phi, **opts)
     xi = sol.Y.slices[-1]  # the terminal, evaluated once for every candidate
     control = optimal_control(sol, f)
@@ -247,7 +236,7 @@ def _cmd_duality(cfg: ExperimentConfig) -> int:
     report = duality_gap(sol, candidate, control)
     rng = np.random.default_rng(cfg.seed)
     gaps = []
-    for _ in range(int(cfg.samples)):
+    for _ in range(cfg.samples):
         probe = random_admissible_control(lat, rng)
         gaps.append(duality_gap(sol, dual_value(lat, f, xi, probe, **opts), probe).min_gap)
     # a numpy fold keeps a NaN gap from any probe
@@ -256,18 +245,15 @@ def _cmd_duality(cfg: ExperimentConfig) -> int:
         export_duality_csv(sol, candidate, control, fh)
     payload = duality_summary(report)
     payload["sampled_min_gap"] = sampled_min
-    payload["samples"] = int(cfg.samples)
+    payload["samples"] = cfg.samples
     _emit_summary(cfg, payload)
     ok = report.weakly_consistent and (sampled_min is None or sampled_min >= -1e-9)
     return 0 if ok else 1
 
 
-def _cmd_picard(cfg: ExperimentConfig) -> int:
-    lat = cfg.lattice()
-    f = make_driver(cfg.driver)
-    phi = make_terminal(cfg.terminal)
-    tol = 1e-10 if cfg.tol is None else float(cfg.tol)
-    result = picard_solve(lat, f, phi, tol=tol, max_p=int(cfg.max_iter))
+def _cmd_picard(cfg) -> int:
+    lat, f, phi = _problem(cfg)
+    result = picard_solve(lat, f, phi, max_p=cfg.max_iter, **_tol(cfg))
     with _out_sink(cfg.out) as fh:
         export_picard_trace_csv(result, fh)
     _emit_summary(
@@ -281,25 +267,27 @@ def _cmd_picard(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_converge(cfg: ExperimentConfig) -> int:
+def _cmd_converge(cfg) -> int:
     if cfg.reference is None:
         raise GridError("converge needs --reference (or a reference config entry)")
     study = refinement_experiment(
         make_driver(cfg.driver),
         make_terminal(cfg.terminal),
         cfg.steps_list,
-        reference=float(cfg.reference),
-        dim=int(cfg.dim),
-        horizon=float(cfg.horizon),
+        reference=cfg.reference,
+        dim=cfg.dim,
+        horizon=cfg.horizon,
         mode=cfg.mode,
         leaf_budget=cfg.leaf_budget,
     )
     with _out_sink(cfg.out) as fh:
         export_refinement_csv(study, fh)
+    order = study.fitted_order
     _emit_summary(
         cfg,
         {
-            "fitted_order": study.fitted_order,
+            # null, not NaN, when no order is defined: one grid, or an error that vanishes
+            "fitted_order": order if math.isfinite(order) else None,
             "errors_decreasing": study.errors_decreasing,
             "final_error": study.rows[-1][2],
         },
@@ -307,11 +295,8 @@ def _cmd_converge(cfg: ExperimentConfig) -> int:
     return 0 if study.errors_decreasing else 1
 
 
-def _cmd_approx(cfg: ExperimentConfig) -> int:
-    lat = cfg.lattice()
-    ladder = monotone_limit_experiment(
-        lat, make_driver(cfg.driver), make_terminal(cfg.terminal), levels=cfg.levels
-    )
+def _cmd_approx(cfg) -> int:
+    ladder = monotone_limit_experiment(*_problem(cfg), levels=cfg.levels)
     with _out_sink(cfg.out) as fh:
         export_ladder_csv(ladder, fh)
     _emit_summary(
@@ -326,19 +311,15 @@ def _cmd_approx(cfg: ExperimentConfig) -> int:
     return 0 if ladder.monotone and ladder.increments_decreasing else 1
 
 
-def _cmd_verify(cfg: ExperimentConfig) -> int:
-    lat = cfg.lattice()
-    walk_report = verify_walk_conditions(lat)
-    plan = SamplingPlan(dim=int(cfg.dim), horizon=float(cfg.horizon), seed=int(cfg.seed))
+def _cmd_verify(cfg) -> int:
+    walk_report = verify_walk_conditions(_lattice(cfg))
+    plan = SamplingPlan(dim=cfg.dim, horizon=cfg.horizon, seed=cfg.seed)
     driver_report = verify_driver_properties(make_driver(cfg.driver), plan)
-    lines = []
-    for check in walk_report.checks:
-        state = "SKIP" if check.passed is None else ("PASS" if check.passed else "FAIL")
-        lines.append("walk:%s %s" % (check.name, state))
-    for check in driver_report.checks:
-        state = "SKIP" if check.passed is None else ("PASS" if check.passed else "FAIL")
-        lines.append("driver:%s %s" % (check.name, state))
-    text = "\n".join(lines) + "\n"
+    text = ""
+    for prefix, report in (("walk", walk_report), ("driver", driver_report)):
+        for check in report.checks:
+            state = "SKIP" if check.passed is None else ("PASS" if check.passed else "FAIL")
+            text += "%s:%s %s\n" % (prefix, check.name, state)
     with _out_sink(cfg.out) as fh:
         fh.write(text)
     if cfg.out:
@@ -346,13 +327,18 @@ def _cmd_verify(cfg: ExperimentConfig) -> int:
     return 0 if walk_report.passed and driver_report.passed else 1
 
 
+# each subcommand: its function, its help and the options it reads
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "duality": _cmd_duality,
-    "picard": _cmd_picard,
-    "converge": _cmd_converge,
-    "approx": _cmd_approx,
-    "verify": _cmd_verify,
+    "solve": (_cmd_solve, "solve and export the triple", _SOLVE),
+    "duality": (_cmd_duality, "dual certificate and gap", _SOLVE + ("samples", "seed")),
+    "picard": (_cmd_picard, "iterate and export the trace", _SOLVE),
+    "converge": (
+        _cmd_converge,
+        "grid refinement study",
+        ("dim", "horizon", "mode", "leaf_budget", "driver", "terminal", "steps_list", "reference", "out"),
+    ),
+    "approx": (_cmd_approx, "regularization ladder", _LATTICE + ("driver", "terminal", "levels", "out")),
+    "verify": (_cmd_verify, "check walk and driver properties", _LATTICE + ("driver", "seed", "out")),
 }
 
 
@@ -361,7 +347,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (ConvergenceError, AdmissibilityError, ValidationError) as exc:
         print("property failure: %s" % exc, file=sys.stderr)
         return 1

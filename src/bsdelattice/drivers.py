@@ -362,18 +362,24 @@ DRIVER_CATALOG = {
 }
 
 
+def _from_catalog(what, catalog, spec):
+    """The catalog entry a spec 'name' or 'name:p1,p2' names, built with its parameters."""
+    name, _, argpart = spec.partition(":")
+    if name not in catalog:
+        raise GridError("unknown %s %r (catalog: %s)" % (what, name, ", ".join(sorted(catalog))))
+    factory, argc = catalog[name]
+    try:
+        args = [float(x) for x in argpart.split(",")] if argpart else []
+    except ValueError:
+        raise GridError("%s parameters must be numbers, got %r" % (what, spec)) from None
+    if len(args) != argc:
+        raise GridError("%s %r takes %d parameter(s), got %r" % (what, name, argc, argpart))
+    return factory(*args)
+
+
 def make_driver(spec: str) -> DriverSpec:
     """Parse a catalog driver name, e.g. 'quadratic' or 'linear:1,1'."""
-    name, _, argpart = spec.partition(":")
-    if name not in DRIVER_CATALOG:
-        raise GridError(
-            "unknown driver %r (catalog: %s)" % (name, ", ".join(sorted(DRIVER_CATALOG)))
-        )
-    factory, argc = DRIVER_CATALOG[name]
-    args = [float(x) for x in argpart.split(",")] if argpart else []
-    if len(args) != argc:
-        raise GridError("driver %r takes %d parameter(s), got %r" % (name, argc, argpart))
-    return factory(*args)
+    return _from_catalog("driver", DRIVER_CATALOG, spec)
 
 
 def endpoint_terminal() -> TerminalFunctional:
@@ -432,16 +438,7 @@ TERMINAL_CATALOG = {
 
 def make_terminal(spec: str) -> TerminalFunctional:
     """Parse a catalog terminal name, e.g. 'endpoint' or 'const:1'."""
-    name, _, argpart = spec.partition(":")
-    if name not in TERMINAL_CATALOG:
-        raise GridError(
-            "unknown terminal %r (catalog: %s)" % (name, ", ".join(sorted(TERMINAL_CATALOG)))
-        )
-    factory, argc = TERMINAL_CATALOG[name]
-    args = [float(x) for x in argpart.split(",")] if argpart else []
-    if len(args) != argc:
-        raise GridError("terminal %r takes %d parameter(s), got %r" % (name, argc, argpart))
-    return factory(*args)
+    return _from_catalog("terminal", TERMINAL_CATALOG, spec)
 
 
 def shift_terminal(phi: TerminalFunctional, delta: float) -> TerminalFunctional:

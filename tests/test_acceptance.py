@@ -338,7 +338,6 @@ def test_12_identical_configs_give_identical_bytes(tmp_path):
                 "--steps", "6",
                 "--driver", "quadratic",
                 "--terminal", "maxpath",
-                "--seed", "3",
                 "--out", str(out / "solution.csv"),
             ]
         )

@@ -44,8 +44,6 @@ def test_identical_runs_are_bitwise_identical(tmp_path):
         "exp",
         "--terminal",
         "maxpath",
-        "--seed",
-        "3",
     ]
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -282,6 +280,28 @@ def test_duality_probes_get_the_runs_tol_and_max_iter(tmp_path, capsys, monkeypa
     assert seen == [{"tol": 1e-10, "max_iter": 7}] * 4
 
 
+@pytest.mark.parametrize(
+    "command,target", [("solve", "solve_backward"), ("duality", "dual_value"), ("picard", "picard_solve")]
+)
+def test_tol_reaches_the_solver_only_when_given(tmp_path, capsys, monkeypatch, command, target):
+    # without --tol each solver keeps its own default: picard_solve's differs from the solve's
+    real = getattr(cli, target)
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("tol"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, target, recording)
+    argv = [command, "--steps", "3", "--driver", "linear:1,1", "--out", str(tmp_path / "out.csv")]
+    assert run(argv) == 0
+    assert seen and set(seen) == {None}
+    seen.clear()
+    assert run(argv + ["--tol", "1e-11"]) == 0
+    assert seen and set(seen) == {1e-11}
+    capsys.readouterr()
+
+
 _INT_CONFIG_CASES = [
     (["solve"], "steps"),
     (["solve"], "dim"),
@@ -499,3 +519,118 @@ def test_duality_evaluates_the_terminal_once(tmp_path, capsys, monkeypatch):
     assert run(argv) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+# the options each subcommand reads; it refuses every other option, by flag or config
+_READS = {
+    "solve": {"steps", "dim", "horizon", "mode", "leaf_budget", "driver", "terminal", "tol",
+              "max_iter", "out"},
+    "duality": {"steps", "dim", "horizon", "mode", "leaf_budget", "driver", "terminal", "tol",
+                "max_iter", "samples", "seed", "out"},
+    "picard": {"steps", "dim", "horizon", "mode", "leaf_budget", "driver", "terminal", "tol",
+               "max_iter", "out"},
+    "converge": {"dim", "horizon", "mode", "leaf_budget", "driver", "terminal", "steps_list",
+                 "reference", "out"},
+    "approx": {"steps", "dim", "horizon", "mode", "leaf_budget", "driver", "terminal", "levels",
+               "out"},
+    "verify": {"steps", "dim", "horizon", "mode", "leaf_budget", "driver", "seed", "out"},
+}
+# a value each option would accept, where it is read
+_VALID = {
+    "steps": 3, "dim": 1, "horizon": 1.0, "mode": "full", "leaf_budget": 1024,
+    "driver": "linear:1,1", "terminal": "const:1", "tol": 1e-6, "max_iter": 50,
+    "reference": 4.43656365691809, "samples": 2, "seed": 3, "out": "other.csv",
+    "steps_list": [4, 8], "levels": [1, 2],
+}
+_UNREAD = [
+    pytest.param(command, key, id="%s-%s" % (command, key))
+    for command, reads in _READS.items()
+    for key in cli._OPTIONS
+    if key not in reads
+]
+
+
+def _flag(key, value):
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    return ["--" + key.replace("_", "-"), text]
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_each_subcommand_runs_with_every_option_it_reads(tmp_path, capsys, command):
+    options = {key: _VALID[key] for key in _READS[command]}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(options))
+    out = tmp_path / "out.csv"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 0
+    argv = [command] + [arg for key in sorted(options) for arg in _flag(key, options[key])]
+    assert run(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,key", _UNREAD)
+@pytest.mark.parametrize("by_config", [False, True])
+def test_option_the_subcommand_does_not_read_is_refused(tmp_path, capsys, command, key, by_config):
+    # converge --tol 0.5 --max-iter 1 --steps 999 wrote the bytes of a run without them
+    out = tmp_path / "out.csv"
+    argv = [command, "--out", str(out)]
+    if by_config:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: _VALID[key]}))
+        assert run(argv + ["--config", str(cfg)]) == 2
+        assert "input error: unknown config keys: %s\n" % key in capsys.readouterr().err
+    else:
+        with pytest.raises(SystemExit) as info:
+            run(argv + _flag(key, _VALID[key]))
+        assert info.value.code == 2
+        assert "unrecognized arguments: --%s" % key.replace("_", "-") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_flag_is_not_read_as_the_prefix_of_another(capsys):
+    # converge --steps 5 would otherwise run --steps-list 5
+    with pytest.raises(SystemExit) as info:
+        run(["converge", "--steps", "5", "--reference", "1", "--mode", "recombining"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --steps 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        pytest.param(key, value, id="%s=%s" % (key, json.dumps(value)))
+        for key in ["mode", "driver", "terminal", "out"]
+        for value in [3.5, None, ["full"]]
+        if not (key == "out" and value is None)  # null is its default
+    ],
+)
+def test_string_config_value_must_be_a_json_string(tmp_path, capsys, key, value):
+    # {"driver": 3} crashed with an AttributeError, and {"out": 1} wrote the CSV to fd 1
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert run(["solve", "--steps", "2", "--config", str(cfg)]) == 2
+    assert "input error: %s must be a string" % key in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError("non-finite number %s in JSON summary" % name)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # one grid: no slope to fit
+        ["--mode", "recombining", "--driver", "linear:1,1", "--terminal", "const:1",
+         "--steps-list", "10", "--reference", "4.43656365691809"],
+        # every error vanishes: no logarithm to fit
+        ["--mode", "recombining", "--driver", "zero", "--terminal", "const:1", "--reference", "1"],
+    ],
+    ids=["one-grid", "zero-errors"],
+)
+def test_undefined_fitted_order_is_null_in_the_summary(tmp_path, capsys, argv):
+    # the summary printed "fitted_order": NaN, which strict JSON refuses
+    out = tmp_path / "conv.csv"
+    run(["converge"] + argv + ["--out", str(out)])
+    summary = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert summary["fitted_order"] is None
+    rows = out.read_text().strip().split("\n")[1:]
+    assert rows and all(row.endswith(",nan") for row in rows)

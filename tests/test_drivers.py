@@ -46,6 +46,25 @@ def test_catalog_parsing():
         make_terminal("endpoint:1")
 
 
+@pytest.mark.parametrize(
+    "parse,spec,message",
+    [
+        (make_driver, "cubic", "unknown driver 'cubic' (catalog: abs, constant, exp, linear,"),
+        (make_terminal, "cubic", "unknown terminal 'cubic' (catalog: clipped-endpoint, const,"),
+        (make_driver, "linear:1", "driver 'linear' takes 2 parameter(s), got '1'"),
+        (make_terminal, "endpoint:1", "terminal 'endpoint' takes 0 parameter(s), got '1'"),
+        # float() raised "could not convert string to float: 'x'", naming no spec
+        (make_driver, "linear:1,x", "driver parameters must be numbers, got 'linear:1,x'"),
+        (make_terminal, "const:", "terminal 'const' takes 1 parameter(s), got ''"),
+        (make_terminal, "const:one", "terminal parameters must be numbers, got 'const:one'"),
+    ],
+)
+def test_catalog_errors_name_the_spec(parse, spec, message):
+    with pytest.raises(GridError) as info:
+        parse(spec)
+    assert str(info.value).startswith(message)
+
+
 def test_driver_evaluate_vectorized():
     f = make_driver("quadratic")
     z = np.array([[1.0, 0.0], [3.0, 4.0]])
