@@ -5,18 +5,16 @@ functional from the catalogs, run the backward solve, then interrogate the
 result (dual tilts, fixed-point cross-check, approximation ladders).  The
 heavy lifting lives in the submodules; this namespace just re-exports the
 entry points that every script ends up importing.
+
+The core modules (lattice, drivers, solver) load with the package.  The
+names of the others resolve on first access (PEP 562), so a process that
+only solves never compiles the dual, Picard, ladder or verification code.
 """
 
-from .approximation import (
-    inf_convolution,
-    monotone_limit_experiment,
-    refinement_experiment,
-    uniform_limit_experiment,
-)
+import importlib
+
 from .drivers import make_driver, make_terminal, scale_terminal, shift_terminal
-from .duality import dual_value, duality_gap, optimal_control, random_admissible_control
-from .lattice import TimeGrid, build_lattice, verify_walk_conditions
-from .picard import picard_solve
+from .lattice import TimeGrid, build_lattice
 from .solver import (
     solution_residuals,
     solve_backward,
@@ -26,10 +24,33 @@ from .solver import (
 
 __version__ = "0.1.0"
 
+# each name resolved on first access: the module that defines it
+_LAZY = {
+    "inf_convolution": "approximation",
+    "monotone_limit_experiment": "approximation",
+    "refinement_experiment": "approximation",
+    "uniform_limit_experiment": "approximation",
+    "dual_value": "duality",
+    "duality_gap": "duality",
+    "optimal_control": "duality",
+    "random_admissible_control": "duality",
+    "picard_solve": "picard",
+    "verify_walk_conditions": "verify",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
 __all__ = [
     "TimeGrid",
     "build_lattice",
-    "verify_walk_conditions",
     "make_driver",
     "make_terminal",
     "scale_terminal",
@@ -38,14 +59,6 @@ __all__ = [
     "solution_residuals",
     "z_bound",
     "z_bound_certificate",
-    "dual_value",
-    "duality_gap",
-    "optimal_control",
-    "random_admissible_control",
-    "picard_solve",
-    "inf_convolution",
-    "monotone_limit_experiment",
-    "uniform_limit_experiment",
-    "refinement_experiment",
+    *_LAZY,
     "__version__",
 ]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drivers import DriverSpec, TerminalFunctional
-from .errors import GridError
+from .errors import ConvergenceError, GridError
 from .lattice import build_lattice
 from .solver import _backward_sweep, bmo_estimate, solve_backward
 
@@ -205,9 +205,11 @@ def refinement_experiment(
     Each grid is solved as solve_backward solves it, with the same checks,
     errors and bits of Y_0, but slice by slice: the study keeps only the
     latest slice, so a grid holds O(one slice) instead of its whole solution.
-    The fitted order is the least-squares slope of log error against log N
-    (so first order shows up as roughly 1.0); it is NaN when any error
-    vanishes exactly or fewer than two grids are given.
+    A grid whose Y_0 is not finite raises ConvergenceError naming its N,
+    since one grid alone has no error sequence to fail.  The fitted order
+    is the least-squares slope of log error against log N (so first order
+    shows up as roughly 1.0); it is NaN when any error vanishes exactly or
+    fewer than two grids are given.
     """
     study = RefinementStudy(reference=float(reference))
     for steps in steps_list:
@@ -215,6 +217,8 @@ def refinement_experiment(
         for _, y, _, _, _, _ in _backward_sweep(lat, f, phi):
             pass
         y0 = float(y[0])
+        if not math.isfinite(y0):
+            raise ConvergenceError("grid N=%d: Y_0 is %r, not a finite number" % (steps, y0))
         study.rows.append((int(steps), y0, abs(y0 - study.reference)))
     errs = np.array([r[2] for r in study.rows])
     ns = np.array([r[0] for r in study.rows], dtype=float)
@@ -225,9 +229,10 @@ def refinement_experiment(
 
 
 def export_ladder_csv(ladder: ApproximationLadder, fileobj):
-    fileobj.write("level,Y0,sup_increment,bmo,cauchy_bound_ok\n")
+    """Rows level,Y0,sup_increment,bmo,cauchy_bound_ok, one per level, to a binary file."""
+    rows = ["level,Y0,sup_increment,bmo,cauchy_bound_ok\n"]
     for row in ladder.rows:
-        fileobj.write(
+        rows.append(
             "%s,%.17g,%s,%.17g,%s\n"
             % (
                 row.level,
@@ -237,11 +242,12 @@ def export_ladder_csv(ladder: ApproximationLadder, fileobj):
                 "" if row.cauchy_ok is None else str(int(row.cauchy_ok)),
             )
         )
+    fileobj.write("".join(rows).encode("ascii"))
 
 
 def export_refinement_csv(study: RefinementStudy, fileobj):
-    fileobj.write("N,Y0,error,fitted_order\n")
+    """Rows N,Y0,error,fitted_order, one per grid, to a binary file."""
+    rows = ["N,Y0,error,fitted_order\n"]
     for steps, y0, err in study.rows:
-        fileobj.write(
-            "%d,%.17g,%.17g,%.17g\n" % (steps, y0, err, study.fitted_order)
-        )
+        rows.append("%d,%.17g,%.17g,%.17g\n" % (steps, y0, err, study.fitted_order))
+    fileobj.write("".join(rows).encode("ascii"))

@@ -8,6 +8,10 @@ hyphens); explicit flags win over the config, the config wins over
 defaults, and a flag or config key the subcommand does not read is an
 input error.
 
+The package loads its core modules (lattice, drivers, solver) with this
+one; every other subcommand imports its own module when it runs, so a
+process pays only for what its subcommand uses.
+
 Exit codes: 0 on success, 1 when a mathematical property fails (divergence,
 inadmissible optimizer, violated monotonicity), 2 on input errors.  All CSV
 output is written with 17 significant digits and is bitwise reproducible for
@@ -24,21 +28,7 @@ import sys
 
 import numpy as np
 
-from .approximation import (
-    export_ladder_csv,
-    export_refinement_csv,
-    monotone_limit_experiment,
-    refinement_experiment,
-)
-from .drivers import SamplingPlan, make_driver, make_terminal, verify_driver_properties
-from .duality import (
-    dual_value,
-    duality_gap,
-    duality_summary,
-    export_duality_csv,
-    optimal_control,
-    random_admissible_control,
-)
+from .drivers import make_driver, make_terminal
 from .errors import (
     AdmissibilityError,
     ConvergenceError,
@@ -46,8 +36,7 @@ from .errors import (
     LatticeModelError,
     ValidationError,
 )
-from .lattice import build_lattice, verify_walk_conditions
-from .picard import export_picard_trace_csv, picard_solve
+from .lattice import build_lattice
 from .solver import export_solution_csv, solution_summary, solve_backward
 
 
@@ -189,11 +178,16 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
 
 @contextlib.contextmanager
 def _out_sink(path):
-    """The CSV sink: the file at path, or stdout when path is empty."""
+    """The CSV sink, a binary file: the file at path, or stdout's buffer when path is empty.
+
+    Text already written to stdout is flushed first, so it stays ahead of
+    the bytes.
+    """
     if not path:
-        yield sys.stdout
+        sys.stdout.flush()
+        yield sys.stdout.buffer
         return
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         yield fh
 
 
@@ -227,6 +221,15 @@ def _cmd_solve(cfg) -> int:
 
 
 def _cmd_duality(cfg) -> int:
+    from .duality import (
+        dual_value,
+        duality_gap,
+        duality_summary,
+        export_duality_csv,
+        optimal_control,
+        random_admissible_control,
+    )
+
     lat, f, phi = _problem(cfg)
     opts = dict(_tol(cfg), max_iter=cfg.max_iter)
     sol = solve_backward(lat, f, phi, **opts)
@@ -252,6 +255,8 @@ def _cmd_duality(cfg) -> int:
 
 
 def _cmd_picard(cfg) -> int:
+    from .picard import export_picard_trace_csv, picard_solve
+
     lat, f, phi = _problem(cfg)
     result = picard_solve(lat, f, phi, max_p=cfg.max_iter, **_tol(cfg))
     with _out_sink(cfg.out) as fh:
@@ -268,6 +273,8 @@ def _cmd_picard(cfg) -> int:
 
 
 def _cmd_converge(cfg) -> int:
+    from .approximation import export_refinement_csv, refinement_experiment
+
     if cfg.reference is None:
         raise GridError("converge needs --reference (or a reference config entry)")
     study = refinement_experiment(
@@ -296,6 +303,8 @@ def _cmd_converge(cfg) -> int:
 
 
 def _cmd_approx(cfg) -> int:
+    from .approximation import export_ladder_csv, monotone_limit_experiment
+
     ladder = monotone_limit_experiment(*_problem(cfg), levels=cfg.levels)
     with _out_sink(cfg.out) as fh:
         export_ladder_csv(ladder, fh)
@@ -312,6 +321,8 @@ def _cmd_approx(cfg) -> int:
 
 
 def _cmd_verify(cfg) -> int:
+    from .verify import SamplingPlan, verify_driver_properties, verify_walk_conditions
+
     walk_report = verify_walk_conditions(_lattice(cfg))
     plan = SamplingPlan(dim=cfg.dim, horizon=cfg.horizon, seed=cfg.seed)
     driver_report = verify_driver_properties(make_driver(cfg.driver), plan)
@@ -321,7 +332,7 @@ def _cmd_verify(cfg) -> int:
             state = "SKIP" if check.passed is None else ("PASS" if check.passed else "FAIL")
             text += "%s:%s %s\n" % (prefix, check.name, state)
     with _out_sink(cfg.out) as fh:
-        fh.write(text)
+        fh.write(text.encode("ascii"))
     if cfg.out:
         sys.stdout.write(text)
     return 0 if walk_report.passed and driver_report.passed else 1

@@ -41,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GridError, StructuralError, ValidationError
-from .lattice import ConditionCheck, ConditionReport, _sum_columns
+from .lattice import _sum_columns
 
 _UNBOUNDED_DOUBLINGS = 3
 
@@ -591,138 +591,3 @@ def subgradient(
                 "(residual %.3g at z=%s)" % (resid, z)
             )
     return mu
-
-
-# -- property verification ---------------------------------------------------
-
-
-# probe box of verify_driver_properties: |y| and |z| radii, the length of a
-# sampled path w, and the slack allowed on a Lipschitz margin
-_PROBE_Y_RADIUS = 2.0
-_PROBE_Z_RADIUS = 2.0
-_PROBE_PATH_LENGTH = 4
-_PROBE_SLACK = 1e-9
-
-
-@dataclass
-class SamplingPlan:
-    """Randomized probe plan for verify_driver_properties."""
-
-    samples: int = 256
-    seed: int = 0
-    dim: int = 1
-    horizon: float = 1.0
-
-
-def verify_driver_properties(f: DriverSpec, plan: SamplingPlan = SamplingPlan()) -> ConditionReport:
-    """Probe the declared driver properties on random samples; report per property.
-
-    Checks midpoint convexity in z, the origin bound, the (w, y) Lipschitz
-    constant, the local z-Lipschitz envelope at the plan radius, and the lower
-    bound; undeclared constants are reported as not checkable.
-    """
-    rng = np.random.default_rng(plan.seed)
-    rep = ConditionReport(title="driver %s" % f.name, label_width=18)
-    d = plan.dim
-    n = plan.samples
-
-    ts = rng.uniform(0.0, plan.horizon, n)
-    ys = rng.uniform(-_PROBE_Y_RADIUS, _PROBE_Y_RADIUS, (n, 2))
-    zs = rng.uniform(-_PROBE_Z_RADIUS / math.sqrt(d), _PROBE_Z_RADIUS / math.sqrt(d), (n, 2, d))
-    if f.w_dependence == "none":
-        ws = [None] * n
-        wpairs = [None] * n
-    else:
-        ws = [rng.normal(0.0, 1.0, (_PROBE_PATH_LENGTH, d)) for _ in range(n)]
-        wpairs = [rng.normal(0.0, 1.0, (_PROBE_PATH_LENGTH, d)) for _ in range(n)]
-
-    def ev(t, w, y, z):
-        return float(f.evaluate(t, w, y, z))
-
-    # numpy folds: a NaN sample reaches the margin and fails the check
-    margins = []
-    for j in range(n):
-        z1, z2 = zs[j, 0], zs[j, 1]
-        mid = ev(ts[j], ws[j], ys[j, 0], 0.5 * (z1 + z2))
-        avg = 0.5 * (ev(ts[j], ws[j], ys[j, 0], z1) + ev(ts[j], ws[j], ys[j, 0], z2))
-        margins.append(mid - avg)
-    worst = np.max(margins, initial=-np.inf)
-    rep.checks.append(
-        ConditionCheck(
-            "convex-z",
-            bool(worst <= 1e-12),
-            "midpoint convexity margin %.3g" % worst,
-            float(worst),
-        )
-    )
-
-    if f.zero_bound is None:
-        rep.checks.append(ConditionCheck("origin-bound", None, "no origin bound declared"))
-    else:
-        worst = np.max(
-            [abs(ev(ts[j], ws[j], 0.0, np.zeros(d))) - f.zero_bound for j in range(n)],
-            initial=-np.inf,
-        )
-        rep.checks.append(
-            ConditionCheck(
-                "origin-bound",
-                bool(worst <= 1e-12),
-                "|f(t, w, 0, 0)| within %g (margin %.3g)" % (f.zero_bound, worst),
-                float(worst),
-            )
-        )
-
-    margins = []
-    for j in range(n):
-        z1 = zs[j, 0]
-        f1 = ev(ts[j], ws[j], ys[j, 0], z1)
-        f2 = ev(ts[j], wpairs[j], ys[j, 1], z1)
-        dist = abs(ys[j, 0] - ys[j, 1])
-        if ws[j] is not None:
-            dist += float(np.max(np.abs(ws[j] - wpairs[j])))
-        margins.append(abs(f1 - f2) - f.lipschitz_wy * dist)
-    worst = np.max(margins, initial=-np.inf)
-    rep.checks.append(
-        ConditionCheck(
-            "lipschitz-wy",
-            bool(worst <= _PROBE_SLACK),
-            "constant %g (margin %.3g)" % (f.lipschitz_wy, worst),
-            float(worst),
-        )
-    )
-
-    if f.z_lipschitz is None:
-        rep.checks.append(ConditionCheck("local-lipschitz-z", None, "no z envelope declared"))
-    else:
-        b = f.z_lipschitz(_PROBE_Z_RADIUS)
-        margins = []
-        for j in range(n):
-            z1, z2 = zs[j, 0], zs[j, 1]
-            gap = abs(ev(ts[j], ws[j], ys[j, 0], z1) - ev(ts[j], ws[j], ys[j, 0], z2))
-            margins.append(gap - b * float(_norm(z1 - z2)))
-        worst = np.max(margins, initial=-np.inf)
-        rep.checks.append(
-            ConditionCheck(
-                "local-lipschitz-z",
-                bool(worst <= _PROBE_SLACK),
-                "envelope b(%g)=%g (margin %.3g)" % (_PROBE_Z_RADIUS, b, worst),
-                float(worst),
-            )
-        )
-
-    if f.lower_bound is None:
-        rep.checks.append(ConditionCheck("lower-bound", None, "no lower bound declared"))
-    else:
-        lb = f.lower_bound(_PROBE_Y_RADIUS)
-        worst = np.min(
-            [ev(ts[j], ws[j], ys[j, 0], zs[j, 0]) - lb for j in range(n)], initial=np.inf
-        )
-        rep.checks.append(
-            ConditionCheck(
-                "lower-bound",
-                bool(worst >= -1e-12),
-                "f >= %g on |y| <= %g (margin %.3g)" % (lb, _PROBE_Y_RADIUS, worst),
-                float(worst),
-            )
-        )
-    return rep

@@ -205,7 +205,7 @@ def comparison_minimum(low: SolutionTriple, high: SolutionTriple) -> float:
 def export_duality_csv(
     sol: SolutionTriple, candidate: AdaptedProcess, control: ControlProcess, fileobj
 ):
-    """Rows node_id,primal,dual,gap,margin with node_id as slice:index.
+    """Rows node_id,primal,dual,gap,margin with node_id as slice:index, to a binary file.
 
     margin is the smallest one-step weight at the node's deciding step,
     empty on the last slice where no further step is taken.  Values take 17
@@ -213,7 +213,7 @@ def export_duality_csv(
     at a time, in blocks of rows that span slices, with the bytes of
     formatting every value on its own.
     """
-    fileobj.write("node_id,primal,dual,gap,margin\n")
+    fileobj.write(b"node_id,primal,dual,gap,margin\n")
     lat = sol.lattice
 
     def slices():

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -305,138 +305,3 @@ def _sum_columns(v: np.ndarray) -> np.ndarray:
         c = [v[..., j] for j in range(8)]
         return 0.0 + (((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7])))
     return v.sum(axis=-1)
-
-
-# -- walk-condition report ---------------------------------------------------
-
-
-@dataclass
-class ConditionCheck:
-    name: str
-    passed: object  # True/False, or None for conditions deferred to other suites
-    detail: str
-    deviation: float = 0.0
-
-
-@dataclass
-class ConditionReport:
-    """Per-condition checks; str() prints one status line per check under title."""
-
-    checks: list = field(default_factory=list)
-    title: str = ""
-    label_width: int = 10
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.passed is not None)
-
-    def failures(self):
-        return [c for c in self.checks if c.passed is False]
-
-    def __str__(self):
-        lines = [self.title] if self.title else []
-        for c in self.checks:
-            status = {True: "pass", False: "FAIL", None: "n/a "}[c.passed]
-            lines.append("%s %-*s %s" % (status, self.label_width, c.name, c.detail))
-        return "\n".join(lines)
-
-
-def verify_walk_conditions(lattice: PathLattice, tol: float = 1e-12) -> ConditionReport:
-    """Check the walk-structure conditions on the lattice and report per condition.
-
-    Increment moments are recomputed from the lattice's slice probabilities
-    and child offsets from consecutive walk_slices, so a lattice whose
-    measure or walk is corrupted fails here.  The vanishing-mesh limit
-    condition cannot be checked at fixed N and is reported as deferred to
-    the convergence suite.
-    """
-    grid = lattice.grid
-    rep = ConditionReport()
-    times = grid.times
-
-    dt_ok = grid.dt > 0 and np.all(np.diff(times) > 0)
-    end_ok = times[0] == 0.0 and abs(times[-1] - grid.horizon) <= tol
-    rep.checks.append(
-        ConditionCheck(
-            "grid",
-            bool(dt_ok and end_ok),
-            "uniform dt=%.6g over [0, %g], %d steps" % (grid.dt, grid.horizon, grid.steps),
-        )
-    )
-
-    rep.checks.append(
-        ConditionCheck(
-            "mesh-limit",
-            None,
-            "limit condition (N -> infinity); exercised by the convergence sweeps",
-        )
-    )
-
-    inc = lattice.step_increments()
-    support_ok = all(len(np.unique(inc[:, k])) == 2 for k in range(lattice.dim))
-    rep.checks.append(
-        ConditionCheck(
-            "support",
-            bool(support_ok),
-            "each component takes the 2 values +-sqrt(dt)",
-        )
-    )
-
-    worst = 0.0
-    for i in range(lattice.steps + 1):
-        p = lattice.slice_probabilities(i)
-        worst = max(worst, abs(float(p.sum()) - 1.0))
-        if np.any(p < 0):
-            worst = max(worst, float(-p.min()))
-    for i in range(lattice.steps):
-        p = lattice.slice_probabilities(i)
-        if lattice.mode == "full":
-            q = lattice.slice_probabilities(i + 1).reshape(-1, lattice.n_choices)
-        else:
-            # transition form: each parent spreads its mass evenly over choices
-            q = np.outer(p, np.full(lattice.n_choices, 1.0 / lattice.n_choices))
-        for k in range(lattice.dim):
-            mean_k = float(q.sum(axis=0) @ inc[:, k])
-            m2_k = float(q.sum(axis=0) @ inc[:, k] ** 2)
-            worst = max(worst, abs(mean_k), abs(m2_k - grid.dt))
-            for l in range(k + 1, lattice.dim):
-                worst = max(worst, abs(float(q.sum(axis=0) @ (inc[:, k] * inc[:, l]))))
-    rep.checks.append(
-        ConditionCheck(
-            "moments",
-            bool(worst <= tol),
-            "slice masses 1, increment mean 0, second moment dt, cross moments 0 "
-            "(worst deviation %.3g)" % worst,
-            worst,
-        )
-    )
-
-    ratio = float(np.max(np.abs(inc))) / grid.sqrt_dt
-    rep.checks.append(
-        ConditionCheck(
-            "bounded",
-            bool(ratio <= 1.0 + tol),
-            "increment/sqrt(dt) ratio D = %g" % ratio,
-            abs(ratio - 1.0),
-        )
-    )
-
-    # every gathered child sits one increment away from its parent (np.max keeps
-    # NaN); one child-sized array per pair of consecutive walk slices
-    devs = []
-    for i, (parent, child) in enumerate(itertools.pairwise(lattice.walk_slices())):
-        off = gather_children(lattice, i, child) - parent[:, None, :]
-        off -= inc
-        devs.append(np.max(np.abs(off, out=off)))
-    worst = float(np.max(devs))
-    # recombining walk values round relative to their size, up to N sqrt(dt)
-    reach = 1.0 + lattice.steps * grid.sqrt_dt
-    rep.checks.append(
-        ConditionCheck(
-            "children",
-            bool(worst <= tol * reach),
-            "child under choice c = parent + increment c (worst deviation %.3g)" % worst,
-            worst,
-        )
-    )
-    return rep

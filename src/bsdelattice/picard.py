@@ -228,8 +228,8 @@ def picard_solve(
 
 
 def export_picard_trace_csv(result: PicardResult, fileobj):
-    fileobj.write("p,dY_sup,dZ_l2,dM_sup\n")
+    """Rows p,dY_sup,dZ_l2,dM_sup, one per sweep, to a binary file."""
+    rows = ["p,dY_sup,dZ_l2,dM_sup\n"]
     for row in result.trace:
-        fileobj.write(
-            "%d,%.17g,%.17g,%.17g\n" % (row.p, row.dY_sup, row.dZ_l2, row.dM_sup)
-        )
+        rows.append("%d,%.17g,%.17g,%.17g\n" % (row.p, row.dY_sup, row.dZ_l2, row.dM_sup))
+    fileobj.write("".join(rows).encode("ascii"))

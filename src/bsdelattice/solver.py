@@ -28,6 +28,7 @@ tail estimate of the control.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -484,6 +485,8 @@ _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 # indices add 8 bytes a field each.  Blocks of 4096 rows of 4 fields made a
 # duality process 1.5 MiB larger.
 _BLOCK_BYTES = 1 << 18
+# node ids are written in groups of four digits
+_GROUP = 10 ** 4
 
 
 def _write_rows(fileobj, sep, slices):
@@ -499,16 +502,18 @@ def _write_rows(fileobj, sep, slices):
     keying on bits so that 0.0 and -0.0 stay apart.  Its rows are then one
     uint8 matrix: the digits of i and k, the separators, the field bytes
     picked from a table by each value's index, and the newlines, with NUL
-    wherever a number is shorter than its column or a field is empty.
-    Dropping the NULs leaves the block's text, written as one string.
+    wherever a number is shorter than its column or a field is empty.  i is
+    written once per run of a slice's rows, and the node ids of a run are
+    slices of a table of 4-digit groups (_digit_groups).  Dropping the NULs
+    leaves the block's bytes, written with one call to the binary file
+    object fileobj.
     """
     values = None
-    filled = top = 0  # rows in the block, and its largest node id
+    runs = []  # (first row, i, first node k, rows) of each slice's rows in the block
+    filled = 0
     for i, columns in enumerate(slices):
         if values is None:
             block = max(1, _BLOCK_BYTES // (len(columns) * _FIELD.itemsize))
-            times = np.empty(block, dtype=np.int64)
-            nodes = np.empty(block, dtype=np.int64)
             values = np.empty((block, len(columns)))
             empty = np.empty((block, len(columns)), dtype=bool)
         n = columns[0].shape[0]
@@ -516,24 +521,22 @@ def _write_rows(fileobj, sep, slices):
         while k < n:
             take = min(n - k, block - filled)
             rows = slice(filled, filled + take)
-            times[rows] = i
-            nodes[rows] = np.arange(k, k + take)
+            runs.append((filled, i, k, take))
             for j, col in enumerate(columns):
                 empty[rows, j] = col is None
                 values[rows, j] = 0.0 if col is None else col[k : k + take]
             filled += take
             k += take
-            top = max(top, k - 1)
             if filled == block:
-                fileobj.write(_block_text(sep, times, nodes, top, values, empty))
-                filled = top = 0
+                fileobj.write(_block_text(sep, runs, values, empty))
+                filled = 0
+                runs = []
     if filled:
-        rows = slice(0, filled)
-        fileobj.write(_block_text(sep, times[rows], nodes[rows], top, values[rows], empty[rows]))
+        fileobj.write(_block_text(sep, runs, values[:filled], empty[:filled]))
 
 
-def _block_text(sep, times, nodes, top, values, empty):
-    """The text of one block of rows, top its largest node id; see _write_rows."""
+def _block_text(sep, runs, values, empty):
+    """The NUL-free uint8 bytes of one block of rows; runs as in _write_rows."""
     n, m = values.shape
     bits, inv = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
     # a field per distinct value, then one with ',' alone for the empty field
@@ -543,29 +546,71 @@ def _block_text(sep, times, nodes, top, values, empty):
     table = np.frombuffer(fields.translate(_SPACE_TO_NUL), dtype=_FIELD)
     inv = inv.reshape(n, m)
     np.copyto(inv, bits.size, where=empty)
-    wt, wk = len(str(times[-1])), len(str(top))
+    wt = len(str(runs[-1][1]))
+    wk = len(str(max(k + take for _, _, k, take in runs) - 1))
     head = wt + 1 + wk
     mat = np.empty((n, head + m * _FIELD.itemsize + 1), dtype=np.uint8)
-    _put_digits(mat[:, :wt], times)
+    groups = _digit_groups()
+    for first, i, k, take in runs:
+        rows = slice(first, first + take)
+        mat[rows, :wt] = _digits(i, wt)
+        # ids below 10**4 are one slice of the table, the rest go by k // 10**4
+        if wk <= 4:
+            mat[rows, wt + 1 : head] = groups[k : k + take, 4 - wk :]
+        else:
+            _put_node_ids(mat[rows, wt + 1 : head], k)
     mat[:, wt] = ord(sep)
-    _put_digits(mat[:, wt + 1 : head], nodes)
     # mode="clip" gathers straight into the matrix; "raise" would gather into a copy
     np.take(table, inv, out=mat[:, head:-1].view(_FIELD), mode="clip")
     mat[:, -1] = ord("\n")
-    return mat[mat != 0].tobytes().decode("ascii")
+    return mat[mat != 0]
 
 
-def _put_digits(out, v):
-    """The decimal digits of the integers v >= 0 into out's columns, right-aligned, NUL-padded."""
-    last = out.shape[1] - 1
-    rest = v
-    for j in range(last, -1, -1):
-        left, digit = np.divmod(rest, 10)
-        digit += ord("0")
-        if j < last:
-            digit *= np.sign(rest)  # NUL where no digit is left
-        out[:, j] = digit.astype(np.uint8)
-        rest = left
+@functools.cache
+def _digit_groups():
+    """uint8 (10**4, 4): row g holds g's four digits, its leading zeros as NUL.
+
+    Row 0 is three NULs and '0'.  OR-ing a row with '0' (0x30, NUL is 0)
+    gives g zero-padded.
+    """
+    g = np.arange(_GROUP, dtype=np.uint16)
+    table = np.empty((_GROUP, 4), dtype=np.uint8)
+    rest = g.copy()
+    for j in range(3, -1, -1):
+        table[:, j] = rest % 10 + ord("0")
+        rest //= 10
+    for j in range(3):
+        table[g < 10 ** (3 - j), j] = 0
+    return table
+
+
+def _digits(v, width):
+    """The digits of the integer 0 <= v < 10**width as uint8, right-aligned, NUL-padded."""
+    if width <= 4:
+        return _digit_groups()[v, 4 - width :]
+    return np.frombuffer((b"%*d" % (width, v)).translate(_SPACE_TO_NUL), dtype=np.uint8)
+
+
+def _put_node_ids(out, k):
+    """The node ids k, k+1, ... into out's rows of five or more columns, right-aligned, NUL-padded.
+
+    Each piece of rows with one k // 10**4 takes its last four digits as a
+    slice of _digit_groups and its higher digits as one string.
+    """
+    groups = _digit_groups()
+    n, width = out.shape
+    r = 0
+    while r < n:
+        high, low = divmod(k + r, _GROUP)
+        take = min(n - r, _GROUP - low)
+        piece = out[r : r + take]
+        if high:
+            np.bitwise_or(groups[low : low + take], ord("0"), out=piece[:, -4:])
+            piece[:, :-4] = _digits(high, width - 4)
+        else:
+            piece[:, -4:] = groups[low : low + take]
+            piece[:, :-4] = 0
+        r += take
 
 
 def _dm_column(lat: PathLattice, i: int, dm: np.ndarray) -> np.ndarray:
@@ -610,7 +655,7 @@ class _EdgeRows:
 
 
 def export_solution_csv(sol: SolutionTriple, fileobj):
-    """Write rows (time_index, node_id, Y, Z_1..Z_d, dM), 17 significant digits.
+    """Write rows (time_index, node_id, Y, Z_1..Z_d, dM) to a binary file, 17 significant digits.
 
     Z on a row is the control decided at that node for the next step (empty on
     the last slice); dM is the orthogonal increment on the edge into the node
@@ -627,7 +672,7 @@ def export_solution_csv(sol: SolutionTriple, fileobj):
     lat = sol.lattice
     d = lat.dim
     header = ["time_index", "node_id", "Y"] + ["Z_%d" % (k + 1) for k in range(d)] + ["dM"]
-    fileobj.write(",".join(header) + "\n")
+    fileobj.write((",".join(header) + "\n").encode("ascii"))
 
     def slices():
         for i in range(lat.steps + 1):

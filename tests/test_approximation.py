@@ -18,7 +18,7 @@ from bsdelattice.approximation import (
     uniform_limit_experiment,
 )
 from bsdelattice.drivers import TerminalFunctional, make_driver, make_terminal, scale_terminal
-from bsdelattice.errors import GridError, StepSizeError, StructuralError
+from bsdelattice.errors import ConvergenceError, GridError, StepSizeError, StructuralError
 from bsdelattice.lattice import build_lattice
 from bsdelattice.solver import solve_backward, terminal_values
 
@@ -283,6 +283,14 @@ def test_refinement_raises_what_the_solve_raises():
         assert str(studied.value) == str(solved.value)
 
 
+@pytest.mark.parametrize("terminal", ["const:nan", "const:inf"])
+@pytest.mark.parametrize("steps_list", [(10,), (10, 20)], ids=["one-grid", "two-grids"])
+def test_refinement_refuses_a_non_finite_root(terminal, steps_list):
+    # one grid has no error sequence to fail, so the root itself is checked
+    with pytest.raises(ConvergenceError, match=r"grid N=10: Y_0 is (nan|inf), not a finite number"):
+        refinement_experiment(make_driver("linear:1,1"), make_terminal(terminal), steps_list, reference=1.0)
+
+
 @pytest.mark.parametrize("dim,steps", [(1, 1000), (2, 80)])
 def test_refinement_holds_one_slice_per_grid(dim, steps):
     # the study keeps the latest slice only, not the grid's Y and Z
@@ -302,9 +310,9 @@ def test_ladder_and_refinement_csv_layouts():
     ladder = monotone_limit_experiment(
         lat, make_driver("quadratic"), make_terminal("digital"), levels=(1, 2)
     )
-    buf = io.StringIO()
+    buf = io.BytesIO()
     export_ladder_csv(ladder, buf)
-    lines = buf.getvalue().strip().split("\n")
+    lines = buf.getvalue().decode().strip().split("\n")
     assert lines[0] == "level,Y0,sup_increment,bmo,cauchy_bound_ok"
     assert len(lines) == 3
     assert lines[1].startswith("n=1,")
@@ -313,12 +321,12 @@ def test_ladder_and_refinement_csv_layouts():
     study = refinement_experiment(
         make_driver("linear:1,1"), make_terminal("const:1"), (10, 20), reference=2.0 * math.e - 1.0
     )
-    buf2 = io.StringIO()
+    buf2 = io.BytesIO()
     export_refinement_csv(study, buf2)
-    lines2 = buf2.getvalue().strip().split("\n")
+    lines2 = buf2.getvalue().decode().strip().split("\n")
     assert lines2[0] == "N,Y0,error,fitted_order"
     assert len(lines2) == 3
     assert lines2[1].split(",")[0] == "10"
-    buf3 = io.StringIO()
+    buf3 = io.BytesIO()
     export_refinement_csv(study, buf3)
     assert buf3.getvalue() == buf2.getvalue()

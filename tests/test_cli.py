@@ -3,10 +3,14 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from bsdelattice import cli, duality, solver
+import bsdelattice
+from bsdelattice import cli, duality, picard, solver
 from bsdelattice.cli import main
 
 
@@ -108,7 +112,7 @@ def test_duality_roundtrip_and_samples(tmp_path, capsys):
 
 def test_nan_gap_on_a_later_probe_is_a_property_failure(tmp_path, capsys, monkeypatch):
     # calls: the optimal control's report, then one per probe; the second probe reads NaN
-    real = cli.duality_gap
+    real = duality.duality_gap
     calls = []
 
     def gap_nan_on_second_probe(sol, candidate, control):
@@ -116,7 +120,7 @@ def test_nan_gap_on_a_later_probe_is_a_property_failure(tmp_path, capsys, monkey
         calls.append(rep)
         return dataclasses.replace(rep, min_gap=math.nan) if len(calls) == 3 else rep
 
-    monkeypatch.setattr(cli, "duality_gap", gap_nan_on_second_probe)
+    monkeypatch.setattr(duality, "duality_gap", gap_nan_on_second_probe)
     out = tmp_path / "dual.csv"
     code = run(
         ["duality", "--steps", "2", "--driver", "quadratic", "--terminal", "endpoint",
@@ -209,6 +213,19 @@ def test_converge_requires_reference(tmp_path, capsys):
     assert summary["errors_decreasing"] is True
 
 
+@pytest.mark.parametrize("terminal", ["const:nan", "const:inf"])
+@pytest.mark.parametrize("steps_list", ["10", "10,20"])
+def test_non_finite_converge_root_is_a_property_failure(tmp_path, capsys, terminal, steps_list):
+    # one grid exited 0 with "final_error": NaN, its one error vacuously decreasing
+    out = tmp_path / "c.csv"
+    argv = ["converge", "--mode", "recombining", "--terminal", terminal, "--steps-list", steps_list,
+            "--reference", "1", "--out", str(out)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "property failure: grid N=10: Y_0 is" in captured.err
+
+
 def test_approx_ladder(tmp_path, capsys):
     out = tmp_path / "ladder.csv"
     code = run(
@@ -265,14 +282,14 @@ def test_empty_list_option_is_an_input_error(tmp_path, capsys, argv, key, by_con
 
 
 def test_duality_probes_get_the_runs_tol_and_max_iter(tmp_path, capsys, monkeypatch):
-    real = cli.dual_value
+    real = duality.dual_value
     seen = []
 
     def recording(*args, **kwargs):
         seen.append(kwargs)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "dual_value", recording)
+    monkeypatch.setattr(duality, "dual_value", recording)
     argv = ["duality", "--steps", "4", "--driver", "linear:1,1", "--tol", "1e-10",
             "--max-iter", "7", "--samples", "3", "--out", str(tmp_path / "dual.csv")]
     assert run(argv) == 0
@@ -285,14 +302,15 @@ def test_duality_probes_get_the_runs_tol_and_max_iter(tmp_path, capsys, monkeypa
 )
 def test_tol_reaches_the_solver_only_when_given(tmp_path, capsys, monkeypatch, command, target):
     # without --tol each solver keeps its own default: picard_solve's differs from the solve's
-    real = getattr(cli, target)
+    owner = {"solve_backward": cli, "dual_value": duality, "picard_solve": picard}[target]
+    real = getattr(owner, target)
     seen = []
 
     def recording(*args, **kwargs):
         seen.append(kwargs.get("tol"))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, target, recording)
+    monkeypatch.setattr(owner, target, recording)
     argv = [command, "--steps", "3", "--driver", "linear:1,1", "--out", str(tmp_path / "out.csv")]
     assert run(argv) == 0
     assert seen and set(seen) == {None}
@@ -634,3 +652,35 @@ def test_undefined_fitted_order_is_null_in_the_summary(tmp_path, capsys, argv):
     assert summary["fitted_order"] is None
     rows = out.read_text().strip().split("\n")[1:]
     assert rows and all(row.endswith(",nan") for row in rows)
+
+
+# the package modules each subcommand loads, past the package itself: the
+# core the package loads with it, and the subcommand's own module
+_CORE = {"errors", "lattice", "drivers", "probability", "solver"}
+_IMPORTS = {
+    "solve": (["--steps", "2"], set()),
+    "duality": (["--steps", "2", "--samples", "1"], {"duality"}),
+    "picard": (["--steps", "2"], {"picard"}),
+    "converge": (["--mode", "recombining", "--steps-list", "4", "--reference", "1"], {"approximation"}),
+    "approx": (["--steps", "2", "--levels", "1"], {"approximation"}),
+    "verify": (["--steps", "2"], {"verify"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_IMPORTS))
+def test_each_subcommand_imports_only_its_own_modules(tmp_path, command):
+    # -m runs cli as __main__, so -X importtime lists the modules it imports, not cli itself
+    argv, own = _IMPORTS[command]
+    src = os.path.dirname(os.path.dirname(bsdelattice.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "bsdelattice.cli", command] + argv
+        + ["--out", str(tmp_path / "out.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    names = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+             if line.startswith("import time:")}
+    loaded = {name.split(".", 1)[1] for name in names if name.startswith("bsdelattice.")}
+    assert "bsdelattice" in names
+    assert loaded == _CORE | own

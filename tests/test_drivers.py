@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bsdelattice.drivers import (
     DriverSpec,
     RunningFunctional,
-    SamplingPlan,
     TerminalFunctional,
     conjugate,
     linear_driver,
@@ -18,11 +17,11 @@ from bsdelattice.drivers import (
     scale_terminal,
     shift_terminal,
     subgradient,
-    verify_driver_properties,
 )
 from bsdelattice.errors import GridError, StructuralError, ValidationError
 from bsdelattice.lattice import build_lattice
 from bsdelattice.solver import solve_backward
+from bsdelattice.verify import SamplingPlan, verify_driver_properties
 
 ALL_DRIVERS = ["zero", "constant:1.5", "linear:1,1", "quadratic", "quartic", "abs", "exp"]
 ALL_TERMINALS = ["endpoint", "const:1", "maxpath", "digital", "clipped-endpoint"]

@@ -252,9 +252,9 @@ def test_duality_csv_layout_and_determinism():
     lat, f, phi, sol = _solve("quadratic", "endpoint", 2)
     control = optimal_control(sol, f)
     cand = dual_value(lat, f, terminal_values(lat, phi), control)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     export_duality_csv(sol, cand, control, buf)
-    text = buf.getvalue()
+    text = buf.getvalue().decode()
     lines = text.strip().split("\n")
     assert lines[0] == "node_id,primal,dual,gap,margin"
     assert len(lines) == 1 + 1 + 2 + 4
@@ -264,9 +264,9 @@ def test_duality_csv_layout_and_determinism():
     assert float(first[3]) == pytest.approx(0.0, abs=1e-12)
     last = lines[-1].split(",")
     assert last[0] == "2:3" and last[4] == ""
-    buf2 = io.StringIO()
+    buf2 = io.BytesIO()
     export_duality_csv(sol, cand, control, buf2)
-    assert buf2.getvalue() == text
+    assert buf2.getvalue().decode() == text
 
 
 @pytest.mark.parametrize(
@@ -278,10 +278,10 @@ def test_duality_csv_matches_per_row_writer(mode, steps, dim):
     lat, f, phi, sol = _solve("linear:1,1", terminal, steps, dim, mode)
     control = optimal_control(sol, f)
     cand = dual_value(lat, f, terminal_values(lat, phi), control)
-    got, want = io.StringIO(), io.StringIO()
+    got, want = io.BytesIO(), io.StringIO()
     export_duality_csv(sol, cand, control, got)
     oracles.per_row_duality_csv(sol, cand, control, want)
-    assert oracles.first_difference(got.getvalue(), want.getvalue()) is None
+    assert oracles.first_difference(got.getvalue().decode(), want.getvalue()) is None
 
 
 def test_maxpath_duality_csv_matches_per_row_writer():
@@ -289,10 +289,10 @@ def test_maxpath_duality_csv_matches_per_row_writer():
     lat, f, phi, sol = _solve("linear:1,1", "maxpath", 11)
     control = optimal_control(sol, f)
     cand = dual_value(lat, f, terminal_values(lat, phi), control)
-    got, want = io.StringIO(), io.StringIO()
+    got, want = io.BytesIO(), io.StringIO()
     export_duality_csv(sol, cand, control, got)
     oracles.per_row_duality_csv(sol, cand, control, want)
-    assert oracles.first_difference(got.getvalue(), want.getvalue()) is None
+    assert oracles.first_difference(got.getvalue().decode(), want.getvalue()) is None
 
 
 @pytest.mark.parametrize("driver", ["linear:1,1", "quadratic"])

@@ -43,7 +43,7 @@ def _assert_matches_oracle(kind, lat):
     terminal = "endpoint" if lat.mode == "full" else "clipped-endpoint"
     f = make_driver("linear:1,1")
     sol = solve_backward(lat, f, make_terminal(terminal))
-    got, want = io.StringIO(), io.StringIO()
+    got, want = io.BytesIO(), io.StringIO()
     if kind == "solve":
         export_solution_csv(sol, got)
         oracles.per_row_solution_csv(sol, want)
@@ -52,8 +52,9 @@ def _assert_matches_oracle(kind, lat):
         cand = dual_value(lat, f, sol.Y.slices[-1], control)
         export_duality_csv(sol, cand, control, got)
         oracles.per_row_duality_csv(sol, cand, control, want)
-    assert oracles.first_difference(got.getvalue(), want.getvalue()) is None
-    return got.getvalue()
+    text = got.getvalue().decode()
+    assert oracles.first_difference(text, want.getvalue()) is None
+    return text
 
 
 KINDS = ["solve", "duality"]
@@ -128,6 +129,46 @@ def test_node_ids_that_gain_a_digit_inside_a_block(monkeypatch, kind, steps, dim
     assert lines[1 + before + 10000].startswith("%d%s10000," % (steps, sep))
 
 
+# (mode, steps, dim, kind, rows, edge): the row of node 10000 of the last
+# slice starts a block of rows (edge) or follows node 9999 inside one.  The
+# test above has full N=14 inside a block; the recombining d=2 oracle
+# writes 348k rows, so each separator runs it at one of the two
+NODE_ID_CROSSINGS = [
+    ("full", 14, 1, "solve", 3769, True),  # 16383 + 10000 = 7 * 3769
+    ("full", 14, 1, "duality", 3769, True),
+    ("recombining", 100, 2, "solve", 4096, False),
+    ("recombining", 100, 2, "duality", 6967, True),  # 338350 + 10000 = 50 * 6967
+]
+
+
+@pytest.mark.parametrize("mode,steps,dim,kind,rows,edge", NODE_ID_CROSSINGS)
+def test_node_ids_that_reach_five_digits(monkeypatch, mode, steps, dim, kind, rows, edge):
+    lat = build_lattice(steps, dim=dim, mode=mode)
+    starts, _ = _first_rows(lat)
+    row = starts[-1] + 10000
+    assert (row % rows == 0) == edge
+    _set_block_rows(monkeypatch, kind, dim, rows)
+    lines = _assert_matches_oracle(kind, lat).splitlines()
+    sep = "," if kind == "solve" else ":"
+    assert lines[row].startswith("%d%s9999," % (steps, sep))
+    assert lines[1 + row].startswith("%d%s10000," % (steps, sep))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_time_indices_that_gain_a_digit_inside_a_block(kind):
+    # recombining d=1 slice i has nodes 0..i; at the writer's own block size
+    # slices 9 and 10, and 99 and 100, meet inside a block
+    lat = build_lattice(120, dim=1, mode="recombining")
+    starts, _ = _first_rows(lat)
+    rows = solver._BLOCK_BYTES // (_fields(kind, 1) * solver._FIELD.itemsize)
+    lines = _assert_matches_oracle(kind, lat).splitlines()
+    sep = "," if kind == "solve" else ":"
+    for i in (10, 100):
+        assert (starts[i] - 1) // rows == starts[i] // rows
+        assert lines[starts[i]].startswith("%d%s%d," % (i - 1, sep, i - 1))
+        assert lines[1 + starts[i]].startswith("%d%s0," % (i, sep))
+
+
 # (mode, steps, dim): the last slice starts inside a block of the writer's
 # own size, so a block holds rows with Z (or margin) and rows without; the
 # root, with no dM, shares the first block with later rows
@@ -172,9 +213,10 @@ def test_the_widest_numbers_fill_their_fields():
         Y=left_process(lat, vals),
         Z=predictable_process(lat, [np.stack([v, v[::-1]], axis=1) for v in vals[:4]]),
     )
-    got, want = io.StringIO(), io.StringIO()
+    got, want = io.BytesIO(), io.StringIO()
     with np.errstate(over="ignore", invalid="ignore"):  # dM overflows to inf and nan
         export_solution_csv(sol, got)
         oracles.per_row_solution_csv(sol, want)
-    assert oracles.first_difference(got.getvalue(), want.getvalue()) is None
-    assert max(len(f) for f in got.getvalue().replace("\n", ",").split(",")) == solver._NUMBER_BYTES
+    text = got.getvalue().decode()
+    assert oracles.first_difference(text, want.getvalue()) is None
+    assert max(len(f) for f in text.replace("\n", ",").split(",")) == solver._NUMBER_BYTES

@@ -15,8 +15,8 @@ from bsdelattice.lattice import (
     build_lattice,
     gather_children,
     sign_matrix,
-    verify_walk_conditions,
 )
+from bsdelattice.verify import verify_walk_conditions
 
 import oracles
 

@@ -183,18 +183,18 @@ def test_sweeps_hold_one_iterate():
 def test_trace_csv_layout_and_determinism():
     lat = build_lattice(4, dim=1)
     res = picard_solve(lat, make_driver("quadratic"), make_terminal("maxpath"))
-    buf = io.StringIO()
+    buf = io.BytesIO()
     export_picard_trace_csv(res, buf)
-    text = buf.getvalue()
+    text = buf.getvalue().decode()
     lines = text.strip().split("\n")
     assert lines[0] == "p,dY_sup,dZ_l2,dM_sup"
     assert len(lines) == 1 + len(res.trace)
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[1]) == pytest.approx(res.trace[0].dY_sup, rel=1e-15)
-    buf2 = io.StringIO()
+    buf2 = io.BytesIO()
     export_picard_trace_csv(res, buf2)
-    assert buf2.getvalue() == text
+    assert buf2.getvalue().decode() == text
 
 
 def test_nan_terminal_raises_naming_sweep_and_slice():

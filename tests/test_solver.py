@@ -562,9 +562,9 @@ def test_z_bound_certificate_envelope_flag():
 def test_csv_export_layout_and_determinism():
     lat = build_lattice(2, dim=1)
     sol = solve_backward(lat, make_driver("quadratic"), make_terminal("endpoint"))
-    buf = io.StringIO()
+    buf = io.BytesIO()
     export_solution_csv(sol, buf)
-    text = buf.getvalue()
+    text = buf.getvalue().decode()
     lines = text.strip().split("\n")
     assert lines[0] == "time_index,node_id,Y,Z_1,dM"
     assert len(lines) == 1 + 1 + 2 + 4
@@ -575,9 +575,9 @@ def test_csv_export_layout_and_determinism():
     assert root[4] == ""
     leaf = lines[-1].split(",")
     assert leaf[0] == "2" and leaf[3] == ""
-    buf2 = io.StringIO()
+    buf2 = io.BytesIO()
     export_solution_csv(sol, buf2)
-    assert buf2.getvalue() == text
+    assert buf2.getvalue().decode() == text
 
 
 @pytest.mark.parametrize("steps,dim", [(7, 1), (4, 2)])
@@ -632,10 +632,10 @@ def test_csv_export_matches_per_row_writer(mode, steps, dim):
     lat = build_lattice(steps, dim=dim, mode=mode)
     terminal = "endpoint" if mode == "full" else "clipped-endpoint"
     sol = solve_backward(lat, make_driver("linear:1,1"), make_terminal(terminal))
-    got, want = io.StringIO(), io.StringIO()
+    got, want = io.BytesIO(), io.StringIO()
     export_solution_csv(sol, got)
     oracles.per_row_solution_csv(sol, want)
-    assert oracles.first_difference(got.getvalue(), want.getvalue()) is None
+    assert oracles.first_difference(got.getvalue().decode(), want.getvalue()) is None
 
 
 SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1, -2.5, 1.0 / 3.0]
@@ -657,10 +657,10 @@ def test_csv_export_writes_non_finite_and_signed_zero_like_format(mode, steps, d
         Y=left_process(lat, [special_values((n(i),), i) for i in range(steps + 1)]),
         Z=predictable_process(lat, [special_values((n(i), dim), i + 1) for i in range(steps)]),
     )
-    got, want = io.StringIO(), io.StringIO()
+    got, want = io.BytesIO(), io.StringIO()
     export_solution_csv(sol, got)
     oracles.per_row_solution_csv(sol, want)
-    text = got.getvalue()
+    text = got.getvalue().decode()
     assert oracles.first_difference(text, want.getvalue()) is None
     fields = set(",".join(text.splitlines()[1:]).split(","))
     assert {"nan", "inf", "-inf", "-0", "0", "4.9406564584124654e-324"} <= fields
@@ -692,10 +692,10 @@ def test_csv_export_of_repeated_values_matches_per_row_writer():
     )
     block = sol.Y.slices[12][:1024].view(np.uint64)
     assert {0x0, 0x8000000000000000, 0x7FF8000000000000, 0x7FF8000000000001} <= set(block.tolist())
-    got, want = io.StringIO(), io.StringIO()
+    got, want = io.BytesIO(), io.StringIO()
     export_solution_csv(sol, got)
     oracles.per_row_solution_csv(sol, want)
-    text = got.getvalue()
+    text = got.getvalue().decode()
     assert oracles.first_difference(text, want.getvalue()) is None
     assert len(text.splitlines()) == 1 + 2 ** 13 - 1
     fields = set(",".join(text.splitlines()[1:]).split(","))
