@@ -176,16 +176,27 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
     return argparse.Namespace(**cfg)
 
 
+class _TextSink:
+    """A binary sink over a text stream with no buffer (an io.StringIO): ASCII bytes as text."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, data):
+        self.stream.write(bytes(data).decode("ascii"))
+
+
 @contextlib.contextmanager
 def _out_sink(path):
     """The CSV sink, a binary file: the file at path, or stdout's buffer when path is empty.
 
     Text already written to stdout is flushed first, so it stays ahead of
-    the bytes.
+    the bytes.  A stdout with no buffer takes the bytes as text.
     """
     if not path:
         sys.stdout.flush()
-        yield sys.stdout.buffer
+        buffer = getattr(sys.stdout, "buffer", None)
+        yield _TextSink(sys.stdout) if buffer is None else buffer
         return
     with open(path, "wb") as fh:
         yield fh
@@ -238,10 +249,13 @@ def _cmd_duality(cfg) -> int:
     candidate = dual_value(lat, f, xi, control, **opts)
     report = duality_gap(sol, candidate, control)
     rng = np.random.default_rng(cfg.seed)
-    gaps = []
-    for _ in range(cfg.samples):
+
+    def probe_gap():
+        # one probe and its weights at a time: the last is freed before the next is drawn
         probe = random_admissible_control(lat, rng)
-        gaps.append(duality_gap(sol, dual_value(lat, f, xi, probe, **opts), probe).min_gap)
+        return duality_gap(sol, dual_value(lat, f, xi, probe, **opts), probe).min_gap
+
+    gaps = [probe_gap() for _ in range(cfg.samples)]
     # a numpy fold keeps a NaN gap from any probe
     sampled_min = float(np.min(gaps)) if gaps else None
     with _out_sink(cfg.out) as fh:
@@ -323,19 +337,15 @@ def _cmd_approx(cfg) -> int:
 def _cmd_verify(cfg) -> int:
     from .verify import SamplingPlan, verify_driver_properties, verify_walk_conditions
 
-    walk_report = verify_walk_conditions(_lattice(cfg))
+    walk = verify_walk_conditions(_lattice(cfg))
     plan = SamplingPlan(dim=cfg.dim, horizon=cfg.horizon, seed=cfg.seed)
-    driver_report = verify_driver_properties(make_driver(cfg.driver), plan)
-    text = ""
-    for prefix, report in (("walk", walk_report), ("driver", driver_report)):
-        for check in report.checks:
-            state = "SKIP" if check.passed is None else ("PASS" if check.passed else "FAIL")
-            text += "%s:%s %s\n" % (prefix, check.name, state)
+    driver = verify_driver_properties(make_driver(cfg.driver), plan)
+    text = "%s\n%s\n" % (walk, driver)
     with _out_sink(cfg.out) as fh:
         fh.write(text.encode("ascii"))
     if cfg.out:
         sys.stdout.write(text)
-    return 0 if walk_report.passed and driver_report.passed else 1
+    return 0 if walk.passed and driver.passed else 1
 
 
 # each subcommand: its function, its help and the options it reads

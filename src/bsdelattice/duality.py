@@ -184,9 +184,13 @@ def duality_gap(
     A NaN gap anywhere makes min_gap and max_gap NaN, which is never weakly
     consistent.
     """
-    gaps = [ys - rs for ys, rs in zip(sol.Y.slices, candidate.slices)]
-    min_gap = float(np.min([np.min(g) for g in gaps]))
-    max_gap = float(np.max([np.max(g) for g in gaps]))
+    lows, highs = [], []  # each slice's gap min and max, one gap array at a time
+    for ys, rs in zip(sol.Y.slices, candidate.slices):
+        g = ys - rs
+        lows.append(np.min(g))
+        highs.append(np.max(g))
+    min_gap = float(np.min(lows))
+    max_gap = float(np.max(highs))
     return DualityReport(
         root_primal=sol.y0,
         root_dual=float(candidate.slices[0][0]),

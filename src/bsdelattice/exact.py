@@ -4,9 +4,11 @@ Every walk value on the lattice lives in the quadratic extension of the
 rationals by sqrt(dt), and for y-independent polynomial drivers the whole
 backward recursion stays inside that field: conditional means are rational
 combinations, the control is a field element divided by the rational dt, and
-the implicit step degenerates to one exact evaluation.  This gives reference
-values with no rounding at all, used to certify the floating solver on small
-lattices.
+the implicit step degenerates to one exact evaluation.  The field's order is
+exact too (QuadExt.sign), so |z| in d=1, |y| and max stay inside it: the
+linear driver's implicit step has a closed form there, and terminals such as
+the running max of |W| can be written.  This gives reference values with no
+rounding at all, used to certify the floating solver on small lattices.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ class QuadExt:
     __slots__ = ("a", "b", "m")
 
     def __init__(self, a, b=0, m=1):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.m = Fraction(m)
+        # Fraction(x) of a Fraction copies it; the arithmetic passes Fractions
+        self.a, self.b, self.m = (x if type(x) is Fraction else Fraction(x) for x in (a, b, m))
 
     def _coerce(self, other):
+        """other over the radicand of whichever operand has a radical part; results use o.m."""
         if isinstance(other, QuadExt):
             if other.m != self.m and other.b != 0 and self.b != 0:
                 raise ValueError("mixed radicands %s and %s" % (self.m, other.m))
@@ -38,7 +40,7 @@ class QuadExt:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return QuadExt(self.a + o.a, self.b + o.b, self.m)
+        return QuadExt(self.a + o.a, self.b + o.b, o.m)
 
     __radd__ = __add__
 
@@ -54,21 +56,20 @@ class QuadExt:
     def __mul__(self, other):
         o = self._coerce(other)
         return QuadExt(
-            self.a * o.a + self.b * o.b * self.m,
+            self.a * o.a + self.b * o.b * o.m,
             self.a * o.b + self.b * o.a,
-            self.m,
+            o.m,
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        denom = o.a * o.a - o.b * o.b * self.m
+        denom = o.a * o.a - o.b * o.b * o.m
         if denom == 0:
             raise ZeroDivisionError("division by zero element")
-        conj = QuadExt(o.a, -o.b, self.m)
-        num = self * conj
-        return QuadExt(num.a / denom, num.b / denom, self.m)
+        num = self * QuadExt(o.a, -o.b, o.m)
+        return QuadExt(num.a / denom, num.b / denom, o.m)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -76,6 +77,31 @@ class QuadExt:
 
     def __hash__(self):
         return hash((self.a, self.b, self.m))
+
+    def sign(self) -> int:
+        """-1, 0 or 1, exactly, for m >= 0: when a and b differ in sign, compare a^2 with b^2 m."""
+        sa, sb = (self.a > 0) - (self.a < 0), (self.b > 0) - (self.b < 0)
+        if sb == 0 or sa == sb:
+            return sa
+        if sa == 0:
+            return sb
+        excess = self.a * self.a - self.b * self.b * self.m
+        return sa if excess > 0 else (sb if excess < 0 else 0)
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
+
+    def __lt__(self, other):
+        return (self - other).sign() < 0
+
+    def __le__(self, other):
+        return (self - other).sign() <= 0
+
+    def __gt__(self, other):
+        return (self - other).sign() > 0
+
+    def __ge__(self, other):
+        return (self - other).sign() >= 0
 
     def __float__(self):
         return float(self.a) + float(self.b) * sqrt(float(self.m))
@@ -108,37 +134,53 @@ def _signs(choice: int, dim: int):
     return tuple(1 if ((choice >> (dim - 1 - k)) & 1) == 0 else -1 for k in range(dim))
 
 
-def _exact_driver(name: str, m: Fraction):
+def _exact_step(name: str, m: Fraction, dim: int):
+    """The exact implicit step (mean, z) -> y of y = mean + f(y, z) dt at dt = m."""
+    if name.startswith("linear:"):
+        if dim != 1:
+            raise GridError("linear:a,b has an exact form in d=1 only, got d=%d" % dim)
+        a, b = (Fraction(v) for v in name.split(":", 1)[1].split(","))
+        if not 0 <= b * m < 1:
+            raise GridError("linear:a,b needs 0 <= b dt < 1, got b dt = %s" % (b * m,))
+
+        # y = c + b dt |y| with c = mean + dt (a + b |z|): y = c / (1 -+ b dt) as c >= 0 or not
+        def linear(mean, z):
+            c = mean + (a + b * abs(z[0])) * m
+            return c / (1 - b * m) if c >= 0 else c / (1 + b * m)
+
+        return linear
     if name == "zero":
-        return lambda z: QuadExt(0, 0, m)
+        return lambda mean, z: mean
     if name.startswith("constant:"):
         c = Fraction(name.split(":", 1)[1])
-        return lambda z: QuadExt(c, 0, m)
+        return lambda mean, z: mean + c * m
     if name == "quadratic":
-        def quad(z):
+        def quad(mean, z):
             acc = QuadExt(0, 0, m)
             for zk in z:
                 acc = acc + zk * zk
-            return acc * Fraction(1, 2)
+            return mean + acc * Fraction(1, 2) * m
 
         return quad
     raise GridError("no exact form for driver %r" % (name,))
 
 
 def exact_solve(steps: int, dim: int, horizon, driver: str, terminal) -> ExactSolution:
-    """Backward solve with exact arithmetic; y-independent drivers only.
+    """Backward solve with exact arithmetic.
 
     terminal is a callable taking the walk path as a tuple of per-time
     tuples of QuadExt (grid times 0..steps, each of length dim) and returning
     a QuadExt or rational.  Supported drivers: zero, constant:<rational>,
-    quadratic.
+    quadratic, and linear:<a>,<b> in d=1 while b dt < 1, whose implicit step
+    y = c + b dt |y|, c = mean + dt (a + b |z|), is y = c / (1 - b dt) if
+    c >= 0, else c / (1 + b dt).
     """
     if steps < 1 or dim < 1:
         raise GridError("need steps >= 1 and dim >= 1")
     m = Fraction(horizon) / steps
     if m <= 0:
         raise GridError("horizon must be positive")
-    f = _exact_driver(driver, m)
+    step = _exact_step(driver, m, dim)
     nchoice = 2 ** dim
     sqrt_dt = QuadExt(0, 1, m)
     zero = QuadExt(0, 0, m)
@@ -185,7 +227,7 @@ def exact_solve(steps: int, dim: int, horizon, driver: str, terminal) -> ExactSo
                 for k in range(dim):
                     drift = drift + zvec[k] * (sqrt_dt * s[k])
                 dm_here[node + (c,)] = v - mean - drift
-            y_here[node] = mean + f(zvec) * m
+            y_here[node] = step(mean, zvec)
             z_here[node] = zvec
         Y[i] = y_here
         Z[i] = z_here

@@ -33,6 +33,7 @@ folds use np.maximum and np.minimum, so a NaN term makes its sup NaN.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,15 +116,16 @@ def _new_slice(lattice, f, i, y_next, y_old, z_old, sweep):
     y = mean + bind(z_old)(y_old) * dt
     # residual of the new iterate in the implicit one-step equation
     r = np.abs(y - mean - bind(z)(y) * dt)
-    bad = np.flatnonzero(np.isnan(r))
-    if bad.size:
+    rmax = float(np.max(r))
+    # the max is NaN iff a residual is; the node is searched for only then
+    if math.isnan(rmax):
         raise ConvergenceError(
             "picard sweep %d: implicit residual is NaN at slice %d, first node %d"
-            % (sweep, i, bad[0]),
+            % (sweep, i, np.flatnonzero(np.isnan(r))[0]),
             residual=np.nan,
             iterations=sweep,
         )
-    return y, z, float(np.max(r))
+    return y, z, rmax
 
 
 def _tails(lattice, i, dy_next, dz, tails):

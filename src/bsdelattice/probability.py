@@ -133,11 +133,12 @@ def _orthogonal_remainder(children: np.ndarray, zdw: np.ndarray) -> np.ndarray:
 
 
 class ControlProcess:
-    """A predictable d-vector control mu with cached one-step edge weights.
+    """A predictable d-vector control mu with its one-step edge weights.
 
-    Weights are 1 + mu . dW per (parent node, choice); check_admissible
-    raises AdmissibilityError naming the first offending path when any weight
-    fails strict positivity.
+    Weights are 1 + mu . dW per (parent node, choice), formed once with each
+    step's minimum when the control is made; check_admissible raises
+    AdmissibilityError naming the first offending path when any weight fails
+    strict positivity.
     """
 
     def __init__(self, process: AdaptedProcess):
@@ -151,7 +152,9 @@ class ControlProcess:
                 )
         self.process = process
         self.lattice = lat
-        self._weights = None
+        inc = lat.step_increments()
+        self._weights = [1.0 + mu @ inc.T for mu in process.slices]
+        self._mins = [w.min() for w in self._weights]
 
     @classmethod
     def from_constant(cls, lattice: PathLattice, mu) -> "ControlProcess":
@@ -166,21 +169,13 @@ class ControlProcess:
 
     def step_weights(self, i: int) -> np.ndarray:
         """(n_i, 2**d) edge weights 1 + mu . dW for step i+1."""
-        if self._weights is None:
-            self._weights = {}
-        w = self._weights.get(i)
-        if w is None:
-            inc = self.lattice.step_increments()
-            w = 1.0 + self.process.slices[i] @ inc.T
-            self._weights[i] = w
-        return w
+        return self._weights[i]
 
     def check_admissible(self):
         lat = self.lattice
-        for i in range(lat.steps):
-            w = self.step_weights(i)
-            # one reduction per slice (a NaN weight makes the min NaN, which fails too)
-            if not w.min() > 0.0:
+        for i, (w, low) in enumerate(zip(self._weights, self._mins)):
+            # the step's stored minimum (a NaN weight makes it NaN, which fails too)
+            if not low > 0.0:
                 k, c = map(int, np.argwhere(~(w > 0.0))[0])
                 sign = "".join(
                     "-" if self.lattice.signs[c, b] < 0 else "+" for b in range(lat.dim)
@@ -193,4 +188,4 @@ class ControlProcess:
 
     def admissibility_margin(self) -> float:
         """min over all edges of 1 + mu . dW (admissible iff > 0); NaN if any weight is."""
-        return float(np.min([self.step_weights(i).min() for i in range(self.lattice.steps)]))
+        return float(np.min(self._mins))

@@ -377,8 +377,8 @@ def solution_residuals(sol: SolutionTriple, f: DriverSpec, phi: TerminalFunction
     for i in range(grid.steps):
         y = sol.Y.slices[i]
         z = sol.Z.slices[i]
-        dm = sol.dm(i)
         v = gather_children(lat, i, sol.Y.slices[i + 1])
+        dm = _orthogonal_remainder(v, z @ lat.dw_weights)  # sol.dm(i) from the one gather
         fv = _slice_driver(lat, f, i)(z)(y)
         resid = v - y[:, None] + (fv * dt)[:, None] - z @ inc.T - dm
         worst.append(np.max(np.abs(resid)))

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, config merging, reproducible output."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -258,6 +260,31 @@ def test_verify_reports_all_checks(tmp_path, capsys):
     assert "walk:moments PASS" in text
     assert "driver:convex-z PASS" in text
     assert "FAIL" not in text
+
+
+@pytest.mark.parametrize("driver,code", [("abs", 0), ("constant:nan", 1)])
+def test_verify_prints_the_str_of_its_reports(capsys, driver, code):
+    from bsdelattice.verify import SamplingPlan, verify_driver_properties, verify_walk_conditions
+
+    argv = ["verify", "--steps", "6", "--dim", "2", "--mode", "recombining", "--seed", "3"]
+    assert run(argv + ["--driver", driver]) == code
+    walk = verify_walk_conditions(bsdelattice.build_lattice(6, 2, mode="recombining"))
+    plan = SamplingPlan(dim=2, seed=3)
+    report = verify_driver_properties(bsdelattice.make_driver(driver), plan)
+    text = capsys.readouterr().out
+    assert text == "%s\n%s\n" % (walk, report)
+    assert len(text.splitlines()) == 11
+
+
+@pytest.mark.parametrize("argv", [["solve", "--steps", "2"], ["verify", "--steps", "4", "--dim", "2"]])
+def test_stdout_without_a_buffer_takes_the_bytes_as_text(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert run(argv) == 0
+    assert text.getvalue().encode("ascii") == out.read_bytes()
 
 
 @pytest.mark.parametrize(

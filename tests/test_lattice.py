@@ -366,6 +366,17 @@ def test_walk_conditions_catch_corruption(monkeypatch):
     assert any(c.name == "moments" for c in rep.failures())
 
 
+@pytest.mark.parametrize("mode", ["full", "recombining"])
+def test_walk_conditions_fail_nan_probabilities(monkeypatch, mode):
+    lat = build_lattice(3, dim=2, mode=mode)
+    sound = lat.slice_probabilities
+    monkeypatch.setattr(lat, "slice_probabilities", lambda i: np.full_like(sound(i), np.nan))
+    rep = verify_walk_conditions(lat)
+    assert [c.name for c in rep.failures()] == ["moments"]
+    assert math.isnan(rep.failures()[0].deviation)
+    assert "walk:moments FAIL" in str(rep).splitlines()
+
+
 def test_walk_conditions_catch_misplaced_children(monkeypatch):
     for mode in ("full", "recombining"):
         lat = build_lattice(3, dim=1, mode=mode)

@@ -20,8 +20,8 @@ from bsdelattice.drivers import (
     scale_terminal,
     shift_terminal,
 )
-from bsdelattice.errors import ConvergenceError, StepSizeError, StructuralError
-from bsdelattice.exact import exact_solve
+from bsdelattice.errors import ConvergenceError, GridError, StepSizeError, StructuralError
+from bsdelattice.exact import QuadExt, exact_solve
 from bsdelattice.lattice import build_lattice
 from bsdelattice.probability import left_process, predictable_process
 from bsdelattice.solver import (
@@ -109,6 +109,43 @@ def test_quadratic_two_step_exact_rational():
             assert sol.Y.slices[i][oracles.node_index(node, 1)] == pytest.approx(
                 float(ex.Y[i][node]), abs=1e-14
             )
+
+
+def test_quad_ext_sign_abs_and_order_are_exact():
+    m = Fraction(1, 8)  # sqrt(m) = 0.35355...
+    root = QuadExt(0, 1, m)
+    for a in (Fraction(-3, 8), Fraction(-1, 3), 0, Fraction(1, 3), Fraction(3, 8)):
+        for b in (-1, 0, 1):
+            x = QuadExt(a, b, m)
+            want = (float(x) > 0) - (float(x) < 0)
+            assert x.sign() == want, (a, b)
+            assert float(abs(x)) == abs(float(x))
+    # a perfect-square radicand: 1 - 2 sqrt(1/4) is zero though neither part is
+    assert QuadExt(1, -2, Fraction(1, 4)).sign() == 0
+    assert Fraction(1, 3) < root < Fraction(3, 8) and root >= root and root <= 1
+    assert max([QuadExt(Fraction(1, 3), 0, m), root, -root]) is root
+    # a rational left operand takes the right one's radicand
+    assert float(QuadExt(1) - root) == 1 - math.sqrt(1 / 8) and QuadExt(1) > root
+    assert float(QuadExt(1) * root) == float(root) and float(QuadExt(1) / root) == math.sqrt(8)
+
+
+@pytest.mark.parametrize("steps", [4, 8, 10])
+@pytest.mark.parametrize(
+    "terminal,phi",
+    [("endpoint", lambda path: path[-1][0]), ("maxpath", lambda path: max(abs(w[0]) for w in path))],
+)
+def test_exact_linear_driver_certifies_the_implicit_step(steps, terminal, phi):
+    # linear:1,1 is y-dependent: the float solve runs the fixed point, the exact one its closed form
+    ex = exact_solve(steps, 1, 1, "linear:1,1", phi)
+    sol = solve_backward(build_lattice(steps, dim=1), make_driver("linear:1,1"), make_terminal(terminal))
+    assert abs(sol.y0 - float(ex.y0)) <= 1e-12
+
+
+def test_exact_linear_driver_needs_one_dimension_and_a_small_step():
+    with pytest.raises(GridError, match="d=1"):
+        exact_solve(2, 2, 1, "linear:1,1", lambda path: 0)
+    with pytest.raises(GridError, match="b dt"):
+        exact_solve(2, 1, 1, "linear:1,2", lambda path: 0)
 
 
 def test_exact_rational_certifies_float_solver_deeper():
