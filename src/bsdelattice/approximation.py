@@ -26,7 +26,7 @@ import numpy as np
 from .drivers import DriverSpec, TerminalFunctional
 from .errors import ConvergenceError, GridError
 from .lattice import build_lattice
-from .solver import _backward_sweep, bmo_estimate, solve_backward
+from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, _backward_sweep, bmo_estimate, solve_backward
 
 
 def _shift_min(value, x, final, n, mags):
@@ -214,7 +214,7 @@ def refinement_experiment(
     study = RefinementStudy(reference=float(reference))
     for steps in steps_list:
         lat = build_lattice(int(steps), dim, horizon, mode, leaf_budget)
-        for _, y, _, _, _, _ in _backward_sweep(lat, f, phi):
+        for _, y, _, _, _, _ in _backward_sweep(lat, f, phi, DEFAULT_TOL, DEFAULT_MAX_ITER):
             pass
         y0 = float(y[0])
         if not math.isfinite(y0):

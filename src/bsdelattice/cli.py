@@ -6,7 +6,8 @@ names the options each subcommand reads.  A subcommand takes only those,
 as flags or as keys of a flat JSON config file (same names, underscores for
 hyphens); explicit flags win over the config, the config wins over
 defaults, and a flag or config key the subcommand does not read is an
-input error.
+input error.  An option whose library keyword has a default of its own is
+passed on only when given, so that default is declared once, where it is read.
 
 The package loads its core modules (lattice, drivers, solver) with this
 one; every other subcommand imports its own module when it runs, so a
@@ -40,24 +41,25 @@ from .lattice import build_lattice
 from .solver import export_solution_csv, solution_summary, solve_backward
 
 
+_OMITTED = object()  # default of an option whose library keyword has its own; null is refused
 # every option, once: its kind (int, float or str; [int] or [float] for a
 # comma-separated list), its default (null where this is None) and its help
 _OPTIONS = {
     "steps": (int, 8, "time steps N"),
-    "dim": (int, 1, "walk dimension d"),
-    "horizon": (float, 1.0, "time horizon T"),
-    "mode": (str, "full", "lattice layout: full or recombining"),
+    "dim": (int, _OMITTED, "walk dimension d"),
+    "horizon": (float, _OMITTED, "time horizon T"),
+    "mode": (str, _OMITTED, "lattice layout: full or recombining"),
     "driver": (str, "quadratic", "catalog driver, e.g. linear:1,1"),
     "terminal": (str, "endpoint", "catalog terminal, e.g. const:1"),
     "tol": (float, None, "fixed-point tolerance (the solver's own when omitted)"),
-    "max_iter": (int, 200, "fixed-point iteration cap; for picard, the sweep cap"),
+    "max_iter": (int, _OMITTED, "fixed-point iteration cap; for picard, the sweep cap"),
     "reference": (float, None, "reference root value"),
     "samples": (int, 16, "random admissible controls to try"),
     "seed": (int, 0, "random seed"),
-    "leaf_budget": (int, None, "full-layout leaf budget (2^20 when omitted)"),
+    "leaf_budget": (int, None, "last-slice node budget on either layout (2^20 when omitted)"),
     "out": (str, None, "CSV output path (stdout when omitted)"),
     "steps_list": ([int], (10, 50, 100), "comma-separated step counts"),
-    "levels": ([float], (1, 2, 4, 8, 16), "comma-separated regularization levels"),
+    "levels": ([float], _OMITTED, "comma-separated regularization levels"),
 }
 _LATTICE = ("steps", "dim", "horizon", "mode", "leaf_budget")
 _SOLVE = _LATTICE + ("driver", "terminal", "tol", "max_iter", "out")
@@ -157,7 +159,7 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
     is refused (GridError, like a flag argparse refuses); null stays allowed
     where the default is null.  An empty list option is refused, and so are
     a tol that is not a finite number >= 0, a non-finite reference or level,
-    samples < 0 and max_iter < 1, from a flag or a config.
+    samples < 0 and max_iter < 1, from a flag or a config.  Omitted options are left out.
     """
     names = _COMMANDS[args.command][2]
     file_cfg = _load_config(args.config, names) if args.config else {}
@@ -169,6 +171,8 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
             value = file_cfg.get(key, default)
             if key in file_cfg and kind in (int, float, str) and (value, default) != (None, None):
                 value = _check_value(key, value, kind)
+        if value is _OMITTED:
+            continue
         if isinstance(kind, list):
             value = _parse_list(key, value, kind[0])
         cfg[key] = value
@@ -208,8 +212,13 @@ def _emit_summary(cfg, payload: dict):
         print(json.dumps(payload, sort_keys=True))
 
 
+def _given(cfg, *names):
+    """The named options that were given, as keywords, so the library keeps its own defaults."""
+    return {key: getattr(cfg, key) for key in names if getattr(cfg, key, None) is not None}
+
+
 def _lattice(cfg):
-    return build_lattice(cfg.steps, cfg.dim, cfg.horizon, cfg.mode, cfg.leaf_budget)
+    return build_lattice(cfg.steps, **_given(cfg, "dim", "horizon", "mode", "leaf_budget"))
 
 
 def _problem(cfg):
@@ -217,14 +226,9 @@ def _problem(cfg):
     return _lattice(cfg), make_driver(cfg.driver), make_terminal(cfg.terminal)
 
 
-def _tol(cfg):
-    """tol as a keyword only when given, so each solver keeps its own default."""
-    return {} if cfg.tol is None else {"tol": cfg.tol}
-
-
 def _cmd_solve(cfg) -> int:
     lat, f, phi = _problem(cfg)
-    sol = solve_backward(lat, f, phi, max_iter=cfg.max_iter, **_tol(cfg))
+    sol = solve_backward(lat, f, phi, **_given(cfg, "tol", "max_iter"))
     with _out_sink(cfg.out) as fh:
         export_solution_csv(sol, fh)
     _emit_summary(cfg, solution_summary(sol))
@@ -233,6 +237,7 @@ def _cmd_solve(cfg) -> int:
 
 def _cmd_duality(cfg) -> int:
     from .duality import (
+        WEAK_DUALITY_SLACK,
         dual_value,
         duality_gap,
         duality_summary,
@@ -242,7 +247,7 @@ def _cmd_duality(cfg) -> int:
     )
 
     lat, f, phi = _problem(cfg)
-    opts = dict(_tol(cfg), max_iter=cfg.max_iter)
+    opts = _given(cfg, "tol", "max_iter")
     sol = solve_backward(lat, f, phi, **opts)
     xi = sol.Y.slices[-1]  # the terminal, evaluated once for every candidate
     control = optimal_control(sol, f)
@@ -264,7 +269,7 @@ def _cmd_duality(cfg) -> int:
     payload["sampled_min_gap"] = sampled_min
     payload["samples"] = cfg.samples
     _emit_summary(cfg, payload)
-    ok = report.weakly_consistent and (sampled_min is None or sampled_min >= -1e-9)
+    ok = report.weakly_consistent and (sampled_min is None or sampled_min >= -WEAK_DUALITY_SLACK)
     return 0 if ok else 1
 
 
@@ -272,7 +277,7 @@ def _cmd_picard(cfg) -> int:
     from .picard import export_picard_trace_csv, picard_solve
 
     lat, f, phi = _problem(cfg)
-    result = picard_solve(lat, f, phi, max_p=cfg.max_iter, **_tol(cfg))
+    result = picard_solve(lat, f, phi, **_given(cfg, "tol", "max_iter"))
     with _out_sink(cfg.out) as fh:
         export_picard_trace_csv(result, fh)
     _emit_summary(
@@ -296,10 +301,7 @@ def _cmd_converge(cfg) -> int:
         make_terminal(cfg.terminal),
         cfg.steps_list,
         reference=cfg.reference,
-        dim=cfg.dim,
-        horizon=cfg.horizon,
-        mode=cfg.mode,
-        leaf_budget=cfg.leaf_budget,
+        **_given(cfg, "dim", "horizon", "mode", "leaf_budget"),
     )
     with _out_sink(cfg.out) as fh:
         export_refinement_csv(study, fh)
@@ -319,7 +321,7 @@ def _cmd_converge(cfg) -> int:
 def _cmd_approx(cfg) -> int:
     from .approximation import export_ladder_csv, monotone_limit_experiment
 
-    ladder = monotone_limit_experiment(*_problem(cfg), levels=cfg.levels)
+    ladder = monotone_limit_experiment(*_problem(cfg), **_given(cfg, "levels"))
     with _out_sink(cfg.out) as fh:
         export_ladder_csv(ladder, fh)
     _emit_summary(
@@ -338,7 +340,7 @@ def _cmd_verify(cfg) -> int:
     from .verify import SamplingPlan, verify_driver_properties, verify_walk_conditions
 
     walk = verify_walk_conditions(_lattice(cfg))
-    plan = SamplingPlan(dim=cfg.dim, horizon=cfg.horizon, seed=cfg.seed)
+    plan = SamplingPlan(seed=cfg.seed, **_given(cfg, "dim", "horizon"))
     driver = verify_driver_properties(make_driver(cfg.driver), plan)
     text = "%s\n%s\n" % (walk, driver)
     with _out_sink(cfg.out) as fh:

@@ -45,8 +45,11 @@ from .probability import (
     predictable_process,
     tilted_expectation,
 )
-from .solver import SolutionTriple, _implicit_step, _iterates, _slice_driver, _write_rows
-from .solver import check_step_size
+from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, SolutionTriple, _implicit_step, _iterates
+from .solver import _slice_driver, _write_rows, check_step_size
+
+# the most negative gap that still counts as weak duality: rounding, not a refutation
+WEAK_DUALITY_SLACK = 1e-9
 
 
 def _check_no_nan(values, i, what):
@@ -64,8 +67,8 @@ def dual_value(
     f: DriverSpec,
     xi: np.ndarray,
     control: ControlProcess,
-    tol: float = 1e-12,
-    max_iter: int = 200,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> AdaptedProcess:
     """Candidate value process for one admissible control, at every node.
 
@@ -173,13 +176,13 @@ class DualityReport:
 
     @property
     def weakly_consistent(self) -> bool:
-        return self.min_gap >= -1e-9
+        return self.min_gap >= -WEAK_DUALITY_SLACK
 
 
 def duality_gap(
     sol: SolutionTriple, candidate: AdaptedProcess, control: ControlProcess
 ) -> DualityReport:
-    """Nodewise primal-minus-dual gaps; min_gap below -1e-9 would refute weak duality.
+    """Nodewise primal-minus-dual gaps; a min_gap below -WEAK_DUALITY_SLACK refutes weak duality.
 
     A NaN gap anywhere makes min_gap and max_gap NaN, which is never weakly
     consistent.

@@ -6,9 +6,13 @@ backward recursion stays inside that field: conditional means are rational
 combinations, the control is a field element divided by the rational dt, and
 the implicit step degenerates to one exact evaluation.  The field's order is
 exact too (QuadExt.sign), so |z| in d=1, |y| and max stay inside it: the
-linear driver's implicit step has a closed form there, and terminals such as
-the running max of |W| can be written.  This gives reference values with no
-rounding at all, used to certify the floating solver on small lattices.
+linear driver's implicit step has a closed form there, the abs driver's
+|z| is exact in d=1, and terminals such as the running max of |W| can be
+written.  When dt is the square of a rational (N = 4 or 16 on [0, 1]) the
+field is Q itself, and every QuadExt folds its radical part into its
+rational one, so equal numbers compare and hash equal.  This gives
+reference values with no rounding at all, used to certify the floating
+solver on small lattices.
 """
 
 from __future__ import annotations
@@ -16,19 +20,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import sqrt
+from math import isqrt, sqrt
 
 from .errors import GridError, StructuralError
 
 
+def _rational_root(m: Fraction):
+    """sqrt(m) as a Fraction when m >= 0 is the square of a rational, else None."""
+    if m < 0:
+        return None
+    p, q = isqrt(m.numerator), isqrt(m.denominator)
+    return Fraction(p, q) if p * p == m.numerator and q * q == m.denominator else None
+
+
 class QuadExt:
-    """Exact element a + b*sqrt(m) with a, b, m rational."""
+    """Exact element a + b*sqrt(m) with a, b, m rational.
+
+    Each number has one representation over its radicand: when m is the
+    square of a rational, b*sqrt(m) is folded into a and b is 0.
+    """
 
     __slots__ = ("a", "b", "m")
 
     def __init__(self, a, b=0, m=1):
         # Fraction(x) of a Fraction copies it; the arithmetic passes Fractions
-        self.a, self.b, self.m = (x if type(x) is Fraction else Fraction(x) for x in (a, b, m))
+        a, b, m = (x if type(x) is Fraction else Fraction(x) for x in (a, b, m))
+        root = _rational_root(m) if b else None
+        if root is not None:
+            a, b = a + b * root, Fraction(0)
+        self.a, self.b, self.m = a, b, m
 
     def _coerce(self, other):
         """other over the radicand of whichever operand has a radical part; results use o.m."""
@@ -76,7 +96,8 @@ class QuadExt:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):
-        return hash((self.a, self.b, self.m))
+        # a rational number hashes as its Fraction, whatever radicand it carries
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.m))
 
     def sign(self) -> int:
         """-1, 0 or 1, exactly, for m >= 0: when a and b differ in sign, compare a^2 with b^2 m."""
@@ -136,9 +157,9 @@ def _signs(choice: int, dim: int):
 
 def _exact_step(name: str, m: Fraction, dim: int):
     """The exact implicit step (mean, z) -> y of y = mean + f(y, z) dt at dt = m."""
+    if (name == "abs" or name.startswith("linear:")) and dim != 1:
+        raise GridError("%s has an exact form in d=1 only, got d=%d" % (name, dim))
     if name.startswith("linear:"):
-        if dim != 1:
-            raise GridError("linear:a,b has an exact form in d=1 only, got d=%d" % dim)
         a, b = (Fraction(v) for v in name.split(":", 1)[1].split(","))
         if not 0 <= b * m < 1:
             raise GridError("linear:a,b needs 0 <= b dt < 1, got b dt = %s" % (b * m,))
@@ -149,19 +170,22 @@ def _exact_step(name: str, m: Fraction, dim: int):
             return c / (1 - b * m) if c >= 0 else c / (1 + b * m)
 
         return linear
+    if name == "abs":
+        return lambda mean, z: mean + abs(z[0]) * m
     if name == "zero":
         return lambda mean, z: mean
     if name.startswith("constant:"):
         c = Fraction(name.split(":", 1)[1])
         return lambda mean, z: mean + c * m
-    if name == "quadratic":
-        def quad(mean, z):
+    if name in ("quadratic", "quartic"):
+        # |z|^2 / 2 or |z|^4
+        def power(mean, z):
             acc = QuadExt(0, 0, m)
             for zk in z:
                 acc = acc + zk * zk
-            return mean + acc * Fraction(1, 2) * m
+            return mean + (acc * Fraction(1, 2) if name == "quadratic" else acc * acc) * m
 
-        return quad
+        return power
     raise GridError("no exact form for driver %r" % (name,))
 
 
@@ -171,9 +195,9 @@ def exact_solve(steps: int, dim: int, horizon, driver: str, terminal) -> ExactSo
     terminal is a callable taking the walk path as a tuple of per-time
     tuples of QuadExt (grid times 0..steps, each of length dim) and returning
     a QuadExt or rational.  Supported drivers: zero, constant:<rational>,
-    quadratic, and linear:<a>,<b> in d=1 while b dt < 1, whose implicit step
-    y = c + b dt |y|, c = mean + dt (a + b |z|), is y = c / (1 - b dt) if
-    c >= 0, else c / (1 + b dt).
+    quadratic, quartic, abs in d=1, and linear:<a>,<b> in d=1 while b dt < 1,
+    whose implicit step y = c + b dt |y|, c = mean + dt (a + b |z|), is
+    y = c / (1 - b dt) if c >= 0, else c / (1 + b dt).
     """
     if steps < 1 or dim < 1:
         raise GridError("need steps >= 1 and dim >= 1")

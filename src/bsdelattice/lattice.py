@@ -245,8 +245,10 @@ def build_lattice(
 ) -> PathLattice:
     """Build a random-walk lattice over the uniform grid with the given shape.
 
-    Full-path mode requires 2**(dim*steps) <= leaf_budget (None means the
-    default, 2**20); pass a larger budget explicitly to go beyond it.
+    The last slice must hold at most leaf_budget nodes on either layout
+    (None means the default, 2**20): 2**(dim*steps) leaves on the full one,
+    (steps+1)**dim points on the recombining one.  Pass a larger budget
+    explicitly to go beyond it.
     """
     grid = TimeGrid(horizon=float(horizon), steps=int(steps))
     lattice = PathLattice(grid, int(dim), mode)

@@ -189,13 +189,13 @@ def picard_solve(
     f: DriverSpec,
     phi: TerminalFunctional,
     tol: float = 1e-10,
-    max_p: int = 200,
+    max_iter: int = 200,
 ) -> PicardResult:
     """Iterate from the zero triple until the stopping rule fires.
 
     Runs on both lattice layouts, under the solve's conditions on the driver
     and the terminal.  Raises ConvergenceError when neither the triple
-    distance nor the implicit residual gets strictly below tol within max_p
+    distance nor the implicit residual gets strictly below tol within max_iter
     sweeps (a tol of 0 can never be reached and always exhausts the budget),
     and at once, naming the sweep and the slice, when a sweep's implicit
     residual is NaN.
@@ -204,7 +204,7 @@ def picard_solve(
     xi = terminal_values(lattice, phi)
     state = zero_state(lattice)
     trace = []
-    for _ in range(max_p):
+    for _ in range(max_iter):
         row = picard_step(lattice, f, xi, state)
         trace.append(row)
         if row.total < tol or state.residual < tol:
@@ -223,9 +223,9 @@ def picard_solve(
             return PicardResult(solution=sol, trace=trace, iterations=state.p)
     raise ConvergenceError(
         "picard iteration did not reach tol=%.3g in %d sweeps "
-        "(last residual %.3g)" % (tol, max_p, state.residual),
+        "(last residual %.3g)" % (tol, max_iter, state.residual),
         residual=state.residual,
-        iterations=max_p,
+        iterations=max_iter,
     )
 
 

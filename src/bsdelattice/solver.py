@@ -182,18 +182,16 @@ def check_step_size(f: DriverSpec, grid: TimeGrid):
         )
 
 
+# the implicit step's residual tolerance and iterate cap, for every caller that sets neither
+DEFAULT_TOL, DEFAULT_MAX_ITER = 1e-12, 200
+
+
 def _iterates(f: DriverSpec, max_iter: int) -> int:
     """Fixed-point iterates of an implicit step: one for a y-free driver, whose first is exact."""
     return 1 if f.y_dependence == "none" else max_iter
 
 
-def _backward_sweep(
-    lattice: PathLattice,
-    f: DriverSpec,
-    phi: TerminalFunctional,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-):
+def _backward_sweep(lattice: PathLattice, f: DriverSpec, phi: TerminalFunctional, tol, max_iter):
     """Yield the slices of the backward solve, terminal first, one at a time.
 
     Checks the step size and the recombining w-dependence, evaluates the
@@ -227,8 +225,8 @@ def solve_backward(
     lattice: PathLattice,
     f: DriverSpec,
     phi: TerminalFunctional,
-    tol: float = 1e-12,
-    max_iter: int = 200,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SolutionTriple:
     """Solve the backward dynamics on the lattice; returns the triple with Y and Z.
 
@@ -404,8 +402,8 @@ def z_bound(L: float, K: float, T: float, d: int) -> float:
     return 2.0 * math.sqrt(d) * (L + K * T) * math.exp(K * T)
 
 
-def _selfref_envelope_dominated(A: float, B: float, grid: TimeGrid) -> bool:
-    """Whether A prod_{j > i} (1 - B dt)^-1 stays below 2 A exp(B (T - t_i)) at every t_i.
+def _selfref_envelope_dominated(B: float, grid: TimeGrid) -> bool:
+    """Whether prod_{j > i} (1 - B dt)^-1 stays below 2 exp(B (T - t_i)) at every t_i.
 
     The product is the discrete Gronwall envelope of the z bound; False when
     B dt >= 1, where it is undefined.
@@ -418,7 +416,7 @@ def _selfref_envelope_dominated(A: float, B: float, grid: TimeGrid) -> bool:
     ok = True
     for i in range(n - 1, -1, -1):
         prod /= 1.0 - B * dt
-        if prod * A > 2.0 * A * math.exp(B * (grid.horizon - grid.time(i))) + 1e-15:
+        if prod > 2.0 * math.exp(B * (grid.horizon - grid.time(i))) + 1e-15:
             ok = False
     return ok
 
@@ -448,7 +446,7 @@ def z_bound_certificate(
     bound = z_bound(L, K, T, d)
     b = f.z_lipschitz(2.0 * bound)
     margin = 1.0 - b * math.sqrt(d) * lattice.grid.sqrt_dt
-    dominated = _selfref_envelope_dominated(1.0, K, lattice.grid) if K > 0 else True
+    dominated = _selfref_envelope_dominated(K, lattice.grid) if K > 0 else True
     applies = margin > 0.0 and dominated
     detail = "margin %.4g, envelope %s" % (margin, "dominated" if dominated else "not dominated")
     return ZBoundCertificate(bound=bound, margin=margin, applies=applies, detail=detail)

@@ -347,6 +347,71 @@ def test_tol_reaches_the_solver_only_when_given(tmp_path, capsys, monkeypatch, c
     capsys.readouterr()
 
 
+# per subcommand: flags that feed no defaulted library keyword, and the library calls it makes
+_DEFAULT_RUNS = {
+    "solve": ([], {"build_lattice", "solve_backward"}),
+    "duality": ([], {"build_lattice", "solve_backward", "dual_value"}),
+    "picard": ([], {"build_lattice", "picard_solve"}),
+    "approx": ([], {"build_lattice", "monotone_limit_experiment"}),
+    "verify": ([], {"build_lattice", "SamplingPlan"}),
+    "converge": (
+        ["--driver", "linear:1,1", "--terminal", "const:1", "--reference", "4.43656365691809"],
+        {"refinement_experiment"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DEFAULT_RUNS))
+def test_omitted_options_keep_the_library_defaults(tmp_path, capsys, monkeypatch, command):
+    # the CLI declared its own dim, horizon, mode, max_iter and levels; its mode overrode converge's
+    from bsdelattice import approximation, verify
+
+    seen = {}
+    targets = [(cli, "build_lattice"), (cli, "solve_backward"), (duality, "dual_value"),
+               (picard, "picard_solve"), (approximation, "monotone_limit_experiment"),
+               (approximation, "refinement_experiment"), (verify, "SamplingPlan")]
+    for owner, name in targets:
+        def recording(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            seen.setdefault(_name, set()).update(kwargs)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recording)
+    argv, called = _DEFAULT_RUNS[command]
+    assert run([command] + argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    capsys.readouterr()
+    assert set(seen) == called
+    for keywords in seen.values():
+        assert not keywords & {"dim", "horizon", "mode", "max_iter", "tol", "levels"}
+
+
+def test_converge_runs_on_its_own_default_layout(tmp_path, capsys):
+    # the CLI's mode "full" overrode refinement_experiment's "recombining": N=50 needed 2^50 leaves
+    out = tmp_path / "c.csv"
+    argv = ["converge", "--driver", "linear:1,1", "--terminal", "const:1", "--reference", "4.43656365691809"]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4
+    # a path terminal needs the full layout, which is now asked for by name
+    argv = ["converge", "--terminal", "maxpath", "--steps-list", "4,8", "--reference", "1"]
+    assert run(argv + ["--out", str(tmp_path / "m.csv")]) == 2
+    assert "recombining mode needs a terminal functional of the final value" in capsys.readouterr().err
+    assert run(argv + ["--mode", "full", "--out", str(out)]) == 1  # its errors do not decrease
+    assert len(out.read_text().splitlines()) == 3
+
+
+def test_picard_sweep_cap_is_max_iter(capsys):
+    assert run(["picard", "--tol", "0", "--max-iter", "3"]) == 1
+    assert "did not reach tol=0 in 3 sweeps" in capsys.readouterr().err
+
+
+def test_levels_config_null_is_an_input_error(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"levels": None}))
+    out = tmp_path / "out.csv"
+    assert run(["approx", "--steps", "3", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _INT_CONFIG_CASES = [
     (["solve"], "steps"),
     (["solve"], "dim"),

@@ -189,6 +189,14 @@ def test_budget_enforced():
         build_lattice(21, dim=1, leaf_budget=None)
 
 
+def test_budget_binds_the_last_slice_on_both_layouts():
+    # d=2 recombining: (N+1)^2 points on the last slice, 2^20 at N=1023
+    assert build_lattice(1023, dim=2, mode="recombining").node_count(1023) == DEFAULT_LEAF_BUDGET
+    with pytest.raises(BudgetError, match="mode=recombining has 1050625 leaf nodes"):
+        build_lattice(1024, dim=2, mode="recombining")
+    assert build_lattice(1024, dim=2, mode="recombining", leaf_budget=1025 ** 2).node_count(1024) == 1025 ** 2
+
+
 def test_recombining_counts_and_probabilities():
     lat = build_lattice(4, dim=1, mode="recombining")
     for i in range(5):

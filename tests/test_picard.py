@@ -95,7 +95,7 @@ def test_path_dependent_driver_round_trip():
 def test_zero_tolerance_always_exhausts_the_budget():
     lat = build_lattice(3, dim=1)
     with pytest.raises(ConvergenceError) as err:
-        picard_solve(lat, make_driver("zero"), make_terminal("endpoint"), tol=0.0, max_p=5)
+        picard_solve(lat, make_driver("zero"), make_terminal("endpoint"), tol=0.0, max_iter=5)
     assert err.value.iterations == 5
 
 

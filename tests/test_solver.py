@@ -141,9 +141,51 @@ def test_exact_linear_driver_certifies_the_implicit_step(steps, terminal, phi):
     assert abs(sol.y0 - float(ex.y0)) <= 1e-12
 
 
+@pytest.mark.parametrize("m", [Fraction(1, 4), Fraction(1, 16)])
+def test_quad_ext_equal_numbers_are_equal_over_a_square_radicand(m):
+    # at N = 4 or 16 on [0, 1], 1 + 0 sqrt(dt) and 0 + (1/sqrt(dt)) sqrt(dt) compared unequal
+    root = Fraction(1, 2) if m == Fraction(1, 4) else Fraction(1, 4)
+    one, other = QuadExt(1, 0, m), QuadExt(0, 1 / root, m)
+    assert (one - other).sign() == 0
+    assert one == other and hash(one) == hash(other) and len({one, other}) == 1
+    assert other.is_rational and other == 1 and hash(other) == hash(1)
+    assert QuadExt(Fraction(1, 3), 5, m) == Fraction(1, 3) + 5 * root
+    assert QuadExt(0, 1, m) * QuadExt(0, 1, m) == m
+    # a radicand that is no square keeps its radical part
+    assert QuadExt(0, 1, 2 * m).b == 1 and not QuadExt(0, 1, 2 * m).is_rational
+
+
+def _w1_w2(paths):
+    arr = np.asarray(paths, dtype=float)
+    return arr[..., -1, 0] * arr[..., -1, 1]
+
+
+def _maxpath_exact(path):
+    return max(abs(w[0]) for w in path)
+
+
+@pytest.mark.parametrize(
+    "driver,steps,dim,terminal,phi",
+    [
+        ("abs", 4, 1, make_terminal("maxpath"), _maxpath_exact),
+        ("abs", 8, 1, make_terminal("maxpath"), _maxpath_exact),
+        ("quartic", 8, 1, make_terminal("maxpath"), _maxpath_exact),
+        ("quartic", 3, 2, TerminalFunctional(name="w1-w2", evaluate=_w1_w2),
+         lambda path: path[-1][0] * path[-1][1]),
+    ],
+    ids=["abs-N4", "abs-N8", "quartic-N8", "quartic-d2-N3"],
+)
+def test_exact_abs_and_quartic_certify_the_float_solve(driver, steps, dim, terminal, phi):
+    ex = exact_solve(steps, dim, 1, driver, phi)
+    sol = solve_backward(build_lattice(steps, dim=dim), make_driver(driver), terminal)
+    assert abs(sol.y0 - float(ex.y0)) <= 1e-12
+
+
 def test_exact_linear_driver_needs_one_dimension_and_a_small_step():
     with pytest.raises(GridError, match="d=1"):
         exact_solve(2, 2, 1, "linear:1,1", lambda path: 0)
+    with pytest.raises(GridError, match="abs has an exact form in d=1 only"):
+        exact_solve(2, 2, 1, "abs", lambda path: 0)
     with pytest.raises(GridError, match="b dt"):
         exact_solve(2, 1, 1, "linear:1,2", lambda path: 0)
 
