@@ -26,6 +26,7 @@ import numpy as np
 from .drivers import DriverSpec, TerminalFunctional
 from .errors import ConvergenceError, GridError
 from .lattice import build_lattice
+from .probability import difference_extremes
 from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, _backward_sweep, bmo_estimate, solve_backward
 
 
@@ -109,19 +110,6 @@ class ApproximationLadder:
     cauchy_uniform: bool
 
 
-def _increment_extremes(cur_slices, prev_slices):
-    """(sup |cur - prev|, min(cur - prev)) over every node, one slice at a time.
-
-    numpy folds the per-slice extremes, so a NaN increment reaches both.
-    """
-    sups, mins = [], []
-    for cur, prev in zip(cur_slices, prev_slices):
-        d = cur - prev
-        sups.append(np.max(np.abs(d)))
-        mins.append(np.min(d))
-    return float(np.max(sups, initial=0.0)), float(np.min(mins, initial=math.inf))
-
-
 def _run_ladder(lattice, f: DriverSpec, terminals, labels) -> ApproximationLadder:
     """Solve the levels in turn; a level is compared with the previous one's Y only."""
     growth = math.exp(f.lipschitz_wy * lattice.grid.horizon)
@@ -134,7 +122,10 @@ def _run_ladder(lattice, f: DriverSpec, terminals, labels) -> ApproximationLadde
         sol = solve_backward(lattice, f, phi)
         row = LadderRow(level=label, y0=sol.y0, bmo=bmo_estimate(sol))
         if prev_y is not None:
-            row.sup_increment, row.min_increment = _increment_extremes(sol.Y.slices, prev_y)
+            lo, hi = difference_extremes(sol.Y.slices, prev_y)
+            # abs before the max, so an all-zero increment is 0, never -0
+            row.sup_increment = float(np.maximum(np.abs(lo), np.abs(hi)))
+            row.min_increment = lo
             row.terminal_gap = float(np.max(np.abs(sol.Y.slices[-1] - prev_y[-1])))
             row.cauchy_ok = row.sup_increment <= growth * row.terminal_gap + 1e-9
             monotone = monotone and row.min_increment >= -1e-12
@@ -195,10 +186,8 @@ def refinement_experiment(
     phi: TerminalFunctional,
     steps_list,
     reference: float,
-    dim: int = 1,
-    horizon: float = 1.0,
     mode: str = "recombining",
-    leaf_budget: int = None,
+    **lattice,
 ) -> RefinementStudy:
     """Solve on finer and finer grids and track the root error to reference.
 
@@ -210,10 +199,13 @@ def refinement_experiment(
     is the least-squares slope of log error against log N (so first order
     shows up as roughly 1.0); it is NaN when any error vanishes exactly or
     fewer than two grids are given.
+
+    Grid N is build_lattice(N, mode=mode, **lattice): dim, horizon and
+    leaf_budget keep build_lattice's own defaults unless given.
     """
     study = RefinementStudy(reference=float(reference))
     for steps in steps_list:
-        lat = build_lattice(int(steps), dim, horizon, mode, leaf_budget)
+        lat = build_lattice(int(steps), mode=mode, **lattice)
         for _, y, _, _, _, _ in _backward_sweep(lat, f, phi, DEFAULT_TOL, DEFAULT_MAX_ITER):
             pass
         y0 = float(y[0])

@@ -9,6 +9,12 @@ defaults, and a flag or config key the subcommand does not read is an
 input error.  An option whose library keyword has a default of its own is
 passed on only when given, so that default is declared once, where it is read.
 
+Each subcommand is a function of its options that does no I/O: it returns
+the writer of its output, its summary and its exit code, and main writes
+every run's output in one place.  The output (a CSV, or verify's report)
+goes to --out, or to stdout when --out is omitted; with --out, the summary
+is then printed on stdout: one line of JSON, or verify's report text.
+
 The package loads its core modules (lattice, drivers, solver) with this
 one; every other subcommand imports its own module when it runs, so a
 process pays only for what its subcommand uses.
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -66,14 +73,20 @@ _SOLVE = _LATTICE + ("driver", "terminal", "tol", "max_iter", "out")
 
 
 def _check_value(key, value, kind):
-    """A config value of a scalar option, as its kind: a JSON integer for int,
-    any JSON number for float, a string for str.
+    """A config value as its option's kind: a JSON integer for int, any JSON
+    number for float, a string for str, and a JSON list of its entries'
+    kind for [int] or [float].
 
     A bool is no number, and neither is a string; int() would also truncate
     2.5 to 2.  A JSON integer for a float option must also fit a float,
     which 1 followed by 400 zeros does not.
     """
     name = key.replace("_", "-")
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            what = "integers" if kind[0] is int else "numbers"
+            raise GridError("%s must be a list of %s, got %r" % (name, what, value))
+        return [_check_value(key, v, kind[0]) for v in value]
     if kind is str:
         if not isinstance(value, str):
             raise GridError("%s must be a string, got %r" % (name, value))
@@ -92,18 +105,13 @@ def _check_value(key, value, kind):
 
 
 def _parse_list(key, value, kind):
-    """A list option (a list, or a comma-separated string) as a non-empty list of kind.
-
-    The entries of a list must be JSON numbers of the option's kind, as a
-    flag's are parsed.
-    """
-    if isinstance(value, (list, tuple)):
-        value = [_check_value(key, v, kind) for v in value]
-    else:
-        value = [kind(v) for v in str(value).split(",") if v.strip()]
+    """A list option as a non-empty list of kind: a flag's comma-separated
+    string split, a config's checked list or the default as it is."""
+    if isinstance(value, str):
+        value = [kind(v) for v in value.split(",") if v.strip()]
     if not value:
         raise GridError("%s is empty" % key.replace("_", "-"))
-    return value
+    return list(value)
 
 
 def _check_ranges(cfg):
@@ -155,11 +163,12 @@ def _load_config(path, names):
 def _merge(args: argparse.Namespace) -> argparse.Namespace:
     """The subcommand's options: flags over the config file over the defaults.
 
-    A config value of a scalar option that is not a JSON value of its kind
-    is refused (GridError, like a flag argparse refuses); null stays allowed
-    where the default is null.  An empty list option is refused, and so are
-    a tol that is not a finite number >= 0, a non-finite reference or level,
-    samples < 0 and max_iter < 1, from a flag or a config.  Omitted options are left out.
+    A config value that is not a JSON value of its option's kind (for a list
+    option, a JSON list of its entries' kind) is refused (GridError, like a
+    flag argparse refuses); null stays allowed where the default is null.
+    An empty list option is refused, and so are a tol that is not a finite
+    number >= 0, a non-finite reference or level, samples < 0 and
+    max_iter < 1, from a flag or a config.  Omitted options are left out.
     """
     names = _COMMANDS[args.command][2]
     file_cfg = _load_config(args.config, names) if args.config else {}
@@ -169,7 +178,7 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
         value = getattr(args, key)
         if value is None:
             value = file_cfg.get(key, default)
-            if key in file_cfg and kind in (int, float, str) and (value, default) != (None, None):
+            if key in file_cfg and (value, default) != (None, None):
                 value = _check_value(key, value, kind)
         if value is _OMITTED:
             continue
@@ -192,7 +201,7 @@ class _TextSink:
 
 @contextlib.contextmanager
 def _out_sink(path):
-    """The CSV sink, a binary file: the file at path, or stdout's buffer when path is empty.
+    """The output sink, a binary file: the file at path, or stdout's buffer when path is empty.
 
     Text already written to stdout is flushed first, so it stays ahead of
     the bytes.  A stdout with no buffer takes the bytes as text.
@@ -204,12 +213,6 @@ def _out_sink(path):
         return
     with open(path, "wb") as fh:
         yield fh
-
-
-def _emit_summary(cfg, payload: dict):
-    # summary goes to stdout only when the CSV went to a file
-    if cfg.out:
-        print(json.dumps(payload, sort_keys=True))
 
 
 def _given(cfg, *names):
@@ -226,16 +229,13 @@ def _problem(cfg):
     return _lattice(cfg), make_driver(cfg.driver), make_terminal(cfg.terminal)
 
 
-def _cmd_solve(cfg) -> int:
+def _cmd_solve(cfg):
     lat, f, phi = _problem(cfg)
     sol = solve_backward(lat, f, phi, **_given(cfg, "tol", "max_iter"))
-    with _out_sink(cfg.out) as fh:
-        export_solution_csv(sol, fh)
-    _emit_summary(cfg, solution_summary(sol))
-    return 0
+    return functools.partial(export_solution_csv, sol), solution_summary(sol), 0
 
 
-def _cmd_duality(cfg) -> int:
+def _cmd_duality(cfg):
     from .duality import (
         WEAK_DUALITY_SLACK,
         dual_value,
@@ -263,35 +263,27 @@ def _cmd_duality(cfg) -> int:
     gaps = [probe_gap() for _ in range(cfg.samples)]
     # a numpy fold keeps a NaN gap from any probe
     sampled_min = float(np.min(gaps)) if gaps else None
-    with _out_sink(cfg.out) as fh:
-        export_duality_csv(sol, candidate, control, fh)
     payload = duality_summary(report)
     payload["sampled_min_gap"] = sampled_min
     payload["samples"] = cfg.samples
-    _emit_summary(cfg, payload)
     ok = report.weakly_consistent and (sampled_min is None or sampled_min >= -WEAK_DUALITY_SLACK)
-    return 0 if ok else 1
+    return functools.partial(export_duality_csv, sol, candidate, control), payload, 0 if ok else 1
 
 
-def _cmd_picard(cfg) -> int:
+def _cmd_picard(cfg):
     from .picard import export_picard_trace_csv, picard_solve
 
     lat, f, phi = _problem(cfg)
     result = picard_solve(lat, f, phi, **_given(cfg, "tol", "max_iter"))
-    with _out_sink(cfg.out) as fh:
-        export_picard_trace_csv(result, fh)
-    _emit_summary(
-        cfg,
-        {
-            "iterations": result.iterations,
-            "residual": result.final_residual,
-            "y0": result.solution.y0,
-        },
-    )
-    return 0
+    payload = {
+        "iterations": result.iterations,
+        "residual": result.final_residual,
+        "y0": result.solution.y0,
+    }
+    return functools.partial(export_picard_trace_csv, result), payload, 0
 
 
-def _cmd_converge(cfg) -> int:
+def _cmd_converge(cfg):
     from .approximation import export_refinement_csv, refinement_experiment
 
     if cfg.reference is None:
@@ -303,54 +295,44 @@ def _cmd_converge(cfg) -> int:
         reference=cfg.reference,
         **_given(cfg, "dim", "horizon", "mode", "leaf_budget"),
     )
-    with _out_sink(cfg.out) as fh:
-        export_refinement_csv(study, fh)
     order = study.fitted_order
-    _emit_summary(
-        cfg,
-        {
-            # null, not NaN, when no order is defined: one grid, or an error that vanishes
-            "fitted_order": order if math.isfinite(order) else None,
-            "errors_decreasing": study.errors_decreasing,
-            "final_error": study.rows[-1][2],
-        },
-    )
-    return 0 if study.errors_decreasing else 1
+    payload = {
+        # null, not NaN, when no order is defined: one grid, or an error that vanishes
+        "fitted_order": order if math.isfinite(order) else None,
+        "errors_decreasing": study.errors_decreasing,
+        "final_error": study.rows[-1][2],
+    }
+    code = 0 if study.errors_decreasing else 1
+    return functools.partial(export_refinement_csv, study), payload, code
 
 
-def _cmd_approx(cfg) -> int:
+def _cmd_approx(cfg):
     from .approximation import export_ladder_csv, monotone_limit_experiment
 
     ladder = monotone_limit_experiment(*_problem(cfg), **_given(cfg, "levels"))
-    with _out_sink(cfg.out) as fh:
-        export_ladder_csv(ladder, fh)
-    _emit_summary(
-        cfg,
-        {
-            "monotone": ladder.monotone,
-            "increments_decreasing": ladder.increments_decreasing,
-            "cauchy_uniform": ladder.cauchy_uniform,
-            "levels": len(ladder.rows),
-        },
-    )
-    return 0 if ladder.monotone and ladder.increments_decreasing else 1
+    payload = {
+        "monotone": ladder.monotone,
+        "increments_decreasing": ladder.increments_decreasing,
+        "cauchy_uniform": ladder.cauchy_uniform,
+        "levels": len(ladder.rows),
+    }
+    code = 0 if ladder.monotone and ladder.increments_decreasing else 1
+    return functools.partial(export_ladder_csv, ladder), payload, code
 
 
-def _cmd_verify(cfg) -> int:
+def _cmd_verify(cfg):
     from .verify import SamplingPlan, verify_driver_properties, verify_walk_conditions
 
     walk = verify_walk_conditions(_lattice(cfg))
     plan = SamplingPlan(seed=cfg.seed, **_given(cfg, "dim", "horizon"))
     driver = verify_driver_properties(make_driver(cfg.driver), plan)
     text = "%s\n%s\n" % (walk, driver)
-    with _out_sink(cfg.out) as fh:
-        fh.write(text.encode("ascii"))
-    if cfg.out:
-        sys.stdout.write(text)
-    return 0 if walk.passed and driver.passed else 1
+    code = 0 if walk.passed and driver.passed else 1
+    return lambda fh: fh.write(text.encode("ascii")), text, code
 
 
-# each subcommand: its function, its help and the options it reads
+# each subcommand: its function (options to writer, summary and exit code),
+# its help and the options it reads
 _COMMANDS = {
     "solve": (_cmd_solve, "solve and export the triple", _SOLVE),
     "duality": (_cmd_duality, "dual certificate and gap", _SOLVE + ("samples", "seed")),
@@ -370,7 +352,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge(args)
-        return _COMMANDS[args.command][0](cfg)
+        write, summary, code = _COMMANDS[args.command][0](cfg)
+        with _out_sink(cfg.out) as fh:
+            write(fh)
+        if cfg.out:
+            # the summary goes to stdout only when the output went to a file
+            if not isinstance(summary, str):
+                summary = json.dumps(summary, sort_keys=True) + "\n"
+            sys.stdout.write(summary)
+        return code
     except (ConvergenceError, AdmissibilityError, ValidationError) as exc:
         print("property failure: %s" % exc, file=sys.stderr)
         return 1

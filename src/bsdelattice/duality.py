@@ -41,6 +41,7 @@ from .lattice import PathLattice, _sum_columns
 from .probability import (
     AdaptedProcess,
     ControlProcess,
+    difference_extremes,
     left_process,
     predictable_process,
     tilted_expectation,
@@ -187,13 +188,7 @@ def duality_gap(
     A NaN gap anywhere makes min_gap and max_gap NaN, which is never weakly
     consistent.
     """
-    lows, highs = [], []  # each slice's gap min and max, one gap array at a time
-    for ys, rs in zip(sol.Y.slices, candidate.slices):
-        g = ys - rs
-        lows.append(np.min(g))
-        highs.append(np.max(g))
-    min_gap = float(np.min(lows))
-    max_gap = float(np.max(highs))
+    min_gap, max_gap = difference_extremes(sol.Y.slices, candidate.slices)
     return DualityReport(
         root_primal=sol.y0,
         root_dual=float(candidate.slices[0][0]),
@@ -206,7 +201,7 @@ def duality_gap(
 
 def comparison_minimum(low: SolutionTriple, high: SolutionTriple) -> float:
     """min over nodes of high Y minus low Y (>= 0 when comparison applies); NaN if any is NaN."""
-    return float(np.min([np.min(hi - lo) for lo, hi in zip(low.Y.slices, high.Y.slices)]))
+    return difference_extremes(high.Y.slices, low.Y.slices)[0]
 
 
 def export_duality_csv(

@@ -189,3 +189,19 @@ class ControlProcess:
     def admissibility_margin(self) -> float:
         """min over all edges of 1 + mu . dW (admissible iff > 0); NaN if any weight is."""
         return float(np.min(self._mins))
+
+
+# -- folds over slices -------------------------------------------------------
+
+
+def difference_extremes(a_slices, b_slices):
+    """(min, max) of a - b over every node of the paired slices, one slice at a time.
+
+    numpy folds the per-slice extremes, so a NaN difference reaches both.
+    """
+    lows, highs = [], []
+    for a, b in zip(a_slices, b_slices):
+        d = a - b
+        lows.append(np.min(d))
+        highs.append(np.max(d))
+    return float(np.min(lows)), float(np.max(highs))

@@ -276,7 +276,18 @@ def test_verify_prints_the_str_of_its_reports(capsys, driver, code):
     assert len(text.splitlines()) == 11
 
 
-@pytest.mark.parametrize("argv", [["solve", "--steps", "2"], ["verify", "--steps", "4", "--dim", "2"]])
+# a small run of each subcommand that exits 0
+_RUNS = [
+    ["solve", "--steps", "2"],
+    ["verify", "--steps", "4", "--dim", "2"],
+    ["duality", "--steps", "2", "--samples", "1"],
+    ["picard", "--steps", "2"],
+    ["converge", "--steps-list", "4", "--reference", "1"],
+    ["approx", "--steps", "2", "--levels", "1,2"],
+]
+
+
+@pytest.mark.parametrize("argv", _RUNS)
 def test_stdout_without_a_buffer_takes_the_bytes_as_text(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 0
@@ -285,6 +296,18 @@ def test_stdout_without_a_buffer_takes_the_bytes_as_text(tmp_path, capsys, argv)
     with contextlib.redirect_stdout(text):
         assert run(argv) == 0
     assert text.getvalue().encode("ascii") == out.read_bytes()
+
+
+@pytest.mark.parametrize("argv", _RUNS, ids=[argv[0] for argv in _RUNS])
+def test_with_out_the_summary_is_printed_once(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    if argv[0] == "verify":
+        assert text.encode("ascii") == out.read_bytes()
+    else:
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert isinstance(json.loads(text, parse_constant=_reject_constant), dict)
 
 
 @pytest.mark.parametrize(
@@ -403,12 +426,25 @@ def test_picard_sweep_cap_is_max_iter(capsys):
     assert "did not reach tol=0 in 3 sweeps" in capsys.readouterr().err
 
 
-def test_levels_config_null_is_an_input_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv,key,value",
+    [
+        pytest.param(argv, key, value, id="%s=%s" % (key, json.dumps(value)))
+        for argv, key, value in [
+            (["approx", "--steps", "3"], "levels", None),
+            # a bare entry ran one grid, and a string ran the grids it names
+            (["converge", "--reference", "1"], "steps_list", 10),
+            (["converge", "--reference", "1"], "steps_list", "10,20"),
+        ]
+    ],
+)
+def test_levels_config_null_is_an_input_error(tmp_path, capsys, argv, key, value):
+    # a config entry of a list option is a JSON list; only a flag is comma-separated
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"levels": None}))
+    cfg.write_text(json.dumps({key: value}))
     out = tmp_path / "out.csv"
-    assert run(["approx", "--steps", "3", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "input error" in capsys.readouterr().err
+    assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert "input error: %s must be a list" % key.replace("_", "-") in capsys.readouterr().err
     assert not out.exists()
 
 
