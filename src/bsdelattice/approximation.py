@@ -27,7 +27,8 @@ from .drivers import DriverSpec, TerminalFunctional
 from .errors import ConvergenceError, GridError
 from .lattice import build_lattice
 from .probability import difference_extremes
-from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, _backward_sweep, bmo_estimate, solve_backward
+from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, _backward_sweep, _write_table, bmo_estimate
+from .solver import solve_backward
 
 
 def _shift_min(value, x, final, n, mags):
@@ -149,7 +150,13 @@ def monotone_limit_experiment(
     phi: TerminalFunctional,
     levels=(1, 2, 4, 8, 16),
 ) -> ApproximationLadder:
-    """Solve along the regularization ladder of phi and report monotonicity."""
+    """Solve along the regularization ladder of phi and report monotonicity;
+    GridError for an empty levels or a non-finite level, before any solve."""
+    if len(levels) == 0:
+        raise GridError("levels is empty")
+    for n in levels:
+        if not math.isfinite(n):
+            raise GridError("levels must be finite numbers, got %r" % (n,))
     terminals = [inf_convolution(phi, n) for n in levels]
     labels = ["n=%g" % n for n in levels]
     return _run_ladder(lattice, f, terminals, labels)
@@ -201,9 +208,14 @@ def refinement_experiment(
     fewer than two grids are given.
 
     Grid N is build_lattice(N, mode=mode, **lattice): dim, horizon and
-    leaf_budget keep build_lattice's own defaults unless given.
+    leaf_budget keep build_lattice's own defaults unless given.  A non-finite
+    reference or an empty steps_list raises GridError before any grid.
     """
     study = RefinementStudy(reference=float(reference))
+    if not math.isfinite(study.reference):
+        raise GridError("reference must be a finite number, got %r" % (study.reference,))
+    if len(steps_list) == 0:
+        raise GridError("steps_list is empty")
     for steps in steps_list:
         lat = build_lattice(int(steps), mode=mode, **lattice)
         for _, y, _, _, _, _ in _backward_sweep(lat, f, phi, DEFAULT_TOL, DEFAULT_MAX_ITER):
@@ -222,24 +234,11 @@ def refinement_experiment(
 
 def export_ladder_csv(ladder: ApproximationLadder, fileobj):
     """Rows level,Y0,sup_increment,bmo,cauchy_bound_ok, one per level, to a binary file."""
-    rows = ["level,Y0,sup_increment,bmo,cauchy_bound_ok\n"]
-    for row in ladder.rows:
-        rows.append(
-            "%s,%.17g,%s,%.17g,%s\n"
-            % (
-                row.level,
-                row.y0,
-                "" if row.sup_increment is None else "%.17g" % row.sup_increment,
-                row.bmo,
-                "" if row.cauchy_ok is None else str(int(row.cauchy_ok)),
-            )
-        )
-    fileobj.write("".join(rows).encode("ascii"))
+    rows = [(r.level, r.y0, r.sup_increment, r.bmo, r.cauchy_ok) for r in ladder.rows]
+    _write_table(fileobj, ("level", "Y0", "sup_increment", "bmo", "cauchy_bound_ok"), rows)
 
 
 def export_refinement_csv(study: RefinementStudy, fileobj):
     """Rows N,Y0,error,fitted_order, one per grid, to a binary file."""
-    rows = ["N,Y0,error,fitted_order\n"]
-    for steps, y0, err in study.rows:
-        rows.append("%d,%.17g,%.17g,%.17g\n" % (steps, y0, err, study.fitted_order))
-    fileobj.write("".join(rows).encode("ascii"))
+    rows = [(*row, study.fitted_order) for row in study.rows]
+    _write_table(fileobj, ("N", "Y0", "error", "fitted_order"), rows)

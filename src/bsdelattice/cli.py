@@ -8,12 +8,15 @@ hyphens); explicit flags win over the config, the config wins over
 defaults, and a flag or config key the subcommand does not read is an
 input error.  An option whose library keyword has a default of its own is
 passed on only when given, so that default is declared once, where it is read.
+The CLI parses and checks kinds; the library function that reads a value
+checks its range (GridError), except for duality's --samples, read only here.
 
 Each subcommand is a function of its options that does no I/O: it returns
 the writer of its output, its summary and its exit code, and main writes
-every run's output in one place.  The output (a CSV, or verify's report)
-goes to --out, or to stdout when --out is omitted; with --out, the summary
-is then printed on stdout: one line of JSON, or verify's report text.
+each run's output once the subcommand has returned, so a refused run
+writes no file.  The output (a CSV, or verify's report) goes to --out, or
+to stdout when --out is omitted; with --out, the summary is then printed
+on stdout: one line of JSON, or verify's report text.
 
 The package loads its core modules (lattice, drivers, solver) with this
 one; every other subcommand imports its own module when it runs, so a
@@ -104,34 +107,6 @@ def _check_value(key, value, kind):
         ) from None
 
 
-def _parse_list(key, value, kind):
-    """A list option as a non-empty list of kind: a flag's comma-separated
-    string split, a config's checked list or the default as it is."""
-    if isinstance(value, str):
-        value = [kind(v) for v in value.split(",") if v.strip()]
-    if not value:
-        raise GridError("%s is empty" % key.replace("_", "-"))
-    return list(value)
-
-
-def _check_ranges(cfg):
-    """GridError for a tol that is not a finite number >= 0, a non-finite
-    reference or level, samples < 0 or max_iter < 1."""
-    tol = cfg.get("tol")
-    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
-        raise GridError("tol must be a finite number >= 0, got %r" % (tol,))
-    reference = cfg.get("reference")
-    if reference is not None and not math.isfinite(reference):
-        raise GridError("reference must be a finite number, got %r" % (reference,))
-    for level in cfg.get("levels", ()):
-        if not math.isfinite(level):
-            raise GridError("levels must be finite numbers, got %r" % (level,))
-    if cfg.get("samples", 0) < 0:
-        raise GridError("samples must be >= 0, got %r" % (cfg["samples"],))
-    if cfg.get("max_iter", 1) < 1:
-        raise GridError("max-iter must be >= 1, got %r" % (cfg["max_iter"],))
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bsdelattice",
@@ -166,9 +141,9 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
     A config value that is not a JSON value of its option's kind (for a list
     option, a JSON list of its entries' kind) is refused (GridError, like a
     flag argparse refuses); null stays allowed where the default is null.
-    An empty list option is refused, and so are a tol that is not a finite
-    number >= 0, a non-finite reference or level, samples < 0 and
-    max_iter < 1, from a flag or a config.  Omitted options are left out.
+    Only kinds are checked here: a value's range (an empty list, a tol that
+    is not a finite number >= 0, max_iter < 1, ...) is checked by the
+    library function that reads it.  Omitted options are left out.
     """
     names = _COMMANDS[args.command][2]
     file_cfg = _load_config(args.config, names) if args.config else {}
@@ -182,10 +157,10 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
                 value = _check_value(key, value, kind)
         if value is _OMITTED:
             continue
-        if isinstance(kind, list):
-            value = _parse_list(key, value, kind[0])
+        if isinstance(kind, list) and isinstance(value, str):
+            # a flag's comma-separated list; a config's is a checked JSON list
+            value = [kind[0](v) for v in value.split(",") if v.strip()]
         cfg[key] = value
-    _check_ranges(cfg)
     return argparse.Namespace(**cfg)
 
 
@@ -236,6 +211,8 @@ def _cmd_solve(cfg):
 
 
 def _cmd_duality(cfg):
+    if cfg.samples < 0:
+        raise GridError("samples must be >= 0, got %r" % (cfg.samples,))
     from .duality import (
         WEAK_DUALITY_SLACK,
         dual_value,

@@ -78,14 +78,16 @@ def dual_value(
     written, so one array can serve every candidate of a solve.  A length
     other than the terminal node count raises StructuralError.  One step
     back solves r = E^mu[R_{i+1} | node] - g(r, mu) dt, g the z-conjugate,
-    with the backward solve's fixed point and bisection fallback;
-    ConvergenceError names the slice where both miss tol.  The conjugate is
-    f.bound_conjugate: the declared closed form, else the search-based one.
-    A NaN tilted expectation, conjugate or
-    candidate value raises ConvergenceError naming the slice and node.  The
+    with the backward solve's fixed point and bisection fallback and its
+    range check of tol and max_iter (GridError); ConvergenceError names the
+    slice where both miss tol.  The conjugate is f.bound_conjugate: the
+    declared closed form, else the search-based one.  A NaN tilted
+    expectation, conjugate or candidate value raises ConvergenceError
+    naming the slice and node.  The
     conjugate of step i is taken at t_{i+1}, where the solve evaluates the
     driver, so a time-dependent driver's candidate is dual to its solve too.
     """
+    n_iter = _iterates(f, tol, max_iter)
     check_step_size(f, lattice.grid)
     control.check_admissible()
     n_leaves = lattice.node_count(lattice.steps)
@@ -102,7 +104,6 @@ def dual_value(
         g = f.bound_conjugate(t, w, m)  # m's work once per slice
         return lambda y: -g(y)
 
-    n_iter = _iterates(f, max_iter)
     for i in range(lattice.steps - 1, -1, -1):
         e_mu = tilted_expectation(lattice, i, r_next, control.step_weights(i))
         _check_no_nan(e_mu, i, "the tilted expectation")

@@ -50,7 +50,9 @@ from .probability import (
 from .solver import (
     SolutionTriple,
     SolveInfo,
+    _iterates,
     _slice_driver,
+    _write_table,
     check_step_size,
     terminal_values,
 )
@@ -194,12 +196,13 @@ def picard_solve(
     """Iterate from the zero triple until the stopping rule fires.
 
     Runs on both lattice layouts, under the solve's conditions on the driver
-    and the terminal.  Raises ConvergenceError when neither the triple
-    distance nor the implicit residual gets strictly below tol within max_iter
-    sweeps (a tol of 0 can never be reached and always exhausts the budget),
-    and at once, naming the sweep and the slice, when a sweep's implicit
-    residual is NaN.
+    and the terminal and its range check of tol and max_iter (GridError).
+    Raises ConvergenceError when neither the triple distance nor the
+    implicit residual gets strictly below tol within max_iter sweeps (a tol
+    of 0 can never be reached and always exhausts the budget), and at once,
+    naming the sweep and the slice, when a sweep's implicit residual is NaN.
     """
+    _iterates(f, tol, max_iter)
     check_step_size(f, lattice.grid)
     xi = terminal_values(lattice, phi)
     state = zero_state(lattice)
@@ -231,7 +234,5 @@ def picard_solve(
 
 def export_picard_trace_csv(result: PicardResult, fileobj):
     """Rows p,dY_sup,dZ_l2,dM_sup, one per sweep, to a binary file."""
-    rows = ["p,dY_sup,dZ_l2,dM_sup\n"]
-    for row in result.trace:
-        rows.append("%d,%.17g,%.17g,%.17g\n" % (row.p, row.dY_sup, row.dZ_l2, row.dM_sup))
-    fileobj.write("".join(rows).encode("ascii"))
+    rows = [(row.p, row.dY_sup, row.dZ_l2, row.dM_sup) for row in result.trace]
+    _write_table(fileobj, ("p", "dY_sup", "dZ_l2", "dM_sup"), rows)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drivers import DriverSpec, RunningFunctional, TerminalFunctional
-from .errors import ConvergenceError, StepSizeError, StructuralError
+from .errors import ConvergenceError, GridError, StepSizeError, StructuralError
 from .lattice import PathLattice, TimeGrid, _sum_columns, gather_children
 from .probability import (
     AdaptedProcess,
@@ -186,22 +186,29 @@ def check_step_size(f: DriverSpec, grid: TimeGrid):
 DEFAULT_TOL, DEFAULT_MAX_ITER = 1e-12, 200
 
 
-def _iterates(f: DriverSpec, max_iter: int) -> int:
-    """Fixed-point iterates of an implicit step: one for a y-free driver, whose first is exact."""
+def _iterates(f: DriverSpec, tol, max_iter: int) -> int:
+    """Fixed-point iterates of an implicit step: one for a y-free driver, whose first is exact.
+
+    GridError unless tol is a finite number >= 0 and max_iter >= 1."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise GridError("tol must be a finite number >= 0, got %r" % (tol,))
+    if max_iter < 1:
+        raise GridError("max_iter must be >= 1, got %r" % (max_iter,))
     return 1 if f.y_dependence == "none" else max_iter
 
 
 def _backward_sweep(lattice: PathLattice, f: DriverSpec, phi: TerminalFunctional, tol, max_iter):
     """Yield the slices of the backward solve, terminal first, one at a time.
 
-    Checks the step size and the recombining w-dependence, evaluates the
-    terminal and yields (N, xi, None, 0, 0, 0.0); then, for i = N-1..0,
-    yields (i, y, z, iterations, bisected nodes, worst residual) of slice i.
+    Checks tol, max_iter, the step size and the recombining w-dependence,
+    evaluates the terminal and yields (N, xi, None, 0, 0, 0.0); then, for
+    i = N-1..0, yields (i, y, z, iterations, bisected nodes, worst residual).
     Only the slice being solved and the slice it is solved from are held
     here, so a caller that keeps the latest y alone holds O(one slice).
     Kept private: perfbench/tracer.py wraps every public function, and the
     span of a wrapped generator would close before its body runs.
     """
+    n_iter = _iterates(f, tol, max_iter)
     grid = lattice.grid
     check_step_size(f, grid)
     if lattice.mode == "recombining" and f.w_dependence != "none":
@@ -209,7 +216,6 @@ def _backward_sweep(lattice: PathLattice, f: DriverSpec, phi: TerminalFunctional
     y_next = terminal_values(lattice, phi)
     yield grid.steps, y_next, None, 0, 0, 0.0
     dt = grid.dt
-    n_iter = _iterates(f, max_iter)
     for i in range(grid.steps - 1, -1, -1):
         mean, z = martingale_projection(lattice, i, y_next)
         bind = _slice_driver(lattice, f, i)
@@ -230,12 +236,13 @@ def solve_backward(
 ) -> SolutionTriple:
     """Solve the backward dynamics on the lattice; returns the triple with Y and Z.
 
-    Requires K*dt < 1 so the per-node implicit equation is a contraction
-    (StepSizeError otherwise, naming a sufficient N).  In recombining mode the
-    driver must be w-independent and the terminal a function of the final
-    value.  The fixed point is iterated to an implicit-equation residual below
-    tol, with a monotone-bisection fallback; ConvergenceError reports the
-    worst residual if both fail.
+    Requires a finite tol >= 0 and max_iter >= 1 (GridError otherwise) and
+    K*dt < 1, so that the per-node implicit equation is a contraction
+    (StepSizeError otherwise, naming a sufficient N).  In recombining mode
+    the driver must be w-independent and the terminal a function of the
+    final value.  The fixed point is iterated to an implicit-equation
+    residual below tol, with a monotone-bisection fallback; ConvergenceError
+    reports the worst residual if both fail.
     """
     info = SolveInfo(driver_name=f.name, terminal_name=phi.name)
     y_slices = [None] * (lattice.steps + 1)
@@ -685,6 +692,20 @@ def export_solution_csv(sol: SolutionTriple, fileobj):
             yield [sol.Y.slices[i]] + z_cols + [dm_col]
 
     _write_rows(fileobj, ",", slices())
+
+
+def _write_table(fileobj, header, rows):
+    """Header and rows to a binary file: a cell None empty, a str as is, an int '%d', else '%.17g'."""
+
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, str):
+            return v
+        return ("%d" if isinstance(v, int) else "%.17g") % v
+
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
+    fileobj.write(("\n".join(lines) + "\n").encode("ascii"))
 
 
 def solution_summary(sol: SolutionTriple) -> dict:

@@ -617,7 +617,7 @@ def test_samples_and_max_iter_below_their_range(tmp_path, capsys, argv, key, val
     else:
         argv = argv + ["--" + key.replace("_", "-"), str(value)]
     assert run(argv + ["--out", str(out)]) == 2
-    assert "input error: %s must be >=" % key.replace("_", "-") in capsys.readouterr().err
+    assert "input error: %s must be >=" % key in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,17 +7,36 @@ edges they need, and each asserts that its edges fall where it says: inside
 a slice, on a slice's last row, between node ids of different digit counts,
 and next to empty fields.  The bytes must equal those of the oracles, which
 format one value at a time.
+
+The three small tables (the regularization ladder, the refinement study and
+the Picard trace) share solver._write_table; their bytes are pinned as
+literal text.  Last, the benchmark's solve invocations run as child
+processes, as perfbench/run.py runs them, and their CSVs must have one of
+the sha256 digests recorded in perfbench/digests.json.
 """
 
+import importlib.util
 import io
+import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bsdelattice import solver
+from bsdelattice.approximation import (
+    ApproximationLadder,
+    LadderRow,
+    RefinementStudy,
+    export_ladder_csv,
+    export_refinement_csv,
+)
 from bsdelattice.drivers import make_driver, make_terminal
 from bsdelattice.duality import dual_value, export_duality_csv, optimal_control
 from bsdelattice.lattice import build_lattice
+from bsdelattice.picard import PicardResult, TraceRow, export_picard_trace_csv
 from bsdelattice.probability import left_process, predictable_process
 from bsdelattice.solver import SolutionTriple, export_solution_csv, solve_backward
 
@@ -220,3 +239,72 @@ def test_the_widest_numbers_fill_their_fields():
     text = got.getvalue().decode()
     assert oracles.first_difference(text, want.getvalue()) is None
     assert max(len(f) for f in text.replace("\n", ",").split(",")) == solver._NUMBER_BYTES
+
+
+def _csv(export, result):
+    buf = io.BytesIO()
+    export(result, buf)
+    return buf.getvalue()
+
+
+def test_ladder_csv_bytes():
+    # the first level has no increment: its sup_increment and cauchy_bound_ok are empty
+    ladder = ApproximationLadder(
+        rows=[
+            LadderRow("n=1", 0.1, 2.0),
+            LadderRow("n=2", 1 / 3, 0.0, sup_increment=2.5e-20, cauchy_ok=True),
+        ],
+        monotone=True,
+        increments_decreasing=True,
+        cauchy_uniform=True,
+    )
+    assert _csv(export_ladder_csv, ladder) == (
+        b"level,Y0,sup_increment,bmo,cauchy_bound_ok\n"
+        b"n=1,0.10000000000000001,,2,\n"
+        b"n=2,0.33333333333333331,2.4999999999999999e-20,0,1\n"
+    )
+
+
+def test_one_grid_refinement_csv_bytes():
+    # one grid fits no order: fitted_order stays nan
+    study = RefinementStudy(rows=[(10, 4.4, abs(4.4 - (2 * math.e - 1)))], reference=2 * math.e - 1)
+    assert _csv(export_refinement_csv, study) == (
+        b"N,Y0,error,fitted_order\n"
+        b"10,4.4000000000000004,0.036563656918089826,nan\n"
+    )
+
+
+def test_picard_trace_csv_bytes():
+    trace = [TraceRow(1, 1.5, 0.1, -2.0), TraceRow(2, 1e-17, 0.0, math.inf)]
+    assert _csv(export_picard_trace_csv, PicardResult(solution=None, trace=trace, iterations=2)) == (
+        b"p,dY_sup,dZ_l2,dM_sup\n"
+        b"1,1.5,0.10000000000000001,-2\n"
+        b"2,1.0000000000000001e-17,0,inf\n"
+    )
+
+
+def _perfbench(name):
+    """perfbench/<name>.py as a module; the benchmark directory is no package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / (name + ".py")
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_RUN, BENCH_WORKLOADS = _perfbench("run"), _perfbench("workloads")
+BENCH_SOLVES = BENCH_WORKLOADS.WORKLOADS["solve-export"]["bench"]
+
+
+@pytest.mark.parametrize("inv", BENCH_SOLVES, ids=[inv.label for inv in BENCH_SOLVES])
+def test_benchmark_solves_write_recorded_bytes(tmp_path, inv):
+    # a CSV byte that moves fails every solve-export invocation of the benchmark
+    recorded = BENCH_WORKLOADS.DIGESTS["solve-export"]["bench"][inv.label]
+    family = BENCH_RUN.openblas_core()
+    if family not in recorded:
+        pytest.skip("no digest recorded for OpenBLAS kernel family %r" % (family,))
+    out = tmp_path / (inv.label + ".csv")
+    argv = [sys.executable, "-m", "bsdelattice.cli"] + BENCH_RUN.cli_argv(inv, 1, out)
+    subprocess.run(argv, env=BENCH_RUN._child_env(), capture_output=True, timeout=300, check=True)
+    assert BENCH_WORKLOADS.file_digest(out) in recorded.values()

@@ -1,0 +1,99 @@
+"""Input ranges, refused by the library function that reads each value.
+
+A tol that is not a finite number >= 0, a max_iter below 1, a reference
+that is not finite, and an empty or non-finite list of grids or levels
+each raise GridError naming the value, before any terminal is evaluated:
+the terminal used here fails the test when it is read.
+"""
+
+import math
+
+import pytest
+
+from bsdelattice.approximation import monotone_limit_experiment, refinement_experiment
+from bsdelattice.drivers import TerminalFunctional, make_driver, make_terminal
+from bsdelattice.duality import dual_value, optimal_control
+from bsdelattice.errors import GridError
+from bsdelattice.lattice import build_lattice
+from bsdelattice.picard import picard_solve
+from bsdelattice.solver import solve_backward
+
+
+def _unread(x):
+    raise AssertionError("the terminal was evaluated")
+
+
+UNREAD = TerminalFunctional(name="unread", terminal_map=_unread)
+
+_ITERATION = [
+    ({"tol": math.nan}, "tol must be a finite number >= 0, got nan"),
+    ({"tol": math.inf}, "tol must be a finite number >= 0, got inf"),
+    ({"tol": -1e-300}, "tol must be a finite number >= 0, got -1e-300"),
+    ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+    ({"max_iter": -5}, "max_iter must be >= 1, got -5"),
+]
+_IDS = ["%s=%r" % next(iter(keywords.items())) for keywords, _ in _ITERATION]
+
+
+@pytest.mark.parametrize("keywords,message", _ITERATION, ids=_IDS)
+@pytest.mark.parametrize("driver", ["linear:1,1", "zero"])
+def test_solve_refuses_tol_and_max_iter(keywords, message, driver):
+    # tol=nan ran the 200-iterate cap on every slice, and max_iter 0 or -5
+    # bisected all 63 nodes of full N=6; both returned a solution
+    with pytest.raises(GridError) as err:
+        solve_backward(build_lattice(6), make_driver(driver), UNREAD, **keywords)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("keywords,message", _ITERATION, ids=_IDS)
+def test_dual_value_refuses_tol_and_max_iter(keywords, message):
+    # tol=nan returned a candidate value
+    lat = build_lattice(4)
+    f = make_driver("linear:1,1")
+    sol = solve_backward(lat, f, make_terminal("endpoint"))
+    with pytest.raises(GridError) as err:
+        dual_value(lat, f, sol.Y.slices[-1], optimal_control(sol, f), **keywords)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("keywords,message", _ITERATION, ids=_IDS)
+def test_picard_refuses_tol_and_max_iter(keywords, message):
+    # max_iter=0 and tol=nan ended as a ConvergenceError after 0 or 200 sweeps
+    with pytest.raises(GridError) as err:
+        picard_solve(build_lattice(4), make_driver("linear:1,1"), UNREAD, **keywords)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "steps_list,reference,message",
+    [
+        ((10, 20), math.nan, "reference must be a finite number, got nan"),
+        ((10, 20), -math.inf, "reference must be a finite number, got -inf"),
+        ((), 1.0, "steps_list is empty"),
+        ([], math.nan, "reference must be a finite number, got nan"),
+    ],
+    ids=["reference=nan", "reference=-inf", "no-grid", "no-grid-reference=nan"],
+)
+def test_refinement_refuses_its_reference_and_an_empty_grid_list(steps_list, reference, message):
+    # reference=nan returned NaN errors; no grid at all reported errors_decreasing
+    with pytest.raises(GridError) as err:
+        refinement_experiment(make_driver("linear:1,1"), UNREAD, steps_list, reference=reference)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "levels,message",
+    [
+        ((1, math.inf), "levels must be finite numbers, got inf"),
+        ([math.nan, -1.0], "levels must be finite numbers, got nan"),
+        ((-1.0, math.nan), "levels must be finite numbers, got nan"),
+        ((), "levels is empty"),
+    ],
+    ids=["1,inf", "nan,-1", "-1,nan", "no-level"],
+)
+def test_ladder_refuses_an_empty_or_non_finite_level_list(levels, message):
+    # levels (1, inf) reported monotone False; no level at all reported
+    # monotone and increments_decreasing
+    with pytest.raises(GridError) as err:
+        monotone_limit_experiment(build_lattice(4), make_driver("quadratic"), UNREAD, levels=levels)
+    assert str(err.value) == message
