@@ -65,12 +65,12 @@ def inf_convolution(phi: TerminalFunctional, n: float) -> TerminalFunctional:
     result is Markov too (its path form reads the final value), so both
     layouts see the same numbers.  When n is at least phi's declared
     Lipschitz constant every candidate is at least phi, and phi itself
-    (running form included) is returned.  A level that is not positive, NaN
-    included, raises GridError.
+    (running form included) is returned.  A level that is not a finite
+    number > 0 raises GridError (inf * 0 would read NaN at a zero shift).
     """
     n = float(n)
-    if not n > 0:
-        raise GridError("regularization level must be positive, got %g" % n)
+    if not (n > 0 and math.isfinite(n)):
+        raise GridError("regularization level must be positive and finite, got %g" % n)
     if phi.lipschitz is not None and phi.lipschitz <= n:
         return phi
     radius = 2.0 * (phi.bound if phi.bound is not None else 1.0)
@@ -112,7 +112,9 @@ class ApproximationLadder:
 
 
 def _run_ladder(lattice, f: DriverSpec, terminals, labels) -> ApproximationLadder:
-    """Solve the levels in turn; a level is compared with the previous one's Y only."""
+    """Solve the levels in turn, each compared with the previous one's Y only; GridError if none."""
+    if len(terminals) == 0:
+        raise GridError("levels is empty")
     growth = math.exp(f.lipschitz_wy * lattice.grid.horizon)
     rows = []
     prev_y = None
@@ -151,29 +153,19 @@ def monotone_limit_experiment(
     levels=(1, 2, 4, 8, 16),
 ) -> ApproximationLadder:
     """Solve along the regularization ladder of phi and report monotonicity;
-    GridError for an empty levels or a non-finite level, before any solve."""
-    if len(levels) == 0:
-        raise GridError("levels is empty")
-    for n in levels:
-        if not math.isfinite(n):
-            raise GridError("levels must be finite numbers, got %r" % (n,))
+    every level goes through inf_convolution's check before any solve."""
     terminals = [inf_convolution(phi, n) for n in levels]
-    labels = ["n=%g" % n for n in levels]
-    return _run_ladder(lattice, f, terminals, labels)
+    return _run_ladder(lattice, f, terminals, ["n=%g" % n for n in levels])
 
 
-def uniform_limit_experiment(
-    lattice, f: DriverSpec, terminals, labels=None
-) -> ApproximationLadder:
-    """Cauchy ladder over an arbitrary terminal sequence.
+def uniform_limit_experiment(lattice, f: DriverSpec, terminals) -> ApproximationLadder:
+    """Cauchy ladder over an arbitrary terminal sequence, labelled level=0, 1, ...
 
     Checks each successive value distance against exp(K T) times the terminal
     sup distance; with a y-independent driver that bound is exact up to
     rounding, so cauchy_uniform should come back True.
     """
-    if labels is None:
-        labels = ["level=%d" % j for j in range(len(terminals))]
-    return _run_ladder(lattice, f, terminals, labels)
+    return _run_ladder(lattice, f, terminals, ["level=%d" % j for j in range(len(terminals))])
 
 
 @dataclass

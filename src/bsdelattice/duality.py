@@ -31,7 +31,7 @@ ConvergenceError at the first slice that holds one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,8 +46,8 @@ from .probability import (
     predictable_process,
     tilted_expectation,
 )
-from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, SolutionTriple, _implicit_step, _iterates
-from .solver import _slice_driver, _write_rows, check_step_size
+from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, SolutionTriple, _check_problem, _implicit_step
+from .solver import _slice_driver, _write_rows
 
 # the most negative gap that still counts as weak duality: rounding, not a refutation
 WEAK_DUALITY_SLACK = 1e-9
@@ -78,17 +78,16 @@ def dual_value(
     written, so one array can serve every candidate of a solve.  A length
     other than the terminal node count raises StructuralError.  One step
     back solves r = E^mu[R_{i+1} | node] - g(r, mu) dt, g the z-conjugate,
-    with the backward solve's fixed point and bisection fallback and its
-    range check of tol and max_iter (GridError); ConvergenceError names the
-    slice where both miss tol.  The conjugate is f.bound_conjugate: the
-    declared closed form, else the search-based one.  A NaN tilted
-    expectation, conjugate or candidate value raises ConvergenceError
-    naming the slice and node.  The
-    conjugate of step i is taken at t_{i+1}, where the solve evaluates the
-    driver, so a time-dependent driver's candidate is dual to its solve too.
+    with the backward solve's fixed point and bisection fallback, under its
+    conditions (solver._check_problem, before anything is evaluated);
+    ConvergenceError names the slice where both miss tol.  The conjugate is
+    f.bound_conjugate: the declared closed form, else the search-based one.
+    A NaN tilted expectation, conjugate or candidate value raises
+    ConvergenceError naming the slice and node.  The conjugate of step i is
+    taken at t_{i+1}, where the solve evaluates the driver, so a
+    time-dependent driver's candidate is dual to its solve too.
     """
-    n_iter = _iterates(f, tol, max_iter)
-    check_step_size(f, lattice.grid)
+    n_iter = _check_problem(lattice, f, tol, max_iter)
     control.check_admissible()
     n_leaves = lattice.node_count(lattice.steps)
     if np.shape(xi) != (n_leaves,):
@@ -230,12 +229,4 @@ def export_duality_csv(
 
 
 def duality_summary(report: DualityReport) -> dict:
-    return {
-        "root_primal": report.root_primal,
-        "root_dual": report.root_dual,
-        "root_gap": report.root_gap,
-        "min_gap": report.min_gap,
-        "max_gap": report.max_gap,
-        "margin": report.margin,
-        "weakly_consistent": report.weakly_consistent,
-    }
+    return {**asdict(report), "weakly_consistent": report.weakly_consistent}

@@ -19,7 +19,7 @@ component over a uniform time grid t_i = i*T/N.  Two layouts are supported:
 Values attached to a slice are numpy arrays in node order.  gather_children
 is the one place that turns the layout into per-parent child arrays; every
 backward recursion goes through it.  On the recombining layout it copies the
-2**d shifted grid slices of slice i+1 into one preallocated block.
+2**d shifted grid slices of slice i+1 (_child_windows) into one block.
 _sum_columns adds such a block's choices (or a vector's components) in
 numpy's own reduction order, so one-step means keep the bits of .mean(axis=1)
 without a reduction call over a short axis.
@@ -282,8 +282,24 @@ def gather_children(lattice: PathLattice, i: int, child_values: np.ndarray) -> n
     out = np.empty(((i + 1) ** lattice.dim, lattice.n_choices) + rest, dtype=child_values.dtype)
     per_choice = out.reshape((i + 1,) * lattice.dim + (lattice.n_choices,) + rest)
     lead = (slice(None),) * lattice.dim
-    for c, downs in enumerate(lattice._downs):
-        per_choice[lead + (c,)] = grid[tuple(slice(down, down + i + 1) for down in downs)]
+    for c, window in enumerate(_child_windows(lattice, i)):
+        per_choice[lead + (c,)] = grid[window]
+    return out
+
+
+def _child_windows(lattice: PathLattice, i: int) -> list:
+    """Per choice, in sign-row order, the index of its children in the recombining slice-(i+1)
+    grid: choice c's children are the (i+1)**d window shifted by c's down steps."""
+    return [tuple([slice(down, down + i + 1) for down in downs]) for downs in lattice._downs]
+
+
+def _fold_columns(op, v: np.ndarray):
+    """The ufunc op folded over 0.0 and the last-axis columns of v, in order, in place;
+    a lone vector folds to a numpy scalar."""
+    out = op(0.0, v[..., 0])
+    into = out if v.ndim > 1 else None
+    for j in range(1, v.shape[-1]):
+        out = op(out, v[..., j], out=into)
     return out
 
 
@@ -298,10 +314,7 @@ def _sum_columns(v: np.ndarray) -> np.ndarray:
     """
     k = v.shape[-1]
     if 0 < k < 8:
-        s = v[..., 0] + 0.0
-        for j in range(1, k):
-            s += v[..., j]
-        return s
+        return _fold_columns(np.add, v)
     step = abs(v.strides[-1])
     if k == 8 and all(step < abs(st) for st, m in zip(v.strides[:-1], v.shape[:-1]) if m > 1):
         c = [v[..., j] for j in range(8)]

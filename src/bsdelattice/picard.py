@@ -40,7 +40,7 @@ import numpy as np
 
 from .drivers import DriverSpec, TerminalFunctional
 from .errors import ConvergenceError
-from .lattice import PathLattice, _sum_columns, gather_children
+from .lattice import PathLattice, _fold_columns, _sum_columns, gather_children
 from .probability import (
     left_process,
     martingale_projection,
@@ -50,10 +50,9 @@ from .probability import (
 from .solver import (
     SolutionTriple,
     SolveInfo,
-    _iterates,
+    _check_problem,
     _slice_driver,
     _write_table,
-    check_step_size,
     terminal_values,
 )
 
@@ -97,14 +96,6 @@ def zero_state(lattice: PathLattice) -> PicardState:
     return PicardState(p=0, Y=Y, Z=Z, residual=np.inf)
 
 
-def _fold_choices(pick, v: np.ndarray) -> np.ndarray:
-    """pick (np.maximum or np.minimum) over 0.0 and the columns of an (n_i, 2**d) block."""
-    out = pick(0.0, v[:, 0])
-    for c in range(1, v.shape[1]):
-        pick(out, v[:, c], out=out)
-    return out
-
-
 def _new_slice(lattice, f, i, y_next, y_old, z_old, sweep):
     """Slice i of a sweep: the new (y, z) and the worst implicit residual of y.
 
@@ -138,13 +129,13 @@ def _tails(lattice, i, dy_next, dz, tails):
     dz2 = _sum_columns(dz ** 2) * lattice.grid.dt
     ddm = orthogonal_increments(lattice, i, dy_next, dz)
     if tails is None:
-        return dz2, _fold_choices(np.maximum, ddm), _fold_choices(np.minimum, ddm)
+        return dz2, _fold_columns(np.maximum, ddm), _fold_columns(np.minimum, ddm)
     s_next, u_next, l_next = tails
     # S >= 0, so the fold's 0.0 start leaves it unchanged
-    s = dz2 + _fold_choices(np.maximum, gather_children(lattice, i, s_next))
-    u = _fold_choices(np.maximum, ddm + gather_children(lattice, i, u_next))
+    s = dz2 + _fold_columns(np.maximum, gather_children(lattice, i, s_next))
+    u = _fold_columns(np.maximum, ddm + gather_children(lattice, i, u_next))
     np.add(ddm, gather_children(lattice, i, l_next), out=ddm)
-    return s, u, _fold_choices(np.minimum, ddm)
+    return s, u, _fold_columns(np.minimum, ddm)
 
 
 def picard_step(
@@ -196,14 +187,14 @@ def picard_solve(
     """Iterate from the zero triple until the stopping rule fires.
 
     Runs on both lattice layouts, under the solve's conditions on the driver
-    and the terminal and its range check of tol and max_iter (GridError).
-    Raises ConvergenceError when neither the triple distance nor the
-    implicit residual gets strictly below tol within max_iter sweeps (a tol
-    of 0 can never be reached and always exhausts the budget), and at once,
-    naming the sweep and the slice, when a sweep's implicit residual is NaN.
+    and the terminal, checked by solver._check_problem before the terminal
+    is evaluated.  Raises ConvergenceError when neither the triple distance
+    nor the implicit residual gets strictly below tol within max_iter sweeps
+    (a tol of 0 can never be reached and always exhausts the budget), and at
+    once, naming the sweep and the slice, when a sweep's implicit residual
+    is NaN.
     """
-    _iterates(f, tol, max_iter)
-    check_step_size(f, lattice.grid)
+    _check_problem(lattice, f, tol, max_iter)
     xi = terminal_values(lattice, phi)
     state = zero_state(lattice)
     trace = []

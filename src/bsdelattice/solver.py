@@ -36,7 +36,7 @@ import numpy as np
 
 from .drivers import DriverSpec, RunningFunctional, TerminalFunctional
 from .errors import ConvergenceError, GridError, StepSizeError, StructuralError
-from .lattice import PathLattice, TimeGrid, _sum_columns, gather_children
+from .lattice import PathLattice, TimeGrid, _child_windows, _sum_columns, gather_children
 from .probability import (
     AdaptedProcess,
     _choice_mean,
@@ -172,47 +172,47 @@ def _slice_driver(lattice: PathLattice, f: DriverSpec, i: int, form=None):
     return bind
 
 
-def check_step_size(f: DriverSpec, grid: TimeGrid):
-    k = f.lipschitz_wy
-    if k * grid.dt >= 1.0:
-        n_min = int(math.floor(k * grid.horizon)) + 1
-        raise StepSizeError(
-            "K*dt = %.6g >= 1: the implicit step is not a contraction; "
-            "use at least N = %d steps" % (k * grid.dt, n_min)
-        )
-
-
 # the implicit step's residual tolerance and iterate cap, for every caller that sets neither
 DEFAULT_TOL, DEFAULT_MAX_ITER = 1e-12, 200
 
 
-def _iterates(f: DriverSpec, tol, max_iter: int) -> int:
-    """Fixed-point iterates of an implicit step: one for a y-free driver, whose first is exact.
+def _check_problem(lattice: PathLattice, f: DriverSpec, tol, max_iter: int) -> int:
+    """Check the backward step's conditions before anything is evaluated; returns the iterate cap.
 
-    GridError unless tol is a finite number >= 0 and max_iter >= 1."""
+    GridError unless tol is a finite number >= 0 and max_iter >= 1;
+    StepSizeError unless K*dt < 1, the implicit step's contraction, naming
+    a sufficient N; StructuralError for a w-dependent driver on the
+    recombining layout.  A y-free driver gets one iterate, whose first is
+    exact.  The solve, the dual and Picard each call it first.
+    """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise GridError("tol must be a finite number >= 0, got %r" % (tol,))
     if max_iter < 1:
         raise GridError("max_iter must be >= 1, got %r" % (max_iter,))
+    k, grid = f.lipschitz_wy, lattice.grid
+    if k * grid.dt >= 1.0:
+        raise StepSizeError(
+            "K*dt = %.6g >= 1: the implicit step is not a contraction; "
+            "use at least N = %d steps" % (k * grid.dt, int(math.floor(k * grid.horizon)) + 1)
+        )
+    if lattice.mode == "recombining" and f.w_dependence != "none":
+        raise StructuralError("recombining mode needs a w-independent driver")
     return 1 if f.y_dependence == "none" else max_iter
 
 
 def _backward_sweep(lattice: PathLattice, f: DriverSpec, phi: TerminalFunctional, tol, max_iter):
     """Yield the slices of the backward solve, terminal first, one at a time.
 
-    Checks tol, max_iter, the step size and the recombining w-dependence,
-    evaluates the terminal and yields (N, xi, None, 0, 0, 0.0); then, for
-    i = N-1..0, yields (i, y, z, iterations, bisected nodes, worst residual).
-    Only the slice being solved and the slice it is solved from are held
-    here, so a caller that keeps the latest y alone holds O(one slice).
-    Kept private: perfbench/tracer.py wraps every public function, and the
-    span of a wrapped generator would close before its body runs.
+    Checks the problem (_check_problem), evaluates the terminal and yields
+    (N, xi, None, 0, 0, 0.0); then, for i = N-1..0, yields (i, y, z,
+    iterations, bisected nodes, worst residual).  Only the slice being
+    solved and the slice it is solved from are held here, so a caller that
+    keeps the latest y alone holds O(one slice).  Kept private:
+    perfbench/tracer.py wraps every public function, and the span of a
+    wrapped generator would close before its body runs.
     """
-    n_iter = _iterates(f, tol, max_iter)
+    n_iter = _check_problem(lattice, f, tol, max_iter)
     grid = lattice.grid
-    check_step_size(f, grid)
-    if lattice.mode == "recombining" and f.w_dependence != "none":
-        raise StructuralError("recombining mode needs a w-independent driver")
     y_next = terminal_values(lattice, phi)
     yield grid.steps, y_next, None, 0, 0, 0.0
     dt = grid.dt
@@ -383,9 +383,10 @@ def solution_residuals(sol: SolutionTriple, f: DriverSpec, phi: TerminalFunction
         y = sol.Y.slices[i]
         z = sol.Z.slices[i]
         v = gather_children(lat, i, sol.Y.slices[i + 1])
-        dm = _orthogonal_remainder(v, z @ lat.dw_weights)  # sol.dm(i) from the one gather
+        zdw = z @ lat.dw_weights  # z . dW per edge
+        dm = _orthogonal_remainder(v, zdw)  # sol.dm(i) from the one gather
         fv = _slice_driver(lat, f, i)(z)(y)
-        resid = v - y[:, None] + (fv * dt)[:, None] - z @ inc.T - dm
+        resid = v - y[:, None] + (fv * dt)[:, None] - zdw - dm
         worst.append(np.max(np.abs(resid)))
         dm_mean.append(np.max(np.abs(_choice_mean(dm))))
         for k in range(lat.dim):
@@ -622,8 +623,8 @@ def _dm_column(lat: PathLattice, i: int, dm: np.ndarray) -> np.ndarray:
     """dM on the edge into each node of recombining slice i >= 1, by export_solution_csv's rule.
 
     dm is the (n_{i-1}, 2**d) array of increments on the step into slice i.
-    Choice c's children are the slice-i grid shifted by its down steps, so
-    each choice compares and copies on that shifted view.
+    Each choice compares and copies on its children's window of the slice-i
+    grid (lattice._child_windows).
     """
     col = np.zeros((i + 1,) * lat.dim)
     best = np.full(col.shape, -1.0)
@@ -631,8 +632,7 @@ def _dm_column(lat: PathLattice, i: int, dm: np.ndarray) -> np.ndarray:
     mag = np.abs(dm)
     # a node's incoming edges come from distinct parents, the lowest
     # choice from the last parent: sweep choices down, later edges win ties
-    for c in range(lat.n_choices - 1, -1, -1):
-        view = tuple(slice(down, down + i) for down in lat._downs[c])
+    for c, view in reversed(list(enumerate(_child_windows(lat, i - 1)))):
         win = mag[..., c] >= best[view]
         np.copyto(best[view], mag[..., c], where=win)
         np.copyto(col[view], dm[..., c], where=win)

@@ -593,7 +593,7 @@ def test_levels_must_be_finite(tmp_path, capsys, value, by_config):
         argv += ["--levels=%r,1" % value]
     assert run(argv) == 2
     captured = capsys.readouterr()
-    assert "input error: levels must be finite numbers" in captured.err
+    assert "input error: regularization level must be positive and finite, got %g" % value in captured.err
     assert captured.out == "" and not out.exists()
 
 

@@ -3,19 +3,28 @@
 A tol that is not a finite number >= 0, a max_iter below 1, a reference
 that is not finite, and an empty or non-finite list of grids or levels
 each raise GridError naming the value, before any terminal is evaluated:
-the terminal used here fails the test when it is read.
+the terminal used here fails the test when it is read.  A path-dependent
+driver on the recombining layout is refused the same way, by the solve,
+the dual and Picard alike.
 """
 
 import math
 
+import numpy as np
 import pytest
 
-from bsdelattice.approximation import monotone_limit_experiment, refinement_experiment
-from bsdelattice.drivers import TerminalFunctional, make_driver, make_terminal
+from bsdelattice.approximation import (
+    inf_convolution,
+    monotone_limit_experiment,
+    refinement_experiment,
+    uniform_limit_experiment,
+)
+from bsdelattice.drivers import DriverSpec, TerminalFunctional, make_driver, make_terminal
 from bsdelattice.duality import dual_value, optimal_control
-from bsdelattice.errors import GridError
+from bsdelattice.errors import GridError, StructuralError
 from bsdelattice.lattice import build_lattice
 from bsdelattice.picard import picard_solve
+from bsdelattice.probability import ControlProcess
 from bsdelattice.solver import solve_backward
 
 
@@ -23,7 +32,13 @@ def _unread(x):
     raise AssertionError("the terminal was evaluated")
 
 
+def _driver_unread(t, w, z):
+    raise AssertionError("the driver was evaluated")
+
+
 UNREAD = TerminalFunctional(name="unread", terminal_map=_unread)
+# declares that it reads the path, which the recombining layout cannot resolve
+PATH_DRIVER = DriverSpec(name="path", at=_driver_unread, lipschitz_wy=0.0, w_dependence="path")
 
 _ITERATION = [
     ({"tol": math.nan}, "tol must be a finite number >= 0, got nan"),
@@ -84,9 +99,9 @@ def test_refinement_refuses_its_reference_and_an_empty_grid_list(steps_list, ref
 @pytest.mark.parametrize(
     "levels,message",
     [
-        ((1, math.inf), "levels must be finite numbers, got inf"),
-        ([math.nan, -1.0], "levels must be finite numbers, got nan"),
-        ((-1.0, math.nan), "levels must be finite numbers, got nan"),
+        ((1, math.inf), "regularization level must be positive and finite, got inf"),
+        ([math.nan, -1.0], "regularization level must be positive and finite, got nan"),
+        ((-1.0, math.nan), "regularization level must be positive and finite, got -1"),
         ((), "levels is empty"),
     ],
     ids=["1,inf", "nan,-1", "-1,nan", "no-level"],
@@ -97,3 +112,34 @@ def test_ladder_refuses_an_empty_or_non_finite_level_list(levels, message):
     with pytest.raises(GridError) as err:
         monotone_limit_experiment(build_lattice(4), make_driver("quadratic"), UNREAD, levels=levels)
     assert str(err.value) == message
+
+
+def test_picard_refuses_a_path_driver_on_the_recombining_layout():
+    # the terminal was evaluated, then lattice.paths refused in the first sweep
+    with pytest.raises(StructuralError) as err:
+        picard_solve(build_lattice(4, mode="recombining"), PATH_DRIVER, UNREAD)
+    assert str(err.value) == "recombining mode needs a w-independent driver"
+
+
+def test_dual_value_refuses_a_path_driver_on_the_recombining_layout():
+    # lattice.paths refused at the first slice, after its tilted expectation
+    lat = build_lattice(4, mode="recombining")
+    control = ControlProcess.from_constant(lat, [0.0])
+    with pytest.raises(StructuralError) as err:
+        dual_value(lat, PATH_DRIVER, np.zeros(lat.node_count(4)), control)
+    assert str(err.value) == "recombining mode needs a w-independent driver"
+
+
+@pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan])
+def test_inf_convolution_refuses_a_non_finite_level(n):
+    # inf passed the n > 0 check, and the terminal read NaN wherever a shift is zero
+    with pytest.raises(GridError) as err:
+        inf_convolution(make_terminal("digital"), n)
+    assert str(err.value) == "regularization level must be positive and finite, got %g" % n
+
+
+def test_uniform_ladder_refuses_an_empty_terminal_list():
+    # no terminal at all reported monotone, increments_decreasing and cauchy_uniform
+    with pytest.raises(GridError) as err:
+        uniform_limit_experiment(build_lattice(4), make_driver("quadratic"), [])
+    assert str(err.value) == "levels is empty"
