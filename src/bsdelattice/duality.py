@@ -113,10 +113,8 @@ def dual_value(
         _check_no_nan(g0, i, "the conjugate")
         live = np.flatnonzero(np.isfinite(e_mu) & np.isfinite(g0))
         if live.size:
-            el = e_mu[live]
             r[live] = _implicit_step(
-                bind(mu, live), lambda rows: bind(mu, live[rows]),
-                el, el + g0[live] * dt, dt, tol, n_iter, i,
+                bind(mu, live), lambda rows: bind(mu, live[rows]), e_mu[live], dt, tol, n_iter, i
             )[0]
         _check_no_nan(r, i, "the candidate value")
         slices[i] = r

@@ -73,7 +73,8 @@ class TimeGrid:
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.steps + 1)
+        """Every grid time, each with the bits of time(i)."""
+        return np.arange(self.steps + 1) * self.horizon / self.steps
 
     def time(self, i: int) -> float:
         if not 0 <= i <= self.steps:

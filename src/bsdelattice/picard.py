@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import DriverSpec, TerminalFunctional
+from .drivers import DriverSpec, TerminalFunctional, _sq_norm
 from .errors import ConvergenceError
-from .lattice import PathLattice, _fold_columns, _sum_columns, gather_children
+from .lattice import PathLattice, _fold_columns, gather_children
 from .probability import (
     left_process,
     martingale_projection,
@@ -126,7 +126,7 @@ def _tails(lattice, i, dy_next, dz, tails):
 
     tails is None past the terminal slice, where all three are zero.
     """
-    dz2 = _sum_columns(dz ** 2) * lattice.grid.dt
+    dz2 = _sq_norm(dz) * lattice.grid.dt
     ddm = orthogonal_increments(lattice, i, dy_next, dz)
     if tails is None:
         return dz2, _fold_columns(np.maximum, ddm), _fold_columns(np.minimum, ddm)

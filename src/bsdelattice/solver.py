@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drivers import DriverSpec, RunningFunctional, TerminalFunctional
+from .drivers import DriverSpec, RunningFunctional, TerminalFunctional, _norm, _sq_norm
 from .errors import ConvergenceError, GridError, StepSizeError, StructuralError
-from .lattice import PathLattice, TimeGrid, _child_windows, _sum_columns, gather_children
+from .lattice import PathLattice, TimeGrid, _child_windows, gather_children
 from .probability import (
     AdaptedProcess,
     _choice_mean,
@@ -81,7 +81,7 @@ class SolutionTriple:
         return float(self.Y.slices[0][0])
 
     def z_sup(self) -> float:
-        return float(np.max([np.sqrt(_sum_columns(s ** 2)).max() for s in self.Z.slices]))
+        return float(np.max([_norm(s).max() for s in self.Z.slices]))
 
 
 # most path entries a whole-path terminal sees at once: paths are built per
@@ -215,13 +215,11 @@ def _backward_sweep(lattice: PathLattice, f: DriverSpec, phi: TerminalFunctional
     grid = lattice.grid
     y_next = terminal_values(lattice, phi)
     yield grid.steps, y_next, None, 0, 0, 0.0
-    dt = grid.dt
     for i in range(grid.steps - 1, -1, -1):
         mean, z = martingale_projection(lattice, i, y_next)
         bind = _slice_driver(lattice, f, i)
-        fy = bind(z)
         y, iters, bisected, rmax = _implicit_step(
-            fy, lambda rows: bind(z, rows), mean, mean + fy(mean) * dt, dt, tol, n_iter, i
+            bind(z), lambda rows: bind(z, rows), mean, grid.dt, tol, n_iter, i
         )
         yield i, y, z, iters, bisected, rmax
         y_next = y
@@ -260,8 +258,8 @@ def solve_backward(
     )
 
 
-def _implicit_step(fy, fy_rows, mean, y, dt, tol, max_iter, i):
-    """Solve y = mean + fy(y) dt nodewise at slice i from the first iterate y.
+def _implicit_step(fy, fy_rows, mean, dt, tol, max_iter, i):
+    """Solve y = mean + fy(y) dt nodewise at slice i, from the first iterate mean + fy(mean) dt.
 
     fy is the slice's driver with z (and w) bound, a function of y alone;
     fy_rows(rows) is the same driver bound to the given nodes only.  Fixed
@@ -269,9 +267,9 @@ def _implicit_step(fy, fy_rows, mean, y, dt, tol, max_iter, i):
     bisection on the nodes whose residual |y - fy(y) dt - mean| is above tol;
     ConvergenceError names slice i if that misses tol too.  Returns (y,
     iterations, bisected nodes, worst residual), a NaN residual included.
-    The array of the first iterate may be overwritten; arrays fy returns are
-    only read.
+    Arrays fy returns are only read.
     """
+    y = mean + fy(mean) * dt
     iters = 1
     nxt = np.empty_like(y)
     diff = np.empty_like(y)
@@ -468,10 +466,10 @@ def bmo_estimate(sol: SolutionTriple) -> float:
     """
     lat = sol.lattice
     dt = lat.grid.dt
-    tail = _sum_columns(sol.Z.slices[-1] ** 2) * dt
+    tail = _sq_norm(sol.Z.slices[-1]) * dt
     worst = float(np.maximum(0.0, tail.max()))
     for i in range(lat.steps - 2, -1, -1):
-        tail = _sum_columns(sol.Z.slices[i] ** 2) * dt + conditional_expectation(lat, i, tail)
+        tail = _sq_norm(sol.Z.slices[i]) * dt + conditional_expectation(lat, i, tail)
         worst = float(np.maximum(worst, tail.max()))
     return worst
 
@@ -509,10 +507,10 @@ def _write_rows(fileobj, sep, slices):
     uint8 matrix: the digits of i and k, the separators, the field bytes
     picked from a table by each value's index, and the newlines, with NUL
     wherever a number is shorter than its column or a field is empty.  i is
-    written once per run of a slice's rows, and the node ids of a run are
-    slices of a table of 4-digit groups (_digit_groups).  Dropping the NULs
-    leaves the block's bytes, written with one call to the binary file
-    object fileobj.
+    written once per run of a slice's rows (_digits), and the node ids of a
+    run as slices of a table of 4-digit groups (_put_node_ids), whatever
+    their width.  Dropping the NULs leaves the block's bytes, written with
+    one call to the binary file object fileobj.
     """
     values = None
     runs = []  # (first row, i, first node k, rows) of each slice's rows in the block
@@ -556,15 +554,10 @@ def _block_text(sep, runs, values, empty):
     wk = len(str(max(k + take for _, _, k, take in runs) - 1))
     head = wt + 1 + wk
     mat = np.empty((n, head + m * _FIELD.itemsize + 1), dtype=np.uint8)
-    groups = _digit_groups()
     for first, i, k, take in runs:
         rows = slice(first, first + take)
         mat[rows, :wt] = _digits(i, wt)
-        # ids below 10**4 are one slice of the table, the rest go by k // 10**4
-        if wk <= 4:
-            mat[rows, wt + 1 : head] = groups[k : k + take, 4 - wk :]
-        else:
-            _put_node_ids(mat[rows, wt + 1 : head], k)
+        _put_node_ids(mat[rows, wt + 1 : head], k)
     mat[:, wt] = ord(sep)
     # mode="clip" gathers straight into the matrix; "raise" would gather into a copy
     np.take(table, inv, out=mat[:, head:-1].view(_FIELD), mode="clip")
@@ -591,31 +584,37 @@ def _digit_groups():
 
 
 def _digits(v, width):
-    """The digits of the integer 0 <= v < 10**width as uint8, right-aligned, NUL-padded."""
-    if width <= 4:
-        return _digit_groups()[v, 4 - width :]
+    """The digits of the integer 0 <= v < 10**width as uint8, right-aligned, NUL-padded.
+
+    The one writer of a single integer: a run's time index, and the digits
+    of a node id above its last four (_put_node_ids).
+    """
     return np.frombuffer((b"%*d" % (width, v)).translate(_SPACE_TO_NUL), dtype=np.uint8)
 
 
 def _put_node_ids(out, k):
-    """The node ids k, k+1, ... into out's rows of five or more columns, right-aligned, NUL-padded.
+    """The node ids k, k+1, ... into out's rows, right-aligned and NUL-padded to out's width.
 
-    Each piece of rows with one k // 10**4 takes its last four digits as a
-    slice of _digit_groups and its higher digits as one string.
+    The one writer of a run's node ids, at any width.  Each piece of rows
+    with one k // 10**4 takes its last min(width, 4) digits as columns of
+    _digit_groups; where k // 10**4 is not 0 they are zero-padded, and the
+    higher digits are one _digits string.
     """
     groups = _digit_groups()
     n, width = out.shape
+    cols = min(width, 4)
     r = 0
     while r < n:
         high, low = divmod(k + r, _GROUP)
         take = min(n - r, _GROUP - low)
         piece = out[r : r + take]
+        low_digits = groups[low : low + take, 4 - cols :]
         if high:
-            np.bitwise_or(groups[low : low + take], ord("0"), out=piece[:, -4:])
-            piece[:, :-4] = _digits(high, width - 4)
+            np.bitwise_or(low_digits, ord("0"), out=piece[:, -cols:])
+            piece[:, :-cols] = _digits(high, width - cols)
         else:
-            piece[:, -4:] = groups[low : low + take]
-            piece[:, :-4] = 0
+            piece[:, -cols:] = low_digits
+            piece[:, :-cols] = 0
         r += take
 
 

@@ -416,3 +416,20 @@ def test_path_dependent_driver_accepts_w():
     w = np.array([[0.0], [0.3], [-0.9]])
     assert float(f.evaluate(0.5, w, 0.0, np.array([0.0]))) == pytest.approx(0.9)
     assert f.path_dependent
+
+
+@pytest.mark.parametrize("lipschitz_wy,passed", [(1.0, True), (0.5, False)])
+def test_property_probe_moves_the_path_of_a_path_dependent_driver(lipschitz_wy, passed):
+    # the running max of test_path_dependent_driver_accepts_w has constant 1
+    # in the sup norm of w; the probe samples a pair of paths per point, and
+    # only the distance between them refutes a constant of 0.5
+    f = DriverSpec(
+        name="running-max",
+        at=lambda t, w, z: lambda y: np.max(np.abs(w), axis=(-2, -1))
+        + 0.0 * np.asarray(z, dtype=float)[..., 0],
+        lipschitz_wy=lipschitz_wy,
+        w_dependence="path",
+    )
+    rep = verify_driver_properties(f, SamplingPlan(samples=64, seed=3))
+    (check,) = [c for c in rep.checks if c.name == "lipschitz-wy"]
+    assert check.passed is passed

@@ -188,6 +188,17 @@ def test_time_indices_that_gain_a_digit_inside_a_block(kind):
         assert lines[1 + starts[i]].startswith("%d%s0," % (i, sep))
 
 
+def test_time_indices_of_five_digits():
+    # 10001 one-row slices share one block of the writer's own size, so
+    # time indices of one to five digits meet inside it
+    x = np.sin(np.arange(10001.0))
+    assert solver._BLOCK_BYTES // solver._FIELD.itemsize > x.size  # one field a row
+    buf = io.BytesIO()
+    solver._write_rows(buf, ",", ([x[i : i + 1]] for i in range(x.size)))
+    want = ["%d,0,%s\n" % (i, format(float(v), ".17g")) for i, v in enumerate(x)]
+    assert buf.getvalue().decode() == "".join(want)
+
+
 # (mode, steps, dim): the last slice starts inside a block of the writer's
 # own size, so a block holds rows with Z (or margin) and rows without; the
 # root, with no dM, shares the first block with later rows

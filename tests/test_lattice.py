@@ -385,6 +385,18 @@ def test_walk_conditions_fail_nan_probabilities(monkeypatch, mode):
     assert "walk:moments FAIL" in str(rep).splitlines()
 
 
+def test_walk_conditions_catch_a_negative_probability(monkeypatch):
+    # the masses still sum to 1, and the recombining transitions never read
+    # the last slice, so only the negative-mass term sees it
+    lat = build_lattice(2, mode="recombining")
+    sound = lat.slice_probabilities
+    monkeypatch.setattr(
+        lat, "slice_probabilities", lambda i: np.array([0.75, -0.5, 0.75]) if i == 2 else sound(i)
+    )
+    rep = verify_walk_conditions(lat)
+    assert [(c.name, c.deviation) for c in rep.failures()] == [("moments", 0.5)]
+
+
 def test_walk_conditions_catch_misplaced_children(monkeypatch):
     for mode in ("full", "recombining"):
         lat = build_lattice(3, dim=1, mode=mode)

@@ -143,3 +143,9 @@ def test_uniform_ladder_refuses_an_empty_terminal_list():
     with pytest.raises(GridError) as err:
         uniform_limit_experiment(build_lattice(4), make_driver("quadratic"), [])
     assert str(err.value) == "levels is empty"
+
+
+def test_linear_driver_refuses_a_negative_b():
+    with pytest.raises(GridError) as err:
+        make_driver("linear:1,-1")
+    assert str(err.value) == "linear driver needs b >= 0, got -1.0"

@@ -401,6 +401,15 @@ def test_bisection_cuts_path_samples_to_the_bisected_rows():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def test_bisection_expands_a_bracket_that_misses_the_root():
+    # y_i = 2 y_{i+1} + 1000 at dt = 1/2, so Y_0 = 3000; one iterate leaves
+    # every node 500 or more from its root, outside the start bracket +-1
+    lat = build_lattice(2)
+    sol = solve_backward(lat, make_driver("linear:1000,1"), make_terminal("const:0"), max_iter=1)
+    assert abs(sol.y0 - 3000.0) <= 1e-9
+    assert sol.info.bisection_nodes == 3
+
+
 def test_bisection_stops_once_the_bracket_stops_moving(monkeypatch):
     # the early stop gives the bits of the fixed 200 halvings in far fewer
     # driver calls; max_iter=2 sends every node of full N=8 to bisection.
