@@ -125,18 +125,18 @@ def _run_ladder(lattice, f: DriverSpec, terminals, labels) -> ApproximationLadde
         sol = solve_backward(lattice, f, phi)
         row = LadderRow(level=label, y0=sol.y0, bmo=bmo_estimate(sol))
         if prev_y is not None:
-            lo, hi = difference_extremes(sol.Y.slices, prev_y)
+            lo, hi = difference_extremes(sol.Y, prev_y)
             # abs before the max, so an all-zero increment is 0, never -0
             row.sup_increment = float(np.maximum(np.abs(lo), np.abs(hi)))
             row.min_increment = lo
-            row.terminal_gap = float(np.max(np.abs(sol.Y.slices[-1] - prev_y[-1])))
+            row.terminal_gap = float(np.max(np.abs(sol.Y[-1] - prev_y[-1])))
             row.cauchy_ok = row.sup_increment <= growth * row.terminal_gap + 1e-9
             monotone = monotone and row.min_increment >= -1e-12
             cauchy = cauchy and row.cauchy_ok
             sups.append(row.sup_increment)
         rows.append(row)
         # keep Y for the next level's increments; Z goes before its solve
-        prev_y, sol = sol.Y.slices, None
+        prev_y, sol = sol.Y, None
     decreasing = all(sups[j + 1] <= sups[j] + 1e-12 for j in range(len(sups) - 1))
     return ApproximationLadder(
         rows=rows,

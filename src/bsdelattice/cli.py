@@ -226,7 +226,7 @@ def _cmd_duality(cfg):
     lat, f, phi = _problem(cfg)
     opts = _given(cfg, "tol", "max_iter")
     sol = solve_backward(lat, f, phi, **opts)
-    xi = sol.Y.slices[-1]  # the terminal, evaluated once for every candidate
+    xi = sol.Y[-1]  # the terminal, evaluated once for every candidate
     control = optimal_control(sol, f)
     candidate = dual_value(lat, f, xi, control, **opts)
     report = duality_gap(sol, candidate, control)

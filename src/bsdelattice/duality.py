@@ -38,14 +38,7 @@ import numpy as np
 from .drivers import DriverSpec
 from .errors import ConvergenceError, OptimizerAdmissibilityError, StructuralError
 from .lattice import PathLattice, _sum_columns
-from .probability import (
-    AdaptedProcess,
-    ControlProcess,
-    difference_extremes,
-    left_process,
-    predictable_process,
-    tilted_expectation,
-)
+from .probability import ControlProcess, _check_slices, difference_extremes, tilted_expectation
 from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, SolutionTriple, _check_problem, _implicit_step
 from .solver import _slice_driver, _write_rows
 
@@ -70,8 +63,8 @@ def dual_value(
     control: ControlProcess,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> AdaptedProcess:
-    """Candidate value process for one admissible control, at every node.
+) -> list:
+    """Candidate value process for one admissible control: its N+1 slices, at every node.
 
     xi is the terminal slice, terminal_values(lattice, phi) or the solve's
     own last slice; it becomes the candidate's last slice and is never
@@ -106,7 +99,7 @@ def dual_value(
     for i in range(lattice.steps - 1, -1, -1):
         e_mu = tilted_expectation(lattice, i, r_next, control.step_weights(i))
         _check_no_nan(e_mu, i, "the tilted expectation")
-        mu = control.process.slices[i]
+        mu = control.slices[i]
         bind = _slice_driver(lattice, f, i, neg_conjugate)
         r = np.full_like(e_mu, -np.inf)
         g0 = bind(mu)(e_mu)  # -g at the mean
@@ -119,7 +112,7 @@ def dual_value(
         _check_no_nan(r, i, "the candidate value")
         slices[i] = r
         r_next = r
-    return left_process(lattice, slices)
+    return slices
 
 
 def optimal_control(sol: SolutionTriple, f: DriverSpec) -> ControlProcess:
@@ -132,10 +125,10 @@ def optimal_control(sol: SolutionTriple, f: DriverSpec) -> ControlProcess:
     lat = sol.lattice
 
     slices = [
-        _slice_driver(lat, f, i, f.bound_subgradient)(sol.Z.slices[i])(sol.Y.slices[i])
+        _slice_driver(lat, f, i, f.bound_subgradient)(sol.Z[i])(sol.Y[i])
         for i in range(lat.steps)
     ]
-    control = ControlProcess(predictable_process(lat, slices))
+    control = ControlProcess(lat, slices)
     margin = control.admissibility_margin()
     if margin <= 0.0:
         worst_l1 = max(float(np.max(_sum_columns(np.abs(s)))) for s in slices)
@@ -161,7 +154,7 @@ def random_admissible_control(
         rng.uniform(-scale, scale, size=(lattice.node_count(i), lattice.dim))
         for i in range(lattice.steps)
     ]
-    return ControlProcess(predictable_process(lattice, slices))
+    return ControlProcess(lattice, slices)
 
 
 @dataclass
@@ -178,19 +171,19 @@ class DualityReport:
         return self.min_gap >= -WEAK_DUALITY_SLACK
 
 
-def duality_gap(
-    sol: SolutionTriple, candidate: AdaptedProcess, control: ControlProcess
-) -> DualityReport:
+def duality_gap(sol: SolutionTriple, candidate: list, control: ControlProcess) -> DualityReport:
     """Nodewise primal-minus-dual gaps; a min_gap below -WEAK_DUALITY_SLACK refutes weak duality.
 
-    A NaN gap anywhere makes min_gap and max_gap NaN, which is never weakly
-    consistent.
+    candidate is a list of N+1 slices on sol.lattice, as dual_value returns
+    it; another count or node count raises StructuralError.  A NaN gap
+    anywhere makes min_gap and max_gap NaN, which is never weakly consistent.
     """
-    min_gap, max_gap = difference_extremes(sol.Y.slices, candidate.slices)
+    candidate = _check_slices(sol.lattice, candidate, sol.lattice.steps + 1)
+    min_gap, max_gap = difference_extremes(sol.Y, candidate)
     return DualityReport(
         root_primal=sol.y0,
-        root_dual=float(candidate.slices[0][0]),
-        root_gap=sol.y0 - float(candidate.slices[0][0]),
+        root_dual=float(candidate[0][0]),
+        root_gap=sol.y0 - float(candidate[0][0]),
         min_gap=min_gap,
         max_gap=max_gap,
         margin=control.admissibility_margin(),
@@ -199,27 +192,26 @@ def duality_gap(
 
 def comparison_minimum(low: SolutionTriple, high: SolutionTriple) -> float:
     """min over nodes of high Y minus low Y (>= 0 when comparison applies); NaN if any is NaN."""
-    return difference_extremes(high.Y.slices, low.Y.slices)[0]
+    return difference_extremes(high.Y, low.Y)[0]
 
 
-def export_duality_csv(
-    sol: SolutionTriple, candidate: AdaptedProcess, control: ControlProcess, fileobj
-):
+def export_duality_csv(sol: SolutionTriple, candidate: list, control: ControlProcess, fileobj):
     """Rows node_id,primal,dual,gap,margin with node_id as slice:index, to a binary file.
 
+    candidate is checked against sol.lattice as duality_gap checks it.
     margin is the smallest one-step weight at the node's deciding step,
     empty on the last slice where no further step is taken.  Values take 17
     significant digits.  The slices stream through solver._write_rows one
     at a time, in blocks of rows that span slices, with the bytes of
     formatting every value on its own.
     """
-    fileobj.write(b"node_id,primal,dual,gap,margin\n")
     lat = sol.lattice
+    candidate = _check_slices(lat, candidate, lat.steps + 1)
+    fileobj.write(b"node_id,primal,dual,gap,margin\n")
 
     def slices():
         for i in range(lat.steps + 1):
-            y = sol.Y.slices[i]
-            r = candidate.slices[i]
+            y, r = sol.Y[i], candidate[i]
             margins = control.step_weights(i).min(axis=1) if i < lat.steps else None
             yield [y, r, y - r, margins]
 

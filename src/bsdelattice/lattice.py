@@ -150,12 +150,12 @@ class PathLattice:
         """
         if self.mode != "full":
             return "point[%d]@%d" % (k, i)
-        digits = []
-        for j in range(i):
-            c = (k // self.n_choices ** (i - 1 - j)) % self.n_choices
-            bits = [(c >> (self.dim - 1 - b)) & 1 for b in range(self.dim)]
-            digits.append("".join("-" if b else "+" for b in bits))
-        return "(" + ",".join(digits) + ")"
+        choices = [(k // self.n_choices ** (i - 1 - j)) % self.n_choices for j in range(i)]
+        return "(" + ",".join(self._choice_label(c) for c in choices) + ")"
+
+    def _choice_label(self, c: int) -> str:
+        """Sign label of step choice c, e.g. '+-': '-' where its increment is negative."""
+        return "".join("-" if s < 0 else "+" for s in self.signs[c])
 
     # -- values --------------------------------------------------------------
 

@@ -41,12 +41,7 @@ import numpy as np
 from .drivers import DriverSpec, TerminalFunctional, _sq_norm
 from .errors import ConvergenceError
 from .lattice import PathLattice, _fold_columns, gather_children
-from .probability import (
-    left_process,
-    martingale_projection,
-    orthogonal_increments,
-    predictable_process,
-)
+from .probability import martingale_projection, orthogonal_increments
 from .solver import (
     SolutionTriple,
     SolveInfo,
@@ -208,12 +203,7 @@ def picard_solve(
                 driver_name=f.name,
                 terminal_name=phi.name,
             )
-            sol = SolutionTriple(
-                lattice=lattice,
-                Y=left_process(lattice, state.Y),
-                Z=predictable_process(lattice, state.Z),
-                info=info,
-            )
+            sol = SolutionTriple(lattice=lattice, Y=state.Y, Z=state.Z, info=info)
             return PicardResult(solution=sol, trace=trace, iterations=state.p)
     raise ConvergenceError(
         "picard iteration did not reach tol=%.3g in %d sweeps "

@@ -1,10 +1,12 @@
 """Processes on the lattice and the change-of-measure machinery.
 
-Processes are stored slice-wise in node order.  A left process has a value at
-every node of slices 0..N (constant on [t_i, t_{i+1}) pathwise); a predictable
-process has its step-(i+1) value attached to the slice-i node that decides it
-(constant on (t_i, t_{i+1}]), which makes predictability structural: the value
-cannot vary across the 2**d children of a node.
+A process is a plain list of per-slice arrays in node order.  A left process
+has a value at every node of slices 0..N, so N+1 slices (constant on
+[t_i, t_{i+1}) pathwise); a predictable process has its step-(i+1) value
+attached to the slice-i node that decides it, so N slices (constant on
+(t_i, t_{i+1}]), which makes predictability structural: the value cannot vary
+across the 2**d children of a node.  _check_slices checks either layout
+where a caller-built list enters the package.
 
 The change of measure for a control mu multiplies each one-step transition by
 1 + mu . dW; admissibility is the strict positivity of these weights on every
@@ -14,49 +16,23 @@ either layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import AdmissibilityError, GridError, StructuralError
 from .lattice import PathLattice, _sum_columns, gather_children
 
 
-@dataclass
-class AdaptedProcess:
-    """Slice-wise values on a lattice; timing is 'left' or 'predictable'."""
-
-    lattice: PathLattice
-    timing: str
-    slices: list
-
-    def __post_init__(self):
-        if self.timing not in ("left", "predictable"):
-            raise GridError("timing must be 'left' or 'predictable', got %r" % (self.timing,))
-        n = self.lattice.steps
-        want = n + 1 if self.timing == "left" else n
-        if len(self.slices) != want:
+def _check_slices(lattice: PathLattice, slices, count: int) -> list:
+    """list(slices); StructuralError unless it has count slices, slice i of node_count(i) rows."""
+    slices = list(slices)
+    if len(slices) != count:
+        raise StructuralError("process needs %d slices, got %d" % (count, len(slices)))
+    for i, arr in enumerate(slices):
+        if len(arr) != lattice.node_count(i):
             raise StructuralError(
-                "%s process needs %d slices, got %d" % (self.timing, want, len(self.slices))
+                "slice %d has %d values for %d nodes" % (i, len(arr), lattice.node_count(i))
             )
-        for i, arr in enumerate(self.slices):
-            if arr.shape[0] != self.lattice.node_count(i):
-                raise StructuralError(
-                    "slice %d has %d values for %d nodes"
-                    % (i, arr.shape[0], self.lattice.node_count(i))
-                )
-
-    def sup_norm(self) -> float:
-        """max |value| over all slices; NaN if any value is."""
-        return float(np.max([np.max(np.abs(s), initial=0.0) for s in self.slices]))
-
-
-def left_process(lattice, slices) -> AdaptedProcess:
-    return AdaptedProcess(lattice, "left", list(slices))
-
-
-def predictable_process(lattice, slices) -> AdaptedProcess:
-    return AdaptedProcess(lattice, "predictable", list(slices))
+    return slices
 
 
 # -- one-step conditional expectations ---------------------------------------
@@ -135,25 +111,23 @@ def _orthogonal_remainder(children: np.ndarray, zdw: np.ndarray) -> np.ndarray:
 class ControlProcess:
     """A predictable d-vector control mu with its one-step edge weights.
 
-    Weights are 1 + mu . dW per (parent node, choice), formed once with each
-    step's minimum when the control is made; check_admissible raises
-    AdmissibilityError naming the first offending path when any weight fails
-    strict positivity.
+    slices is a list of N arrays, slice i of shape (n_i, d): the control of
+    step i+1 at its deciding node.  Weights are 1 + mu . dW per (parent node,
+    choice), formed once with each step's minimum when the control is made;
+    check_admissible raises AdmissibilityError naming the first offending
+    path when any weight fails strict positivity.
     """
 
-    def __init__(self, process: AdaptedProcess):
-        if process.timing != "predictable":
-            raise GridError("controls must be predictable processes")
-        lat = process.lattice
-        for i, arr in enumerate(process.slices):
-            if arr.ndim != 2 or arr.shape[1] != lat.dim:
+    def __init__(self, lattice: PathLattice, slices):
+        self.slices = _check_slices(lattice, slices, lattice.steps)
+        for i, arr in enumerate(self.slices):
+            if arr.ndim != 2 or arr.shape[1] != lattice.dim:
                 raise StructuralError(
-                    "control slice %d must have shape (n_%d, %d)" % (i, i, lat.dim)
+                    "control slice %d must have shape (n_%d, %d)" % (i, i, lattice.dim)
                 )
-        self.process = process
-        self.lattice = lat
-        inc = lat.step_increments()
-        self._weights = [1.0 + mu @ inc.T for mu in process.slices]
+        self.lattice = lattice
+        inc = lattice.step_increments()
+        self._weights = [1.0 + mu @ inc.T for mu in self.slices]
         self._mins = [w.min() for w in self._weights]
 
     @classmethod
@@ -165,7 +139,7 @@ class ControlProcess:
             np.broadcast_to(mu, (lattice.node_count(i), lattice.dim)).copy()
             for i in range(lattice.steps)
         ]
-        return cls(predictable_process(lattice, slices))
+        return cls(lattice, slices)
 
     def step_weights(self, i: int) -> np.ndarray:
         """(n_i, 2**d) edge weights 1 + mu . dW for step i+1."""
@@ -177,13 +151,10 @@ class ControlProcess:
             # the step's stored minimum (a NaN weight makes it NaN, which fails too)
             if not low > 0.0:
                 k, c = map(int, np.argwhere(~(w > 0.0))[0])
-                sign = "".join(
-                    "-" if self.lattice.signs[c, b] < 0 else "+" for b in range(lat.dim)
-                )
                 raise AdmissibilityError(
                     "control inadmissible at step %d: weight %.6g on edge %s -> %s "
                     "(needs mu . dW > -1 on every path)"
-                    % (i + 1, float(w[k, c]), lat.sign_label(i, k), sign)
+                    % (i + 1, float(w[k, c]), lat.sign_label(i, k), lat._choice_label(c))
                 )
 
     def admissibility_margin(self) -> float:
@@ -198,9 +169,10 @@ def difference_extremes(a_slices, b_slices):
     """(min, max) of a - b over every node of the paired slices, one slice at a time.
 
     numpy folds the per-slice extremes, so a NaN difference reaches both.
+    Lists of different lengths raise ValueError.
     """
     lows, highs = [], []
-    for a, b in zip(a_slices, b_slices):
+    for a, b in zip(a_slices, b_slices, strict=True):
         d = a - b
         lows.append(np.min(d))
         highs.append(np.max(d))

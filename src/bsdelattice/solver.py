@@ -38,14 +38,12 @@ from .drivers import DriverSpec, RunningFunctional, TerminalFunctional, _norm, _
 from .errors import ConvergenceError, GridError, StepSizeError, StructuralError
 from .lattice import PathLattice, TimeGrid, _child_windows, gather_children
 from .probability import (
-    AdaptedProcess,
+    _check_slices,
     _choice_mean,
     _orthogonal_remainder,
     conditional_expectation,
-    left_process,
     martingale_projection,
     orthogonal_increments,
-    predictable_process,
 )
 
 
@@ -62,26 +60,31 @@ class SolveInfo:
 class SolutionTriple:
     """Solved (Y, Z, dM) on a lattice, holding Y and Z.
 
-    Y is a left process (value per node, slice N equals the terminal values);
-    Z is predictable (per deciding node).  dm(i) forms the orthogonal-martingale
-    increments per edge of the step out of slice i, shape (n_i, 2**d), from
-    Y_{i+1} and the stored Z_i.
+    Y is a list of N+1 slices (a value per node; slice N equals the terminal
+    values); Z is a list of N slices of shape (n_i, d), the step-(i+1) value
+    at its deciding node.  Both are checked on construction.  dm(i) forms
+    the orthogonal-martingale increments per edge of the step out of slice
+    i, shape (n_i, 2**d), from Y_{i+1} and the stored Z_i.
     """
 
     lattice: PathLattice
-    Y: AdaptedProcess
-    Z: AdaptedProcess
+    Y: list
+    Z: list
     info: SolveInfo = field(default_factory=SolveInfo)
 
+    def __post_init__(self):
+        self.Y = _check_slices(self.lattice, self.Y, self.lattice.steps + 1)
+        self.Z = _check_slices(self.lattice, self.Z, self.lattice.steps)
+
     def dm(self, i: int) -> np.ndarray:
-        return orthogonal_increments(self.lattice, i, self.Y.slices[i + 1], self.Z.slices[i])
+        return orthogonal_increments(self.lattice, i, self.Y[i + 1], self.Z[i])
 
     @property
     def y0(self) -> float:
-        return float(self.Y.slices[0][0])
+        return float(self.Y[0][0])
 
     def z_sup(self) -> float:
-        return float(np.max([_norm(s).max() for s in self.Z.slices]))
+        return float(np.max([_norm(s).max() for s in self.Z]))
 
 
 # most path entries a whole-path terminal sees at once: paths are built per
@@ -250,12 +253,7 @@ def solve_backward(
         info.iterations_max = max(info.iterations_max, iters)
         info.bisection_nodes += bisected
         info.residual_max = float(np.maximum(info.residual_max, rmax))
-    return SolutionTriple(
-        lattice=lattice,
-        Y=left_process(lattice, y_slices),
-        Z=predictable_process(lattice, z_slices[:-1]),
-        info=info,
-    )
+    return SolutionTriple(lattice=lattice, Y=y_slices, Z=z_slices[:-1], info=info)
 
 
 def _implicit_step(fy, fy_rows, mean, dt, tol, max_iter, i):
@@ -378,9 +376,8 @@ def solution_residuals(sol: SolutionTriple, f: DriverSpec, phi: TerminalFunction
     dt = grid.dt
     worst, dm_mean, dm_orth = [], [], []
     for i in range(grid.steps):
-        y = sol.Y.slices[i]
-        z = sol.Z.slices[i]
-        v = gather_children(lat, i, sol.Y.slices[i + 1])
+        y, z = sol.Y[i], sol.Z[i]
+        v = gather_children(lat, i, sol.Y[i + 1])
         zdw = z @ lat.dw_weights  # z . dW per edge
         dm = _orthogonal_remainder(v, zdw)  # sol.dm(i) from the one gather
         fv = _slice_driver(lat, f, i)(z)(y)
@@ -390,7 +387,7 @@ def solution_residuals(sol: SolutionTriple, f: DriverSpec, phi: TerminalFunction
         for k in range(lat.dim):
             dm_orth.append(np.max(np.abs(_choice_mean(dm * inc[None, :, k]))))
     xi = terminal_values(lat, phi)
-    term = float(np.max(np.abs(sol.Y.slices[-1] - xi)))
+    term = float(np.max(np.abs(sol.Y[-1] - xi)))
     # numpy folds: a NaN anywhere reaches the report and fails it
     return ResidualReport(
         dynamics_max=float(np.max(worst, initial=0.0)),
@@ -466,10 +463,10 @@ def bmo_estimate(sol: SolutionTriple) -> float:
     """
     lat = sol.lattice
     dt = lat.grid.dt
-    tail = _sq_norm(sol.Z.slices[-1]) * dt
+    tail = _sq_norm(sol.Z[-1]) * dt
     worst = float(np.maximum(0.0, tail.max()))
     for i in range(lat.steps - 2, -1, -1):
-        tail = _sq_norm(sol.Z.slices[i]) * dt + conditional_expectation(lat, i, tail)
+        tail = _sq_norm(sol.Z[i]) * dt + conditional_expectation(lat, i, tail)
         worst = float(np.maximum(worst, tail.max()))
     return worst
 
@@ -680,15 +677,15 @@ def export_solution_csv(sol: SolutionTriple, fileobj):
 
     def slices():
         for i in range(lat.steps + 1):
-            z = sol.Z.slices[i] if i < lat.steps else None
+            z = sol.Z[i] if i < lat.steps else None
             z_cols = [z[:, c] if z is not None else None for c in range(d)]
             if i == 0:
                 dm_col = None
             elif lat.mode == "full":
-                dm_col = _EdgeRows(lat, i - 1, sol.Y.slices[i], sol.Z.slices[i - 1])
+                dm_col = _EdgeRows(lat, i - 1, sol.Y[i], sol.Z[i - 1])
             else:
                 dm_col = _dm_column(lat, i, sol.dm(i - 1))
-            yield [sol.Y.slices[i]] + z_cols + [dm_col]
+            yield [sol.Y[i]] + z_cols + [dm_col]
 
     _write_rows(fileobj, ",", slices())
 

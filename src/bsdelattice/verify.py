@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drivers import DriverSpec, _norm
+from .errors import GridError
 from .lattice import PathLattice, gather_children
 
 
@@ -157,9 +158,11 @@ def verify_driver_properties(f: DriverSpec, plan: SamplingPlan = None) -> Condit
     Checks midpoint convexity in z, the origin bound, the (w, y) Lipschitz
     constant, the local z-Lipschitz envelope at the plan radius, and the lower
     bound; undeclared constants are reported as not checkable.  plan defaults
-    to SamplingPlan().
+    to SamplingPlan(); fewer than one sample raises GridError.
     """
     plan = plan or SamplingPlan()
+    if plan.samples < 1:
+        raise GridError("samples must be >= 1, got %r" % (plan.samples,))
     rng = np.random.default_rng(plan.seed)
     d, n = plan.dim, plan.samples
     ts = rng.uniform(0.0, plan.horizon, n)

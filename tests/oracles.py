@@ -195,8 +195,8 @@ def per_row_solution_csv(sol, fileobj):
     header = ["time_index", "node_id", "Y"] + ["Z_%d" % (k + 1) for k in range(d)] + ["dM"]
     fileobj.write(",".join(header) + "\n")
     for i in range(lat.steps + 1):
-        y = sol.Y.slices[i]
-        z = sol.Z.slices[i] if i < lat.steps else None
+        y = sol.Y[i]
+        z = sol.Z[i] if i < lat.steps else None
         if i == 0:
             dm_col = None
         elif lat.mode == "full":
@@ -218,8 +218,8 @@ def per_row_duality_csv(sol, candidate, control, fileobj):
     fileobj.write("node_id,primal,dual,gap,margin\n")
     lat = sol.lattice
     for i in range(lat.steps + 1):
-        y = sol.Y.slices[i]
-        r = candidate.slices[i]
+        y = sol.Y[i]
+        r = candidate[i]
         if i < lat.steps:
             margins = control.step_weights(i).min(axis=1)
         else:

@@ -7,8 +7,10 @@ the contract; do not loosen them to make a failing build pass.
 
 import dataclasses
 import math
+import re
 import time
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ LIPSCHITZ_TERMINALS = ("endpoint", "const:1", "maxpath", "clipped-endpoint")
 
 
 def _verdict(num, label, ok, detail):
-    line = "[check %02d/12] %s %s (%s)" % (num, "PASS" if ok else "FAIL", label, detail)
+    line = "[check %02d/13] %s %s (%s)" % (num, "PASS" if ok else "FAIL", label, detail)
     print(line)
     assert ok, line
 
@@ -63,10 +65,10 @@ def test_01_zero_driver_reproduces_walk():
             sol = solve_backward(lat, f, phi)
             for i in range(n + 1):
                 w = lat.walk_slice(i)
-                worst = max(worst, float(np.max(np.abs(sol.Y.slices[i] - w[:, 0]))))
+                worst = max(worst, float(np.max(np.abs(sol.Y[i] - w[:, 0]))))
             m_total = 0.0
             for i in range(n):
-                z = sol.Z.slices[i]
+                z = sol.Z[i]
                 worst = max(worst, float(np.max(np.abs(z[:, 0] - 1.0))))
                 if dim > 1:
                     worst = max(worst, float(np.max(np.abs(z[:, 1:]))))
@@ -104,7 +106,7 @@ def test_02_constant_driver_shifts_by_remaining_time():
             remaining = horizon - lat.grid.time(i)
             for k, choices in enumerate(product(range(2 ** dim), repeat=i)):
                 want = oracles.conditional_mean(leaves, choices, n, dim) + c * remaining
-                worst = max(worst, abs(float(sol.Y.slices[i][k]) - want))
+                worst = max(worst, abs(float(sol.Y[i][k]) - want))
     _verdict(2, "constant-driver telescoping", worst <= 1e-12, "max dev %.2e" % worst)
 
 
@@ -234,7 +236,7 @@ def test_07_terminal_perturbations_stay_controlled():
         )
         sa = solve_backward(lat, f, pa)
         sb = solve_backward(lat, f, pb)
-        gap = max(float(np.max(np.abs(sa.Y.slices[i] - sb.Y.slices[i]))) for i in range(n + 1))
+        gap = max(float(np.max(np.abs(sa.Y[i] - sb.Y[i]))) for i in range(n + 1))
         leaf = lat.paths(lat.steps)
         spread = float(np.max(np.abs(pa(leaf) - pb(leaf))))
         growth = math.exp(f.lipschitz_wy * lat.grid.horizon)
@@ -256,9 +258,9 @@ def test_08_iterative_scheme_matches_the_direct_solve():
             direct = solve_backward(lat, f, phi)
             result = picard_solve(lat, f, phi)
             for i in range(7):
-                worst = max(worst, float(np.max(np.abs(result.solution.Y.slices[i] - direct.Y.slices[i]))))
+                worst = max(worst, float(np.max(np.abs(result.solution.Y[i] - direct.Y[i]))))
                 if i < 6:
-                    worst = max(worst, float(np.max(np.abs(result.solution.Z.slices[i] - direct.Z.slices[i]))))
+                    worst = max(worst, float(np.max(np.abs(result.solution.Z[i] - direct.Z[i]))))
             sups = [row.dY_sup for row in result.trace[1:]]
             monotone = monotone and all(sups[j + 1] <= sups[j] for j in range(len(sups) - 1))
     ok = worst <= 1e-9 and monotone
@@ -319,7 +321,7 @@ def test_11_cross_term_payoff_lands_in_the_orthogonal_remainder():
     )
     sol = solve_backward(lat, make_driver("zero"), phi)
     xi = phi.evaluate(lat.paths(lat.steps))
-    exact = bool(np.all(sol.Z.slices[0] == 0.0)) and np.array_equal(sol.dm(0).ravel(), xi)
+    exact = bool(np.all(sol.Z[0] == 0.0)) and np.array_equal(sol.dm(0).ravel(), xi)
     inc = lat.step_increments()
     ortho = float(np.max(np.abs(sol.dm(0) @ inc / inc.shape[0])))
     ok = exact and sol.y0 == 0.0 and ortho <= 1e-12
@@ -359,3 +361,13 @@ def test_12_identical_configs_give_identical_bytes(tmp_path):
         )
     ok = outputs[0] == outputs[1]
     _verdict(12, "byte-level determinism", ok, "solve+duality runs compared across two runs")
+
+
+def test_13_readme_quick_start_runs():
+    # the README's python block is the documented API
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    gap = scope["gap"]
+    _verdict(13, "readme quick start", abs(gap.root_gap) <= 1e-9, "root gap %.2e" % gap.root_gap)

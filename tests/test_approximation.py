@@ -97,11 +97,11 @@ def test_monotone_ladder_on_digital_terminal():
         sol = solve_backward(lat, f, inf_convolution(phi, n))
         assert sol.y0 == row.y0
         if prev is not None:
-            for a, b in zip(prev, sol.Y.slices):
+            for a, b in zip(prev, sol.Y):
                 assert np.min(b - a) >= -1e-12
-            inc = np.concatenate([b - a for a, b in zip(prev, sol.Y.slices)])
+            inc = np.concatenate([b - a for a, b in zip(prev, sol.Y)])
             assert row.min_increment == np.min(inc) and row.sup_increment == np.max(np.abs(inc))
-        prev = sol.Y.slices
+        prev = sol.Y
 
 
 @pytest.mark.parametrize("dim,steps", [(1, 8), (2, 4)])
@@ -150,7 +150,7 @@ def test_maxpath_ladder_runs_past_the_leaf_path_budget():
     for n, row in zip((1, 2, 4, 8, 16), ladder.rows):
         sol = solve_backward(lat, f, inf_convolution(phi, n))
         assert sol.y0 == row.y0
-        for a, b in zip(sol.Y.slices, direct.Y.slices):
+        for a, b in zip(sol.Y, direct.Y):
             assert np.array_equal(a, b)
 
 
@@ -235,7 +235,7 @@ def test_quadratic_clipped_endpoint_approaches_its_cole_hopf_limit():
     for n in (100, 400, 1600, 101, 401, 1601):
         sol = solve_backward(build_lattice(n, mode="recombining"), f, phi)
         assert abs(sol.y0 - y_lim) <= 0.25 / n, n
-        assert abs(sol.Z.slices[0][0, 0] - z_lim) <= 0.25 / n, n
+        assert abs(sol.Z[0][0, 0] - z_lim) <= 0.25 / n, n
 
 
 def test_quadratic_digital_approaches_its_limit_from_each_parity():

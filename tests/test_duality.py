@@ -34,8 +34,6 @@ from bsdelattice.errors import (
 from bsdelattice.lattice import build_lattice
 from bsdelattice.probability import (
     ControlProcess,
-    left_process,
-    predictable_process,
     tilted_expectation,
 )
 from bsdelattice.solver import solve_backward, terminal_values
@@ -53,12 +51,12 @@ def _solve(driver, terminal, steps, dim=1, mode="full"):
 def test_two_step_quadratic_strong_duality_frozen():
     lat, f, phi, sol = _solve("quadratic", "endpoint", 2)
     control = optimal_control(sol, f)
-    for sl in control.process.slices:
+    for sl in control.slices:
         assert np.allclose(sl, 1.0, atol=1e-13)
     cand = dual_value(lat, f, terminal_values(lat, phi), control)
     s = math.sqrt(0.5)
-    assert cand.slices[0][0] == pytest.approx(0.5, abs=1e-13)
-    assert cand.slices[1] == pytest.approx([s + 0.25, -s + 0.25], abs=1e-13)
+    assert cand[0][0] == pytest.approx(0.5, abs=1e-13)
+    assert cand[1] == pytest.approx([s + 0.25, -s + 0.25], abs=1e-13)
     rep = duality_gap(sol, cand, control)
     assert abs(rep.root_gap) <= 1e-12
     assert rep.min_gap >= -1e-12
@@ -123,11 +121,7 @@ def test_weak_duality_y_dependent_driver():
     # with a constant terminal the control term is negligible and the zero
     # tilt matches the primal recursion to rounding
     lat2, f2, phi2, sol2 = _solve("linear:0.3,1", "const:1", 8)
-    zero = ControlProcess(
-        predictable_process(
-            lat2, [np.zeros((lat2.node_count(i), 1)) for i in range(lat2.steps)]
-        )
-    )
+    zero = ControlProcess(lat2, [np.zeros((lat2.node_count(i), 1)) for i in range(lat2.steps)])
     cand2 = dual_value(lat2, f2, terminal_values(lat2, phi2), zero)
     rep2 = duality_gap(sol2, cand2, zero)
     assert abs(rep2.root_gap) <= 1e-12
@@ -162,13 +156,13 @@ def test_abs_dual_is_the_density_ratio_expectation(steps, dim):
         control = random_admissible_control(lat, rng, cap=1.0 / math.sqrt(dim))
         cand = dual_value(lat, f, terminal_values(lat, phi), control)
         dens = {
-            leaf: oracles.leaf_density(leaf, control.process.slices, dim, dt) for leaf in paths
+            leaf: oracles.leaf_density(leaf, control.slices, dim, dt) for leaf in paths
         }
         worst = 0.0
         for i in range(steps + 1):
             for node in product(range(2 ** dim), repeat=i):
                 want = oracles.expectation_under(xi, dens, node, steps, dim)
-                got = cand.slices[i][oracles.node_index(node, dim)]
+                got = cand[i][oracles.node_index(node, dim)]
                 worst = max(worst, abs(got - want))
         assert worst <= 1e-13
 
@@ -205,10 +199,10 @@ def test_dual_closes_on_a_time_varying_driver():
 def test_unbounded_conjugate_floods_candidate_with_minus_inf():
     lat, f, phi, sol = _solve("abs", "endpoint", 4)
     mu = [np.full((lat.node_count(i), 1), 1.5) for i in range(lat.steps)]
-    control = ControlProcess(predictable_process(lat, mu))
+    control = ControlProcess(lat, mu)
     assert control.admissibility_margin() > 0.0
     cand = dual_value(lat, f, terminal_values(lat, phi), control)
-    assert np.isneginf(cand.slices[0][0])
+    assert np.isneginf(cand[0][0])
     rep = duality_gap(sol, cand, control)
     assert rep.min_gap >= -1e-9
     assert math.isinf(rep.root_gap)
@@ -220,7 +214,7 @@ def test_dual_bisection_rescues_a_truncated_fixed_point():
     control = optimal_control(sol, f)
     ref = dual_value(lat, f, terminal_values(lat, phi), control)
     got = dual_value(lat, f, terminal_values(lat, phi), control, max_iter=2)
-    for a, b in zip(got.slices, ref.slices):
+    for a, b in zip(got, ref):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
@@ -228,7 +222,7 @@ def test_dual_value_rejects_inadmissible_control():
     lat, f, phi, _ = _solve("quadratic", "endpoint", 2)
     mu = [np.full((lat.node_count(i), 1), 2.0) for i in range(lat.steps)]
     with pytest.raises(AdmissibilityError):
-        dual_value(lat, f, terminal_values(lat, phi), ControlProcess(predictable_process(lat, mu)))
+        dual_value(lat, f, terminal_values(lat, phi), ControlProcess(lat, mu))
 
 
 def test_comparison_minimum_constant_shift():
@@ -244,8 +238,16 @@ def test_comparison_minimum_constant_shift():
 def test_comparison_minimum_keeps_a_nan(slice_index):
     *_, low = _solve("abs", "endpoint", 3)
     *_, high = _solve("abs", "endpoint", 3)
-    high.Y.slices[slice_index][-1] = math.nan
+    high.Y[slice_index][-1] = math.nan
     assert math.isnan(comparison_minimum(low, high))
+
+
+def test_comparison_minimum_refuses_solutions_of_different_step_counts():
+    # zip stopped at the shorter list: N=4 against N=6 compared five slices
+    *_, low = _solve("quadratic", "endpoint", 4)
+    *_, high = _solve("quadratic", "endpoint", 6)
+    with pytest.raises(ValueError):
+        comparison_minimum(low, high)
 
 
 def test_duality_csv_layout_and_determinism():
@@ -338,11 +340,11 @@ def test_dual_value_refuses_a_terminal_slice_of_the_wrong_length(size):
 
 def test_candidates_share_the_terminal_slice_and_leave_it_unwritten():
     lat, f, phi, sol = _solve("linear:1,1", "maxpath", 6)
-    xi = sol.Y.slices[-1]
+    xi = sol.Y[-1]
     kept = xi.copy()
     rng = np.random.default_rng(4)
     for control in [optimal_control(sol, f)] + [random_admissible_control(lat, rng) for _ in range(3)]:
-        assert dual_value(lat, f, xi, control).slices[-1] is xi
+        assert dual_value(lat, f, xi, control)[-1] is xi
     assert np.array_equal(xi, kept)
     assert np.array_equal(xi, terminal_values(lat, phi))
 
@@ -350,20 +352,18 @@ def test_candidates_share_the_terminal_slice_and_leave_it_unwritten():
 def test_unbounded_conjugate_stays_a_value():
     lat, f, phi, sol = _solve("abs", "endpoint", 3)
     # |mu| > 1 is outside the domain of the abs conjugate: -inf, not an error
-    control = ControlProcess(
-        predictable_process(lat, [np.full((lat.node_count(i), 1), 1.2) for i in range(3)])
-    )
+    control = ControlProcess(lat, [np.full((lat.node_count(i), 1), 1.2) for i in range(3)])
     cand = dual_value(lat, f, terminal_values(lat, phi), control)
-    assert np.all(cand.slices[0] == -np.inf)
+    assert np.all(cand[0] == -np.inf)
     assert duality_gap(sol, cand, control).weakly_consistent
 
 
 def test_nan_gap_is_never_weakly_consistent():
     lat, f, phi, sol = _solve("linear:1,1", "maxpath", 4)
     control = optimal_control(sol, f)
-    slices = [s.copy() for s in dual_value(lat, f, terminal_values(lat, phi), control).slices]
+    slices = [s.copy() for s in dual_value(lat, f, terminal_values(lat, phi), control)]
     slices[2][1] = np.nan
-    report = duality_gap(sol, left_process(lat, slices), control)
+    report = duality_gap(sol, slices, control)
     assert math.isnan(report.min_gap) and math.isnan(report.max_gap)
     assert not report.weakly_consistent
 
@@ -374,10 +374,10 @@ def test_minus_inf_mean_at_a_finite_domain_control_stays_minus_inf():
     lat, f, phi, _ = _solve("linear:1,1", "endpoint", 4)
     mu = [np.full((lat.node_count(i), 1), 1.2 if i == 3 else 0.5) for i in range(4)]
     cand = dual_value(
-        lat, f, terminal_values(lat, phi), ControlProcess(predictable_process(lat, mu))
+        lat, f, terminal_values(lat, phi), ControlProcess(lat, mu)
     )
     for i in range(4):
-        assert np.all(cand.slices[i] == -np.inf), i
+        assert np.all(cand[i] == -np.inf), i
 
 
 @pytest.mark.parametrize(
@@ -387,7 +387,7 @@ def test_numeric_subgradient_control_matches_the_closed_form(driver, terminal, s
     lat, f, phi, sol = _solve(driver, terminal, steps)
     closed = optimal_control(sol, f)
     numeric = optimal_control(sol, dataclasses.replace(f, analytic_subgradient=None))
-    for a, b in zip(numeric.process.slices, closed.process.slices):
+    for a, b in zip(numeric.slices, closed.slices):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
 
@@ -419,10 +419,10 @@ def test_y_free_dual_is_the_explicit_recursion(driver, mode, steps, dim):
     rng = np.random.default_rng(23)
     for _ in range(2):
         control = random_admissible_control(lat, rng)
-        got = dual_value(lat, f, terminal_values(lat, phi), control).slices
+        got = dual_value(lat, f, terminal_values(lat, phi), control)
         r = terminal_values(lat, phi)
         for i in range(steps - 1, -1, -1):
-            mu = control.process.slices[i]
+            mu = control.slices[i]
             g = conjugate(f, lat.grid.time(i + 1), None, 0.0, mu)
             r = tilted_expectation(lat, i, r, control.step_weights(i)) - g * lat.grid.dt
             np.testing.assert_array_equal(got[i].view(np.uint64), r.view(np.uint64))

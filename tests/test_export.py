@@ -37,7 +37,6 @@ from bsdelattice.drivers import make_driver, make_terminal
 from bsdelattice.duality import dual_value, export_duality_csv, optimal_control
 from bsdelattice.lattice import build_lattice
 from bsdelattice.picard import PicardResult, TraceRow, export_picard_trace_csv
-from bsdelattice.probability import left_process, predictable_process
 from bsdelattice.solver import SolutionTriple, export_solution_csv, solve_backward
 
 import oracles
@@ -68,7 +67,7 @@ def _assert_matches_oracle(kind, lat):
         oracles.per_row_solution_csv(sol, want)
     else:
         control = optimal_control(sol, f)
-        cand = dual_value(lat, f, sol.Y.slices[-1], control)
+        cand = dual_value(lat, f, sol.Y[-1], control)
         export_duality_csv(sol, cand, control, got)
         oracles.per_row_duality_csv(sol, cand, control, want)
     text = got.getvalue().decode()
@@ -240,8 +239,8 @@ def test_the_widest_numbers_fill_their_fields():
     vals = [np.resize(np.roll(WIDEST, i), n(i)) for i in range(5)]
     sol = SolutionTriple(
         lattice=lat,
-        Y=left_process(lat, vals),
-        Z=predictable_process(lat, [np.stack([v, v[::-1]], axis=1) for v in vals[:4]]),
+        Y=vals,
+        Z=[np.stack([v, v[::-1]], axis=1) for v in vals[:4]],
     )
     got, want = io.BytesIO(), io.StringIO()
     with np.errstate(over="ignore", invalid="ignore"):  # dM overflows to inf and nan

@@ -46,7 +46,7 @@ def test_driver_free_problem_converges_in_one_sweep():
     assert res.iterations == 1
     assert len(res.trace) == 1
     direct = solve_backward(lat, f, phi)
-    for a, b in zip(res.solution.Y.slices, direct.Y.slices):
+    for a, b in zip(res.solution.Y, direct.Y):
         assert np.max(np.abs(a - b)) < 1e-13
 
 
@@ -63,7 +63,7 @@ def test_quadratic_two_step_matches_frozen_root():
     res = picard_solve(lat, f, phi)
     assert res.solution.y0 == pytest.approx(0.5, abs=1e-12)
     direct = solve_backward(lat, f, phi)
-    for a, b in zip(res.solution.Y.slices, direct.Y.slices):
+    for a, b in zip(res.solution.Y, direct.Y):
         assert np.max(np.abs(a - b)) < 1e-12
     for k in range(2, len(res.trace)):
         assert res.trace[k].dY_sup <= res.trace[k - 1].dY_sup + 1e-15
@@ -74,7 +74,7 @@ def test_y_dependent_driver_converges_geometrically():
     f, phi = make_driver("linear:1,1"), make_terminal("clipped-endpoint")
     res = picard_solve(lat, f, phi)
     direct = solve_backward(lat, f, phi)
-    for a, b in zip(res.solution.Y.slices, direct.Y.slices):
+    for a, b in zip(res.solution.Y, direct.Y):
         assert np.max(np.abs(a - b)) < 1e-9
     totals = [row.total for row in res.trace]
     for k in range(2, len(totals)):
@@ -88,7 +88,7 @@ def test_path_dependent_driver_round_trip():
     lat = build_lattice(3, dim=1)
     res = picard_solve(lat, f, phi)
     direct = solve_backward(lat, f, phi)
-    for a, b in zip(res.solution.Y.slices, direct.Y.slices):
+    for a, b in zip(res.solution.Y, direct.Y):
         assert np.max(np.abs(a - b)) < 1e-9
 
 
@@ -176,7 +176,7 @@ def test_sweeps_hold_one_iterate():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    iterate = sum(a.nbytes for a in res.solution.Y.slices + res.solution.Z.slices)
+    iterate = sum(a.nbytes for a in res.solution.Y + res.solution.Z)
     assert peak < 3.5 * iterate, peak / iterate
 
 

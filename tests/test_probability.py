@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import re
@@ -8,29 +9,72 @@ import pytest
 from bsdelattice.drivers import make_driver, make_terminal
 from bsdelattice.errors import AdmissibilityError, StructuralError
 from bsdelattice.lattice import build_lattice, gather_children
+from bsdelattice.duality import dual_value, duality_gap, export_duality_csv, optimal_control
 from bsdelattice.probability import (
-    AdaptedProcess,
     ControlProcess,
+    _check_slices,
     conditional_expectation,
-    left_process,
     martingale_projection,
     orthogonal_increments,
-    predictable_process,
     tilted_expectation,
 )
-from bsdelattice.solver import solve_backward
+from bsdelattice.solver import SolutionTriple, solve_backward
 
 import oracles
 
 
 def test_process_shapes_validated():
     lat = build_lattice(2, dim=1)
-    left_process(lat, [np.zeros(1), np.zeros(2), np.zeros(4)])
-    predictable_process(lat, [np.zeros((1, 1)), np.zeros((2, 1))])
+    _check_slices(lat, [np.zeros(1), np.zeros(2), np.zeros(4)], 3)
+    _check_slices(lat, [np.zeros((1, 1)), np.zeros((2, 1))], 2)
     with pytest.raises(StructuralError):
-        left_process(lat, [np.zeros(1), np.zeros(2)])
+        _check_slices(lat, [np.zeros(1), np.zeros(2)], 3)
     with pytest.raises(StructuralError):
-        left_process(lat, [np.zeros(1), np.zeros(3), np.zeros(4)])
+        _check_slices(lat, [np.zeros(1), np.zeros(3), np.zeros(4)], 3)
+
+
+# each place a caller-built list of slices enters the package, given a list
+# of the wrong length or with a wrong node count: zip used to truncate a
+# short candidate, and a length-1 slice broadcast against every node
+_ENTRIES = {
+    "solution-Y-of-N-slices": (
+        lambda lat, sol, ctl, cand: SolutionTriple(lat, sol.Y[:-1], sol.Z),
+        "process needs 4 slices, got 3",
+    ),
+    "solution-wrong-node-count": (
+        lambda lat, sol, ctl, cand: SolutionTriple(lat, sol.Y[:2] + [np.zeros(3), sol.Y[3]], sol.Z),
+        "slice 2 has 3 values for 4 nodes",
+    ),
+    "control-of-N+1-slices": (
+        lambda lat, sol, ctl, cand: ControlProcess(lat, ctl.slices + [np.zeros((8, 1))]),
+        "process needs 3 slices, got 4",
+    ),
+    "gap-short-candidate": (
+        lambda lat, sol, ctl, cand: duality_gap(sol, cand[:-1], ctl),
+        "process needs 4 slices, got 3",
+    ),
+    "gap-length-1-slices": (
+        lambda lat, sol, ctl, cand: duality_gap(sol, [r[:1] for r in cand], ctl),
+        "slice 1 has 1 values for 2 nodes",
+    ),
+    "export-short-candidate": (
+        lambda lat, sol, ctl, cand: export_duality_csv(sol, cand[:-1], ctl, io.BytesIO()),
+        "process needs 4 slices, got 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+def test_each_entry_checks_a_caller_built_list_of_slices(entry):
+    call, message = _ENTRIES[entry]
+    lat = build_lattice(3, dim=1)
+    f = make_driver("linear:1,1")
+    sol = solve_backward(lat, f, make_terminal("endpoint"))
+    control = optimal_control(sol, f)
+    cand = dual_value(lat, f, sol.Y[-1], control)
+    with pytest.raises(StructuralError) as err:
+        call(lat, sol, control, cand)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -109,7 +153,7 @@ def test_martingale_projection_z_formula():
 def _leaf_densities(lat, ctl):
     """Reference per-leaf densities of the control, keyed by choice tuple."""
     return {
-        leaf: oracles.leaf_density(leaf, ctl.process.slices, lat.dim, lat.grid.dt)
+        leaf: oracles.leaf_density(leaf, ctl.slices, lat.dim, lat.grid.dt)
         for leaf in itertools.product(range(lat.n_choices), repeat=lat.steps)
     }
 
@@ -140,7 +184,7 @@ def test_density_matches_brute_product():
     rng = np.random.default_rng(3)
     lat = build_lattice(3, dim=2)
     mus = [rng.uniform(-0.4, 0.4, size=(lat.node_count(i), 2)) for i in range(3)]
-    ctl = ControlProcess(predictable_process(lat, mus))
+    ctl = ControlProcess(lat, mus)
     want = _leaf_densities(lat, ctl)
     got = _weight_products(ctl)
     for leaf, dens in want.items():
@@ -166,7 +210,7 @@ def test_admissibility_error_names_the_first_bad_edge_of_a_later_slice():
     mus[2][5] = [2.0, 0.0]
     mus[2][9] = [-2.0, 0.0]
     with pytest.raises(AdmissibilityError, match=re.escape("step 3: weight -0.154701 on edge (+-,+-) -> -+ ")):
-        ControlProcess(predictable_process(lat, mus)).check_admissible()
+        ControlProcess(lat, mus).check_admissible()
 
 
 def test_nan_weight_is_inadmissible():
@@ -175,7 +219,7 @@ def test_nan_weight_is_inadmissible():
     mus[1][2] = [np.nan, 0.0]
     mus[2][5] = [2.0, 0.0]  # a later slice's bad edge is not the one named
     with pytest.raises(AdmissibilityError, match=re.escape("step 2: weight nan on edge (-+) -> ++ ")):
-        ControlProcess(predictable_process(lat, mus)).check_admissible()
+        ControlProcess(lat, mus).check_admissible()
 
 
 def test_expectation_under_mu_drifted_endpoint():
@@ -207,7 +251,7 @@ def test_expectation_under_mu_brute_force():
     rng = np.random.default_rng(21)
     lat = build_lattice(3, dim=1)
     mus = [rng.uniform(-0.5, 0.5, size=(lat.node_count(i), 1)) for i in range(3)]
-    ctl = ControlProcess(predictable_process(lat, mus))
+    ctl = ControlProcess(lat, mus)
     x = rng.normal(size=8)
     got = x
     for i in range(2, -1, -1):
@@ -224,7 +268,7 @@ def test_step_weights_drift_the_walk_by_mu_dt():
     lat = build_lattice(3, dim=2)
     rng = np.random.default_rng(2)
     mus = [rng.uniform(-0.3, 0.3, size=(lat.node_count(i), 2)) for i in range(3)]
-    ctl = ControlProcess(predictable_process(lat, mus))
+    ctl = ControlProcess(lat, mus)
     inc = lat.step_increments()
     for i in range(lat.steps):
         w = ctl.step_weights(i)
@@ -247,18 +291,4 @@ def test_admissibility_margin_keeps_a_nan():
     lat = build_lattice(3, dim=1)
     slices = [np.full((lat.node_count(i), 1), 0.2) for i in range(3)]
     slices[1][0, 0] = math.nan
-    assert math.isnan(ControlProcess(predictable_process(lat, slices)).admissibility_margin())
-
-
-def test_adapted_process_sup_norm():
-    lat = build_lattice(2, dim=1)
-    p = left_process(lat, [np.array([1.0]), np.array([2.0, -3.0]), np.zeros(4)])
-    assert p.sup_norm() == 3.0
-
-
-def test_sup_norm_keeps_a_nan():
-    # behind finite slices, where a running max() would drop it
-    lat = build_lattice(3, dim=1)
-    slices = [np.ones(lat.node_count(i)) for i in range(4)]
-    slices[2][1] = math.nan
-    assert math.isnan(left_process(lat, slices).sup_norm())
+    assert math.isnan(ControlProcess(lat, slices).admissibility_margin())

@@ -26,6 +26,7 @@ from bsdelattice.lattice import build_lattice
 from bsdelattice.picard import picard_solve
 from bsdelattice.probability import ControlProcess
 from bsdelattice.solver import solve_backward
+from bsdelattice.verify import SamplingPlan, verify_driver_properties
 
 
 def _unread(x):
@@ -67,7 +68,7 @@ def test_dual_value_refuses_tol_and_max_iter(keywords, message):
     f = make_driver("linear:1,1")
     sol = solve_backward(lat, f, make_terminal("endpoint"))
     with pytest.raises(GridError) as err:
-        dual_value(lat, f, sol.Y.slices[-1], optimal_control(sol, f), **keywords)
+        dual_value(lat, f, sol.Y[-1], optimal_control(sol, f), **keywords)
     assert str(err.value) == message
 
 
@@ -149,3 +150,18 @@ def test_linear_driver_refuses_a_negative_b():
     with pytest.raises(GridError) as err:
         make_driver("linear:1,-1")
     assert str(err.value) == "linear driver needs b >= 0, got -1.0"
+
+
+def test_driver_property_probe_refuses_zero_samples():
+    # each fold ran over an empty list from its initial value, so a concave
+    # driver below its declared lower bound passed all five checks
+    concave = DriverSpec(
+        name="concave",
+        at=lambda t, w, z: lambda y: -5.0 * np.sum(z * z, axis=-1),
+        lipschitz_wy=0.0,
+        lower_bound=lambda c: 10.0,
+    )
+    assert not verify_driver_properties(concave, SamplingPlan(samples=16)).passed
+    with pytest.raises(GridError) as err:
+        verify_driver_properties(concave, SamplingPlan(samples=0))
+    assert str(err.value) == "samples must be >= 1, got 0"

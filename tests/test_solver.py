@@ -23,7 +23,6 @@ from bsdelattice.drivers import (
 from bsdelattice.errors import ConvergenceError, GridError, StepSizeError, StructuralError
 from bsdelattice.exact import QuadExt, exact_solve
 from bsdelattice.lattice import build_lattice
-from bsdelattice.probability import left_process, predictable_process
 from bsdelattice.solver import (
     SolutionTriple,
     _dm_column,
@@ -54,8 +53,8 @@ def test_zero_driver_endpoint_reproduces_walk():
     sol = solve_backward(lat, make_driver("zero"), make_terminal("endpoint"))
     for i in range(4):
         walk = lat.walk_slice(i)
-        assert np.allclose(sol.Y.slices[i], walk[:, 0], atol=1e-13, rtol=0.0)
-    for z in sol.Z.slices:
+        assert np.allclose(sol.Y[i], walk[:, 0], atol=1e-13, rtol=0.0)
+    for z in sol.Z:
         assert np.allclose(z[:, 0], 1.0, atol=1e-13)
         assert np.allclose(z[:, 1], 0.0, atol=1e-13)
     for i in range(lat.steps):
@@ -77,7 +76,7 @@ def test_constant_driver_shifts_conditional_mean():
     for i in range(5):
         for node in product(range(2), repeat=i):
             expected = oracles.conditional_mean(xi, node, 4, 1) + c * (1.0 - i * dt)
-            got = sol.Y.slices[i][oracles.node_index(node, 1)]
+            got = sol.Y[i][oracles.node_index(node, 1)]
             assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -86,8 +85,8 @@ def test_quadratic_two_step_frozen_values():
     sol = solve_backward(lat, make_driver("quadratic"), make_terminal("endpoint"))
     s = math.sqrt(0.5)
     assert sol.y0 == pytest.approx(0.5, abs=1e-14)
-    assert sol.Y.slices[1] == pytest.approx([s + 0.25, -s + 0.25], abs=1e-14)
-    for z in sol.Z.slices:
+    assert sol.Y[1] == pytest.approx([s + 0.25, -s + 0.25], abs=1e-14)
+    for z in sol.Z:
         assert z[:, 0] == pytest.approx(1.0, abs=1e-13)
     for i in range(lat.steps):
         assert np.max(np.abs(sol.dm(i))) < 1e-13
@@ -106,7 +105,7 @@ def test_quadratic_two_step_exact_rational():
     sol = solve_backward(lat, make_driver("quadratic"), make_terminal("endpoint"))
     for i in range(3):
         for node in product(range(2), repeat=i):
-            assert sol.Y.slices[i][oracles.node_index(node, 1)] == pytest.approx(
+            assert sol.Y[i][oracles.node_index(node, 1)] == pytest.approx(
                 float(ex.Y[i][node]), abs=1e-14
             )
 
@@ -205,7 +204,7 @@ def test_exact_rational_certifies_float_solver_deeper():
     sol2 = solve_backward(build_lattice(3, dim=2), make_driver("constant:0.7"), term)
     for i in range(4):
         for node in product(range(4), repeat=i):
-            assert sol2.Y.slices[i][oracles.node_index(node, 2)] == pytest.approx(
+            assert sol2.Y[i][oracles.node_index(node, 2)] == pytest.approx(
                 float(ex2.Y[i][node]), abs=1e-13
             )
 
@@ -248,12 +247,12 @@ def test_solver_matches_enumeration_oracle(driver, terminal, steps, dim):
     ref = oracles.brute_solve(steps, dim, 1.0, f_o, phi_o)
     for i in range(steps + 1):
         for node in product(range(2 ** dim), repeat=i):
-            assert sol.Y.slices[i][oracles.node_index(node, dim)] == pytest.approx(
+            assert sol.Y[i][oracles.node_index(node, dim)] == pytest.approx(
                 ref["Y"][node], abs=1e-12
             )
     for i in range(steps):
         for node in product(range(2 ** dim), repeat=i):
-            got = sol.Z.slices[i][oracles.node_index(node, dim)]
+            got = sol.Z[i][oracles.node_index(node, dim)]
             assert got == pytest.approx(list(ref["Z"][node]), abs=1e-12)
     rep = solution_residuals(sol, f, phi)
     assert rep.passed, rep
@@ -282,7 +281,7 @@ def test_path_dependent_driver_sees_shifted_samples():
     ref = oracles.brute_solve(3, 1, 1.0, f_o, lambda path: path[-1][0])
     for i in range(4):
         for node in product(range(2), repeat=i):
-            assert sol.Y.slices[i][oracles.node_index(node, 1)] == pytest.approx(
+            assert sol.Y[i][oracles.node_index(node, 1)] == pytest.approx(
                 ref["Y"][node], abs=1e-12
             )
 
@@ -313,9 +312,9 @@ def test_implicit_linear_recursion_recombining():
     y = 1.0
     for i in range(9, -1, -1):
         y = (y + dt) / (1.0 - dt)
-        sl = sol.Y.slices[i]
+        sl = sol.Y[i]
         assert np.max(np.abs(sl - y)) < 1e-12
-    for z in sol.Z.slices:
+    for z in sol.Z:
         assert np.max(np.abs(z)) < 1e-12
 
 
@@ -335,8 +334,8 @@ def test_full_and_recombining_agree_on_markov_data():
                 rec_idx = 0
                 for k in range(dim):
                     rec_idx = rec_idx * (i + 1) + downs[k]
-                assert full.Y.slices[i][oracles.node_index(node, dim)] == pytest.approx(
-                    rec.Y.slices[i][rec_idx], abs=1e-12
+                assert full.Y[i][oracles.node_index(node, dim)] == pytest.approx(
+                    rec.Y[i][rec_idx], abs=1e-12
                 )
 
 
@@ -375,7 +374,7 @@ def test_bisection_rescues_a_truncated_fixed_point():
     assert ref.info.bisection_nodes == 0
     assert sol.info.bisection_nodes > 0
     assert sol.info.residual_max <= 1e-12
-    for got, want in zip(sol.Y.slices, ref.Y.slices):
+    for got, want in zip(sol.Y, ref.Y):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -391,13 +390,13 @@ def test_bisection_cuts_path_samples_to_the_bisected_rows():
     lat, phi = build_lattice(7, dim=1), make_terminal("maxpath")
     ref = solve_backward(lat, f, phi)
     bind = solver._slice_driver(lat, f, 4)
-    z, y = ref.Z.slices[4], ref.Y.slices[4]
+    z, y = ref.Z[4], ref.Y[4]
     rows = np.array([3, 0, 11])
     assert bind(z, rows)(y[rows]).tobytes() == bind(z)(y)[rows].tobytes()
     sol = solve_backward(lat, f, phi, max_iter=2)
     assert ref.info.bisection_nodes == 0 < sol.info.bisection_nodes
     assert solution_residuals(sol, f, phi).dynamics_max <= 1e-10
-    for got, want in zip(sol.Y.slices, ref.Y.slices):
+    for got, want in zip(sol.Y, ref.Y):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -437,7 +436,7 @@ def test_bisection_stops_once_the_bracket_stops_moving(monkeypatch):
     want = solve_backward(lat, f, phi, max_iter=2)
     assert sol.info.bisection_nodes == want.info.bisection_nodes > 0
     assert calls and max(calls) <= 80, calls
-    for got, ref in zip(sol.Y.slices, want.Y.slices):
+    for got, ref in zip(sol.Y, want.Y):
         assert np.array_equal(got, ref)
     # a bracket that holds NaN (from a NaN start or a NaN mean) never moves;
     # the other rows still stop early, with the bits of the fixed halvings
@@ -476,13 +475,13 @@ def test_implicit_step_only_reads_what_the_driver_returns():
         got = solve_backward(lat, frozen, phi, max_iter=max_iter)
         want = solve_backward(lat, lin, phi, max_iter=max_iter)
         assert got.info.bisection_nodes == want.info.bisection_nodes
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.Y.slices, want.Y.slices))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.Y, want.Y))
     const = make_driver("constant:0.5")
     scalar = replace(const, at=lambda t, w, z: lambda y: 0.5, y_dependence="general")
     got = solve_backward(lat, scalar, phi)
     want = solve_backward(lat, const, phi)
     assert got.info.iterations_max > 1
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(got.Y.slices, want.Y.slices))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got.Y, want.Y))
 
 
 @pytest.mark.parametrize(
@@ -511,7 +510,7 @@ def test_linear_driver_norms_z_once_per_slice(monkeypatch, mode, steps, terminal
     generic = solve_backward(lat, closed, phi)
     assert calls[0] - in_terminal > 2 * lat.steps
     assert sol.info.iterations_max == generic.info.iterations_max > 2
-    for got, want in zip(sol.Y.slices + sol.Z.slices, generic.Y.slices + generic.Z.slices):
+    for got, want in zip(sol.Y + sol.Z, generic.Y + generic.Z):
         assert got.tobytes() == want.tobytes()
 
 
@@ -523,10 +522,10 @@ def test_residuals_report_a_nan(where):
     f, phi = make_driver("linear:1,1"), make_terminal("endpoint")
     sol = solve_backward(lat, f, phi)
     if where == "Y":
-        sol.Y.slices[2][0] = math.nan
+        sol.Y[2][0] = math.nan
         keys = ("dynamics_max", "dm_mean_max")
     else:
-        sol.Z.slices[1][0, 0] = math.nan
+        sol.Z[1][0, 0] = math.nan
         keys = ("dynamics_max", "dm_mean_max", "dm_orthogonality_max")
     rep = solution_residuals(sol, f, phi)
     for key in keys:
@@ -559,7 +558,7 @@ def test_recombining_solve_retains_little_more_than_y_and_z(dim, steps):
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    yz = sum(s.nbytes for s in sol.Y.slices) + sum(s.nbytes for s in sol.Z.slices)
+    yz = sum(s.nbytes for s in sol.Y) + sum(s.nbytes for s in sol.Z)
     assert retained <= 1.25 * yz, retained / yz
 
 
@@ -585,7 +584,7 @@ def test_full_export_and_summary_hold_the_solution_and_one_slice():
     finally:
         tracemalloc.stop()
     leaf = lat.node_count(17) * 8
-    solution = sum(a.nbytes for a in sol.Y.slices + sol.Z.slices)
+    solution = sum(a.nbytes for a in sol.Y + sol.Z)
     assert held < solution + leaf / 4, (held - solution) / leaf
     assert peak - held < 2.25 * leaf, (peak - held) / leaf
 
@@ -742,8 +741,8 @@ def test_csv_export_writes_non_finite_and_signed_zero_like_format(mode, steps, d
     n = lat.node_count
     sol = SolutionTriple(
         lattice=lat,
-        Y=left_process(lat, [special_values((n(i),), i) for i in range(steps + 1)]),
-        Z=predictable_process(lat, [special_values((n(i), dim), i + 1) for i in range(steps)]),
+        Y=[special_values((n(i),), i) for i in range(steps + 1)],
+        Z=[special_values((n(i), dim), i + 1) for i in range(steps)],
     )
     got, want = io.BytesIO(), io.StringIO()
     export_solution_csv(sol, got)
@@ -775,10 +774,10 @@ def test_csv_export_of_repeated_values_matches_per_row_writer():
 
     sol = SolutionTriple(
         lattice=lat,
-        Y=left_process(lat, [pick(n(i)) for i in range(13)]),
-        Z=predictable_process(lat, [pick((n(i), 1)) for i in range(12)]),
+        Y=[pick(n(i)) for i in range(13)],
+        Z=[pick((n(i), 1)) for i in range(12)],
     )
-    block = sol.Y.slices[12][:1024].view(np.uint64)
+    block = sol.Y[12][:1024].view(np.uint64)
     assert {0x0, 0x8000000000000000, 0x7FF8000000000000, 0x7FF8000000000001} <= set(block.tolist())
     got, want = io.BytesIO(), io.StringIO()
     export_solution_csv(sol, got)
@@ -805,8 +804,8 @@ def test_z_sup_and_bmo_keep_a_nan_control(slice_index):
     z[slice_index][-1, 0] = math.nan
     sol = SolutionTriple(
         lattice=lat,
-        Y=left_process(lat, [np.zeros(n(i)) for i in range(5)]),
-        Z=predictable_process(lat, z),
+        Y=[np.zeros(n(i)) for i in range(5)],
+        Z=z,
     )
     assert math.isnan(sol.z_sup())
     assert math.isnan(bmo_estimate(sol))
@@ -841,7 +840,7 @@ def test_running_terminal_matches_enumerated_maxpath(dim, steps):
 def test_maxpath_solves_past_the_leaf_path_budget():
     lat = build_lattice(20)
     sol = solve_backward(lat, make_driver("linear:1,1"), make_terminal("maxpath"))
-    xi = sol.Y.slices[-1]
+    xi = sol.Y[-1]
     # the all-up and the all-down path both end at |W| = N sqrt(dt) = sqrt(20)
     assert xi[0] == xi[-1] == pytest.approx(math.sqrt(20.0), rel=1e-14)
     assert np.all(np.isfinite(xi)) and math.isfinite(sol.y0)
@@ -864,7 +863,7 @@ def test_maxpath_solves_past_the_leaf_path_budget():
     # Y_i = E[Y_{i+1} | node] + W_{t_i} dt is solved by Y_i = W_{t_i} (1 + T - t_i)
     for i in range(20):
         want = lat.walk_slice(i)[:, 0] * (2.0 - lat.grid.time(i))
-        assert np.max(np.abs(sol.Y.slices[i] - want)) <= 1e-12, i
+        assert np.max(np.abs(sol.Y[i] - want)) <= 1e-12, i
 
 
 def _path_mean(paths):
