@@ -22,6 +22,9 @@ The package loads its core modules (lattice, drivers, solver) with this
 one; every other subcommand imports its own module when it runs, so a
 process pays only for what its subcommand uses.
 
+A process enters through run, the console script's and python -m's entry,
+which freezes the heap after main returns; main is the in-process API.
+
 Exit codes: 0 on success, 1 when a mathematical property fails (divergence,
 inadmissible optimizer, violated monotonicity), 2 on input errors.  All CSV
 output is written with 17 significant digits and is bitwise reproducible for
@@ -33,6 +36,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import json
 import math
 import sys
@@ -346,5 +350,18 @@ def main(argv=None) -> int:
         return 2
 
 
+def run(argv=None):
+    """The process entry: main(argv), then exit with its code.
+
+    The heap is frozen first, so the interpreter's final garbage collection
+    skips the objects numpy and the package made, which no exit needs to
+    free.  Only a process about to exit may freeze: in-process callers use
+    main, since a frozen garbage cycle is never freed.
+    """
+    code = main(argv)
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

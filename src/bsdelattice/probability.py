@@ -23,15 +23,24 @@ from .lattice import PathLattice, _sum_columns, gather_children
 
 
 def _check_slices(lattice: PathLattice, slices, count: int) -> list:
-    """list(slices); StructuralError unless it has count slices, slice i of node_count(i) rows."""
+    """list(slices); StructuralError unless it has count slices of that layout's shapes.
+
+    N+1 slices are a left process, slice i of shape (n_i,); N slices are a
+    predictable process, slice i of shape (n_i, d).
+    """
     slices = list(slices)
     if len(slices) != count:
         raise StructuralError("process needs %d slices, got %d" % (count, len(slices)))
+    tail = () if count > lattice.steps else (lattice.dim,)
     for i, arr in enumerate(slices):
-        if len(arr) != lattice.node_count(i):
+        n, shape = lattice.node_count(i), np.shape(arr)
+        if shape[:1] != (n,):
             raise StructuralError(
-                "slice %d has %d values for %d nodes" % (i, len(arr), lattice.node_count(i))
+                "slice %d has %d values for %d nodes" % (i, shape[0] if shape else 1, n)
             )
+        if shape != (n,) + tail:
+            want = "(n_%d, %d)" % (i, lattice.dim) if tail else "(n_%d,)" % i
+            raise StructuralError("slice %d must have shape %s" % (i, want))
     return slices
 
 
@@ -120,11 +129,6 @@ class ControlProcess:
 
     def __init__(self, lattice: PathLattice, slices):
         self.slices = _check_slices(lattice, slices, lattice.steps)
-        for i, arr in enumerate(self.slices):
-            if arr.ndim != 2 or arr.shape[1] != lattice.dim:
-                raise StructuralError(
-                    "control slice %d must have shape (n_%d, %d)" % (i, i, lattice.dim)
-                )
         self.lattice = lattice
         inc = lattice.step_increments()
         self._weights = [1.0 + mu @ inc.T for mu in self.slices]

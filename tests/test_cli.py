@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -795,20 +796,61 @@ _IMPORTS = {
 }
 
 
+def _child(args, cwd=None):
+    """A python child process run with args on this source tree; its text output captured."""
+    src = os.path.dirname(os.path.dirname(bsdelattice.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable] + args, env=env, cwd=cwd, capture_output=True, text=True, timeout=120
+    )
+
+
 @pytest.mark.parametrize("command", sorted(_IMPORTS))
 def test_each_subcommand_imports_only_its_own_modules(tmp_path, command):
     # -m runs cli as __main__, so -X importtime lists the modules it imports, not cli itself
     argv, own = _IMPORTS[command]
-    src = os.path.dirname(os.path.dirname(bsdelattice.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "bsdelattice.cli", command] + argv
-        + ["--out", str(tmp_path / "out.csv")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    done = _child(["-X", "importtime", "-m", "bsdelattice.cli", command] + argv
+                  + ["--out", str(tmp_path / "out.csv")])
     assert done.returncode == 0, done.stderr
     names = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
              if line.startswith("import time:")}
     loaded = {name.split(".", 1)[1] for name in names if name.startswith("bsdelattice.")}
     assert "bsdelattice" in names
     assert loaded == _CORE | own
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(capsys):
+    # a frozen garbage cycle is never freed, so only run may freeze
+    before = gc.get_freeze_count()
+    assert main(["solve", "--steps", "2"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["solve", "--steps", "6"], 0),
+        (["converge", "--mode", "full", "--terminal", "maxpath", "--steps-list", "4,8", "--reference", "1"], 1),
+        (["converge", "--terminal", "maxpath", "--steps-list", "4,8", "--reference", "1"], 2),
+    ],
+)
+def test_a_process_exits_and_writes_as_main_returns_and_writes(tmp_path, capsys, argv, code):
+    done = _child(["-m", "bsdelattice.cli"] + argv, cwd=tmp_path)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
+
+
+def test_run_freezes_the_heap_before_exit_handlers_run(tmp_path):
+    out = tmp_path / "solve.csv"
+    script = "\n".join([
+        "import atexit, gc, sys",
+        "from bsdelattice import cli",
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))",
+        "cli.run(['solve', '--steps', '2', '--out', %r])" % str(out),
+    ])
+    done = _child(["-c", script])
+    assert done.returncode == 0, done.stderr
+    assert out.read_text().startswith("time_index,node_id,Y,Z_1,dM\n")
+    assert int(done.stderr.split()[-1]) > 0

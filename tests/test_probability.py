@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 import re
@@ -58,10 +57,31 @@ _ENTRIES = {
         "slice 1 has 1 values for 2 nodes",
     ),
     "export-short-candidate": (
-        lambda lat, sol, ctl, cand: export_duality_csv(sol, cand[:-1], ctl, io.BytesIO()),
+        lambda lat, sol, ctl, cand: export_duality_csv(sol, cand[:-1], ctl, _Unwritable()),
         "process needs 4 slices, got 3",
     ),
+    # a slice of the right node count but the wrong shape: a column candidate
+    # broadcast its gaps to (n_i, n_i), and a 1-D Z was kept
+    "gap-column-slices": (
+        lambda lat, sol, ctl, cand: duality_gap(sol, [r[:, None] for r in cand], ctl),
+        "slice 0 must have shape (n_0,)",
+    ),
+    "export-column-slices": (
+        lambda lat, sol, ctl, cand: export_duality_csv(sol, [r[:, None] for r in cand], ctl, _Unwritable()),
+        "slice 0 must have shape (n_0,)",
+    ),
+    "solution-1-d-Z": (
+        lambda lat, sol, ctl, cand: SolutionTriple(lat, sol.Y, [z[:, 0] for z in sol.Z]),
+        "slice 0 must have shape (n_0, 1)",
+    ),
 }
+
+
+class _Unwritable:
+    """A binary sink that fails any write: a refused export writes no byte."""
+
+    def write(self, data):
+        raise AssertionError("wrote %r before refusing" % data)
 
 
 @pytest.mark.parametrize("entry", list(_ENTRIES))
