@@ -201,21 +201,21 @@ def refinement_experiment(
 
     Grid N is build_lattice(N, mode=mode, **lattice): dim, horizon and
     leaf_budget keep build_lattice's own defaults unless given.  A non-finite
-    reference or an empty steps_list raises GridError before any grid.
+    reference, an empty steps_list or a grid build_lattice refuses raises
+    before any grid is solved.
     """
     study = RefinementStudy(reference=float(reference))
     if not math.isfinite(study.reference):
         raise GridError("reference must be a finite number, got %r" % (study.reference,))
     if len(steps_list) == 0:
         raise GridError("steps_list is empty")
-    for steps in steps_list:
-        lat = build_lattice(int(steps), mode=mode, **lattice)
+    for lat in [build_lattice(steps, mode=mode, **lattice) for steps in steps_list]:
         for _, y, _, _, _, _ in _backward_sweep(lat, f, phi, DEFAULT_TOL, DEFAULT_MAX_ITER):
             pass
         y0 = float(y[0])
         if not math.isfinite(y0):
-            raise ConvergenceError("grid N=%d: Y_0 is %r, not a finite number" % (steps, y0))
-        study.rows.append((int(steps), y0, abs(y0 - study.reference)))
+            raise ConvergenceError("grid N=%d: Y_0 is %r, not a finite number" % (lat.steps, y0))
+        study.rows.append((lat.steps, y0, abs(y0 - study.reference)))
     errs = np.array([r[2] for r in study.rows])
     ns = np.array([r[0] for r in study.rows], dtype=float)
     if len(errs) >= 2 and np.all(errs > 0.0):

@@ -19,8 +19,8 @@ rule for a y-free driver: one iterate.
 dual_value takes the terminal slice, not the terminal functional: every
 candidate of a solve starts from the solve's own terminal values, so a run
 that probes many controls evaluates the terminal once.  Each slice's NaN
-and admissibility guards are one reduction; the offending node or edge is
-searched for only when the guard fails.
+guard (solver._refuse_nan, Picard's too) and admissibility guard is one
+reduction; the offending node or edge is searched for only when it fails.
 
 A conjugate value of +inf sends the candidate to -inf at that node, which
 then propagates toward the root.  That is a legitimate (useless) candidate,
@@ -36,24 +36,21 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .drivers import DriverSpec
-from .errors import ConvergenceError, OptimizerAdmissibilityError, StructuralError
+from .errors import GridError, OptimizerAdmissibilityError, StructuralError
 from .lattice import PathLattice, _sum_columns
 from .probability import ControlProcess, _check_slices, difference_extremes, tilted_expectation
 from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, SolutionTriple, _check_problem, _implicit_step
-from .solver import _slice_driver, _write_rows
+from .solver import _refuse_nan, _slice_driver, _write_rows
 
 # the most negative gap that still counts as weak duality: rounding, not a refutation
 WEAK_DUALITY_SLACK = 1e-9
 
 
-def _check_no_nan(values, i, what):
-    # one reduction per slice (min is NaN iff a value is); the search runs on a hit
-    if math.isnan(values.min()):
-        bad = np.flatnonzero(np.isnan(values))
-        raise ConvergenceError(
-            "dual step at slice %d: %s is NaN at %d node(s), first node %d"
-            % (i, what, bad.size, bad[0])
-        )
+def _check_control_lattice(lattice: PathLattice, control: ControlProcess):
+    """StructuralError unless control is on a lattice of this grid, dimension and layout."""
+    shapes = [(lat.grid, lat.dim, lat.mode) for lat in (control.lattice, lattice)]
+    if shapes[0] != shapes[1]:
+        raise StructuralError("control is on another lattice: %s, not %s" % tuple(shapes))
 
 
 def dual_value(
@@ -69,7 +66,8 @@ def dual_value(
     xi is the terminal slice, terminal_values(lattice, phi) or the solve's
     own last slice; it becomes the candidate's last slice and is never
     written, so one array can serve every candidate of a solve.  A length
-    other than the terminal node count raises StructuralError.  One step
+    other than the terminal node count, or a control on a lattice of another
+    grid, dimension or layout, raises StructuralError.  One step
     back solves r = E^mu[R_{i+1} | node] - g(r, mu) dt, g the z-conjugate,
     with the backward solve's fixed point and bisection fallback, under its
     conditions (solver._check_problem, before anything is evaluated);
@@ -81,6 +79,7 @@ def dual_value(
     time-dependent driver's candidate is dual to its solve too.
     """
     n_iter = _check_problem(lattice, f, tol, max_iter)
+    _check_control_lattice(lattice, control)
     control.check_admissible()
     n_leaves = lattice.node_count(lattice.steps)
     if np.shape(xi) != (n_leaves,):
@@ -98,18 +97,18 @@ def dual_value(
 
     for i in range(lattice.steps - 1, -1, -1):
         e_mu = tilted_expectation(lattice, i, r_next, control.step_weights(i))
-        _check_no_nan(e_mu, i, "the tilted expectation")
+        _refuse_nan(e_mu, "dual step at slice %d: the tilted expectation", (i,))
         mu = control.slices[i]
         bind = _slice_driver(lattice, f, i, neg_conjugate)
         r = np.full_like(e_mu, -np.inf)
         g0 = bind(mu)(e_mu)  # -g at the mean
-        _check_no_nan(g0, i, "the conjugate")
+        _refuse_nan(g0, "dual step at slice %d: the conjugate", (i,))
         live = np.flatnonzero(np.isfinite(e_mu) & np.isfinite(g0))
         if live.size:
             r[live] = _implicit_step(
                 bind(mu, live), lambda rows: bind(mu, live[rows]), e_mu[live], dt, tol, n_iter, i
             )[0]
-        _check_no_nan(r, i, "the candidate value")
+        _refuse_nan(r, "dual step at slice %d: the candidate value", (i,))
         slices[i] = r
         r_next = r
     return slices
@@ -147,8 +146,10 @@ def random_admissible_control(
     """Uniform random predictable control kept strictly admissible by scale.
 
     Component magnitudes stay below 0.9 / (d sqrt(dt)) so every one-step
-    weight is at least 0.1; cap further limits the sup norm.
+    weight is at least 0.1; cap (> 0, else GridError) also bounds the sup norm.
     """
+    if not cap > 0.0:  # NaN too, which min() would drop
+        raise GridError("cap must be a number > 0, got %r" % (cap,))
     scale = min(0.9 / (lattice.dim * lattice.grid.sqrt_dt), cap)
     slices = [
         rng.uniform(-scale, scale, size=(lattice.node_count(i), lattice.dim))
@@ -175,10 +176,12 @@ def duality_gap(sol: SolutionTriple, candidate: list, control: ControlProcess) -
     """Nodewise primal-minus-dual gaps; a min_gap below -WEAK_DUALITY_SLACK refutes weak duality.
 
     candidate is a list of N+1 slices on sol.lattice, as dual_value returns
-    it; another count or node count raises StructuralError.  A NaN gap
+    it; another count or node count, or a control on another lattice (as
+    dual_value checks it), raises StructuralError.  A NaN gap
     anywhere makes min_gap and max_gap NaN, which is never weakly consistent.
     """
     candidate = _check_slices(sol.lattice, candidate, sol.lattice.steps + 1)
+    _check_control_lattice(sol.lattice, control)
     min_gap, max_gap = difference_extremes(sol.Y, candidate)
     return DualityReport(
         root_primal=sol.y0,
@@ -198,7 +201,7 @@ def comparison_minimum(low: SolutionTriple, high: SolutionTriple) -> float:
 def export_duality_csv(sol: SolutionTriple, candidate: list, control: ControlProcess, fileobj):
     """Rows node_id,primal,dual,gap,margin with node_id as slice:index, to a binary file.
 
-    candidate is checked against sol.lattice as duality_gap checks it.
+    candidate and control are checked as duality_gap checks them.
     margin is the smallest one-step weight at the node's deciding step,
     empty on the last slice where no further step is taken.  Values take 17
     significant digits.  The slices stream through solver._write_rows one
@@ -207,6 +210,7 @@ def export_duality_csv(sol: SolutionTriple, candidate: list, control: ControlPro
     """
     lat = sol.lattice
     candidate = _check_slices(lat, candidate, lat.steps + 1)
+    _check_control_lattice(lat, control)
     fileobj.write(b"node_id,primal,dual,gap,margin\n")
 
     def slices():

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -249,18 +250,27 @@ def build_lattice(
     The last slice must hold at most leaf_budget nodes on either layout
     (None means the default, 2**20): 2**(dim*steps) leaves on the full one,
     (steps+1)**dim points on the recombining one.  Pass a larger budget
-    explicitly to go beyond it.
+    explicitly to go beyond it.  GridError names steps, dim or leaf_budget
+    if it is no integer (a bool is not one), where int() would truncate 2.7.
     """
-    grid = TimeGrid(horizon=float(horizon), steps=int(steps))
-    lattice = PathLattice(grid, int(dim), mode)
+    grid = TimeGrid(horizon=float(horizon), steps=_integer("steps", steps))
+    lattice = PathLattice(grid, _integer("dim", dim), mode)
+    budget = DEFAULT_LEAF_BUDGET if leaf_budget is None else _integer("leaf_budget", leaf_budget)
     leaves = lattice.node_count(lattice.steps)
-    if leaves > (DEFAULT_LEAF_BUDGET if leaf_budget is None else int(leaf_budget)):
+    if leaves > budget:
         raise BudgetError(
             "lattice with steps=%d dim=%d mode=%s has %d leaf nodes; "
             "needs leaf_budget >= %d (default %d)"
             % (steps, dim, mode, leaves, leaves, DEFAULT_LEAF_BUDGET)
         )
     return lattice
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int; GridError unless it is an integer (numpy's too) and no bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise GridError("%s must be an integer, got %r" % (name, value))
+    return int(value)
 
 
 def gather_children(lattice: PathLattice, i: int, child_values: np.ndarray) -> np.ndarray:

@@ -14,9 +14,11 @@ The iteration stops when either the triple distance to the previous iterate
 residual of the new iterate drops strictly below tol.  The residual branch is
 what lets driver-free problems finish after a single sweep.
 
-One iterate is held, Y and Z, and a sweep overwrites it slice by slice; the
-old slice becomes the difference dY_i = old - new, which the next slice down
-reads.  The control and martingale distances are sups over paths, formed as
+The iterate is one SolutionTriple, which picard_solve returns; a sweep
+writes each new slice into its arrays, which keep their place across sweeps
+so that sweeping does not fragment the heap, and counts itself in its info.
+The difference dY_i = old - new, which the next slice down reads, is formed
+first.  The control and martingale distances are sups over paths, formed as
 backward tails over each node's children, so they are exact on both lattice
 layouts and need no path arrays:
 
@@ -33,7 +35,6 @@ folds use np.maximum and np.minimum, so a NaN term makes its sup NaN.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,20 +47,11 @@ from .solver import (
     SolutionTriple,
     SolveInfo,
     _check_problem,
+    _refuse_nan,
     _slice_driver,
     _write_table,
     terminal_values,
 )
-
-
-@dataclass
-class PicardState:
-    """The iterate after p sweeps: Y on slices 0..N, Z on slices 0..N-1."""
-
-    p: int
-    Y: list
-    Z: list
-    residual: float
 
 
 @dataclass
@@ -78,25 +70,29 @@ class TraceRow:
 class PicardResult:
     solution: SolutionTriple
     trace: list
-    iterations: int
+
+    @property
+    def iterations(self) -> int:
+        return self.solution.info.iterations_max
 
     @property
     def final_residual(self) -> float:
         return self.solution.info.residual_max
 
 
-def zero_state(lattice: PathLattice) -> PicardState:
+def zero_state(lattice: PathLattice) -> SolutionTriple:
+    """The zero triple before any sweep: no sweep counted, an infinite residual."""
     Y = [np.zeros(lattice.node_count(i)) for i in range(lattice.steps + 1)]
     Z = [np.zeros((lattice.node_count(i), lattice.dim)) for i in range(lattice.steps)]
-    return PicardState(p=0, Y=Y, Z=Z, residual=np.inf)
+    return SolutionTriple(lattice=lattice, Y=Y, Z=Z, info=SolveInfo(residual_max=np.inf))
 
 
 def _new_slice(lattice, f, i, y_next, y_old, z_old, sweep):
     """Slice i of a sweep: the new (y, z) and the worst implicit residual of y.
 
     y_next is the new slice i+1; the driver is frozen at the old (y_old,
-    z_old).  Raises ConvergenceError naming the sweep and the slice when a
-    residual is NaN.
+    z_old).  A NaN residual raises solver._refuse_nan's ConvergenceError,
+    naming the sweep and the slice.
     """
     dt = lattice.grid.dt
     mean, z = martingale_projection(lattice, i, y_next)
@@ -104,16 +100,8 @@ def _new_slice(lattice, f, i, y_next, y_old, z_old, sweep):
     y = mean + bind(z_old)(y_old) * dt
     # residual of the new iterate in the implicit one-step equation
     r = np.abs(y - mean - bind(z)(y) * dt)
-    rmax = float(np.max(r))
-    # the max is NaN iff a residual is; the node is searched for only then
-    if math.isnan(rmax):
-        raise ConvergenceError(
-            "picard sweep %d: implicit residual is NaN at slice %d, first node %d"
-            % (sweep, i, np.flatnonzero(np.isnan(r))[0]),
-            residual=np.nan,
-            iterations=sweep,
-        )
-    return y, z, rmax
+    where = "picard sweep %d, slice %d: the implicit residual"
+    return y, z, _refuse_nan(r, where, (sweep, i), residual=np.nan, iterations=sweep)
 
 
 def _tails(lattice, i, dy_next, dz, tails):
@@ -133,39 +121,36 @@ def _tails(lattice, i, dy_next, dz, tails):
     return s, u, _fold_columns(np.minimum, ddm)
 
 
-def picard_step(
-    lattice: PathLattice, f: DriverSpec, xi: np.ndarray, state: PicardState
-) -> TraceRow:
-    """One backward sweep with the driver frozen at the previous iterate.
+def picard_step(f: DriverSpec, xi: np.ndarray, sol: SolutionTriple) -> TraceRow:
+    """One backward sweep with the driver frozen at the previous iterate sol.
 
-    Overwrites state with the new iterate, slice by slice, and returns the
-    sweep's (value sup, control path-l2, martingale sup) distance to the
-    previous one.  Each sup is NaN when any of its terms is, so a NaN never
-    reads as close.
+    Writes the new iterate into sol's Y and Z arrays slice by slice, counts
+    the sweep in sol.info.iterations_max and puts its worst implicit residual
+    in residual_max; returns the (value sup, control path-l2, martingale sup)
+    distance to the previous iterate, each sup NaN when any term is.
     """
-    n = lattice.steps
-    Y, Z = state.Y, state.Z
+    lattice, Y, Z, info = sol.lattice, sol.Y, sol.Z, sol.info
+    n, sweep = lattice.steps, info.iterations_max + 1
     dy_next = Y[n] - xi
     Y[n] = xi
     dy_sup = np.max(np.abs(dy_next))
     tails = None  # (S, U, L) of slice i+1; zero past the terminal slice
     resid = 0.0
     for i in range(n - 1, -1, -1):
-        y, z, rmax = _new_slice(lattice, f, i, Y[i + 1], Y[i], Z[i], state.p + 1)
+        y, z, rmax = _new_slice(lattice, f, i, Y[i + 1], Y[i], Z[i], sweep)
         resid = max(resid, rmax)
-        # the old slices become the differences old - new
-        dy = np.subtract(Y[i], y, out=Y[i])
-        dz = np.subtract(Z[i], z, out=Z[i])
-        Y[i], Z[i] = y, z
+        # old - new, then the new values into the iterate's arrays, which never move
+        dy, dz = Y[i] - y, Z[i] - z
+        Y[i][...], Z[i][...] = y, z
+        del y, z  # before the tails are formed, so no extra slice is held there
         dy_sup = np.maximum(dy_sup, np.max(np.abs(dy)))
         tails = _tails(lattice, i, dy_next, dz, tails)
         dy_next = dy
-    state.p += 1
-    state.residual = resid
+    info.iterations_max, info.residual_max = sweep, resid
     s, u, lo = tails
     # U_0 >= 0 >= L_0; abs() also turns a -0.0 tail into +0.0
     return TraceRow(
-        p=state.p,
+        p=sweep,
         dY_sup=float(dy_sup),
         dZ_l2=float(np.sqrt(s[0])),
         dM_sup=float(np.maximum(np.abs(u[0]), np.abs(lo[0]))),
@@ -179,7 +164,7 @@ def picard_solve(
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> PicardResult:
-    """Iterate from the zero triple until the stopping rule fires.
+    """Iterate from the zero triple until the stopping rule fires; returns the swept triple.
 
     Runs on both lattice layouts, under the solve's conditions on the driver
     and the terminal, checked by solver._check_problem before the terminal
@@ -191,24 +176,19 @@ def picard_solve(
     """
     _check_problem(lattice, f, tol, max_iter)
     xi = terminal_values(lattice, phi)
-    state = zero_state(lattice)
+    sol = zero_state(lattice)
+    info = sol.info
+    info.driver_name, info.terminal_name = f.name, phi.name
     trace = []
     for _ in range(max_iter):
-        row = picard_step(lattice, f, xi, state)
+        row = picard_step(f, xi, sol)
         trace.append(row)
-        if row.total < tol or state.residual < tol:
-            info = SolveInfo(
-                iterations_max=state.p,
-                residual_max=state.residual,
-                driver_name=f.name,
-                terminal_name=phi.name,
-            )
-            sol = SolutionTriple(lattice=lattice, Y=state.Y, Z=state.Z, info=info)
-            return PicardResult(solution=sol, trace=trace, iterations=state.p)
+        if row.total < tol or info.residual_max < tol:
+            return PicardResult(solution=sol, trace=trace)
     raise ConvergenceError(
         "picard iteration did not reach tol=%.3g in %d sweeps "
-        "(last residual %.3g)" % (tol, max_iter, state.residual),
-        residual=state.residual,
+        "(last residual %.3g)" % (tol, max_iter, info.residual_max),
+        residual=info.residual_max,
         iterations=max_iter,
     )
 

@@ -297,6 +297,19 @@ def _implicit_step(fy, fy_rows, mean, dt, tol, max_iter, i):
     return y, iters, bad.size, rmax
 
 
+def _refuse_nan(values, where, args, **attrs) -> float:
+    """values.max() as a float, one reduction that is NaN iff a value is.  Only on a NaN are
+    the nodes searched, "<where % args> is NaN at <k> node(s), first node <j>" formatted and
+    raised as ConvergenceError(message, **attrs); Picard's residual and each dual step use it."""
+    top = float(values.max())
+    if math.isnan(top):
+        bad = np.flatnonzero(np.isnan(values))
+        raise ConvergenceError(
+            "%s is NaN at %d node(s), first node %d" % (where % args, bad.size, bad[0]), **attrs
+        )
+    return top
+
+
 def _residual(fv, mean, y, dt, out):
     """|y - fv dt - mean| into out."""
     np.multiply(fv, dt, out=out)
@@ -409,19 +422,11 @@ def _selfref_envelope_dominated(B: float, grid: TimeGrid) -> bool:
     """Whether prod_{j > i} (1 - B dt)^-1 stays below 2 exp(B (T - t_i)) at every t_i.
 
     The product is the discrete Gronwall envelope of the z bound; False when
-    B dt >= 1, where it is undefined.
+    B dt >= 1, where it is undefined.  Their ratio ((1 - B dt)^-1 e^(-B dt))^n
+    over n = N - i steps never decreases in n, so only t_0 can fail.
     """
-    dt = grid.dt
-    if B * dt >= 1.0:
-        return False
-    n = grid.steps
-    prod = 1.0
-    ok = True
-    for i in range(n - 1, -1, -1):
-        prod /= 1.0 - B * dt
-        if prod > 2.0 * math.exp(B * (grid.horizon - grid.time(i))) + 1e-15:
-            ok = False
-    return ok
+    bdt = B * grid.dt
+    return bdt < 1.0 and (1.0 - bdt) ** -grid.steps <= 2.0 * math.exp(B * grid.horizon) + 1e-15
 
 
 @dataclass

@@ -303,3 +303,18 @@ def picard_distances_by_paths(lattice, old, new):
         cum = np.repeat(cum, nch) + (dm_old - dm_new).ravel()
         dmsup = float(np.maximum(dmsup, np.max(np.abs(cum))))
     return dy, dz, dmsup
+
+
+def envelope_dominated_by_slices(B, grid):
+    """Whether the discrete Gronwall envelope prod_{j > i} (1 - B dt)^-1 stays below
+    2 exp(B (T - t_i)), checked at every t_i, the product built one division per slice."""
+    dt = grid.dt
+    if B * dt >= 1.0:
+        return False
+    prod = 1.0
+    ok = True
+    for i in range(grid.steps - 1, -1, -1):
+        prod /= 1.0 - B * dt
+        if prod > 2.0 * math.exp(B * (grid.horizon - grid.time(i))) + 1e-15:
+            ok = False
+    return ok

@@ -28,6 +28,7 @@ from bsdelattice.duality import (
 from bsdelattice.errors import (
     AdmissibilityError,
     ConvergenceError,
+    GridError,
     OptimizerAdmissibilityError,
     StructuralError,
 )
@@ -336,6 +337,56 @@ def test_dual_value_refuses_a_terminal_slice_of_the_wrong_length(size):
     lat, f, phi, sol = _solve("linear:1,1", "endpoint", 3)
     with pytest.raises(StructuralError, match="8 terminal nodes"):
         dual_value(lat, f, np.zeros(size), optimal_control(sol, f))
+
+
+_CONTROL_ENTRIES = {
+    "dual_value": lambda sol, f, cand, control, sink: dual_value(sol.lattice, f, sol.Y[-1], control),
+    "duality_gap": lambda sol, f, cand, control, sink: duality_gap(sol, cand, control),
+    "export": lambda sol, f, cand, control, sink: export_duality_csv(sol, cand, control, sink),
+}
+
+
+@pytest.mark.parametrize("other", [{"steps": 4}, {"steps": 3, "horizon": 0.5}], ids=["N=4", "T=0.5"])
+@pytest.mark.parametrize("entry", list(_CONTROL_ENTRIES))
+def test_a_control_from_another_lattice_is_refused(entry, other):
+    # an N=4 control moved the dual root from 5.786779 to 5.354018 and the
+    # margin from 0.4226 to 0.5; a T=0.5 one gave 4.848005; no error
+    lat, f, phi, sol = _solve("linear:1,1", "endpoint", 3)
+    cand = dual_value(lat, f, sol.Y[-1], optimal_control(sol, f))
+    other_lat = build_lattice(**other)
+    foreign = optimal_control(solve_backward(other_lat, f, phi), f)
+    sink = io.BytesIO()
+    with pytest.raises(StructuralError, match=r"^control is on another lattice: \(TimeGrid"):
+        _CONTROL_ENTRIES[entry](sol, f, cand, foreign, sink)
+    assert sink.getvalue() == b""  # the export refuses before its header
+
+
+def test_a_control_on_a_separately_built_lattice_of_one_shape_is_accepted():
+    lat, f, phi, sol = _solve("linear:1,1", "endpoint", 3)
+    own = optimal_control(sol, f)
+    twin = ControlProcess(build_lattice(3), own.slices)
+    cand = dual_value(lat, f, sol.Y[-1], twin)
+    for got, want in zip(cand, dual_value(lat, f, sol.Y[-1], own)):
+        assert np.array_equal(got, want)
+    assert duality_gap(sol, cand, twin) == duality_gap(sol, cand, own)
+    buf, want = io.BytesIO(), io.BytesIO()
+    export_duality_csv(sol, cand, twin, buf)
+    export_duality_csv(sol, cand, own, want)
+    assert buf.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("cap", [math.nan, -1.0, 0.0, -math.inf])
+def test_random_control_refuses_a_cap_that_is_no_positive_number(cap):
+    # cap=nan was dropped by min() and drew |mu| up to 1.79 on N=4; -1.0 failed inside numpy
+    with pytest.raises(GridError, match="cap must be a number > 0, got"):
+        random_admissible_control(build_lattice(4), np.random.default_rng(0), cap=cap)
+
+
+def test_random_control_cap_limits_the_sup_norm():
+    lat = build_lattice(4)
+    for cap in (0.25, math.inf):
+        control = random_admissible_control(lat, np.random.default_rng(0), cap=cap)
+        assert max(np.abs(s).max() for s in control.slices) < min(cap, 0.9 / lat.grid.sqrt_dt)
 
 
 def test_candidates_share_the_terminal_slice_and_leave_it_unwritten():

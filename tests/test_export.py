@@ -286,7 +286,7 @@ def test_one_grid_refinement_csv_bytes():
 
 def test_picard_trace_csv_bytes():
     trace = [TraceRow(1, 1.5, 0.1, -2.0), TraceRow(2, 1e-17, 0.0, math.inf)]
-    assert _csv(export_picard_trace_csv, PicardResult(solution=None, trace=trace, iterations=2)) == (
+    assert _csv(export_picard_trace_csv, PicardResult(solution=None, trace=trace)) == (
         b"p,dY_sup,dZ_l2,dM_sup\n"
         b"1,1.5,0.10000000000000001,-2\n"
         b"2,1.0000000000000001e-17,0,inf\n"

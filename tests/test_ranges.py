@@ -1,9 +1,10 @@
 """Input ranges, refused by the library function that reads each value.
 
 A tol that is not a finite number >= 0, a max_iter below 1, a reference
-that is not finite, and an empty or non-finite list of grids or levels
-each raise GridError naming the value, before any terminal is evaluated:
-the terminal used here fails the test when it is read.  A path-dependent
+that is not finite, a lattice size that is no integer, and an empty or
+non-finite list of grids or levels each raise GridError naming the value,
+before any terminal is evaluated: the terminal used here fails the test
+when it is read.  A path-dependent
 driver on the recombining layout is refused the same way, by the solve,
 the dual and Picard alike.
 """
@@ -165,3 +166,34 @@ def test_driver_property_probe_refuses_zero_samples():
     with pytest.raises(GridError) as err:
         verify_driver_properties(concave, SamplingPlan(samples=0))
     assert str(err.value) == "samples must be >= 1, got 0"
+
+
+@pytest.mark.parametrize(
+    "args,keywords,message",
+    [
+        ((2.7,), {}, "steps must be an integer, got 2.7"),
+        ((4.0,), {}, "steps must be an integer, got 4.0"),
+        ((True,), {}, "steps must be an integer, got True"),
+        ((4,), {"dim": 1.5}, "dim must be an integer, got 1.5"),
+        ((4,), {"leaf_budget": 10.5}, "leaf_budget must be an integer, got 10.5"),
+        ((4,), {"mode": "recombining", "leaf_budget": 10.5}, "leaf_budget must be an integer, got 10.5"),
+    ],
+    ids=["steps=2.7", "steps=4.0", "steps=True", "dim=1.5", "leaf_budget=10.5", "recombining-budget"],
+)
+def test_build_lattice_refuses_a_non_integral_size(args, keywords, message):
+    # int() truncated each: steps 2.7 built N=2, dim 1.5 built d=1
+    with pytest.raises(GridError) as err:
+        build_lattice(*args, **keywords)
+    assert str(err.value) == message
+
+
+def test_build_lattice_takes_numpy_integers_as_python_ints():
+    lat = build_lattice(np.int64(3), dim=np.int32(2), leaf_budget=np.int64(64))
+    assert (type(lat.steps), type(lat.dim), lat.steps, lat.dim) == (int, int, 3, 2)
+
+
+def test_refinement_refuses_a_non_integral_grid_before_solving_any():
+    # N=10.5 ran as N=10, after the grids before it were solved
+    with pytest.raises(GridError) as err:
+        refinement_experiment(make_driver("linear:1,1"), UNREAD, [10, 10.5], reference=1.0)
+    assert str(err.value) == "steps must be an integer, got 10.5"

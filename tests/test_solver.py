@@ -22,7 +22,7 @@ from bsdelattice.drivers import (
 )
 from bsdelattice.errors import ConvergenceError, GridError, StepSizeError, StructuralError
 from bsdelattice.exact import QuadExt, exact_solve
-from bsdelattice.lattice import build_lattice
+from bsdelattice.lattice import TimeGrid, build_lattice
 from bsdelattice.solver import (
     SolutionTriple,
     _dm_column,
@@ -644,6 +644,16 @@ def test_z_bound_certificate_envelope_flag():
     )
     assert "envelope dominated" in tame.detail
     assert tame.applies
+
+
+@pytest.mark.parametrize("steps", list(range(1, 60)) + [100, 250, 1000, 4000])
+def test_envelope_comparison_at_t0_matches_every_slice(steps):
+    # the one comparison at t_0 against the per-slice product, B*dt >= 1 included
+    for horizon in (0.25, 0.5, 1.0, 2.0, 3.0):
+        grid = TimeGrid(horizon, steps)
+        for k in range(1, 193):
+            want = oracles.envelope_dominated_by_slices(k / 16, grid)
+            assert solver._selfref_envelope_dominated(k / 16, grid) is want, (horizon, k)
 
 
 def test_csv_export_layout_and_determinism():
