@@ -18,7 +18,11 @@ distance), and grid refinement toward a known reference value.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,6 +184,94 @@ class RefinementStudy:
         return all(errs[j + 1] < errs[j] for j in range(len(errs) - 1))
 
 
+def _solve_root(lat, f: DriverSpec, phi: TerminalFunctional) -> float:
+    """Y_0 of one grid, streamed slice by slice; ConvergenceError naming N unless it is finite."""
+    for _, y, _, _, _, _ in _backward_sweep(lat, f, phi, DEFAULT_TOL, DEFAULT_MAX_ITER):
+        pass
+    y0 = float(y[0])
+    if not math.isfinite(y0):
+        raise ConvergenceError("grid N=%d: Y_0 is %r, not a finite number" % (lat.steps, y0))
+    return y0
+
+
+def _solve_group(lattices, f, phi, group) -> list:
+    """(index, ok, Y_0 or exception) per grid of the group, in steps_list order, up to its
+    first failure: a later grid's error could not be the study's."""
+    rows = []
+    for k in group:
+        try:
+            rows.append((k, True, _solve_root(lattices[k], f, phi)))
+        except Exception as exc:
+            rows.append((k, False, exc))
+            break
+    return rows
+
+
+def _groups(lattices) -> list:
+    """Grid indices per worker, each group in steps_list order: one group per CPU this
+    process may run on (one where the OS cannot tell), at most one per grid, filled largest
+    grid first (by total node count) into the least-loaded group, so group 0 gets the largest."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    groups = [[] for _ in range(min(cpus, len(lattices)))]
+    loads = [0] * len(groups)
+    for k in sorted(range(len(lattices)), key=lambda k: -lattices[k].total_nodes()):
+        g = loads.index(min(loads))
+        groups[g].append(k)
+        loads[g] += lattices[k].total_nodes()
+    return [sorted(group) for group in groups]
+
+
+def _fork_group(lattices, f, phi, group):
+    """Solve the group in a forked child; returns (pid, the read end of its pipe).
+
+    The child writes its _solve_group rows, pickled, and leaves through
+    os._exit, so it runs none of the parent's cleanup; it exits 1 if it
+    could not write them.  An exception that does not pickle and unpickle
+    is sent as its text.
+    """
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(w)
+        return pid, os.fdopen(r, "rb")
+    code = 1
+    try:
+        os.close(r)
+        rows = _solve_group(lattices, f, phi, group)
+        try:
+            data = pickle.dumps(rows)
+            pickle.loads(data)  # what the parent will do with it
+        except Exception:
+            k, _, exc = rows[-1]  # only a failure's exception can refuse
+            rows[-1] = (k, False, "%s: %s" % (type(exc).__name__, exc))
+            data = pickle.dumps(rows)
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _received(data, group, lattices, status) -> dict:
+    """index -> (ok, Y_0 or exception) from a child's pipe bytes; a grid it did not send
+    back, or whose exception came as text, gets one RuntimeError naming its N."""
+    try:
+        rows = pickle.loads(data)
+    except Exception:  # EOF or a cut write: the child died first
+        rows = []
+    out = {}
+    for k in group:
+        out[k] = (False, RuntimeError(
+            "grid N=%d: the forked worker solving it exited (status %d) without sending "
+            "its result" % (lattices[k].steps, os.waitstatus_to_exitcode(status))))
+    for k, ok, value in rows:
+        if isinstance(value, str):
+            value = RuntimeError("grid N=%d: the forked worker could not send back its "
+                                 "exception, %s" % (lattices[k].steps, value))
+        out[k] = (ok, value)
+    return out
+
+
 def refinement_experiment(
     f: DriverSpec,
     phi: TerminalFunctional,
@@ -199,6 +291,19 @@ def refinement_experiment(
     shows up as roughly 1.0); it is NaN when any error vanishes exactly or
     fewer than two grids are given.
 
+    The grids are solved side by side, in one group per CPU the process may
+    run on: this process solves the group with the largest grid, and each
+    other group is solved in an os.fork() child that sends back only its
+    roots, pickled through a pipe.  Where the OS does not report the CPUs
+    (macOS, Windows) there is one group, and no child.  The rows, and the
+    error raised, are those of the serial loop: rows in steps_list order,
+    and the exception of the first failing grid in steps_list order,
+    whichever process solved it.  A package exception keeps its type,
+    message and attributes; one that does not pickle, or a child that dies
+    before it writes, raises RuntimeError naming the grid's N.  Every child
+    is waited for before this returns or raises; on an interrupt it is
+    killed first.
+
     Grid N is build_lattice(N, mode=mode, **lattice): dim, horizon and
     leaf_budget keep build_lattice's own defaults unless given.  A non-finite
     reference, an empty steps_list or a grid build_lattice refuses raises
@@ -209,13 +314,31 @@ def refinement_experiment(
         raise GridError("reference must be a finite number, got %r" % (study.reference,))
     if len(steps_list) == 0:
         raise GridError("steps_list is empty")
-    for lat in [build_lattice(steps, mode=mode, **lattice) for steps in steps_list]:
-        for _, y, _, _, _, _ in _backward_sweep(lat, f, phi, DEFAULT_TOL, DEFAULT_MAX_ITER):
-            pass
-        y0 = float(y[0])
-        if not math.isfinite(y0):
-            raise ConvergenceError("grid N=%d: Y_0 is %r, not a finite number" % (lat.steps, y0))
-        study.rows.append((lat.steps, y0, abs(y0 - study.reference)))
+    lattices = [build_lattice(steps, mode=mode, **lattice) for steps in steps_list]
+    groups = _groups(lattices)
+    workers = []  # (group, pid, pipe) of each child not yet waited for
+    try:
+        for group in groups[1:]:
+            workers.append((group, *_fork_group(lattices, f, phi, group)))
+        results = {k: (ok, v) for k, ok, v in _solve_group(lattices, f, phi, groups[0])}
+        while workers:
+            group, pid, pipe = workers[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            results.update(_received(data, group, lattices, status))
+    finally:
+        for _, pid, pipe in workers:  # left only if cut short: an interrupt or a failed fork
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    for k, lat in enumerate(lattices):
+        ok, value = results[k]
+        if not ok:
+            raise value
+        study.rows.append((lat.steps, value, abs(value - study.reference)))
     errs = np.array([r[2] for r in study.rows])
     ns = np.array([r[0] for r in study.rows], dtype=float)
     if len(errs) >= 2 and np.all(errs > 0.0):

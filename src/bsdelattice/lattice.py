@@ -251,9 +251,11 @@ def build_lattice(
     (None means the default, 2**20): 2**(dim*steps) leaves on the full one,
     (steps+1)**dim points on the recombining one.  Pass a larger budget
     explicitly to go beyond it.  GridError names steps, dim or leaf_budget
-    if it is no integer (a bool is not one), where int() would truncate 2.7.
+    if it is no integer (a bool is not one), where int() would truncate 2.7,
+    and horizon if it is no real number (nor a bool), where float() would
+    read the string "2".
     """
-    grid = TimeGrid(horizon=float(horizon), steps=_integer("steps", steps))
+    grid = TimeGrid(horizon=_real("horizon", horizon), steps=_integer("steps", steps))
     lattice = PathLattice(grid, _integer("dim", dim), mode)
     budget = DEFAULT_LEAF_BUDGET if leaf_budget is None else _integer("leaf_budget", leaf_budget)
     leaves = lattice.node_count(lattice.steps)
@@ -271,6 +273,13 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise GridError("%s must be an integer, got %r" % (name, value))
     return int(value)
+
+
+def _real(name: str, value) -> float:
+    """value as a Python float; GridError unless it is a real number (numpy's too) and no bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise GridError("%s must be a real number, got %r" % (name, value))
+    return float(value)
 
 
 def gather_children(lattice: PathLattice, i: int, child_values: np.ndarray) -> np.ndarray:

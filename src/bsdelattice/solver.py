@@ -183,8 +183,8 @@ def _check_problem(lattice: PathLattice, f: DriverSpec, tol, max_iter: int) -> i
     """Check the backward step's conditions before anything is evaluated; returns the iterate cap.
 
     GridError unless tol is a finite number >= 0 and max_iter >= 1;
-    StepSizeError unless K*dt < 1, the implicit step's contraction, naming
-    a sufficient N; StructuralError for a w-dependent driver on the
+    StepSizeError unless K is finite and K*dt < 1, the implicit step's
+    contraction, naming a sufficient N; StructuralError for a w-dependent driver on the
     recombining layout.  A y-free driver gets one iterate, whose first is
     exact.  The solve, the dual and Picard each call it first.
     """
@@ -193,6 +193,10 @@ def _check_problem(lattice: PathLattice, f: DriverSpec, tol, max_iter: int) -> i
     if max_iter < 1:
         raise GridError("max_iter must be >= 1, got %r" % (max_iter,))
     k, grid = f.lipschitz_wy, lattice.grid
+    if not math.isfinite(k):
+        raise StepSizeError(
+            "K = %r is not a finite number: no N makes the implicit step a contraction" % (k,)
+        )
     if k * grid.dt >= 1.0:
         raise StepSizeError(
             "K*dt = %.6g >= 1: the implicit step is not a contraction; "

@@ -3,11 +3,14 @@
 import dataclasses
 import io
 import math
+import os
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from bsdelattice import approximation
 from bsdelattice.approximation import (
     ApproximationLadder,
     export_ladder_csv,
@@ -303,6 +306,142 @@ def test_refinement_holds_one_slice_per_grid(dim, steps):
         tracemalloc.stop()
     last_slice = build_lattice(steps, dim=dim, mode="recombining").node_count(steps) * 8
     assert peak < 32 * last_slice, peak / last_slice
+
+
+# the side-by-side study forks a worker for every group but the first
+forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two groups whatever the machine: the largest grid here, the rest in one forked child."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _solved_here(monkeypatch, child=None):
+    """The grids this process solves, in order; child(lat), when given, replaces the
+    solve of each grid in a forked worker."""
+    here, parent, solve = [], os.getpid(), approximation._solve_root
+
+    def solve_root(lat, f, phi):
+        if os.getpid() == parent:
+            here.append(lat.steps)
+        elif child is not None:
+            return child(lat, f, phi)
+        return solve(lat, f, phi)
+
+    monkeypatch.setattr(approximation, "_solve_root", solve_root)
+    return here
+
+
+@forks
+def test_a_grid_that_fails_in_a_child_raises_what_the_serial_loop_raised(monkeypatch, two_cpus):
+    # K*dt = 1.25 on N=4; N=40 is the larger grid, so this process solves it
+    f, phi = make_driver("linear:0,5"), make_terminal("const:1")
+    with pytest.raises(StepSizeError) as solved:
+        solve_backward(build_lattice(4, mode="recombining"), f, phi)
+    here = _solved_here(monkeypatch)
+    with pytest.raises(StepSizeError) as studied:
+        refinement_experiment(f, phi, (4, 40), reference=1.0)
+    assert str(studied.value) == str(solved.value)
+    assert here == [40]
+    _no_child_left()
+
+
+@forks
+def test_a_study_leaves_no_child(two_cpus):
+    f, phi = make_driver("linear:1,1"), make_terminal("const:1")
+    study = refinement_experiment(f, phi, (10, 20, 40), reference=2.0 * math.e - 1.0)
+    assert [r[0] for r in study.rows] == [10, 20, 40]
+    _no_child_left()
+    with pytest.raises(ConvergenceError):
+        refinement_experiment(f, make_terminal("const:nan"), (10, 20, 40), reference=1.0)
+    _no_child_left()
+
+
+@forks
+def test_one_cpu_forks_nothing_and_gives_the_same_bits(monkeypatch):
+    f, phi = make_driver("linear:1,1"), make_terminal("clipped-endpoint")
+    steps, ref = (125, 250, 500, 1000), 0.25
+    side_by_side = refinement_experiment(f, phi, steps, reference=ref)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def no_fork():
+        raise AssertionError("the study forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    serial = refinement_experiment(f, phi, steps, reference=ref)
+    assert [(n, y0.hex(), e.hex()) for n, y0, e in serial.rows] == [
+        (n, y0.hex(), e.hex()) for n, y0, e in side_by_side.rows
+    ]
+    assert serial.fitted_order.hex() == side_by_side.fitted_order.hex()
+
+
+def _fail_on_4(error):
+    def solve(lat, f, phi):
+        if lat.steps == 4:
+            raise error
+        return approximation.solve_backward(lat, f, phi).y0
+
+    return solve
+
+
+@forks
+def test_a_convergence_error_from_a_child_keeps_its_attributes(monkeypatch, two_cpus):
+    here = _solved_here(monkeypatch, _fail_on_4(ConvergenceError("no root", residual=0.5, iterations=7)))
+    f, phi = make_driver("linear:1,1"), make_terminal("const:1")
+    with pytest.raises(ConvergenceError) as err:
+        refinement_experiment(f, phi, (4, 40), reference=1.0)
+    assert (str(err.value), err.value.residual, err.value.iterations) == ("no root", 0.5, 7)
+    assert here == [40]
+    _no_child_left()
+
+
+@forks
+def test_an_exception_that_does_not_pickle_names_its_grid(monkeypatch, two_cpus):
+    class Local(Exception):
+        pass  # a local class: pickle cannot find it by name
+
+    _solved_here(monkeypatch, _fail_on_4(Local("lost")))
+    f, phi = make_driver("linear:1,1"), make_terminal("const:1")
+    with pytest.raises(RuntimeError) as err:
+        refinement_experiment(f, phi, (4, 40), reference=1.0)
+    assert str(err.value) == "grid N=4: the forked worker could not send back its exception, Local: lost"
+    _no_child_left()
+
+
+@forks
+def test_a_child_that_dies_before_it_writes_names_its_first_grid(monkeypatch, two_cpus):
+    _solved_here(monkeypatch, lambda lat, f, phi: os._exit(3))
+    f, phi = make_driver("linear:1,1"), make_terminal("const:1")
+    with pytest.raises(RuntimeError) as err:
+        refinement_experiment(f, phi, (4, 8, 40), reference=1.0)
+    assert str(err.value) == (
+        "grid N=4: the forked worker solving it exited (status 3) without sending its result"
+    )
+    _no_child_left()
+
+
+@forks
+def test_an_interrupt_kills_and_waits_for_the_child(monkeypatch, two_cpus):
+    parent = os.getpid()
+
+    def solve_root(lat, f, phi):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(approximation, "_solve_root", solve_root)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        refinement_experiment(make_driver("linear:1,1"), make_terminal("const:1"), (4, 40), reference=1.0)
+    assert time.monotonic() - start < 30
+    _no_child_left()
 
 
 def test_ladder_and_refinement_csv_layouts():

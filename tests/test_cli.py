@@ -229,6 +229,30 @@ def test_non_finite_converge_root_is_a_property_failure(tmp_path, capsys, termin
     assert "property failure: grid N=10: Y_0 is" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--steps", "4"],
+        ["duality", "--steps", "4", "--samples", "2"],
+        ["picard", "--steps", "4"],
+        ["approx", "--steps", "4"],
+        ["converge", "--steps-list", "10,20", "--reference", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_driver_with_an_infinite_lipschitz_constant_is_an_input_error(tmp_path, capsys, argv):
+    # each printed an OverflowError traceback from the step-size message and exited 1;
+    # converge's two grids are solved side by side, so its error comes back from a child
+    out = tmp_path / "inf.csv"
+    assert run(argv + ["--driver", "linear:1,inf", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: K = inf is not a finite number: no N makes the implicit step a contraction\n"
+    )
+    assert not out.exists()
+
+
 def test_approx_ladder(tmp_path, capsys):
     out = tmp_path / "ladder.csv"
     code = run(

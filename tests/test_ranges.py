@@ -22,7 +22,7 @@ from bsdelattice.approximation import (
 )
 from bsdelattice.drivers import DriverSpec, TerminalFunctional, make_driver, make_terminal
 from bsdelattice.duality import dual_value, optimal_control
-from bsdelattice.errors import GridError, StructuralError
+from bsdelattice.errors import GridError, StepSizeError, StructuralError
 from bsdelattice.lattice import build_lattice
 from bsdelattice.picard import picard_solve
 from bsdelattice.probability import ControlProcess
@@ -197,3 +197,47 @@ def test_refinement_refuses_a_non_integral_grid_before_solving_any():
     with pytest.raises(GridError) as err:
         refinement_experiment(make_driver("linear:1,1"), UNREAD, [10, 10.5], reference=1.0)
     assert str(err.value) == "steps must be an integer, got 10.5"
+
+
+@pytest.mark.parametrize("horizon", ["2", b"2", True, None], ids=["str", "bytes", "True", "None"])
+def test_build_lattice_refuses_a_horizon_that_is_no_real_number(horizon):
+    # float() read "2" and b"2" as T=2.0 and True as T=1.0
+    with pytest.raises(GridError) as err:
+        build_lattice(3, horizon=horizon)
+    assert str(err.value) == "horizon must be a real number, got %r" % (horizon,)
+
+
+def test_build_lattice_takes_any_real_horizon_as_a_float():
+    for horizon in (2, np.float32(0.5), np.int64(2)):
+        grid = build_lattice(3, horizon=horizon).grid
+        assert (type(grid.horizon), grid.horizon) == (float, float(horizon))
+
+
+def _dual(lat, f):
+    # a candidate control and terminal values from a driver with K = 1
+    g = make_driver("linear:1,1")
+    sol = solve_backward(lat, g, make_terminal("endpoint"))
+    return dual_value(lat, f, sol.Y[-1], optimal_control(sol, g))
+
+
+_K_READERS = {
+    "solve": lambda lat, f: solve_backward(lat, f, UNREAD),
+    "dual": _dual,
+    "picard": lambda lat, f: picard_solve(lat, f, UNREAD),
+    "ladder": lambda lat, f: monotone_limit_experiment(lat, f, UNREAD, levels=(1.0,)),
+    "refinement": lambda lat, f: refinement_experiment(f, UNREAD, (4, 8), reference=1.0),
+}
+
+
+@pytest.mark.parametrize("b", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("reader", sorted(_K_READERS))
+def test_a_driver_with_a_non_finite_lipschitz_constant_is_refused(reader, b):
+    # K = inf raised OverflowError while the step-size message was formatted,
+    # and K = nan passed the K*dt < 1 check
+    f = make_driver("linear:1,%r" % b)
+    assert repr(f.lipschitz_wy) == repr(b)
+    with pytest.raises(StepSizeError) as err:
+        _K_READERS[reader](build_lattice(4, mode="recombining"), f)
+    assert str(err.value) == (
+        "K = %r is not a finite number: no N makes the implicit step a contraction" % (b,)
+    )
