@@ -23,6 +23,8 @@ import math
 import os
 import pickle
 import signal
+import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,17 +196,40 @@ def _solve_root(lat, f: DriverSpec, phi: TerminalFunctional) -> float:
     return y0
 
 
-def _solve_group(lattices, f, phi, group) -> list:
-    """(index, ok, Y_0 or exception) per grid of the group, in steps_list order, up to its
-    first failure: a later grid's error could not be the study's."""
+def _solve_group(lattices, f, phi, group, record=False) -> list:
+    """(index, ok, Y_0 or exception, warnings) per grid of the group, in steps_list order, up
+    to its first failure: a later grid's error could not be the study's.
+
+    With record, the warnings each grid's solve would have shown are kept, as (category,
+    text, filename, lineno), instead of shown; without, they are shown and the list is empty.
+    """
     rows = []
     for k in group:
-        try:
-            rows.append((k, True, _solve_root(lattices[k], f, phi)))
-        except Exception as exc:
-            rows.append((k, False, exc))
+        recorder = warnings.catch_warnings(record=True) if record else contextlib.nullcontext([])
+        with recorder as shown:
+            try:
+                ok, value = True, _solve_root(lattices[k], f, phi)
+            except Exception as exc:
+                ok, value = False, exc
+        caught = [(w.category, str(w.message), w.filename, w.lineno) for w in shown]
+        rows.append((k, ok, value, caught))
+        if not ok:
             break
     return rows
+
+
+def _reissue(caught):
+    """Issue a forked worker's recorded warnings in this process, each through the registry
+    of the module that raised it, so a warning this process has shown already, or that the
+    filters say to show once, is not shown again: stderr reads as the serial loop's."""
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for category, text, filename, lineno in caught:
+        module = modules.get(filename)
+        where = {}
+        if module is not None:
+            registry = vars(module).setdefault("__warningregistry__", {})
+            where = {"module": module.__name__, "registry": registry}
+        warnings.warn_explicit(text, category, filename, lineno, **where)
 
 
 def _groups(lattices) -> list:
@@ -224,10 +249,10 @@ def _groups(lattices) -> list:
 def _fork_group(lattices, f, phi, group):
     """Solve the group in a forked child; returns (pid, the read end of its pipe).
 
-    The child writes its _solve_group rows, pickled, and leaves through
-    os._exit, so it runs none of the parent's cleanup; it exits 1 if it
-    could not write them.  An exception that does not pickle and unpickle
-    is sent as its text.
+    The child writes its _solve_group rows, pickled, with the warnings each
+    grid raised recorded in them, and leaves through os._exit, so it runs
+    none of the parent's cleanup; it exits 1 if it could not write them.
+    An exception that does not pickle and unpickle is sent as its text.
     """
     r, w = os.pipe()
     pid = os.fork()
@@ -237,13 +262,13 @@ def _fork_group(lattices, f, phi, group):
     code = 1
     try:
         os.close(r)
-        rows = _solve_group(lattices, f, phi, group)
+        rows = _solve_group(lattices, f, phi, group, record=True)
         try:
             data = pickle.dumps(rows)
             pickle.loads(data)  # what the parent will do with it
         except Exception:
-            k, _, exc = rows[-1]  # only a failure's exception can refuse
-            rows[-1] = (k, False, "%s: %s" % (type(exc).__name__, exc))
+            k, _, exc, caught = rows[-1]  # only a failure's exception can refuse
+            rows[-1] = (k, False, "%s: %s" % (type(exc).__name__, exc), caught)
             data = pickle.dumps(rows)
         with os.fdopen(w, "wb") as fh:
             fh.write(data)
@@ -253,8 +278,8 @@ def _fork_group(lattices, f, phi, group):
 
 
 def _received(data, group, lattices, status) -> dict:
-    """index -> (ok, Y_0 or exception) from a child's pipe bytes; a grid it did not send
-    back, or whose exception came as text, gets one RuntimeError naming its N."""
+    """index -> (ok, Y_0 or exception, warnings) from a child's pipe bytes; a grid it did not
+    send back, or whose exception came as text, gets one RuntimeError naming its N."""
     try:
         rows = pickle.loads(data)
     except Exception:  # EOF or a cut write: the child died first
@@ -263,12 +288,12 @@ def _received(data, group, lattices, status) -> dict:
     for k in group:
         out[k] = (False, RuntimeError(
             "grid N=%d: the forked worker solving it exited (status %d) without sending "
-            "its result" % (lattices[k].steps, os.waitstatus_to_exitcode(status))))
-    for k, ok, value in rows:
+            "its result" % (lattices[k].steps, os.waitstatus_to_exitcode(status))), [])
+    for k, ok, value, caught in rows:
         if isinstance(value, str):
             value = RuntimeError("grid N=%d: the forked worker could not send back its "
                                  "exception, %s" % (lattices[k].steps, value))
-        out[k] = (ok, value)
+        out[k] = (ok, value, caught)
     return out
 
 
@@ -298,7 +323,10 @@ def refinement_experiment(
     (macOS, Windows) there is one group, and no child.  The rows, and the
     error raised, are those of the serial loop: rows in steps_list order,
     and the exception of the first failing grid in steps_list order,
-    whichever process solved it.  A package exception keeps its type,
+    whichever process solved it.  A child's warnings are shown by this
+    process, grid by grid in steps_list order up to the first failing grid,
+    through the warning registry of the module that raised each, so one the
+    serial loop would show once is shown once.  A package exception keeps its type,
     message and attributes; one that does not pickle, or a child that dies
     before it writes, raises RuntimeError naming the grid's N.  Every child
     is waited for before this returns or raises; on an interrupt it is
@@ -320,7 +348,7 @@ def refinement_experiment(
     try:
         for group in groups[1:]:
             workers.append((group, *_fork_group(lattices, f, phi, group)))
-        results = {k: (ok, v) for k, ok, v in _solve_group(lattices, f, phi, groups[0])}
+        results = {k: row for k, *row in _solve_group(lattices, f, phi, groups[0])}
         while workers:
             group, pid, pipe = workers[0]
             with pipe:
@@ -335,7 +363,8 @@ def refinement_experiment(
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
     for k, lat in enumerate(lattices):
-        ok, value = results[k]
+        ok, value, caught = results[k]
+        _reissue(caught)
         if not ok:
             raise value
         study.rows.append((lat.steps, value, abs(value - study.reference)))

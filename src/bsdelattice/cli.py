@@ -23,7 +23,9 @@ one; every other subcommand imports its own module when it runs, so a
 process pays only for what its subcommand uses.
 
 A process enters through run, the console script's and python -m's entry,
-which freezes the heap after main returns; main is the in-process API.
+which sets glibc's allocator to keep the pages a run frees before main and
+freezes the heap after main returns; main is the in-process API and leaves
+the allocator alone.
 
 Exit codes: 0 on success, 1 when a mathematical property fails (divergence,
 inadmissible optimizer, violated monotonicity), 2 on input errors.  All CSV
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import functools
 import gc
 import json
@@ -350,14 +353,42 @@ def main(argv=None) -> int:
         return 2
 
 
+# glibc's mallopt parameters, and the ceiling its adaptive mmap threshold can
+# reach on 64-bit (DEFAULT_MMAP_THRESHOLD_MAX), with twice that as trim threshold
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _keep_freed_heap() -> bool:
+    """Have glibc keep the heap a run frees: slice arrays up to 32 MiB come from the heap,
+    and up to 64 MiB of free top stays mapped; True if both were set.
+
+    By default glibc trims the heap's free top above about twice the largest
+    array freed so far, so each Picard sweep or dual probe handed its few MiB
+    back to the kernel and the next one faulted the same pages in again.
+    Where mallopt is missing or refuses the first setting (macOS, Windows,
+    musl) this returns False and nothing is changed.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    if not mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX):
+        return False
+    return bool(mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX))
+
+
 def run(argv=None):
     """The process entry: main(argv), then exit with its code.
 
-    The heap is frozen first, so the interpreter's final garbage collection
-    skips the objects numpy and the package made, which no exit needs to
-    free.  Only a process about to exit may freeze: in-process callers use
-    main, since a frozen garbage cycle is never freed.
+    Before main, glibc is set to keep the pages the run frees
+    (_keep_freed_heap).  After it, the heap is frozen, so the interpreter's
+    final garbage collection skips the objects numpy and the package made,
+    which no exit needs to free.  Only a process about to exit may do
+    either: in-process callers use main, since a frozen garbage cycle is
+    never freed and the allocator setting would outlive the run.
     """
+    _keep_freed_heap()
     code = main(argv)
     gc.freeze()
     sys.exit(code)

@@ -11,7 +11,9 @@ The dual binds its conjugate, and the control its subgradient, through the
 solve's per-slice binder (solver._slice_driver), so all three read step i's
 time and path in one place.  mu is bound once per slice
 (DriverSpec.bound_conjugate), so a closed form does its mu-only work there
-and the fixed point pays only the y-part per iterate.  Its implicit step is
+and the fixed point pays only the y-part per iterate.  The conjugate at the
+tilted mean is evaluated once per slice: the NaN guard, the live test and
+the step's first iterate all read it.  Its implicit step is
 the backward solve's (solver._implicit_step: fixed point, bisection
 fallback) with the negated conjugate for the driver, under the solve's
 rule for a y-free driver: one iterate.
@@ -106,7 +108,8 @@ def dual_value(
         live = np.flatnonzero(np.isfinite(e_mu) & np.isfinite(g0))
         if live.size:
             r[live] = _implicit_step(
-                bind(mu, live), lambda rows: bind(mu, live[rows]), e_mu[live], dt, tol, n_iter, i
+                bind(mu, live), lambda rows: bind(mu, live[rows]), e_mu[live], dt, tol, n_iter, i,
+                fy_mean=g0[live],
             )[0]
         _refuse_nan(r, "dual step at slice %d: the candidate value", (i,))
         slices[i] = r

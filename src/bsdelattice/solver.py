@@ -260,18 +260,20 @@ def solve_backward(
     return SolutionTriple(lattice=lattice, Y=y_slices, Z=z_slices[:-1], info=info)
 
 
-def _implicit_step(fy, fy_rows, mean, dt, tol, max_iter, i):
+def _implicit_step(fy, fy_rows, mean, dt, tol, max_iter, i, fy_mean=None):
     """Solve y = mean + fy(y) dt nodewise at slice i, from the first iterate mean + fy(mean) dt.
 
     fy is the slice's driver with z (and w) bound, a function of y alone;
-    fy_rows(rows) is the same driver bound to the given nodes only.  Fixed
+    fy_rows(rows) is the same driver bound to the given nodes only.
+    fy_mean, when given, is fy(mean), which a caller that has evaluated it
+    already passes so it is not evaluated twice.  Fixed
     point until a step is at most tol/4 or max_iter iterates are made, then
     bisection on the nodes whose residual |y - fy(y) dt - mean| is above tol;
     ConvergenceError names slice i if that misses tol too.  Returns (y,
     iterations, bisected nodes, worst residual), a NaN residual included.
     Arrays fy returns are only read.
     """
-    y = mean + fy(mean) * dt
+    y = mean + (fy(mean) if fy_mean is None else fy_mean) * dt
     iters = 1
     nxt = np.empty_like(y)
     diff = np.empty_like(y)

@@ -6,6 +6,7 @@ import math
 import os
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -441,6 +442,46 @@ def test_an_interrupt_kills_and_waits_for_the_child(monkeypatch, two_cpus):
     with pytest.raises(KeyboardInterrupt):
         refinement_experiment(make_driver("linear:1,1"), make_terminal("const:1"), (4, 40), reference=1.0)
     assert time.monotonic() - start < 30
+    _no_child_left()
+
+
+@forks
+@pytest.mark.parametrize("action", ["default", "always"])
+def test_a_childs_warnings_are_shown_here_as_the_serial_loop_shows_them(monkeypatch, two_cpus, action):
+    # grids 4 and 8 go to the child, 40 stays here; each grid warns at one line
+    def warn_then_solve(lat, f, phi):
+        warnings.warn("a grid warns", UserWarning)
+        return approximation.solve_backward(lat, f, phi).y0
+
+    here = _solved_here(monkeypatch, warn_then_solve)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter(action)
+        study = refinement_experiment(
+            make_driver("linear:1,1"), make_terminal("const:1"), (4, 8, 40), reference=1.0
+        )
+    assert here == [40]
+    assert [r[0] for r in study.rows] == [4, 8, 40]
+    times = {"default": 1, "always": 2}[action]
+    assert [(w.category, str(w.message), w.filename) for w in shown] == [
+        (UserWarning, "a grid warns", __file__)
+    ] * times
+
+
+@forks
+def test_a_childs_warnings_after_the_first_failing_grid_are_not_shown(monkeypatch, two_cpus):
+    # this process solves 40, the first grid, and fails; the serial loop solves nothing after it
+    def fail_on_40(lat, f, phi):
+        warnings.warn("grid N=%d warns" % lat.steps, UserWarning)
+        if lat.steps == 40:
+            raise ConvergenceError("no root")
+        return 1.0
+
+    monkeypatch.setattr(approximation, "_solve_root", fail_on_40)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        with pytest.raises(ConvergenceError, match="no root"):
+            refinement_experiment(make_driver("linear:1,1"), make_terminal("const:1"), (40, 4, 8), reference=1.0)
+    assert [str(w.message) for w in shown] == ["grid N=40 warns"]
     _no_child_left()
 
 

@@ -7,8 +7,10 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -857,6 +859,8 @@ def test_main_in_process_leaves_the_heap_unfrozen(capsys):
         (["solve", "--steps", "6"], 0),
         (["converge", "--mode", "full", "--terminal", "maxpath", "--steps-list", "4,8", "--reference", "1"], 1),
         (["converge", "--terminal", "maxpath", "--steps-list", "4,8", "--reference", "1"], 2),
+        (["picard", "--steps", "8"], 0),
+        (["duality", "--steps", "6", "--samples", "4"], 0),
     ],
 )
 def test_a_process_exits_and_writes_as_main_returns_and_writes(tmp_path, capsys, argv, code):
@@ -864,6 +868,63 @@ def test_a_process_exits_and_writes_as_main_returns_and_writes(tmp_path, capsys,
     assert main(argv) == code
     captured = capsys.readouterr()
     assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
+
+
+def test_run_keeps_the_freed_heap_before_main_and_main_leaves_it(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append("heap"))
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    main = cli.main
+    monkeypatch.setattr(cli, "main", lambda argv: calls.append("main") or main(argv))
+    with pytest.raises(SystemExit) as exited:
+        cli.run(["solve", "--steps", "2"])
+    assert exited.value.code == 0
+    assert calls == ["heap", "main", "freeze"]
+    calls.clear()
+    assert main(["solve", "--steps", "2"]) == 0
+    assert calls == []
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("lib", ["no mallopt", "refusing mallopt", "no C library"])
+def test_keep_freed_heap_changes_nothing_without_a_mallopt_that_takes_it(monkeypatch, lib):
+    calls = []
+
+    def refuse(param, value):
+        calls.append((param, value))
+        return 0
+
+    def load(name):
+        if lib == "no C library":
+            raise OSError("no such library")
+        return types.SimpleNamespace(mallopt=refuse) if lib == "refusing mallopt" else types.SimpleNamespace()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", load)
+    assert cli._keep_freed_heap() is False
+    # the first setting refused, the second is never asked for
+    assert calls == ([(cli._M_MMAP_THRESHOLD, 32 << 20)] if lib == "refusing mallopt" else [])
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt's settings are glibc's")
+def test_keep_freed_heap_takes_on_glibc():
+    done = _child(["-c", "from bsdelattice import cli; print(cli._keep_freed_heap())"])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_a_side_by_side_converge_writes_the_serial_loops_stderr():
+    # both grids warn at one matmul before Y_0 comes out NaN: the serial loop shows it once
+    script = "\n".join([
+        "import os, sys",
+        "from bsdelattice import cli",
+        "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))",
+        "sys.exit(cli.main(['converge', '--mode', 'recombining', '--terminal', 'const:inf',",
+        "                   '--steps-list', '10,20', '--reference', '1']))",
+    ])
+    two, one = (_child(["-c", script, cpus]) for cpus in ("2", "1"))
+    assert (two.returncode, two.stdout, two.stderr) == (one.returncode, one.stdout, one.stderr)
+    assert two.returncode == 1
+    assert two.stderr.count("RuntimeWarning") == 1
 
 
 def test_run_freezes_the_heap_before_exit_handlers_run(tmp_path):

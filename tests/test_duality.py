@@ -1,5 +1,6 @@
 """Dual candidates, subgradient controls, and gap reports."""
 
+import collections
 import dataclasses
 import io
 import math
@@ -8,6 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from bsdelattice import duality
 from bsdelattice.drivers import (
     DriverSpec,
     conjugate,
@@ -398,6 +400,34 @@ def test_candidates_share_the_terminal_slice_and_leave_it_unwritten():
         assert dual_value(lat, f, xi, control)[-1] is xi
     assert np.array_equal(xi, kept)
     assert np.array_equal(xi, terminal_values(lat, phi))
+
+
+def test_the_conjugate_at_the_mean_is_evaluated_once_per_slice(monkeypatch):
+    # a capped probe inside linear:1,1's domain |mu| <= 1 keeps every node live
+    lat, f, phi, sol = _solve("linear:1,1", "maxpath", 6)
+    probe = random_admissible_control(lat, np.random.default_rng(3), cap=1.0)
+    calls = []
+
+    def conjugate_at(t, w, mu):
+        conj = f.conjugate_at(t, w, mu)
+
+        def counted(y):
+            calls.append(t)
+            return conj(y)
+
+        return counted
+
+    counted = dataclasses.replace(f, conjugate_at=conjugate_at)
+    once = dual_value(lat, counted, sol.Y[-1], probe)
+    per_slice = collections.Counter(calls)
+    calls.clear()
+    step = duality._implicit_step
+    # the step forms fy(mean) itself again: the second evaluation at the mean
+    monkeypatch.setattr(duality, "_implicit_step", lambda *args, fy_mean: step(*args))
+    twice = dual_value(lat, counted, sol.Y[-1], probe)
+    assert all(np.isfinite(r).all() for r in once)
+    assert collections.Counter(calls) - per_slice == collections.Counter(lat.grid.times[1:].tolist())
+    assert all(np.array_equal(a, b) for a, b in zip(once, twice))
 
 
 def test_unbounded_conjugate_stays_a_value():
