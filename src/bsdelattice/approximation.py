@@ -196,17 +196,17 @@ def _solve_root(lat, f: DriverSpec, phi: TerminalFunctional) -> float:
     return y0
 
 
-def _solve_group(lattices, f, phi, group, record=False) -> list:
+def _solve_group(lattices, f, phi, group) -> list:
     """(index, ok, Y_0 or exception, warnings) per grid of the group, in steps_list order, up
     to its first failure: a later grid's error could not be the study's.
 
-    With record, the warnings each grid's solve would have shown are kept, as (category,
-    text, filename, lineno), instead of shown; without, they are shown and the list is empty.
+    The warnings each grid's solve would have shown are kept, as (category, text, filename,
+    lineno), instead of shown: refinement_experiment shows them, grid by grid, in steps_list
+    order, whichever process solved the grid.
     """
     rows = []
     for k in group:
-        recorder = warnings.catch_warnings(record=True) if record else contextlib.nullcontext([])
-        with recorder as shown:
+        with warnings.catch_warnings(record=True) as shown:
             try:
                 ok, value = True, _solve_root(lattices[k], f, phi)
             except Exception as exc:
@@ -219,8 +219,8 @@ def _solve_group(lattices, f, phi, group, record=False) -> list:
 
 
 def _reissue(caught):
-    """Issue a forked worker's recorded warnings in this process, each through the registry
-    of the module that raised it, so a warning this process has shown already, or that the
+    """Issue one grid's recorded warnings in this process, each through the registry of the
+    module that raised it, so a warning already shown for an earlier grid, or that the
     filters say to show once, is not shown again: stderr reads as the serial loop's."""
     modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
     for category, text, filename, lineno in caught:
@@ -262,7 +262,7 @@ def _fork_group(lattices, f, phi, group):
     code = 1
     try:
         os.close(r)
-        rows = _solve_group(lattices, f, phi, group, record=True)
+        rows = _solve_group(lattices, f, phi, group)
         try:
             data = pickle.dumps(rows)
             pickle.loads(data)  # what the parent will do with it
@@ -323,12 +323,16 @@ def refinement_experiment(
     (macOS, Windows) there is one group, and no child.  The rows, and the
     error raised, are those of the serial loop: rows in steps_list order,
     and the exception of the first failing grid in steps_list order,
-    whichever process solved it.  A child's warnings are shown by this
-    process, grid by grid in steps_list order up to the first failing grid,
-    through the warning registry of the module that raised each, so one the
-    serial loop would show once is shown once.  A package exception keeps its type,
-    message and attributes; one that does not pickle, or a child that dies
-    before it writes, raises RuntimeError naming the grid's N.  Every child
+    whichever process solved it.  Each grid's warnings are recorded while
+    it is solved, in whichever process, and shown by this process after all
+    grids are in, grid by grid in steps_list order up to the first failing
+    grid, through the warning registry of the module that raised each, so
+    one the serial loop would show once is shown once.  Recording resets
+    the registries (catch_warnings does), so a warning this process showed
+    before the study is shown again if a grid raises it.  A package
+    exception keeps its type, message and attributes; one that does not
+    pickle, or a child that dies before it writes, raises RuntimeError
+    naming the grid's N.  Every child
     is waited for before this returns or raises; on an interrupt it is
     killed first.
 

@@ -485,6 +485,53 @@ def test_a_childs_warnings_after_the_first_failing_grid_are_not_shown(monkeypatc
     _no_child_left()
 
 
+@forks
+@pytest.mark.parametrize(
+    "action, text, expected",
+    [
+        ("always", "grid N=%d warns", ["grid N=4 warns", "grid N=8 warns", "grid N=40 warns"]),
+        ("default", "a grid warns", ["a grid warns"]),
+    ],
+)
+def test_warnings_come_out_in_steps_list_order_whichever_process_raised_them(
+    monkeypatch, two_cpus, action, text, expected
+):
+    # 40 is solved here and 4, 8 in the child; the serial loop warns for 4 first
+    parent, here = os.getpid(), []
+
+    def warn(lat, f, phi):
+        if os.getpid() == parent:
+            here.append(lat.steps)
+        warnings.warn(text % lat.steps if "%d" in text else text, UserWarning)
+        return 1.0
+
+    monkeypatch.setattr(approximation, "_solve_root", warn)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter(action)
+        refinement_experiment(make_driver("linear:1,1"), make_terminal("const:1"), (4, 8, 40), reference=2.0)
+    assert here == [40]
+    assert [str(w.message) for w in shown] == expected
+    _no_child_left()
+
+
+@forks
+def test_a_grid_solved_here_after_a_childs_failing_grid_shows_no_warning(monkeypatch, two_cpus):
+    # the child fails on 4, the first grid; this process's 40 warns, but the serial loop never solves it
+    def fail_on_4(lat, f, phi):
+        if lat.steps == 4:
+            raise ConvergenceError("no root")
+        warnings.warn("grid N=%d warns" % lat.steps, UserWarning)
+        return 1.0
+
+    monkeypatch.setattr(approximation, "_solve_root", fail_on_4)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        with pytest.raises(ConvergenceError, match="no root"):
+            refinement_experiment(make_driver("linear:1,1"), make_terminal("const:1"), (4, 40), reference=1.0)
+    assert shown == []
+    _no_child_left()
+
+
 def test_ladder_and_refinement_csv_layouts():
     lat = build_lattice(6, dim=1)
     ladder = monotone_limit_experiment(
